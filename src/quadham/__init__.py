@@ -75,6 +75,7 @@ from .spectral import (
     ladder_check,
     pair_frequencies,
     spectrum_lattice,
+    vacuum_annihilation_residual,
 )
 from .wavefunctions import (
     ExactAmount,
@@ -88,7 +89,6 @@ from .wavefunctions import (
     normalized_copy,
     squared_norm,
     vacuum,
-    vacuum_annihilation_residual,
 )
 
 __all__ = [
@@ -106,11 +106,12 @@ __all__ = [
     "Classification", "EigenCluster", "EigenData", "FrequencyPair",
     "SpectrumReport", "LatticeLevel", "eigen_decompose", "pair_frequencies",
     "classify_spectrum", "spectrum_lattice", "ladder_check",
+    "vacuum_annihilation_residual",
     # wavefunctions
     "ComplexRational", "PiScale", "ExactAmount", "PolyGaussian", "vacuum",
     "apply_linear_form", "apply_quadratic_form", "inner", "squared_norm",
     "norm_scale", "normalized_copy", "build_eigenfunction",
-    "is_scalar_multiple_exact", "vacuum_annihilation_residual",
+    "is_scalar_multiple_exact",
     # fock
     "FockTruncation", "OracleSpectrum", "ComparisonReport", "ComparisonRow",
     "build_fock_matrix", "linear_form_matrix", "oracle_spectrum",

@@ -148,11 +148,6 @@ class PiScale:
     def one(cls) -> "PiScale":
         return cls(_ONE, 0)
 
-    @classmethod
-    def sqrt_of(cls, radicand: Fraction, pi_halves: int) -> "PiScale":
-        """sqrt(radicand * pi**(pi_halves/2)) for a positive rational radicand."""
-        return cls(radicand, pi_halves)
-
     def __mul__(self, other):
         if isinstance(other, PiScale):
             return PiScale(self.q * other.q, self.quarter + other.quarter)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EigensolverError, FockCapError, HermiticityError
 from .phase_space import LinearForm, QuadraticForm
-from .spectral import Classification, LatticeLevel
+from .spectral import Classification, LatticeLevel, _cluster
 from . import tolerances as tol
 
 
@@ -186,7 +186,7 @@ def oracle_spectrum(q: QuadraticForm, t: FockTruncation) -> OracleSpectrum:
                 ) from exc
             shell_evals[s] = np.sort(w.real)
 
-    clusters = _cluster_sorted(evals)
+    clusters = _degenerate_levels(evals)
     return OracleSpectrum(
         eigenvalues=evals,
         clusters=clusters,
@@ -197,17 +197,12 @@ def oracle_spectrum(q: QuadraticForm, t: FockTruncation) -> OracleSpectrum:
     )
 
 
-def _cluster_sorted(values: np.ndarray) -> tuple[tuple[float, int], ...]:
+def _degenerate_levels(values: np.ndarray) -> tuple[tuple[float, int], ...]:
+    """(mean, count) of each cluster of sorted eigenvalues."""
     if len(values) == 0:
         return ()
     t_c = tol.cluster_tol(float(np.max(np.abs(values))))
-    out: list[list[float]] = [[float(values[0])]]
-    for v in values[1:]:
-        if abs(float(v) - out[-1][0]) <= t_c:
-            out[-1].append(float(v))
-        else:
-            out.append([float(v)])
-    return tuple((float(np.mean(g)), len(g)) for g in out)
+    return tuple((float(np.mean(values[g])), len(g)) for g in _cluster(values, t_c))
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,109 +256,56 @@ def compare_with_lattice(
             notes="empty lattice",
         )
 
-    infinite = any(level.infinite for level in levels)
-    if infinite:
-        return _compare_distinct(o, levels, max_levels)
-    if o.shell_eigenvalues is not None:
-        return _compare_shells(o, levels, max_levels)
-    return _compare_variational(o, levels, max_levels)
-
-
-def _expand_levels(levels) -> list[tuple[float, int]]:
-    pairs = sorted((lv.energy, lv.degeneracy) for lv in levels)
-    return pairs
-
-
-def _compare_shells(o, levels, max_levels) -> ComparisonReport:
-    pooled = np.sort(np.concatenate(
-        [o.shell_eigenvalues[s] for s in sorted(o.shell_eigenvalues)]
-    ))
-    expected = _expand_levels(levels)
-    observed = _cluster_sorted(pooled)
-    n = min(len(expected), len(observed))
-    if max_levels is not None:
-        n = min(n, max_levels)
-    rows = []
-    max_diff = 0.0
-    degeneracies_agree = True
-    for k in range(n):
-        ee, ed = expected[k]
-        oe, od = observed[k]
-        diff = abs(ee - oe)
-        max_diff = max(max_diff, diff)
-        if ed != od:
-            degeneracies_agree = False
-        rows.append(ComparisonRow(ee, oe, diff, ed, od))
-    threshold = tol.oracle_shell_tol()
-    status = "PASS" if (max_diff <= threshold and degeneracies_agree) else "FAIL"
-    notes = f"pooled shells s <= {o.shell_exact_upto}; threshold {threshold:.1e}"
-    if len(expected) != len(observed) and max_levels is None:
-        notes += (
-            f"; level counts differ (lattice {len(expected)}, "
-            f"oracle {len(observed)}), compared the lowest {n}"
-        )
-    return ComparisonReport(
-        mode="shell", n_compared=n, max_abs_diff=max_diff,
-        degeneracies_agree=degeneracies_agree, rows=tuple(rows), status=status,
-        notes=notes,
-    )
-
-
-def _compare_variational(o, levels, max_levels) -> ComparisonReport:
-    expected_multiset: list[float] = []
-    for energy, deg in _expand_levels(levels):
-        expected_multiset.extend([energy] * deg)
-    expected_multiset.sort()
-    window = max(1, o.dim // 4)
-    n = min(window, len(expected_multiset), len(o.eigenvalues))
-    if max_levels is not None:
-        n = min(n, max_levels)
-    rows = []
-    max_diff = 0.0
-    for k in range(n):
-        ee = expected_multiset[k]
-        oe = float(o.eigenvalues[k])
-        diff = abs(ee - oe)
-        max_diff = max(max_diff, diff)
-        rows.append(ComparisonRow(ee, oe, diff, None, None))
-    threshold = tol.oracle_variational_tol()
-    status = "PASS" if max_diff <= threshold else "FAIL"
-    return ComparisonReport(
-        mode="variational", n_compared=n, max_abs_diff=max_diff,
-        degeneracies_agree=None, rows=tuple(rows), status=status,
-        notes=(
-            f"lowest {n} of {o.dim} truncated eigenvalues; "
-            f"threshold {threshold:.1e}"
-        ),
-    )
-
-
-def _compare_distinct(o, levels, max_levels) -> ComparisonReport:
-    expected = sorted({lv.energy for lv in levels})
-    if o.shell_eigenvalues is not None:
-        pooled = np.sort(np.concatenate(
+    shell = o.shell_eigenvalues is not None
+    if shell:
+        pooled = _degenerate_levels(np.sort(np.concatenate(
             [o.shell_eigenvalues[s] for s in sorted(o.shell_eigenvalues)]
-        ))
-        observed = [e for e, _ in _cluster_sorted(pooled)]
-        threshold = tol.oracle_shell_tol()
-    else:
-        observed = [e for e, _ in o.clusters]
-        threshold = tol.oracle_variational_tol()
-    n = min(len(expected), len(observed))
-    if max_levels is not None:
-        n = min(n, max_levels)
-    rows = []
-    max_diff = 0.0
-    for k in range(n):
-        diff = abs(expected[k] - observed[k])
-        max_diff = max(max_diff, diff)
-        rows.append(ComparisonRow(expected[k], observed[k], diff, None, None))
-    status = "PASS" if max_diff <= threshold else "FAIL"
-    return ComparisonReport(
-        mode="critical", n_compared=n, max_abs_diff=max_diff,
-        degeneracies_agree=None, rows=tuple(rows), status=status,
-        notes=(
+        )))
+    window = None
+    if any(level.infinite for level in levels):
+        mode = "critical"
+        expected = [(e, None) for e in sorted({lv.energy for lv in levels})]
+        observed = [(e, None) for e, _ in (pooled if shell else o.clusters)]
+        threshold = tol.oracle_shell_tol() if shell else tol.oracle_variational_tol()
+        notes = (
             "distinct energies only; multiplicities grow with the truncation "
             "and are not compared"
-        ),
+        )
+    elif shell:
+        mode = "shell"
+        expected = sorted((lv.energy, lv.degeneracy) for lv in levels)
+        observed = pooled
+        threshold = tol.oracle_shell_tol()
+        notes = f"pooled shells s <= {o.shell_exact_upto}; threshold {threshold:.1e}"
+        if len(expected) != len(observed) and max_levels is None:
+            notes += (
+                f"; level counts differ (lattice {len(expected)}, "
+                f"oracle {len(observed)}), compared the lowest {{n}}"
+            )
+    else:
+        mode = "variational"
+        expected = [(e, None) for e in sorted(
+            lv.energy for lv in levels for _ in range(lv.degeneracy)
+        )]
+        observed = [(e, None) for e in o.eigenvalues.tolist()]
+        window = max(1, o.dim // 4)
+        threshold = tol.oracle_variational_tol()
+        notes = f"lowest {{n}} of {o.dim} truncated eigenvalues; threshold {threshold:.1e}"
+
+    n = min(len(expected), len(observed))
+    for limit in (window, max_levels):
+        if limit is not None:
+            n = min(n, limit)
+    rows = tuple(
+        ComparisonRow(ee, oe, abs(ee - oe), ed, od)
+        for (ee, ed), (oe, od) in zip(expected[:n], observed[:n])
+    )
+    max_diff = max((r.abs_diff for r in rows), default=0.0)
+    agree = (all(r.expected_degeneracy == r.observed_degeneracy for r in rows)
+             if mode == "shell" else None)
+    status = "PASS" if max_diff <= threshold and agree is not False else "FAIL"
+    return ComparisonReport(
+        mode=mode, n_compared=n, max_abs_diff=max_diff,
+        degeneracies_agree=agree, rows=rows, status=status,
+        notes=notes.format(n=n),
     )

@@ -22,7 +22,7 @@ from .phase_space import (
     adjoint_representation,
     make_quadratic_form,
 )
-from .spectral import Classification, SpectrumReport, classify_spectrum
+from .spectral import Classification, SpectrumReport, _cluster, classify_spectrum
 from . import tolerances as tol
 
 # 1-based operator indices for two modes, as make_quadratic_form expects
@@ -268,12 +268,12 @@ def phase_scan(
     samples = []
     for b in bs:
         b = float(b)
-        d = DimensionlessModel(mu=mu, k=k, b=b)
-        report = classify_spectrum(build_model(d))
+        form = build_model(DimensionlessModel(mu=mu, k=k, b=b))
+        report = classify_spectrum(form)
         samples.append(ScanSample(
             b=b,
             classification=report.classification,
-            margin=_margin(b, mu, k),
+            margin=float(np.linalg.eigvalsh(form.gamma)[0]),
             ground_energy=report.ground_energy,
             generators=report.lattice_generators,
         ))
@@ -306,9 +306,7 @@ def phase_scan(
                     hi = mid
             transitions.append(Transition(0.5 * (lo + hi), lo, hi))
 
-    deduped: list[Transition] = []
-    for t_new in sorted(transitions, key=lambda t: t.b_star):
-        if deduped and abs(t_new.b_star - deduped[-1].b_star) <= 1e-9:
-            continue
-        deduped.append(t_new)
-    return PhaseScanResult(samples=tuple(samples), transitions=tuple(deduped))
+    deduped = tuple(
+        transitions[g[0]] for g in _cluster([t.b_star for t in transitions], 1e-9)
+    )
+    return PhaseScanResult(samples=tuple(samples), transitions=deduped)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,10 +61,6 @@ class EigenData:
     matrix_norm: float
     source: AdjointMatrix
 
-    @property
-    def geometric_multiplicities(self) -> dict[complex, int]:
-        return {c.value: c.geometric for c in self.clusters}
-
 
 @dataclass(frozen=True, eq=False)
 class FrequencyPair:
@@ -103,7 +100,10 @@ def eigen_decompose(m: AdjointMatrix) -> EigenData:
     """Eigenvalues/vectors of the adjoint matrix via its real generator R.
 
     Geometric multiplicities of clustered eigenvalues come from the SVD rank
-    of (M - lambda I); simple eigenvalues skip the SVD.
+    of (M - lambda I); simple eigenvalues skip the SVD.  A repeated
+    eigenvalue with a full eigenspace takes its eigenvectors from the null
+    space of that SVD, because the general eigensolver can return parallel
+    vectors for it.
     """
     entries = m.entries
     R = np.real(-1j * entries)
@@ -117,56 +117,71 @@ def eigen_decompose(m: AdjointMatrix) -> EigenData:
         raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
     eigenvalues = 1j * w
     norm = float(np.linalg.norm(R, 2))
-    clusters = _cluster_eigenvalues(eigenvalues, entries, norm)
-    defective = any(c.geometric < c.algebraic for c in clusters)
+    n = len(eigenvalues)
+    clusters = []
+    eigenspaces = []
+    for g in _cluster(eigenvalues, tol.pairing_tol(norm)):
+        value = complex(np.mean(eigenvalues[g]))
+        geom = 1
+        if len(g) > 1:
+            _, svals, vh = np.linalg.svd(entries - value * np.eye(n))
+            rank = int(np.sum(svals > tol.rank_threshold(float(svals[0]))))
+            geom = n - rank
+            if geom == len(g):
+                eigenspaces.append((g, vh[rank:].conj().T))
+        clusters.append(EigenCluster(value=value, algebraic=len(g),
+                                     geometric=geom, indices=tuple(g)))
+    clusters.sort(key=lambda c: (c.value.real, c.value.imag))
+    if eigenspaces:
+        V = V.astype(complex)
+        for g, null_basis in eigenspaces:
+            V[:, g] = null_basis
     return EigenData(
         eigenvalues=eigenvalues,
         eigenvectors=V,
-        clusters=clusters,
-        defective=defective,
+        clusters=tuple(clusters),
+        defective=any(c.geometric < c.algebraic for c in clusters),
         matrix_norm=norm,
         source=m,
     )
 
 
-def _cluster_eigenvalues(eigenvalues, entries, norm) -> tuple[EigenCluster, ...]:
-    t = tol.pairing_tol(norm)
-    n = len(eigenvalues)
-    order = sorted(range(n), key=lambda i: (eigenvalues[i].real, eigenvalues[i].imag))
+def _cluster(values, t: float) -> list[list[int]]:
+    """Index groups of values (real or complex) that coincide within t.
+
+    Values are visited in (real, imag) order, ties in input order.  Each one
+    joins the last group when within t of that group's first member, else
+    the first earlier group within t (complex values sorted by real part
+    can interleave two clusters), else it starts a new group.  Sorted real
+    values can only ever match the last group, so they skip that search.
+    """
+    arr = np.asarray(values)
+    vals = arr.tolist()
+    search_earlier = arr.dtype.kind == "c"
+    key = (lambda i: (vals[i].real, vals[i].imag)) if search_earlier else vals.__getitem__
     groups: list[list[int]] = []
-    for idx in order:
-        placed = False
-        if groups:
-            rep = eigenvalues[groups[-1][0]]
-            if abs(eigenvalues[idx] - rep) <= t:
-                groups[-1].append(idx)
-                placed = True
-        if not placed:
-            # also merge against earlier groups (conjugate-sorted neighbours)
-            for g in groups[:-1]:
-                if abs(eigenvalues[idx] - eigenvalues[g[0]]) <= t:
-                    g.append(idx)
-                    placed = True
+    anchor = None  # first member of the last group
+    for i in sorted(range(len(vals)), key=key):
+        v = vals[i]
+        if groups and abs(v - anchor) <= t:
+            groups[-1].append(i)
+            continue
+        home = None
+        if search_earlier:
+            # first members arrive in real-part order, so the scan stops at
+            # the first group whose real part alone is farther than t
+            for k in range(len(groups) - 2, -1, -1):
+                first = vals[groups[k][0]]
+                if v.real - first.real > t:
                     break
-        if not placed:
-            groups.append([idx])
-    clusters = []
-    for g in groups:
-        vals = eigenvalues[g]
-        value = complex(np.mean(vals))
-        alg = len(g)
-        if alg == 1:
-            geom = 1
+                if abs(v - first) <= t:
+                    home = groups[k]
+        if home is None:
+            groups.append([i])
+            anchor = v
         else:
-            shifted = entries - value * np.eye(n)
-            svals = np.linalg.svd(shifted, compute_uv=False)
-            smax = float(svals[0]) if len(svals) else 0.0
-            rank = int(np.sum(svals > tol.rank_threshold(smax)))
-            geom = n - rank
-        clusters.append(EigenCluster(value=value, algebraic=alg,
-                                     geometric=geom, indices=tuple(g)))
-    clusters.sort(key=lambda c: (c.value.real, c.value.imag))
-    return tuple(clusters)
+            home.append(i)
+    return groups
 
 
 def _check_real_frequencies(e: EigenData) -> np.ndarray:
@@ -207,17 +222,8 @@ def pair_frequencies(e: EigenData, basis: PhaseSpaceBasis) -> list[FrequencyPair
     t_pair = tol.pairing_tol(e.matrix_norm)
     t_zero = tol.zero_frequency_tol(e.matrix_norm)
     J = basis.symplectic()
-    n = len(freqs)
 
-    # group indices by real frequency
-    order = sorted(range(n), key=lambda i: freqs[i])
-    groups: list[tuple[float, list[int]]] = []
-    for idx in order:
-        if groups and abs(freqs[idx] - groups[-1][0]) <= t_pair:
-            groups[-1][1].append(idx)
-        else:
-            groups.append((freqs[idx], [idx]))
-    groups = [(float(np.mean([freqs[i] for i in g])), g) for _, g in groups]
+    groups = [(float(np.mean(freqs[g])), g) for g in _cluster(freqs, t_pair)]
 
     zero_groups = [g for g in groups if abs(g[0]) <= t_zero]
     pos_groups = [g for g in groups if g[0] > t_zero]
@@ -256,11 +262,17 @@ class _RawPair:
     raising_frequency: float
 
 
-def _pairs_from_group(val, idxs, V, J, t_zero) -> list[_RawPair]:
+def _symplectic_gram(idxs, V, J):
+    """Eigen-decomposed Hermitian form G = i V^dag J V on the columns idxs."""
     basis_vecs = V[:, idxs]
     G = 1j * (basis_vecs.conj().T @ J @ basis_vecs)
     G = (G + G.conj().T) / 2.0
     mu, U = np.linalg.eigh(G)
+    return basis_vecs, mu, U
+
+
+def _pairs_from_group(val, idxs, V, J, t_zero) -> list[_RawPair]:
+    basis_vecs, mu, U = _symplectic_gram(idxs, V, J)
     out = []
     for k in range(len(mu)):
         m = float(mu[k])
@@ -278,10 +290,7 @@ def _pairs_from_group(val, idxs, V, J, t_zero) -> list[_RawPair]:
 
 
 def _pairs_from_zero_group(idxs, V, J, t_zero) -> list[_RawPair]:
-    basis_vecs = V[:, idxs]
-    G = 1j * (basis_vecs.conj().T @ J @ basis_vecs)
-    G = (G + G.conj().T) / 2.0
-    mu, U = np.linalg.eigh(G)
+    basis_vecs, mu, U = _symplectic_gram(idxs, V, J)
     positive = [k for k in range(len(mu)) if mu[k] > t_zero]
     if len(positive) != len(idxs) // 2:
         raise PairingError("zero eigenspace does not split into ladder pairs")
@@ -331,131 +340,115 @@ def ladder_check(q: QuadraticForm, z: LinearForm) -> float:
     return float(lam.real)
 
 
+def vacuum_annihilation_residual(z: LinearForm) -> float:
+    """Norm of z applied to the normalised Gaussian vacuum.
+
+    Zero exactly when cx_j + i cp_j = 0 for every mode, since
+    z . vacuum = sum_j (cx_j + i cp_j) x_j . vacuum and <x_j^2> = 1/2.
+    """
+    K = z.basis.K
+    d = z.coeffs[:K] + 1j * z.coeffs[K:]
+    return float(np.linalg.norm(d) / math.sqrt(2.0))
+
+
 def classify_spectrum(q: QuadraticForm) -> SpectrumReport:
     """Decision tree over frequency reality, defectiveness and definiteness."""
     adj = adjoint_representation(q)
     e = eigen_decompose(adj)
     t_pair = tol.pairing_tol(e.matrix_norm)
+    pairs: tuple[FrequencyPair, ...] = ()
+    gens: tuple[float, ...] = ()
+    ground = vac = None
 
     if np.any(np.abs(e.eigenvalues.imag) > t_pair):
-        return SpectrumReport(
-            classification=Classification.NON_REAL_FREQUENCIES,
-            pairs=(),
-            ground_energy=None,
-            lattice_generators=(),
-            multiplicity_note=(
-                "adjoint eigenvalues include non-real frequencies; no real "
-                "ladder structure or energy lattice exists"
-            ),
-            vacuum_energy=None,
+        cls = Classification.NON_REAL_FREQUENCIES
+        note = (
+            "adjoint eigenvalues include non-real frequencies; no real "
+            "ladder structure or energy lattice exists"
         )
-
-    if e.defective:
+    elif e.defective:
         bad = [c for c in e.clusters if c.geometric < c.algebraic]
         desc = ", ".join(
             f"{c.value.real:.6g} (algebraic {c.algebraic}, geometric {c.geometric})"
             for c in bad
         )
-        return SpectrumReport(
-            classification=Classification.DEFECTIVE_EXCEPTIONAL,
-            pairs=(),
-            ground_energy=None,
-            lattice_generators=(),
-            multiplicity_note=(
-                f"adjoint matrix is defective at eigenvalue(s) {desc}; "
-                "ladder operators do not span and no discrete lattice applies"
-            ),
-            vacuum_energy=None,
+        cls = Classification.DEFECTIVE_EXCEPTIONAL
+        note = (
+            f"adjoint matrix is defective at eigenvalue(s) {desc}; "
+            "ladder operators do not span and no discrete lattice applies"
         )
-
-    pairs = tuple(pair_frequencies(e, q.basis))
-
-    gevals = np.linalg.eigvalsh(q.gamma)
-    dtol = tol.definiteness_tol(float(np.max(np.abs(gevals))) if gevals.size else 0.0)
-    gmin = float(gevals[0])
-    t_zero = tol.zero_frequency_tol(e.matrix_norm)
-    has_zero_freq = any(p.lambda_plus <= t_zero for p in pairs)
-
-    if gmin > dtol:
-        ground = q.offset + 0.5 * sum(p.lambda_plus for p in pairs)
-        gens = tuple(p.lambda_plus for p in pairs)
-        return SpectrumReport(
-            classification=Classification.BOUNDED_BELOW_DISCRETE,
-            pairs=pairs,
-            ground_energy=float(ground),
-            lattice_generators=gens,
-            multiplicity_note=(
-                "form matrix positive definite; spectrum is the discrete "
-                "lattice ground + n . generators with finite degeneracies"
-            ),
-            vacuum_energy=float(ground),
+    else:
+        pairs = tuple(pair_frequencies(e, q.basis))
+        gevals = np.linalg.eigvalsh(q.gamma)
+        dtol = tol.definiteness_tol(
+            float(np.max(np.abs(gevals))) if gevals.size else 0.0
         )
+        gmin = float(gevals[0])
+        t_zero = tol.zero_frequency_tol(e.matrix_norm)
 
-    if gmin > -dtol:
-        # positive semidefinite boundary
-        ground = q.offset + 0.5 * sum(p.lambda_plus for p in pairs)
-        gens = tuple(
-            0.0 if p.lambda_plus <= t_zero else p.lambda_plus for p in pairs
-        )
-        if has_zero_freq:
-            return SpectrumReport(
-                classification=Classification.CRITICAL_INFINITE_MULTIPLICITY,
-                pairs=pairs,
-                ground_energy=float(ground),
-                lattice_generators=gens,
-                multiplicity_note=(
-                    "zero-frequency ladder pair on the semidefinite boundary: "
-                    "every lattice level carries infinite multiplicity"
-                ),
-                vacuum_energy=float(ground),
-            )
-        return SpectrumReport(
-            classification=Classification.BOUNDED_BELOW_DISCRETE,
-            pairs=pairs,
-            ground_energy=float(ground),
-            lattice_generators=gens,
-            multiplicity_note=(
-                "form matrix semidefinite but all frequencies nonzero; "
-                "treated as bounded below"
-            ),
-            vacuum_energy=float(ground),
-        )
-
-    # indefinite with all-real frequencies
-    from .wavefunctions import vacuum_annihilation_residual
-
-    gens = []
-    fallback = False
-    for p in pairs:
-        thr_r = tol.annihilation_tol(float(np.linalg.norm(p.raising.coeffs)))
-        thr_l = tol.annihilation_tol(float(np.linalg.norm(p.lowering.coeffs)))
-        res_r = vacuum_annihilation_residual(p.raising)
-        res_l = vacuum_annihilation_residual(p.lowering)
-        if res_l <= thr_l and res_r > thr_r:
-            gens.append(p.raising_frequency)
-        elif res_r <= thr_r and res_l > thr_l:
-            gens.append(-p.raising_frequency)
+        if gmin > -dtol:
+            ground = vac = float(q.offset + 0.5 * sum(p.lambda_plus for p in pairs))
+            if gmin > dtol:
+                cls = Classification.BOUNDED_BELOW_DISCRETE
+                gens = tuple(p.lambda_plus for p in pairs)
+                note = (
+                    "form matrix positive definite; spectrum is the discrete "
+                    "lattice ground + n . generators with finite degeneracies"
+                )
+            else:
+                # positive semidefinite boundary
+                gens = tuple(
+                    0.0 if p.lambda_plus <= t_zero else p.lambda_plus for p in pairs
+                )
+                if any(p.lambda_plus <= t_zero for p in pairs):
+                    cls = Classification.CRITICAL_INFINITE_MULTIPLICITY
+                    note = (
+                        "zero-frequency ladder pair on the semidefinite boundary: "
+                        "every lattice level carries infinite multiplicity"
+                    )
+                else:
+                    cls = Classification.BOUNDED_BELOW_DISCRETE
+                    note = (
+                        "form matrix semidefinite but all frequencies nonzero; "
+                        "treated as bounded below"
+                    )
         else:
-            gens.append(p.raising_frequency)
-            fallback = True
-    gens.sort(reverse=True)
-    note = (
-        "form matrix indefinite with real frequencies: the Gaussian-vacuum "
-        "lattice extends without a lower bound (signed generators)"
-    )
-    if fallback:
-        note += (
-            "; warning: some pair had no member annihilating the standard "
-            "Gaussian vacuum, sign taken from the commutator orientation"
-        )
-    vac = q.offset + 0.5 * sum(gens)
+            # indefinite with all-real frequencies
+            signed = []
+            fallback = False
+            for p in pairs:
+                thr_r = tol.annihilation_tol(float(np.linalg.norm(p.raising.coeffs)))
+                thr_l = tol.annihilation_tol(float(np.linalg.norm(p.lowering.coeffs)))
+                res_r = vacuum_annihilation_residual(p.raising)
+                res_l = vacuum_annihilation_residual(p.lowering)
+                if res_l <= thr_l and res_r > thr_r:
+                    signed.append(p.raising_frequency)
+                elif res_r <= thr_r and res_l > thr_l:
+                    signed.append(-p.raising_frequency)
+                else:
+                    signed.append(p.raising_frequency)
+                    fallback = True
+            signed.sort(reverse=True)
+            gens = tuple(signed)
+            cls = Classification.UNBOUNDED_LATTICE
+            note = (
+                "form matrix indefinite with real frequencies: the Gaussian-vacuum "
+                "lattice extends without a lower bound (signed generators)"
+            )
+            if fallback:
+                note += (
+                    "; warning: some pair had no member annihilating the standard "
+                    "Gaussian vacuum, sign taken from the commutator orientation"
+                )
+            vac = float(q.offset + 0.5 * sum(gens))
+
     return SpectrumReport(
-        classification=Classification.UNBOUNDED_LATTICE,
+        classification=cls,
         pairs=pairs,
-        ground_energy=None,
-        lattice_generators=tuple(gens),
+        ground_energy=ground,
+        lattice_generators=gens,
         multiplicity_note=note,
-        vacuum_energy=float(vac),
+        vacuum_energy=vac,
     )
 
 
@@ -484,59 +477,34 @@ def spectrum_lattice(r: SpectrumReport, max_quanta: int) -> list[LatticeLevel]:
     infinite = len(active) < len(r.lattice_generators)
     unbounded = r.classification is Classification.UNBOUNDED_LATTICE
 
-    entries = []  # (energy, quanta tuple)
+    # (merge block, energy, quanta): unbounded lattices merge only within a
+    # total-quanta shell
+    entries = []
     for quanta in _multi_indices(len(active), max_quanta):
-        energy = anchor + sum(n * g for n, g in zip(quanta, active))
-        entries.append((float(energy), quanta))
+        energy = anchor + sum(map(operator.mul, quanta, active))
+        entries.append((sum(quanta) if unbounded else 0, float(energy), quanta))
     if not entries:
         return []
 
-    emax = max(abs(x[0]) for x in entries)
+    emax = max(abs(x[1]) for x in entries)
     t = tol.lattice_merge_tol(emax)
 
-    if unbounded:
-        keyed = sorted(entries, key=lambda x: (sum(x[1]), x[0], x[1]))
-        levels = []
-        for (energy, quanta) in keyed:
-            if (
-                levels
-                and sum(levels[-1].states[0]) == sum(quanta)
-                and abs(levels[-1].energy - energy) <= t
-            ):
-                prev = levels[-1]
-                states = prev.states + (quanta,)
-                levels[-1] = LatticeLevel(
-                    energy=prev.energy,
-                    states=states,
-                    degeneracy=len(states),
-                    infinite=infinite,
-                )
-            else:
-                levels.append(LatticeLevel(energy, (quanta,), 1, infinite))
-        return levels
-
-    keyed = sorted(entries, key=lambda x: (x[0], x[1]))
+    entries.sort()
     levels = []
-    for (energy, quanta) in keyed:
-        if levels and abs(levels[-1].energy - energy) <= t:
-            prev = levels[-1]
-            states = tuple(sorted(prev.states + (quanta,)))
-            levels[-1] = LatticeLevel(
-                energy=prev.energy,
-                states=states,
-                degeneracy=len(states),
-                infinite=infinite,
-            )
-        else:
-            levels.append(LatticeLevel(energy, (quanta,), 1, infinite))
+    for _, run in itertools.groupby(entries, key=lambda x: x[0]):
+        block = list(run)
+        for g in _cluster([x[1] for x in block], t):
+            states = [block[i][2] for i in g]
+            if not unbounded:
+                states.sort()
+            levels.append(LatticeLevel(block[g[0]][1], tuple(states),
+                                       len(states), infinite))
     return levels
 
 
-def _multi_indices(r: int, max_total: int):
+def _multi_indices(r: int, max_total: int) -> list[tuple[int, ...]]:
     """All tuples n in N^r with sum(n) <= max_total, lexicographic order."""
-    if r == 0:
-        yield ()
-        return
-    for head in range(max_total + 1):
-        for tail in _multi_indices(r - 1, max_total - head):
-            yield (head,) + tail
+    out = [()]
+    for _ in range(r):
+        out = [t + (h,) for t in out for h in range(max_total + 1 - sum(t))]
+    return out

@@ -91,10 +91,6 @@ class PolyGaussian:
     def is_zero(self) -> bool:
         return not self.poly
 
-    @property
-    def degree(self) -> int:
-        return max((sum(k) for k in self.poly), default=0)
-
     # ---- linear structure ------------------------------------------------
 
     def scalar_mul(self, z) -> "PolyGaussian":
@@ -410,7 +406,7 @@ def norm_scale(s: PolyGaussian) -> PiScale:
     root = _rational_sqrt(radicand)
     if root is None or sq.factor.quarter % 2:
         raise ValueError("norm is not representable as sqrt(q) * pi^(k/4)")
-    return PiScale.sqrt_of(root, sq.factor.quarter // 2)
+    return PiScale(root, sq.factor.quarter // 2)
 
 
 def normalized_copy(s: PolyGaussian) -> PolyGaussian:
@@ -456,13 +452,3 @@ def build_eigenfunction(z_first: LinearForm, z_second: LinearForm,
         raise ValueError("ladder application annihilated the state")
     return normalized_copy(s)
 
-
-def vacuum_annihilation_residual(z: LinearForm) -> float:
-    """Norm of z applied to the normalised Gaussian vacuum.
-
-    Zero exactly when cx_j + i cp_j = 0 for every mode, since
-    z . vacuum = sum_j (cx_j + i cp_j) x_j . vacuum and <x_j^2> = 1/2.
-    """
-    K = z.basis.K
-    d = z.coeffs[:K] + 1j * z.coeffs[K:]
-    return float(np.linalg.norm(d) / math.sqrt(2.0))

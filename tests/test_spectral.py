@@ -22,11 +22,32 @@ from quadham import (
     random_positive_definite_form,
     spectrum_lattice,
     sb_operator,
+    SpectrumReport,
 )
+from quadham.spectral import _cluster
 
 
 def model_form(b, mu=1.0, k=1.0):
     return build_model(DimensionlessModel(mu=mu, k=k, b=b))
+
+
+class TestCluster:
+    T = 1e-9
+
+    def test_groups_anchor_to_first_member(self):
+        # 1.2t is within t of 0.6t but not of the group's first member 0
+        t = self.T
+        assert _cluster([1.2 * t, 0.0, 0.6 * t], t) == [[1, 2], [0]]
+
+    def test_complex_value_joins_its_earlier_cluster(self):
+        # sorted by real part the order is a1, b1, a2: a2 lands after the
+        # other cluster's member and still joins a1's group
+        a1, b1, a2 = 1.0 + 1.0j, 1.0 + 1e-13 - 1.0j, 1.0 + 2e-13 + 1.0j
+        assert _cluster([a2, b1, a1], self.T) == [[2, 0], [1]]
+
+    def test_real_values_in_sorted_order(self):
+        vals = [3.0, 1.0, 2.0 + 5e-10, 2.0, 1.0 + 2e-10]
+        assert _cluster(vals, self.T) == [[1, 4], [3, 2], [0]]
 
 
 class TestEigenDecompose:
@@ -214,6 +235,16 @@ class TestClassification:
         assert rep.classification is Classification.DEFECTIVE_EXCEPTIONAL
         assert rep.pairs == ()
 
+    @pytest.mark.parametrize("k", [k for k in range(-149, 150) if k != 0])
+    def test_sb_operator_couplings_pair(self, k):
+        # the 2-fold zero eigenvalue has a full eigenspace at every B != 0,
+        # even where the general eigensolver returns parallel vectors for it
+        B = k / 100
+        rep = classify_spectrum(sb_operator(B))
+        assert rep.classification is Classification.CRITICAL_INFINITE_MULTIPLICITY
+        assert rep.lattice_generators[0] == pytest.approx(2 * abs(B), abs=1e-12)
+        assert rep.lattice_generators[1] == 0.0
+
     def test_offset_shifts_energies(self):
         q = model_form(1.0) + QuadraticForm(PhaseSpaceBasis(2),
                                             np.zeros((4, 4)), 1.5)
@@ -285,3 +316,31 @@ class TestSpectrumLattice:
         levels = spectrum_lattice(rep, 3)
         assert [lv.degeneracy for lv in levels] == [1, 2, 3, 4]
         assert [round(lv.energy, 9) for lv in levels] == [2.0, 4.0, 6.0, 8.0]
+
+    def test_indefinite_shell_order(self):
+        # x1^2 + p1^2 + x2^2 + p2^2 - x3^2 - p3^2: generators (2, 2, -2)
+        g = np.diag([1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
+        rep = classify_spectrum(QuadraticForm(PhaseSpaceBasis(3), g, 0.0))
+        assert rep.classification is Classification.UNBOUNDED_LATTICE
+        assert rep.lattice_generators == pytest.approx((2.0, 2.0, -2.0),
+                                                       abs=1e-12)
+        levels = spectrum_lattice(rep, 1)
+        assert [round(lv.energy, 9) for lv in levels] == [1.0, -1.0, 3.0]
+        assert levels[1].states == ((0, 0, 1),)
+        assert levels[2].states == ((0, 1, 0), (1, 0, 0))
+        assert levels[2].degeneracy == 2
+
+    @pytest.mark.parametrize("cls,gens,states", [
+        # unbounded levels keep (energy, quanta) order: (1,0,1) sits 1e-12
+        # below (0,2,0)
+        (Classification.UNBOUNDED_LATTICE, (3.0 - 1e-12, 1.0, -1.0),
+         ((1, 0, 1), (0, 2, 0))),
+        # bounded levels list their states in quanta order
+        (Classification.BOUNDED_BELOW_DISCRETE, (2.0 - 1e-12, 1.0),
+         ((0, 2), (1, 0))),
+    ])
+    def test_merged_level_state_order(self, cls, gens, states):
+        rep = SpectrumReport(cls, (), None, gens, "", vacuum_energy=0.0)
+        merged = [lv for lv in spectrum_lattice(rep, 2) if set(lv.states) == set(states)]
+        assert len(merged) == 1
+        assert merged[0].states == states
