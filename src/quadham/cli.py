@@ -18,7 +18,12 @@ import numpy as np
 
 from . import models, serialize
 from .errors import ConfigError, QuadhamError
-from .fock import FockTruncation, compare_with_lattice, oracle_spectrum
+from .fock import (
+    ComparisonReport,
+    FockTruncation,
+    compare_with_lattice,
+    oracle_spectrum,
+)
 from .phase_space import PhaseSpaceBasis, QuadraticForm, adjoint_representation
 from .spectral import (
     Classification,
@@ -264,16 +269,13 @@ def _cmd_analyze(form, model):
         "offset": form.offset,
     }
     if model is not None:
-        results["model"] = {
-            "mu": model.mu, "k": model.k, "b": model.b,
-            "energy_scale": model.energy_scale,
-        }
+        results["model"] = model
     header = ["re", "im"]
     rows = [(z.real, z.imag) for z in evals]
     return results, (header, rows)
 
 
-def _cmd_spectrum(form, model, max_quanta: int):
+def _cmd_spectrum(form, max_quanta: int):
     if max_quanta < 0:
         raise ConfigError("--max-quanta must be non-negative")
     report = classify_spectrum(form)
@@ -284,15 +286,7 @@ def _cmd_spectrum(form, model, max_quanta: int):
         "ground_energy": report.ground_energy,
         "vacuum_energy": report.vacuum_energy,
         "lattice_generators": list(report.lattice_generators),
-        "levels": [
-            {
-                "energy": lv.energy,
-                "degeneracy": lv.degeneracy,
-                "infinite": lv.infinite,
-                "states": [list(s) for s in lv.states],
-            }
-            for lv in levels
-        ],
+        "levels": levels,
     }
     width = len(levels[0].states[0]) if levels else 0
     header = [f"n{j + 1}" for j in range(width)] + \
@@ -304,7 +298,7 @@ def _cmd_spectrum(form, model, max_quanta: int):
     return results, (header, rows)
 
 
-def _cmd_scan(form, model, cfg, b_from, b_to, steps):
+def _cmd_scan(model, b_from, b_to, steps):
     if model is None:
         raise ConfigError(
             "scan sweeps the coupling of an oscillator model; use the "
@@ -319,21 +313,8 @@ def _cmd_scan(form, model, cfg, b_from, b_to, steps):
         "from": b_from,
         "to": b_to,
         "steps": steps,
-        "samples": [
-            {
-                "b": s.b,
-                "classification": s.classification.value,
-                "margin": s.margin,
-                "ground_energy": s.ground_energy,
-                "generators": list(s.generators),
-            }
-            for s in result.samples
-        ],
-        "transitions": [
-            {"b_star": t.b_star, "bracket_lo": t.bracket_lo,
-             "bracket_hi": t.bracket_hi}
-            for t in result.transitions
-        ],
+        "samples": result.samples,
+        "transitions": result.transitions,
     }
     header = ["b", "classification", "margin", "ground_energy"]
     rows = [(s.b, s.classification.value, s.margin, s.ground_energy)
@@ -341,7 +322,7 @@ def _cmd_scan(form, model, cfg, b_from, b_to, steps):
     return results, (header, rows)
 
 
-def _cmd_verify(form, model, n_max, max_quanta, max_levels):
+def _cmd_verify(form, n_max, max_quanta, max_levels):
     if n_max < 0:
         raise ConfigError("--n-max must be non-negative")
     if max_quanta is None:
@@ -356,42 +337,21 @@ def _cmd_verify(form, model, n_max, max_quanta, max_levels):
         Classification.NON_REAL_FREQUENCIES,
         Classification.DEFECTIVE_EXCEPTIONAL,
     ):
-        comparison = {
-            "mode": "none",
-            "status": "NOT_APPLICABLE",
-            "n_compared": 0,
-            "max_abs_diff": 0.0,
-            "degeneracies_agree": None,
-            "notes": (
+        comparison = ComparisonReport(
+            mode="none", n_compared=0, max_abs_diff=0.0,
+            degeneracies_agree=None, rows=(), status="NOT_APPLICABLE",
+            notes=(
                 f"classification {report.classification.value} predicts no "
                 "energy lattice to compare against"
             ),
-            "rows": [],
-        }
+        )
         shell_upto = 0
     else:
         levels = spectrum_lattice(report, max_quanta)
         oracle = oracle_spectrum(form, trunc)
-        comp = compare_with_lattice(oracle, levels, max_levels=max_levels,
-                                    classification=report.classification)
-        comparison = {
-            "mode": comp.mode,
-            "status": comp.status,
-            "n_compared": comp.n_compared,
-            "max_abs_diff": comp.max_abs_diff,
-            "degeneracies_agree": comp.degeneracies_agree,
-            "notes": comp.notes,
-            "rows": [
-                {
-                    "expected_energy": r.expected_energy,
-                    "observed_energy": r.observed_energy,
-                    "abs_diff": r.abs_diff,
-                    "expected_degeneracy": r.expected_degeneracy,
-                    "observed_degeneracy": r.observed_degeneracy,
-                }
-                for r in comp.rows
-            ],
-        }
+        comparison = compare_with_lattice(
+            oracle, levels, max_levels=max_levels,
+            classification=report.classification)
         shell_upto = oracle.shell_exact_upto
     results = {
         "classification": report.classification.value,
@@ -404,9 +364,9 @@ def _cmd_verify(form, model, n_max, max_quanta, max_levels):
     header = ["expected_energy", "observed_energy", "abs_diff",
               "expected_degeneracy", "observed_degeneracy"]
     rows = [
-        (r["expected_energy"], r["observed_energy"], r["abs_diff"],
-         r["expected_degeneracy"], r["observed_degeneracy"])
-        for r in comparison["rows"]
+        (r.expected_energy, r.observed_energy, r.abs_diff,
+         r.expected_degeneracy, r.observed_degeneracy)
+        for r in comparison.rows
     ]
     return results, (header, rows)
 
@@ -477,13 +437,12 @@ def _dispatch(args) -> tuple[dict, dict, tuple]:
     if args.command == "analyze":
         results, table = _cmd_analyze(form, model)
     elif args.command == "spectrum":
-        results, table = _cmd_spectrum(form, model, args.max_quanta)
+        results, table = _cmd_spectrum(form, args.max_quanta)
     elif args.command == "scan":
-        results, table = _cmd_scan(form, model, eff_cfg,
-                                   args.b_from, args.b_to, args.steps)
+        results, table = _cmd_scan(model, args.b_from, args.b_to, args.steps)
     elif args.command == "verify":
-        results, table = _cmd_verify(form, model, args.n_max,
-                                     args.max_quanta, args.max_levels)
+        results, table = _cmd_verify(form, args.n_max, args.max_quanta,
+                                     args.max_levels)
     elif args.command == "wavefunction":
         results, table = _cmd_wavefunction(eff_cfg, model, args.m, args.n)
     else:  # pragma: no cover - argparse enforces the choices

@@ -31,7 +31,9 @@ class FockTruncation:
 
     n_max: int
     K: int
-    cap: int = 20000
+    # a dense complex matrix of 4096 states is 256 MiB, and assembly holds
+    # about three such arrays at once
+    cap: int = 4096
 
     def __post_init__(self):
         if not isinstance(self.n_max, int) or self.n_max < 0:
@@ -70,14 +72,6 @@ def _single_mode_ops(levels: int) -> tuple[np.ndarray, np.ndarray]:
     return x.astype(complex), p
 
 
-def _mode_factor_product(t: FockTruncation, kind_a: int, kind_b: int) -> np.ndarray:
-    """Exact same-mode product block: padded product cropped to the window."""
-    n = t.n_max + 1
-    xp_pad = _single_mode_ops(n + 2)
-    prod = xp_pad[kind_a] @ xp_pad[kind_b]
-    return prod[:n, :n]
-
-
 def _kron_chain(factors: dict[int, np.ndarray], K: int, n: int) -> np.ndarray:
     eye = np.eye(n, dtype=complex)
     out = np.ones((1, 1), dtype=complex)
@@ -92,8 +86,8 @@ def build_fock_matrix(q: QuadraticForm, t: FockTruncation) -> np.ndarray:
     if K != t.K:
         raise ValueError("truncation mode count does not match the form")
     n = t.n_max + 1
-    x1, p1 = _single_mode_ops(n)
-    singles = (x1, p1)
+    padded = _single_mode_ops(n + 2)
+    singles = tuple(op[:n, :n] for op in padded)
 
     h = np.zeros((t.dim, t.dim), dtype=complex)
     gamma = q.gamma
@@ -105,7 +99,8 @@ def build_fock_matrix(q: QuadraticForm, t: FockTruncation) -> np.ndarray:
                 continue
             mode_b, kind_b = b % K, b // K
             if mode_a == mode_b:
-                factors = {mode_a: _mode_factor_product(t, kind_a, kind_b)}
+                prod = padded[kind_a] @ padded[kind_b]
+                factors = {mode_a: prod[:n, :n]}
             else:
                 factors = {mode_a: singles[kind_a], mode_b: singles[kind_b]}
             h += g * _kron_chain(factors, K, n)

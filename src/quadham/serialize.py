@@ -2,12 +2,14 @@
 
 Floats are rendered with fixed formats (%.12e in JSON, %.9e in CSV) so byte
 output is reproducible across runs and platforms; keys are emitted sorted.
+A dataclass record is emitted as the JSON object of its fields.
 The JSON encoder is hand-rolled because the stdlib encoder does not let a
 caller pin the float format.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import enum
 import json
@@ -55,6 +57,9 @@ def _emit(obj, fmt: str) -> str:
         return "{" + ", ".join(items) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_emit(v, fmt) for v in obj) + "]"
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _emit({f.name: getattr(obj, f.name)
+                      for f in dataclasses.fields(obj)}, fmt)
     raise TypeError(f"cannot serialise {type(obj).__name__} to JSON")
 
 
@@ -81,8 +86,9 @@ def _csv_cell(value) -> str:
         return _float_token(float(value), _CSV_FLOAT)
     if isinstance(value, numbers.Complex):
         z = complex(value)
-        return "%s%+sj" % (_float_token(z.real, _CSV_FLOAT),
-                           _float_token(z.imag, _CSV_FLOAT))
+        im = _float_token(z.imag, _CSV_FLOAT)
+        sign = "" if im.startswith("-") else "+"
+        return f"{_float_token(z.real, _CSV_FLOAT)}{sign}{im}j"
     raise TypeError(f"cannot serialise {type(value).__name__} to CSV")
 
 

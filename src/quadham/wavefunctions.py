@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._exact import ComplexRational, PiScale, _rational_sqrt
+from ._exact import ComplexRational, PiScale, _fraction_str, _rational_sqrt
 from .phase_space import LinearForm, QuadraticForm
 
 _I = ComplexRational(0, 1)
@@ -34,10 +34,7 @@ class ExactAmount:
 
     @property
     def is_one(self) -> bool:
-        c = self.coeff
-        if c.im != 0 or c.re <= 0 or self.factor.quarter != 0:
-            return False
-        return c.re * c.re * self.factor.q == 1
+        return self.equals_rational(1)
 
     def equals_rational(self, value) -> bool:
         r = Fraction(value) if not isinstance(value, Fraction) else value
@@ -129,28 +126,13 @@ class PolyGaussian:
 
     def apply_position(self, j: int) -> "PolyGaussian":
         self._check_mode(j)
-        out = {}
-        for exps, c in self.poly.items():
-            _accumulate(out, _bump(exps, j, +1), c)
-        return PolyGaussian(self.K, out, self.scale, False)
+        return PolyGaussian(self.K, _act(self.poly, _unit(self.K, j)),
+                            self.scale, False)
 
     def apply_momentum(self, j: int) -> "PolyGaussian":
-        # p_j (f G) = (-i df/dx_j + i x_j f) G
         self._check_mode(j)
-        out = {}
-        for exps, c in self.poly.items():
-            if exps[j] > 0:
-                _accumulate(out, _bump(exps, j, -1), c * _I * (-exps[j]))
-            _accumulate(out, _bump(exps, j, +1), c * _I)
-        return PolyGaussian(self.K, out, self.scale, False)
-
-    def apply_operator(self, index: int) -> "PolyGaussian":
-        """Apply basis operator by flat index: 0..K-1 positions, K..2K-1 momenta."""
-        if not 0 <= index < 2 * self.K:
-            raise ValueError(f"operator index {index} out of range")
-        if index < self.K:
-            return self.apply_position(index)
-        return self.apply_momentum(index - self.K)
+        return PolyGaussian(self.K, _act(self.poly, _unit(self.K, self.K + j)),
+                            self.scale, False)
 
     def _check_mode(self, j: int) -> None:
         if not 0 <= j < self.K:
@@ -262,12 +244,6 @@ def _render_gaussian(K: int) -> str:
     return f"exp(-({body})/2)"
 
 
-def _frac_str(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
-
-
 def _mono_str(exps: tuple, labels: list[str]) -> str:
     pieces = []
     for label, e in zip(labels, exps):
@@ -286,16 +262,16 @@ def _term_pieces(c: ComplexRational, mono: str) -> tuple[bool, str]:
         if mono and mag == 1:
             coeff = ""
         else:
-            coeff = _frac_str(mag)
+            coeff = _fraction_str(mag)
     elif c.re == 0:
         neg = c.im < 0
         mag = abs(c.im)
-        coeff = "i" if mag == 1 else f"{_frac_str(mag)}*i"
+        coeff = "i" if mag == 1 else f"{_fraction_str(mag)}*i"
     else:
         neg = False
-        re_s = _frac_str(c.re)
+        re_s = _fraction_str(c.re)
         im_mag = abs(c.im)
-        im_s = "i" if im_mag == 1 else f"{_frac_str(im_mag)}*i"
+        im_s = "i" if im_mag == 1 else f"{_fraction_str(im_mag)}*i"
         sign = "+" if c.im > 0 else "-"
         coeff = f"({re_s} {sign} {im_s})"
     if coeff and mono:
@@ -324,42 +300,58 @@ def vacuum(K: int) -> PolyGaussian:
                         PiScale(1, -K), normalized=True)
 
 
-def apply_linear_form(z: LinearForm, s: PolyGaussian) -> PolyGaussian:
-    """Act with sum_j (cx_j x_j + cp_j p_j); coefficients convert exactly."""
-    K = z.basis.K
-    if K != s.K:
-        raise ValueError("linear form and state have different mode counts")
+def _unit(K: int, index: int) -> list[ComplexRational]:
+    """Exact coefficients of the single basis operator O_index."""
+    coeffs = [ComplexRational(0)] * (2 * K)
+    coeffs[index] = ComplexRational(1)
+    return coeffs
+
+
+def _act(poly: dict, coeffs) -> dict:
+    """Polynomial part of sum_j (cx_j x_j + cp_j p_j) acting on poly * G.
+
+    coeffs holds 2K exact ComplexRationals, positions first.  Momentum acts
+    as p_j (f G) = (-i df/dx_j + i x_j f) G.
+    """
+    K = len(coeffs) // 2
     out: dict = {}
     for j in range(K):
-        cx = ComplexRational.from_number(complex(z.coeffs[j]))
-        cp = ComplexRational.from_number(complex(z.coeffs[K + j]))
+        cx, cp = coeffs[j], coeffs[K + j]
         if not cx.is_zero:
-            for exps, c in s.poly.items():
+            for exps, c in poly.items():
                 _accumulate(out, _bump(exps, j, +1), c * cx)
         if not cp.is_zero:
             icp = cp * _I
-            for exps, c in s.poly.items():
+            for exps, c in poly.items():
                 if exps[j] > 0:
                     _accumulate(out, _bump(exps, j, -1), icp * (-exps[j]) * c)
                 _accumulate(out, _bump(exps, j, +1), icp * c)
-    return PolyGaussian(s.K, out, s.scale, False)
+    return out
+
+
+def apply_linear_form(z: LinearForm, s: PolyGaussian) -> PolyGaussian:
+    """Act with sum_j (cx_j x_j + cp_j p_j); coefficients convert exactly."""
+    if z.basis.K != s.K:
+        raise ValueError("linear form and state have different mode counts")
+    coeffs = [ComplexRational.from_number(complex(c)) for c in z.coeffs]
+    return PolyGaussian(s.K, _act(s.poly, coeffs), s.scale, False)
 
 
 def apply_quadratic_form(q: QuadraticForm, s: PolyGaussian) -> PolyGaussian:
-    """Act with sum_ab gamma_ab O_a O_b + offset, exactly."""
+    """Act with sum_a O_a (sum_b gamma_ab O_b) + offset, exactly."""
     K = q.basis.K
     if K != s.K:
         raise ValueError("quadratic form and state have different mode counts")
-    total = s.scalar_mul(ComplexRational.from_number(q.offset))
-    gamma = q.gamma
-    for a in range(2 * K):
-        for b in range(2 * K):
-            g = gamma[a, b]
-            if g == 0.0:
-                continue
-            term = s.apply_operator(b).apply_operator(a)
-            total = total + term.scalar_mul(Fraction(float(g)))
-    return total
+    offset = ComplexRational.from_number(q.offset)
+    total = {} if offset.is_zero else {k: v * offset for k, v in s.poly.items()}
+    for a, row in enumerate(q.gamma):
+        if not row.any():
+            continue
+        inner_poly = _act(s.poly, [ComplexRational.from_number(float(g))
+                                   for g in row])
+        for exps, c in _act(inner_poly, _unit(K, a)).items():
+            _accumulate(total, exps, c)
+    return PolyGaussian(K, total, s.scale, False)
 
 
 def _even_moment(m: int) -> Fraction:
@@ -411,9 +403,7 @@ def norm_scale(s: PolyGaussian) -> PiScale:
 
 def normalized_copy(s: PolyGaussian) -> PolyGaussian:
     n = norm_scale(s)
-    out = PolyGaussian(s.K, dict(s.poly), s.scale / n, normalized=True)
-    c = out.canonical()
-    return PolyGaussian(c.K, c.poly, c.scale, normalized=True)
+    return PolyGaussian(s.K, s.poly, s.scale / n, normalized=True).canonical()
 
 
 def is_scalar_multiple_exact(a: PolyGaussian, b: PolyGaussian) -> ExactAmount | None:

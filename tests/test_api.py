@@ -1,3 +1,8 @@
+import importlib
+import inspect
+import json
+import pathlib
+
 import quadham
 
 
@@ -5,3 +10,22 @@ def test_every_exported_name_resolves():
     missing = [name for name in quadham.__all__ if not hasattr(quadham, name)]
     assert missing == []
     assert len(set(quadham.__all__)) == len(quadham.__all__)
+
+
+def test_traced_benchmark_names_are_public_layer_functions():
+    # the traced benchmark run reads 0 for a per-layer metric whose function
+    # was renamed or made private, so each name must resolve here
+    spec = json.loads((pathlib.Path(__file__).parents[1] / "BENCHMARK.json")
+                      .read_text(encoding="utf-8"))
+    names = [m["name"] for m in spec["per_layer"]]
+    traced = [n.split(".")[:2] for n in names
+              if n.endswith(".self_s") and n.count(".") == 2]
+    assert traced
+    bad = []
+    for layer, func in traced:
+        mod = importlib.import_module(f"quadham.{layer}")
+        obj = getattr(mod, func, None)
+        if (func.startswith("_") or not inspect.isfunction(obj)
+                or obj.__module__ != mod.__name__):
+            bad.append(f"{layer}.{func}")
+    assert bad == []

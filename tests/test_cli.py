@@ -222,6 +222,19 @@ class TestVerifyCommand:
         assert comp["status"] == "PASS"
 
 
+    def test_oversized_request_fails_before_assembly(self, tmp_path, capsys,
+                                                     monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "oracle_spectrum",
+                            lambda *args: built.append(args))
+        code, text = run_cli(["verify", "--config", OSC_B1, "--n-max", "70"],
+                             tmp_path)
+        assert code == 3
+        assert text is None
+        assert "exceeds cap" in capsys.readouterr().err
+        assert built == []
+
+
 class TestSubprocess:
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(

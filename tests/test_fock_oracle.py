@@ -60,6 +60,12 @@ class TestTruncation:
         with pytest.raises(FockCapError):
             FockTruncation(40, 3)
 
+    def test_default_cap_bounds_dense_memory(self):
+        # 4096 states: a dense complex matrix of 256 MiB
+        assert FockTruncation(63, 2).dim == 4096
+        with pytest.raises(FockCapError):
+            FockTruncation(64, 2)
+
 
 class TestBuildMatrix:
     def test_single_mode_oscillator(self):

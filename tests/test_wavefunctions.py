@@ -10,6 +10,7 @@ from quadham import (
     PhaseSpaceBasis,
     PiScale,
     PolyGaussian,
+    QuadraticForm,
     apply_linear_form,
     apply_quadratic_form,
     build_eigenfunction,
@@ -284,3 +285,51 @@ class TestAlgebra:
         assert out.poly == {(1,): ComplexRational(2, 0)}
         gone = apply_linear_form(LinearForm(basis, [1.0, 1j]), vacuum(1))
         assert gone.is_zero
+
+
+def _reference_quadratic_action(q, s):
+    """sum_ab gamma_ab O_a(O_b s) + offset * s, one double application each."""
+    K = s.K
+    ops = [lambda t, j=j: t.apply_position(j) for j in range(K)]
+    ops += [lambda t, j=j: t.apply_momentum(j) for j in range(K)]
+    total = s.scalar_mul(Fraction(q.offset))
+    for a in range(2 * K):
+        for b in range(2 * K):
+            if q.gamma[a, b] != 0.0:
+                term = ops[a](ops[b](s))
+                total = total + term.scalar_mul(Fraction(float(q.gamma[a, b])))
+    return total
+
+
+class TestQuadraticAction:
+    @pytest.mark.parametrize("K,zero_row,offset", [
+        (1, None, 0.0), (1, None, -1.25), (2, 1, 0.0), (2, None, 0.375),
+        (3, None, 0.0), (3, 4, 2.5),
+    ])
+    def test_matches_double_applications(self, K, zero_row, offset):
+        rng = np.random.default_rng(100 * K + (zero_row or 0))
+        g = rng.integers(-12, 13, size=(2 * K, 2 * K)) / 8.0
+        g[rng.random((2 * K, 2 * K)) < 0.3] = 0.0
+        g = (g + g.T) / 2.0
+        if zero_row is not None:
+            g[zero_row, :] = 0.0
+            g[:, zero_row] = 0.0
+        q = QuadraticForm(PhaseSpaceBasis(K), g, offset)
+        poly = {}
+        for _ in range(4):
+            exps = tuple(int(e) for e in rng.integers(0, 3, size=K))
+            poly[exps] = complex(*(rng.integers(-8, 9, size=2) / 4.0))
+        s = PolyGaussian(K, poly, PiScale(3, -K))
+        got = apply_quadratic_form(q, s)
+        want = _reference_quadratic_action(q, s)
+        assert not want.is_zero
+        assert got.poly == want.poly
+        assert got.scale == want.scale
+
+    def test_eigenfunction_matches_double_applications(self):
+        s = psi(3, 2)
+        for q in (build_model(DimensionlessModel(mu=1.0, k=1.0, b=0.75)),
+                  angular_momentum_form()):
+            got = apply_quadratic_form(q, s)
+            want = _reference_quadratic_action(q, s)
+            assert got.poly == want.poly and got.scale == want.scale
