@@ -332,7 +332,6 @@ def _cmd_verify(form, n_max, max_quanta, max_levels):
     if max_levels is not None and max_levels < 1:
         raise ConfigError("--max-levels must be at least 1")
     report = classify_spectrum(form)
-    trunc = FockTruncation(n_max=n_max, K=form.basis.K)
     if report.classification in (
         Classification.NON_REAL_FREQUENCIES,
         Classification.DEFECTIVE_EXCEPTIONAL,
@@ -347,6 +346,7 @@ def _cmd_verify(form, n_max, max_quanta, max_levels):
         )
         shell_upto = 0
     else:
+        trunc = FockTruncation(n_max=n_max, K=form.basis.K)
         levels = spectrum_lattice(report, max_quanta)
         oracle = oracle_spectrum(form, trunc)
         comparison = compare_with_lattice(
@@ -357,7 +357,7 @@ def _cmd_verify(form, n_max, max_quanta, max_levels):
         "classification": report.classification.value,
         "n_max": n_max,
         "max_quanta": max_quanta,
-        "dim": trunc.dim,
+        "dim": (n_max + 1) ** form.basis.K,
         "shell_exact_upto": shell_upto,
         "comparison": comparison,
     }

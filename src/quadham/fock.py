@@ -1,21 +1,31 @@
 """Truncated number-basis matrices: an independent numerical check.
 
-Matrix elements of a quadratic form are assembled per mode.  Same-mode
-quadratic products are computed at a padded cutoff and cropped so every
-retained entry equals its untruncated value; cross-mode products and linear
-forms are elementwise in the mode factors and need no padding.  Basis states
-are occupancy tuples in row-major order with mode 1 slowest.
+Matrix elements of a quadratic form are assembled per mode.  Every
+single-mode factor is banded: x and p move one occupancy by +-1, and a
+same-mode product moves it by 0 or +-2.  So a term of the form only fills
+the entries <o| . |o + d> for a few offset vectors d, and assembly writes
+those entries and nothing else.  Same-mode products are computed at a
+padded cutoff and cropped so every retained entry equals its untruncated
+value; cross-mode products and linear forms are elementwise in the mode
+factors and need no padding.  Basis states are occupancy tuples in
+row-major order with mode 1 slowest.
 
-For forms that conserve total occupancy the retained matrix is exactly
-block-diagonal over shells (total quanta s <= n_max), and each shell block
-reproduces untruncated eigenvalues.  Otherwise eigenvalues of the truncated
-matrix are variational approximations converging from above.
+Every offset of a quadratic form changes the total occupancy by 0 or +-2,
+so the matrix is exactly block-diagonal over the parity of total quanta.
+When the entries that change the total are also (numerically) zero, the
+form conserves total occupancy and the matrix is block-diagonal over shells
+of equal total quanta.  The eigenvalues are those of the blocks: one per
+shell for a conserving form, one per parity otherwise.  Shell blocks with
+total quanta s <= n_max retain every state of that total and reproduce
+untruncated eigenvalues; the other eigenvalues are variational
+approximations converging from above.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -31,8 +41,9 @@ class FockTruncation:
 
     n_max: int
     K: int
-    # a dense complex matrix of 4096 states is 256 MiB, and assembly holds
-    # about three such arrays at once
+    # a dense complex matrix of 4096 states is 256 MiB.  Assembly peaks at
+    # three such matrices, all held by the Hermiticity check: tracemalloc
+    # measures 135.8 MB at 1681 states, where one matrix is 45.2 MB
     cap: int = 4096
 
     def __post_init__(self):
@@ -50,16 +61,20 @@ class FockTruncation:
     def dim(self) -> int:
         return (self.n_max + 1) ** self.K
 
+    def _grid(self) -> np.ndarray:
+        """Occupancies as a (K, dim) array, columns in basis order."""
+        return np.indices((self.n_max + 1,) * self.K).reshape(self.K, -1)
+
     def occupancies(self) -> list[tuple[int, ...]]:
         """Basis order: row-major tuples, mode 1 slowest."""
-        return [tuple(idx) for idx in np.ndindex(*(self.n_max + 1,) * self.K)]
+        return list(map(tuple, self._grid().T.tolist()))
 
     def shell_indices(self) -> dict[int, np.ndarray]:
         """Flat indices grouped by total occupancy."""
-        groups: dict[int, list[int]] = {}
-        for i, occ in enumerate(self.occupancies()):
-            groups.setdefault(sum(occ), []).append(i)
-        return {s: np.asarray(ix) for s, ix in sorted(groups.items())}
+        totals = self._grid().sum(axis=0)
+        order = np.argsort(totals, kind="stable")
+        bounds = np.cumsum(np.bincount(totals))[:-1]
+        return dict(enumerate(np.split(order, bounds)))
 
 
 def _single_mode_ops(levels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -72,11 +87,52 @@ def _single_mode_ops(levels: int) -> tuple[np.ndarray, np.ndarray]:
     return x.astype(complex), p
 
 
-def _kron_chain(factors: dict[int, np.ndarray], K: int, n: int) -> np.ndarray:
-    eye = np.eye(n, dtype=complex)
-    out = np.ones((1, 1), dtype=complex)
-    for j in range(K):
-        out = np.kron(out, factors.get(j, eye))
+def _shift(K: int, moves: dict[int, int]) -> tuple[int, ...]:
+    """Offset vector with the given per-mode moves and 0 elsewhere."""
+    return tuple(moves.get(j, 0) for j in range(K))
+
+
+def _band(op: np.ndarray, d: int, mode: int, K: int) -> np.ndarray:
+    """Entries op[i, i + d], laid along axis `mode` of the occupancy grid."""
+    v = np.diagonal(op, d)
+    return v.reshape([len(v) if j == mode else 1 for j in range(K)])
+
+
+def _positions(t: FockTruncation, d: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (row, column) indices of the entries <o| . |o + d> kept by t."""
+    n = t.n_max + 1
+    box = tuple(slice(max(0, -x), n - max(0, x)) for x in d)
+    rows = np.arange(t.dim).reshape((n,) * t.K)[box].ravel()
+    return rows, rows + sum(x * n ** (t.K - 1 - j) for j, x in enumerate(d))
+
+
+def _quadratic_offsets(K: int) -> list[tuple[int, ...]]:
+    """Every offset vector a quadratic form can fill."""
+    out = [_shift(K, {})]
+    out += [_shift(K, {m: d}) for m in range(K) for d in (-2, 2)]
+    out += [_shift(K, {i: di, j: dj}) for i, j in combinations(range(K), 2)
+            for di in (-1, 1) for dj in (-1, 1)]
+    return out
+
+
+def _scatter(t: FockTruncation, terms) -> np.ndarray:
+    """Dense matrix from (offset, values) terms, added in the order given.
+
+    `values` broadcasts over the grid of rows o whose column o + offset is
+    retained.  Each entry starts at 0 and receives the terms one by one, as
+    a sum of dense per-term matrices would, so the result is the same.
+    """
+    n = t.n_max + 1
+    sums: dict[tuple[int, ...], np.ndarray] = {}
+    for d, values in terms:
+        acc = sums.get(d)
+        if acc is None:
+            acc = sums[d] = np.zeros([max(n - abs(x), 0) for x in d], dtype=complex)
+        acc += values
+    out = np.zeros((t.dim, t.dim), dtype=complex)
+    for d, acc in sums.items():
+        rows, cols = _positions(t, d)
+        out[rows, cols] = acc.ravel()
     return out
 
 
@@ -89,24 +145,29 @@ def build_fock_matrix(q: QuadraticForm, t: FockTruncation) -> np.ndarray:
     padded = _single_mode_ops(n + 2)
     singles = tuple(op[:n, :n] for op in padded)
 
-    h = np.zeros((t.dim, t.dim), dtype=complex)
-    gamma = q.gamma
-    for a in range(2 * K):
-        mode_a, kind_a = a % K, a // K
-        for b in range(2 * K):
-            g = gamma[a, b]
-            if g == 0.0:
-                continue
-            mode_b, kind_b = b % K, b // K
-            if mode_a == mode_b:
-                prod = padded[kind_a] @ padded[kind_b]
-                factors = {mode_a: prod[:n, :n]}
-            else:
-                factors = {mode_a: singles[kind_a], mode_b: singles[kind_b]}
-            h += g * _kron_chain(factors, K, n)
-    if q.offset:
-        h += q.offset * np.eye(t.dim)
+    def terms():
+        gamma = q.gamma
+        for a in range(2 * K):
+            mode_a, kind_a = a % K, a // K
+            for b in range(2 * K):
+                g = gamma[a, b]
+                if g == 0.0:
+                    continue
+                mode_b, kind_b = b % K, b // K
+                if mode_a == mode_b:
+                    prod = (padded[kind_a] @ padded[kind_b])[:n, :n]
+                    for d in (-2, 0, 2):
+                        yield _shift(K, {mode_a: d}), g * _band(prod, d, mode_a, K)
+                    continue
+                for da in (-1, 1):
+                    for db in (-1, 1):
+                        yield _shift(K, {mode_a: da, mode_b: db}), g * (
+                            _band(singles[kind_a], da, mode_a, K)
+                            * _band(singles[kind_b], db, mode_b, K))
+        if q.offset:
+            yield _shift(K, {}), q.offset
 
+    h = _scatter(t, terms())
     dev = float(np.max(np.abs(h - h.conj().T))) if t.dim else 0.0
     scale = float(np.max(np.abs(h))) if t.dim else 0.0
     if dev > tol.machine_zero_tol(scale):
@@ -121,16 +182,13 @@ def linear_form_matrix(z: LinearForm, t: FockTruncation) -> np.ndarray:
     K = z.basis.K
     if K != t.K:
         raise ValueError("truncation mode count does not match the form")
-    n = t.n_max + 1
-    singles = _single_mode_ops(n)
-    out = np.zeros((t.dim, t.dim), dtype=complex)
-    for idx in range(2 * K):
-        c = z.coeffs[idx]
-        if c == 0:
-            continue
-        mode, kind = idx % K, idx // K
-        out += c * _kron_chain({mode: singles[kind]}, K, n)
-    return out
+    singles = _single_mode_ops(t.n_max + 1)
+    terms = (
+        (_shift(K, {idx % K: d}), c * _band(singles[idx // K], d, idx % K, K))
+        for idx, c in enumerate(z.coeffs) if c != 0
+        for d in (-1, 1)
+    )
+    return _scatter(t, terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,46 +204,45 @@ class OracleSpectrum:
 
 
 def oracle_spectrum(q: QuadraticForm, t: FockTruncation) -> OracleSpectrum:
+    """Block eigenvalues of the truncated matrix.
+
+    The form conserves total quanta when every entry that changes the total
+    is at most machine zero relative to the largest entry; only the entries
+    a quadratic form can fill are read.  Conserving forms are diagonalised
+    shell by shell, others per parity of total quanta.
+    """
     h = build_fock_matrix(q, t)
-    try:
-        evals = np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
-    evals = np.sort(evals.real)
+    entries = {d: h[_positions(t, d)] for d in _quadratic_offsets(t.K)}
+    scale = max(float(np.max(np.abs(v))) for v in entries.values() if v.size)
+    mz = tol.machine_zero_tol(scale)
+    conserves = all(np.all(np.abs(v) <= mz)
+                    for d, v in entries.items() if sum(d))
 
     shells = t.shell_indices()
-    scale = float(np.max(np.abs(h))) if t.dim else 0.0
-    mz = tol.machine_zero_tol(scale)
-    shell_of = np.empty(t.dim, dtype=int)
-    for s, ix in shells.items():
-        shell_of[ix] = s
-    off_shell = shell_of[:, None] != shell_of[None, :]
-    conserves = bool(np.all(np.abs(h[off_shell]) <= mz)) if t.dim > 1 else True
-
-    shell_evals = None
-    upto = 0
     if conserves:
+        blocks = shells
+    else:
+        by_parity = list(shells.values())
+        blocks = {p: np.sort(np.concatenate(by_parity[p::2])) for p in (0, 1)}
+    parts = []
+    shell_evals = {} if conserves else None
+    for key, ix in blocks.items():
+        try:
+            w = np.linalg.eigvalsh(h[np.ix_(ix, ix)])
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
+        parts.append(w)
         # only shells with total <= n_max retain every state of that total;
         # higher shells are cut and their eigenvalues are not exact
-        upto = t.n_max
-        shell_evals = {}
-        for s, ix in shells.items():
-            if s > t.n_max:
-                continue
-            block = h[np.ix_(ix, ix)]
-            try:
-                w = np.linalg.eigvalsh(block)
-            except np.linalg.LinAlgError as exc:
-                raise EigensolverError(
-                    f"shell eigensolver did not converge: {exc}"
-                ) from exc
-            shell_evals[s] = np.sort(w.real)
+        if conserves and key <= t.n_max:
+            shell_evals[key] = np.sort(w.real)
+    evals = np.sort(np.concatenate(parts))
 
     clusters = _degenerate_levels(evals)
     return OracleSpectrum(
         eigenvalues=evals,
         clusters=clusters,
-        shell_exact_upto=upto,
+        shell_exact_upto=t.n_max if conserves else 0,
         shell_eigenvalues=shell_evals,
         dim=t.dim,
         truncation=t,

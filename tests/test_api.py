@@ -1,7 +1,10 @@
 import importlib
 import inspect
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import quadham
 
@@ -29,3 +32,21 @@ def test_traced_benchmark_names_are_public_layer_functions():
                 or obj.__module__ != mod.__name__):
             bad.append(f"{layer}.{func}")
     assert bad == []
+
+
+def test_import_and_oracle_stay_numpy_only():
+    # scipy is installed next to numpy but is not a declared dependency, so
+    # neither the import nor the Fock oracle may pull it in
+    src = pathlib.Path(quadham.__file__).parents[1]
+    code = (
+        "import sys, quadham\n"
+        "q = quadham.random_positive_definite_form(2, seed=1)\n"
+        "quadham.oracle_spectrum(q, quadham.FockTruncation(4, 2))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

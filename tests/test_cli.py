@@ -211,6 +211,17 @@ class TestVerifyCommand:
         assert res["comparison"]["status"] == "NOT_APPLICABLE"
         assert res["shell_exact_upto"] == 0
 
+    def test_not_applicable_needs_no_truncation(self, tmp_path):
+        # no matrix is built for a form without a lattice, so the Fock cap
+        # does not apply; dim still reports (n_max + 1)^K
+        cfg = write_config(tmp_path, {"preset": "sb", "B": 0.0})
+        code, text = run_cli(["verify", "--config", cfg, "--n-max", "70"],
+                             tmp_path)
+        assert code == 0
+        res = json.loads(text)["results"]
+        assert res["comparison"]["status"] == "NOT_APPLICABLE"
+        assert res["dim"] == 71 ** 2
+
     def test_random_pd_passes(self, tmp_path):
         cfg = write_config(tmp_path, {"preset": "random-pd", "K": 2,
                                       "seed": 3})

@@ -10,6 +10,7 @@ from quadham import (
     FockTruncation,
     LinearForm,
     PhaseSpaceBasis,
+    QuadraticForm,
     build_fock_matrix,
     build_model,
     classify_spectrum,
@@ -22,10 +23,86 @@ from quadham import (
     symmetric_energy,
     symmetric_raising_pair,
 )
+from quadham import tolerances as tol
 
 
 def model_form(b, mu=1.0, k=1.0):
     return build_model(DimensionlessModel(mu=mu, k=k, b=b))
+
+
+def _ladder_ops(levels):
+    """Position and momentum on occupancies 0..levels-1, written out densely."""
+    a = np.diag(np.sqrt(np.arange(1.0, levels)), 1)
+    x = (a + a.T) / math.sqrt(2.0)
+    p = 1j * (a.T - a) / math.sqrt(2.0)
+    return x.astype(complex), p
+
+
+def _kron_chain(factors, K, n):
+    out = np.ones((1, 1), dtype=complex)
+    for j in range(K):
+        out = np.kron(out, factors.get(j, np.eye(n, dtype=complex)))
+    return out
+
+
+def kron_fock_matrix(q, t):
+    """Reference assembly: one dense Kronecker product per gamma entry."""
+    K, n = t.K, t.n_max + 1
+    padded = _ladder_ops(n + 2)
+    h = np.zeros((t.dim, t.dim), dtype=complex)
+    for a in range(2 * K):
+        for b in range(2 * K):
+            g = q.gamma[a, b]
+            if g == 0.0:
+                continue
+            if a % K == b % K:
+                factors = {a % K: (padded[a // K] @ padded[b // K])[:n, :n]}
+            else:
+                factors = {a % K: padded[a // K][:n, :n],
+                           b % K: padded[b // K][:n, :n]}
+            h += g * _kron_chain(factors, K, n)
+    if q.offset:
+        h += q.offset * np.eye(t.dim)
+    return h
+
+
+def kron_linear_matrix(z, t):
+    K, n = t.K, t.n_max + 1
+    singles = _ladder_ops(n)
+    out = np.zeros((t.dim, t.dim), dtype=complex)
+    for idx, c in enumerate(z.coeffs):
+        if c != 0:
+            out += c * _kron_chain({idx % K: singles[idx // K]}, K, n)
+    return out
+
+
+def conserves_by_mask(h, t):
+    """Shell conservation as a dense test of every off-shell entry."""
+    shell_of = np.empty(t.dim, dtype=int)
+    for s, ix in t.shell_indices().items():
+        shell_of[ix] = s
+    off_shell = shell_of[:, None] != shell_of[None, :]
+    mz = tol.machine_zero_tol(float(np.max(np.abs(h))))
+    return bool(np.all(np.abs(h[off_shell]) <= mz))
+
+
+def random_form(rng, K, zero_row=None, offset=0.0):
+    g = rng.uniform(-1.0, 1.0, size=(2 * K, 2 * K))
+    g = (g + g.T) / 2.0
+    if zero_row is not None:
+        g[zero_row, :] = 0.0
+        g[:, zero_row] = 0.0
+    return QuadraticForm(PhaseSpaceBasis(K), g, offset)
+
+
+def random_forms(seed):
+    """Indefinite K = 1..3 forms, some with a zero gamma row or an offset."""
+    rng = np.random.default_rng(seed)
+    for K in (1, 2, 3):
+        for n_max in range(7):
+            yield random_form(rng, K), n_max
+            yield random_form(rng, K, zero_row=int(rng.integers(2 * K)),
+                              offset=float(rng.uniform(-3.0, 3.0))), n_max
 
 
 class TestTruncation:
@@ -59,6 +136,19 @@ class TestTruncation:
             FockTruncation(9, 2, cap=50)
         with pytest.raises(FockCapError):
             FockTruncation(40, 3)
+
+    def test_grid_order_matches_loop(self):
+        for n_max, K in ((0, 1), (4, 1), (3, 2), (2, 3), (1, 4)):
+            t = FockTruncation(n_max, K)
+            loop = [tuple(i) for i in np.ndindex(*(n_max + 1,) * K)]
+            assert t.occupancies() == loop
+            groups = {}
+            for i, occ in enumerate(loop):
+                groups.setdefault(sum(occ), []).append(i)
+            shells = t.shell_indices()
+            assert list(shells) == sorted(groups)
+            for s, ix in shells.items():
+                assert ix.tolist() == groups[s]
 
     def test_default_cap_bounds_dense_memory(self):
         # 4096 states: a dense complex matrix of 256 MiB
@@ -100,10 +190,27 @@ class TestBuildMatrix:
         q = make_quadratic_form(1, [(1, 1, 1.0), (2, 2, 1.0)])
         t = FockTruncation(3, 1)
         base = build_fock_matrix(q, t)
-        from quadham import QuadraticForm
         shifted = QuadraticForm(q.basis, q.gamma, 2.5)
         h = build_fock_matrix(shifted, t)
         assert np.array_equal(h, base + 2.5 * np.eye(4))
+
+    def test_equals_kronecker_assembly(self):
+        forms = list(random_forms(11))
+        assert any(np.min(np.linalg.eigvalsh(q.gamma)) < 0 for q, _ in forms)
+        for q, n_max in forms:
+            t = FockTruncation(n_max, q.basis.K)
+            assert np.array_equal(build_fock_matrix(q, t),
+                                  kron_fock_matrix(q, t))
+            z = LinearForm(q.basis, q.gamma[0] + 1j * q.gamma[-1])
+            assert np.array_equal(linear_form_matrix(z, t),
+                                  kron_linear_matrix(z, t))
+
+    def test_cross_parity_entries_are_zero(self):
+        for q, n_max in random_forms(12):
+            t = FockTruncation(n_max, q.basis.K)
+            h = build_fock_matrix(q, t)
+            parity = np.array([sum(o) % 2 for o in t.occupancies()])
+            assert np.all(h[parity[:, None] != parity[None, :]] == 0)
 
     def test_basis_size_mismatch_rejected(self):
         q = model_form(1.0)
@@ -126,6 +233,43 @@ class TestOracleSpectrum:
         o = oracle_spectrum(model_form(0.5, mu=2.0), FockTruncation(5, 2))
         assert o.shell_eigenvalues is None
         assert o.shell_exact_upto == 0
+
+    def test_block_eigenvalues_match_full_matrix(self):
+        forms = [(q, n) for q, n in random_forms(13) if n >= 3]
+        forms += [(model_form(1.3), 6), (model_form(2.0), 5),
+                  (model_form(0.5, mu=2.0), 5)]
+        for q, n_max in forms:
+            t = FockTruncation(n_max, q.basis.K)
+            h = build_fock_matrix(q, t)
+            o = oracle_spectrum(q, t)
+            full = np.linalg.eigvalsh(h)
+            assert len(o.eigenvalues) == t.dim
+            assert (np.max(np.abs(o.eigenvalues - full))
+                    <= 1e-10 * np.max(np.abs(h)))
+
+    def test_shell_eigenvalues_are_those_of_the_shell_blocks(self):
+        t = FockTruncation(6, 2)
+        q = model_form(1.3)
+        h = build_fock_matrix(q, t)
+        o = oracle_spectrum(q, t)
+        shells = t.shell_indices()
+        for s, evs in o.shell_eigenvalues.items():
+            block = h[np.ix_(shells[s], shells[s])]
+            assert np.array_equal(evs, np.linalg.eigvalsh(block))
+
+    @pytest.mark.parametrize("eps, conserves", [(1e-14, True), (1e-6, False)])
+    def test_conservation_threshold(self, eps, conserves):
+        # a tiny x1 x2 term breaks conservation only above machine zero
+        base = model_form(1.3)
+        gamma = base.gamma.copy()
+        gamma[0, 1] += eps
+        gamma[1, 0] += eps
+        q = QuadraticForm(base.basis, gamma, base.offset)
+        t = FockTruncation(6, 2)
+        assert conserves_by_mask(build_fock_matrix(q, t), t) is conserves
+        o = oracle_spectrum(q, t)
+        assert (o.shell_eigenvalues is not None) is conserves
+        assert o.shell_exact_upto == (6 if conserves else 0)
 
     def test_eigenvalues_sorted(self):
         o = oracle_spectrum(model_form(0.7), FockTruncation(5, 2))
