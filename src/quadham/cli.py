@@ -26,7 +26,6 @@ from .fock import (
 )
 from .phase_space import PhaseSpaceBasis, QuadraticForm, adjoint_representation
 from .spectral import (
-    Classification,
     classify_spectrum,
     eigen_decompose,
     spectrum_lattice,
@@ -255,7 +254,6 @@ def _cmd_analyze(form, model):
     e = eigen_decompose(adjoint_representation(form))
     evals = sorted((complex(v) for v in e.eigenvalues),
                    key=lambda z: (z.real, z.imag))
-    gmin = float(np.linalg.eigvalsh(form.gamma)[0])
     results = {
         "K": form.basis.K,
         "classification": report.classification.value,
@@ -265,7 +263,7 @@ def _cmd_analyze(form, model):
         "vacuum_energy": report.vacuum_energy,
         "lattice_generators": list(report.lattice_generators),
         "multiplicity_note": report.multiplicity_note,
-        "gamma_min_eigenvalue": gmin,
+        "gamma_min_eigenvalue": report.gamma_min,
         "offset": form.offset,
     }
     if model is not None:
@@ -332,17 +330,10 @@ def _cmd_verify(form, n_max, max_quanta, max_levels):
     if max_levels is not None and max_levels < 1:
         raise ConfigError("--max-levels must be at least 1")
     report = classify_spectrum(form)
-    if report.classification in (
-        Classification.NON_REAL_FREQUENCIES,
-        Classification.DEFECTIVE_EXCEPTIONAL,
-    ):
-        comparison = ComparisonReport(
-            mode="none", n_compared=0, max_abs_diff=0.0,
-            degeneracies_agree=None, rows=(), status="NOT_APPLICABLE",
-            notes=(
-                f"classification {report.classification.value} predicts no "
-                "energy lattice to compare against"
-            ),
+    if not report.classification.has_lattice:
+        comparison = ComparisonReport.not_applicable(
+            f"classification {report.classification.value} predicts no "
+            "energy lattice to compare against"
         )
         shell_upto = 0
     else:

@@ -7,8 +7,9 @@ the entries <o| . |o + d> for a few offset vectors d, and assembly writes
 those entries and nothing else.  Same-mode products are computed at a
 padded cutoff and cropped so every retained entry equals its untruncated
 value; cross-mode products and linear forms are elementwise in the mode
-factors and need no padding.  Basis states are occupancy tuples in
-row-major order with mode 1 slowest.
+factors and need no padding.  Hermiticity is checked on the band sums,
+before the one dense matrix is written.  Basis states are occupancy tuples
+in row-major order with mode 1 slowest.
 
 Every offset of a quadratic form changes the total occupancy by 0 or +-2,
 so the matrix is exactly block-diagonal over the parity of total quanta.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -41,9 +43,10 @@ class FockTruncation:
 
     n_max: int
     K: int
-    # a dense complex matrix of 4096 states is 256 MiB.  Assembly peaks at
-    # three such matrices, all held by the Hermiticity check: tracemalloc
-    # measures 135.8 MB at 1681 states, where one matrix is 45.2 MB
+    # a dense complex matrix of 4096 states is 256 MiB.  The oracle peaks at
+    # one such matrix plus its largest block: tracemalloc measures 45.6 MB
+    # for assembly and 56.9 MB for oracle_spectrum at 1681 states, where one
+    # matrix is 45.2 MB
     cap: int = 4096
 
     def __post_init__(self):
@@ -115,8 +118,8 @@ def _quadratic_offsets(K: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _scatter(t: FockTruncation, terms) -> np.ndarray:
-    """Dense matrix from (offset, values) terms, added in the order given.
+def _band_sums(t: FockTruncation, terms) -> dict[tuple[int, ...], np.ndarray]:
+    """Per-offset sums of (offset, values) terms, added in the order given.
 
     `values` broadcasts over the grid of rows o whose column o + offset is
     retained.  Each entry starts at 0 and receives the terms one by one, as
@@ -129,6 +132,11 @@ def _scatter(t: FockTruncation, terms) -> np.ndarray:
         if acc is None:
             acc = sums[d] = np.zeros([max(n - abs(x), 0) for x in d], dtype=complex)
         acc += values
+    return sums
+
+
+def _dense(t: FockTruncation, sums: dict[tuple[int, ...], np.ndarray]) -> np.ndarray:
+    """Dense matrix holding each band sum at its entries <o| . |o + d>."""
     out = np.zeros((t.dim, t.dim), dtype=complex)
     for d, acc in sums.items():
         rows, cols = _positions(t, d)
@@ -167,14 +175,20 @@ def build_fock_matrix(q: QuadraticForm, t: FockTruncation) -> np.ndarray:
         if q.offset:
             yield _shift(K, {}), q.offset
 
-    h = _scatter(t, terms())
-    dev = float(np.max(np.abs(h - h.conj().T))) if t.dim else 0.0
-    scale = float(np.max(np.abs(h))) if t.dim else 0.0
+    sums = _band_sums(t, terms())
+    # the band of -d lists the rows o + d in the order the band of d lists
+    # the rows o, so max |h - h^H| is max |band[d] - conj(band[-d])| and no
+    # dense matrix besides h is needed; entries outside every band are 0,
+    # and a band is empty when its offset exceeds the cutoff
+    bands = [(acc, sums[tuple(-x for x in d)]) for d, acc in sums.items() if acc.size]
+    dev = float(np.max([np.max(np.abs(acc - np.conj(mirror))) for acc, mirror in bands],
+                       initial=0.0))
+    scale = float(np.max([np.max(np.abs(acc)) for acc, _ in bands], initial=0.0))
     if dev > tol.machine_zero_tol(scale):
         raise HermiticityError(
             f"assembled matrix deviates from Hermitian by {dev:.3e}"
         )
-    return h
+    return _dense(t, sums)
 
 
 def linear_form_matrix(z: LinearForm, t: FockTruncation) -> np.ndarray:
@@ -188,7 +202,7 @@ def linear_form_matrix(z: LinearForm, t: FockTruncation) -> np.ndarray:
         for idx, c in enumerate(z.coeffs) if c != 0
         for d in (-1, 1)
     )
-    return _scatter(t, terms)
+    return _dense(t, _band_sums(t, terms))
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,11 +210,14 @@ class OracleSpectrum:
     """Eigenvalues of the truncated matrix plus shell structure when exact."""
 
     eigenvalues: np.ndarray
-    clusters: tuple[tuple[float, int], ...]
     shell_exact_upto: int  # 0 when the form does not conserve total quanta
     shell_eigenvalues: dict[int, np.ndarray] | None
     dim: int
-    truncation: FockTruncation
+
+    @cached_property
+    def clusters(self) -> tuple[tuple[float, int], ...]:
+        """(mean, count) of each cluster of the eigenvalues."""
+        return _degenerate_levels(self.eigenvalues)
 
 
 def oracle_spectrum(q: QuadraticForm, t: FockTruncation) -> OracleSpectrum:
@@ -236,16 +253,11 @@ def oracle_spectrum(q: QuadraticForm, t: FockTruncation) -> OracleSpectrum:
         # higher shells are cut and their eigenvalues are not exact
         if conserves and key <= t.n_max:
             shell_evals[key] = np.sort(w.real)
-    evals = np.sort(np.concatenate(parts))
-
-    clusters = _degenerate_levels(evals)
     return OracleSpectrum(
-        eigenvalues=evals,
-        clusters=clusters,
+        eigenvalues=np.sort(np.concatenate(parts)),
         shell_exact_upto=t.n_max if conserves else 0,
         shell_eigenvalues=shell_evals,
         dim=t.dim,
-        truncation=t,
     )
 
 
@@ -276,6 +288,13 @@ class ComparisonReport:
     status: str                     # "PASS", "FAIL", "NOT_APPLICABLE"
     notes: str = ""
 
+    @classmethod
+    def not_applicable(cls, notes: str) -> "ComparisonReport":
+        """The report of a comparison that does not apply, for the reason given."""
+        return cls(mode="none", n_compared=0, max_abs_diff=0.0,
+                   degeneracies_agree=None, rows=(), status="NOT_APPLICABLE",
+                   notes=notes)
+
 
 def compare_with_lattice(
     o: OracleSpectrum,
@@ -293,20 +312,12 @@ def compare_with_lattice(
     from below, so no comparison applies.
     """
     if classification is Classification.UNBOUNDED_LATTICE:
-        return ComparisonReport(
-            mode="none", n_compared=0, max_abs_diff=0.0,
-            degeneracies_agree=None, rows=(), status="NOT_APPLICABLE",
-            notes=(
-                "spectrum is unbounded below; a truncated matrix has no "
-                "variational relation to the lattice"
-            ),
+        return ComparisonReport.not_applicable(
+            "spectrum is unbounded below; a truncated matrix has no "
+            "variational relation to the lattice"
         )
     if not levels:
-        return ComparisonReport(
-            mode="none", n_compared=0, max_abs_diff=0.0,
-            degeneracies_agree=None, rows=(), status="NOT_APPLICABLE",
-            notes="empty lattice",
-        )
+        return ComparisonReport.not_applicable("empty lattice")
 
     shell = o.shell_eigenvalues is not None
     if shell:

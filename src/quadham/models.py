@@ -268,12 +268,11 @@ def phase_scan(
     samples = []
     for b in bs:
         b = float(b)
-        form = build_model(DimensionlessModel(mu=mu, k=k, b=b))
-        report = classify_spectrum(form)
+        report = classify_spectrum(build_model(DimensionlessModel(mu=mu, k=k, b=b)))
         samples.append(ScanSample(
             b=b,
             classification=report.classification,
-            margin=float(np.linalg.eigvalsh(form.gamma)[0]),
+            margin=report.gamma_min,
             ground_energy=report.ground_energy,
             generators=report.lattice_generators,
         ))

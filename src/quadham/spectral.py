@@ -41,6 +41,12 @@ class Classification(str, enum.Enum):
     DEFECTIVE_EXCEPTIONAL = "DefectiveExceptional"
     NON_REAL_FREQUENCIES = "NonRealFrequencies"
 
+    @property
+    def has_lattice(self) -> bool:
+        """Whether the class predicts an energy lattice."""
+        return self not in (Classification.NON_REAL_FREQUENCIES,
+                            Classification.DEFECTIVE_EXCEPTIONAL)
+
 
 @dataclass(frozen=True, eq=False)
 class EigenCluster:
@@ -86,6 +92,7 @@ class SpectrumReport:
     lattice_generators: tuple[float, ...]
     multiplicity_note: str
     vacuum_energy: float | None = None
+    gamma_min: float | None = None   # smallest eigenvalue of gamma
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,6 +363,8 @@ def classify_spectrum(q: QuadraticForm) -> SpectrumReport:
     adj = adjoint_representation(q)
     e = eigen_decompose(adj)
     t_pair = tol.pairing_tol(e.matrix_norm)
+    gevals = np.linalg.eigvalsh(q.gamma)
+    gmin = float(gevals[0])
     pairs: tuple[FrequencyPair, ...] = ()
     gens: tuple[float, ...] = ()
     ground = vac = None
@@ -379,11 +388,7 @@ def classify_spectrum(q: QuadraticForm) -> SpectrumReport:
         )
     else:
         pairs = tuple(pair_frequencies(e, q.basis))
-        gevals = np.linalg.eigvalsh(q.gamma)
-        dtol = tol.definiteness_tol(
-            float(np.max(np.abs(gevals))) if gevals.size else 0.0
-        )
-        gmin = float(gevals[0])
+        dtol = tol.definiteness_tol(float(np.max(np.abs(gevals))))
         t_zero = tol.zero_frequency_tol(e.matrix_norm)
 
         if gmin > -dtol:
@@ -449,6 +454,7 @@ def classify_spectrum(q: QuadraticForm) -> SpectrumReport:
         lattice_generators=gens,
         multiplicity_note=note,
         vacuum_energy=vac,
+        gamma_min=gmin,
     )
 
 
@@ -460,10 +466,7 @@ def spectrum_lattice(r: SpectrumReport, max_quanta: int) -> list[LatticeLevel]:
     globally; unbounded lattices merge only within a total-quanta shell and
     sort by (total quanta, energy).
     """
-    if r.classification in (
-        Classification.NON_REAL_FREQUENCIES,
-        Classification.DEFECTIVE_EXCEPTIONAL,
-    ):
+    if not r.classification.has_lattice:
         raise LatticeUnavailableError(
             f"no energy lattice for classification {r.classification.value}"
         )

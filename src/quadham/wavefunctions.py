@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._exact import ComplexRational, PiScale, _fraction_str, _rational_sqrt
-from .phase_space import LinearForm, QuadraticForm
+from .phase_space import LinearForm, PhaseSpaceBasis, QuadraticForm
 
 _I = ComplexRational(0, 1)
 
@@ -75,7 +75,6 @@ class PolyGaussian:
     K: int
     poly: dict
     scale: PiScale
-    normalized: bool = False
 
     def __post_init__(self):
         if not isinstance(self.K, int) or self.K < 1:
@@ -93,10 +92,9 @@ class PolyGaussian:
     def scalar_mul(self, z) -> "PolyGaussian":
         c = ComplexRational.from_number(z)
         if c.is_zero:
-            return PolyGaussian(self.K, {}, self.scale, False)
-        return PolyGaussian(
-            self.K, {k: v * c for k, v in self.poly.items()}, self.scale, False
-        )
+            return PolyGaussian(self.K, {}, self.scale)
+        return PolyGaussian(self.K, {k: v * c for k, v in self.poly.items()},
+                            self.scale)
 
     def __add__(self, other: "PolyGaussian") -> "PolyGaussian":
         if not isinstance(other, PolyGaussian):
@@ -112,7 +110,7 @@ class PolyGaussian:
         out = {k: v * ratio for k, v in self.poly.items()}
         for k, v in other.poly.items():
             _accumulate(out, k, v)
-        return PolyGaussian(self.K, out, other.scale, False)
+        return PolyGaussian(self.K, out, other.scale)
 
     def __sub__(self, other: "PolyGaussian") -> "PolyGaussian":
         if not isinstance(other, PolyGaussian):
@@ -126,13 +124,12 @@ class PolyGaussian:
 
     def apply_position(self, j: int) -> "PolyGaussian":
         self._check_mode(j)
-        return PolyGaussian(self.K, _act(self.poly, _unit(self.K, j)),
-                            self.scale, False)
+        return PolyGaussian(self.K, _act(self.poly, _unit(self.K, j)), self.scale)
 
     def apply_momentum(self, j: int) -> "PolyGaussian":
         self._check_mode(j)
         return PolyGaussian(self.K, _act(self.poly, _unit(self.K, self.K + j)),
-                            self.scale, False)
+                            self.scale)
 
     def _check_mode(self, j: int) -> None:
         if not 0 <= j < self.K:
@@ -147,7 +144,7 @@ class PolyGaussian:
         phase stay in the polynomial; only positive rational content moves.
         """
         if not self.poly:
-            return PolyGaussian(self.K, {}, PiScale.one(), False)
+            return PolyGaussian(self.K, {}, PiScale.one())
         content = None
         for c in self.poly.values():
             for part in (abs(c.re), abs(c.im)):
@@ -157,7 +154,7 @@ class PolyGaussian:
         if content is None or content == 1:
             return self
         poly = {k: v / content for k, v in self.poly.items()}
-        return PolyGaussian(self.K, poly, self.scale * content, self.normalized)
+        return PolyGaussian(self.K, poly, self.scale * content)
 
     def equals_exact(self, other: "PolyGaussian") -> bool:
         if self.K != other.K:
@@ -194,7 +191,7 @@ class PolyGaussian:
         parts = []
         if not self.scale.is_one:
             parts.append(self.scale.display())
-        poly_str = _render_poly(self.poly, _position_labels(self.K))
+        poly_str = _render_poly(self.poly, PhaseSpaceBasis(self.K).labels()[:self.K])
         if poly_str != "1":
             if len(self.poly) > 1:
                 poly_str = f"({poly_str})"
@@ -228,16 +225,8 @@ def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
     )
 
 
-def _position_labels(K: int) -> list[str]:
-    if K == 1:
-        return ["x"]
-    if K == 2:
-        return ["x", "y"]
-    return [f"x{j}" for j in range(1, K + 1)]
-
-
 def _render_gaussian(K: int) -> str:
-    labels = _position_labels(K)
+    labels = PhaseSpaceBasis(K).labels()[:K]
     if K == 1:
         return f"exp(-{labels[0]}^2/2)"
     body = " + ".join(f"{v}^2" for v in labels)
@@ -296,8 +285,7 @@ def _render_poly(poly: dict, labels: list[str]) -> str:
 
 def vacuum(K: int) -> PolyGaussian:
     """Normalised Gaussian ground state of K modes."""
-    return PolyGaussian(K, {(0,) * K: ComplexRational(1)},
-                        PiScale(1, -K), normalized=True)
+    return PolyGaussian(K, {(0,) * K: ComplexRational(1)}, PiScale(1, -K))
 
 
 def _unit(K: int, index: int) -> list[ComplexRational]:
@@ -334,7 +322,7 @@ def apply_linear_form(z: LinearForm, s: PolyGaussian) -> PolyGaussian:
     if z.basis.K != s.K:
         raise ValueError("linear form and state have different mode counts")
     coeffs = [ComplexRational.from_number(complex(c)) for c in z.coeffs]
-    return PolyGaussian(s.K, _act(s.poly, coeffs), s.scale, False)
+    return PolyGaussian(s.K, _act(s.poly, coeffs), s.scale)
 
 
 def apply_quadratic_form(q: QuadraticForm, s: PolyGaussian) -> PolyGaussian:
@@ -351,14 +339,7 @@ def apply_quadratic_form(q: QuadraticForm, s: PolyGaussian) -> PolyGaussian:
                                    for g in row])
         for exps, c in _act(inner_poly, _unit(K, a)).items():
             _accumulate(total, exps, c)
-    return PolyGaussian(K, total, s.scale, False)
-
-
-def _even_moment(m: int) -> Fraction:
-    """integral x^m e^(-x^2) dx / sqrt(pi) for even m: (m-1)!! / 2^(m/2)."""
-    n = m // 2
-    return Fraction(math.factorial(2 * n),
-                    math.factorial(n) * 4 ** n)
+    return PolyGaussian(K, total, s.scale)
 
 
 def inner(a: PolyGaussian, b: PolyGaussian) -> ExactAmount:
@@ -366,19 +347,18 @@ def inner(a: PolyGaussian, b: PolyGaussian) -> ExactAmount:
     if a.K != b.K:
         raise ValueError("states have different mode counts")
     factor = a.scale * b.scale * PiScale(1, 2 * a.K)
+    # moments[m] = integral x^m e^(-x^2) dx / sqrt(pi): (m-1)!! / 2^(m/2)
+    # for even m, 0 for odd m
+    top = max(map(max, a.poly), default=0) + max(map(max, b.poly), default=0)
+    moments = [Fraction(1)]
+    for m in range(1, top + 1):
+        moments.append(0 if m % 2 else moments[m - 2] * Fraction(m - 1, 2))
     total = ComplexRational(0)
     for ea, ca in a.poly.items():
         cac = ca.conjugate()
         for eb, cb in b.poly.items():
-            w = Fraction(1)
-            ok = True
-            for j in range(a.K):
-                m = ea[j] + eb[j]
-                if m % 2:
-                    ok = False
-                    break
-                w *= _even_moment(m)
-            if ok:
+            w = math.prod(moments[x + y] for x, y in zip(ea, eb))
+            if w:
                 total = total + cac * cb * w
     return ExactAmount(total, factor)
 
@@ -403,7 +383,7 @@ def norm_scale(s: PolyGaussian) -> PiScale:
 
 def normalized_copy(s: PolyGaussian) -> PolyGaussian:
     n = norm_scale(s)
-    return PolyGaussian(s.K, s.poly, s.scale / n, normalized=True).canonical()
+    return PolyGaussian(s.K, s.poly, s.scale / n).canonical()
 
 
 def is_scalar_multiple_exact(a: PolyGaussian, b: PolyGaussian) -> ExactAmount | None:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from quadham import (
     DimensionlessModel,
     FockCapError,
     FockTruncation,
+    HermiticityError,
     LinearForm,
     PhaseSpaceBasis,
     QuadraticForm,
@@ -23,6 +25,7 @@ from quadham import (
     symmetric_energy,
     symmetric_raising_pair,
 )
+from quadham import fock
 from quadham import tolerances as tol
 
 
@@ -217,6 +220,28 @@ class TestBuildMatrix:
         with pytest.raises(ValueError):
             build_fock_matrix(q, FockTruncation(4, 1))
 
+    def test_non_hermitian_operator_rejected(self, monkeypatch):
+        ops = fock._single_mode_ops
+
+        def upper_p(levels):
+            x, p = ops(levels)
+            return x, np.triu(p)
+
+        monkeypatch.setattr(fock, "_single_mode_ops", upper_p)
+        with pytest.raises(HermiticityError, match="deviates from Hermitian"):
+            build_fock_matrix(model_form(1.3), FockTruncation(4, 2))
+
+    def test_assembly_holds_one_dense_matrix(self):
+        t = FockTruncation(20, 2)
+        q = random_positive_definite_form(2, seed=3)
+        tracemalloc.start()
+        try:
+            build_fock_matrix(q, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 16 * t.dim ** 2
+
 
 class TestOracleSpectrum:
     def test_shell_structure_detected(self):
@@ -283,6 +308,23 @@ class TestOracleSpectrum:
             value, count = o.clusters[0]
             assert abs(value - 2.0) < 1e-10
             assert count == n_max + 1
+
+    def test_clusters_computed_on_first_read(self, monkeypatch):
+        calls = []
+        levels = fock._degenerate_levels
+
+        def counting(values):
+            calls.append(values)
+            return levels(values)
+
+        monkeypatch.setattr(fock, "_degenerate_levels", counting)
+        o = oracle_spectrum(random_positive_definite_form(2, seed=5),
+                            FockTruncation(4, 2))
+        assert not calls
+        first = o.clusters
+        assert o.clusters is first
+        assert len(calls) == 1
+        assert first == levels(o.eigenvalues)
 
     def test_ladder_transport(self):
         # matrix powers of the raising operators walk the exact lattice

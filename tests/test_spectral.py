@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,22 @@ class TestClassification:
         rep = classify_spectrum(sb_operator(0.0))
         assert rep.classification is Classification.DEFECTIVE_EXCEPTIONAL
         assert rep.pairs == ()
+
+    @pytest.mark.parametrize("q, cls", [
+        (model_form(1.0), Classification.BOUNDED_BELOW_DISCRETE),
+        (model_form(2.0), Classification.CRITICAL_INFINITE_MULTIPLICITY),
+        (model_form(-2.0), Classification.CRITICAL_INFINITE_MULTIPLICITY),
+        (model_form(3.0), Classification.UNBOUNDED_LATTICE),
+        (make_quadratic_form(1, [(1, 1, 1.0)]), Classification.DEFECTIVE_EXCEPTIONAL),
+        (make_quadratic_form(1, [(1, 2, 1.0), (2, 1, 1.0)]),
+         Classification.NON_REAL_FREQUENCIES),
+    ])
+    def test_report_carries_gamma_min(self, q, cls):
+        # every class carries the smallest eigenvalue of gamma, bit for bit
+        rep = classify_spectrum(q)
+        assert rep.classification is cls
+        expected = float(np.linalg.eigvalsh(q.gamma)[0])
+        assert struct.pack("d", rep.gamma_min) == struct.pack("d", expected)
 
     @pytest.mark.parametrize("k", [k for k in range(-149, 150) if k != 0])
     def test_sb_operator_couplings_pair(self, k):
