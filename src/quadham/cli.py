@@ -235,17 +235,13 @@ def _build_form(cfg: dict, seed_override: int | None):
 
 # ---- payload builders -------------------------------------------------------
 
-def _complex_list(values) -> list:
-    return [complex(v) for v in values]
-
-
 def _pair_payload(p) -> dict:
     return {
         "lambda_plus": p.lambda_plus,
         "raising_frequency": p.raising_frequency,
         "norm_constant": p.norm_constant,
-        "raising": _complex_list(p.raising.coeffs),
-        "lowering": _complex_list(p.lowering.coeffs),
+        "raising": p.raising.coeffs,
+        "lowering": p.lowering.coeffs,
     }
 
 
@@ -400,17 +396,18 @@ def _cmd_wavefunction(cfg, model, m, n):
     if lz is None or not lz.equals_rational(m - n):
         raise QuadhamError("exact rotation-generator check failed")
 
+    energy, state = float(energy_exact), psi.render()
     results = {
         "m": m,
         "n": n,
         "b": b,
-        "energy": float(energy_exact),
+        "energy": energy,
         "angular_momentum": m - n,
-        "state": psi.render(),
+        "state": state,
         "eigen_check": "exact",
     }
     header = ["m", "n", "b", "energy", "angular_momentum", "state"]
-    rows = [(m, n, b, float(energy_exact), m - n, psi.render())]
+    rows = [(m, n, b, energy, m - n, state)]
     return results, (header, rows)
 
 
@@ -423,6 +420,10 @@ def _dispatch(args) -> tuple[dict, dict, tuple]:
             or not math.isfinite(float(scale)) or float(scale) <= 0:
         raise ConfigError("config key 'tol_scale' must be a positive number")
     tol.set_config_scale(float(scale))
+    try:
+        tol.tol_scale()  # reject a bad QUADHAM_TOL_SCALE up front
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     form, eff_cfg, model = _build_form(cfg, args.seed)
     if args.command == "analyze":

@@ -156,7 +156,6 @@ def make_quadratic_form(K: int, terms) -> QuadraticForm:
     d = basis.dim
     J = basis.symplectic()
     gamma = np.zeros((d, d))
-    offset_re = 0.0
     offset_im = 0.0
     for term in terms:
         try:
@@ -186,7 +185,7 @@ def make_quadratic_form(K: int, terms) -> QuadraticForm:
             f"imaginary reordering residual {offset_im:.3e} exceeds tolerance; "
             "the monomial combination is not Hermitian"
         )
-    return QuadraticForm(basis, gamma, offset_re)
+    return QuadraticForm(basis, gamma, 0.0)
 
 
 def adjoint_representation(q: QuadraticForm) -> AdjointMatrix:

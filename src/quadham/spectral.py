@@ -13,7 +13,7 @@ import enum
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -191,16 +191,10 @@ def _cluster(values, t: float) -> list[list[int]]:
     return groups
 
 
-def _check_real_frequencies(e: EigenData) -> np.ndarray:
-    t = tol.pairing_tol(e.matrix_norm)
-    imag = np.abs(e.eigenvalues.imag)
-    if np.any(imag > t):
-        worst = float(np.max(imag))
-        raise NonRealFrequencyError(
-            f"non-real eigenvalue (|Im| up to {worst:.3e}); "
-            "the form has no real frequency pairing"
-        )
-    return e.eigenvalues.real
+def _nonreal_frequency(e: EigenData) -> float | None:
+    """Largest |Im| of the eigenvalues if it exceeds the pairing tolerance."""
+    worst = float(np.max(np.abs(e.eigenvalues.imag), initial=0.0))
+    return worst if worst > tol.pairing_tol(e.matrix_norm) else None
 
 
 def _canonical_phase(vec: np.ndarray) -> np.ndarray:
@@ -217,110 +211,93 @@ def _canonical_phase(vec: np.ndarray) -> np.ndarray:
 def pair_frequencies(e: EigenData, basis: PhaseSpaceBasis) -> list[FrequencyPair]:
     """Match real eigenvalues into K ladder pairs with [lowering, raising] = 1.
 
-    Within each eigenspace the Hermitian form h(u, v) = i u^dag J v is
-    diagonalised; h-positive directions are raising members, h-negative ones
-    are conjugates of raising members in the opposite eigenspace, and zero
-    eigenspaces pair internally.  A null direction (h ~ 0) means the pairing
-    is ill-posed and is reported instead of patched.
+    The eigenspaces are the clusters of `eigen_decompose`, members taken in
+    (real part, index) order.  Within each the Hermitian form h(u, v) =
+    i u^dag J v is diagonalised: h-positive directions are raising members,
+    h-negative ones are conjugates of raising members in the opposite
+    eigenspace, and the zero eigenspace pairs internally, its h-positive half
+    raising.  A zero frequency comes out as exactly 0.0.  A null direction
+    (h ~ 0) means the pairing is ill-posed and is reported instead of patched.
     """
     if basis != e.source.source.basis:
         raise ValueError("basis does not match the decomposed form")
-    freqs = _check_real_frequencies(e)
+    worst = _nonreal_frequency(e)
+    if worst is not None:
+        raise NonRealFrequencyError(
+            f"non-real eigenvalue (|Im| up to {worst:.3e}); "
+            "the form has no real frequency pairing"
+        )
+    freqs = e.eigenvalues.real
     t_pair = tol.pairing_tol(e.matrix_norm)
     t_zero = tol.zero_frequency_tol(e.matrix_norm)
     J = basis.symplectic()
 
-    groups = [(float(np.mean(freqs[g])), g) for g in _cluster(freqs, t_pair)]
+    groups = []
+    for c in e.clusters:
+        g = sorted(c.indices, key=lambda i: (freqs[i], i))
+        groups.append((float(np.mean(freqs[g])), g))
 
-    zero_groups = [g for g in groups if abs(g[0]) <= t_zero]
-    pos_groups = [g for g in groups if g[0] > t_zero]
+    zero_groups = [g for val, g in groups if abs(val) <= t_zero]
     neg_groups = {abs(val): len(g) for val, g in groups if val < -t_zero}
 
     pairs: list[FrequencyPair] = []
-
-    for val, idxs in pos_groups:
+    for val, idxs in [(val, g) for val, g in groups if val > t_zero]:
         match = [v for v in neg_groups if abs(v - val) <= t_pair]
         if not match or neg_groups[match[0]] != len(idxs):
             raise PairingError(
                 f"unpaired eigenvalue {val:.6g}: no matching -lambda group"
             )
-        pairs.extend(_pairs_from_group(val, idxs, e.eigenvectors, J, t_zero))
+        pairs.extend(_pairs_from_group(val, idxs, e.eigenvectors, J, t_zero, basis))
 
     if zero_groups:
-        zval, zidx = zero_groups[0]
+        zidx = zero_groups[0]
         if len(zero_groups) > 1:
-            zidx = sorted(itertools.chain.from_iterable(g for _, g in zero_groups))
+            zidx = sorted(itertools.chain.from_iterable(zero_groups))
         if len(zidx) % 2 != 0:
             raise PairingError("zero eigenspace has odd dimension")
-        pairs.extend(_pairs_from_zero_group(zidx, e.eigenvectors, J, t_zero))
+        pairs.extend(_pairs_from_group(0.0, zidx, e.eigenvectors, J, t_zero, basis))
 
     if len(pairs) != basis.K:
         raise PairingError(
             f"pairing produced {len(pairs)} pairs, expected {basis.K}"
         )
     pairs.sort(key=lambda p: -p.lambda_plus)
-    return [_finalize_pair(p, basis, J) for p in pairs]
+    return pairs
 
 
-@dataclass
-class _RawPair:
-    lambda_plus: float
-    raising_vec: np.ndarray
-    raising_frequency: float
+def _pairs_from_group(val, idxs, V, J, t_zero, basis) -> list[FrequencyPair]:
+    """Ladder pairs from the eigenvectors V[:, idxs] at frequency val >= 0.
 
-
-def _symplectic_gram(idxs, V, J):
-    """Eigen-decomposed Hermitian form G = i V^dag J V on the columns idxs."""
+    At val != 0 every direction of G = i V^dag J V gives a pair, an
+    h-negative one the conjugate of a raising member at -val; at val = 0
+    only the h-positive half raises and must be half the eigenspace.
+    """
     basis_vecs = V[:, idxs]
     G = 1j * (basis_vecs.conj().T @ J @ basis_vecs)
-    G = (G + G.conj().T) / 2.0
-    mu, U = np.linalg.eigh(G)
-    return basis_vecs, mu, U
-
-
-def _pairs_from_group(val, idxs, V, J, t_zero) -> list[_RawPair]:
-    basis_vecs, mu, U = _symplectic_gram(idxs, V, J)
+    mu, U = np.linalg.eigh((G + G.conj().T) / 2.0)
+    if val == 0.0:
+        keep = [k for k in range(len(mu)) if mu[k] > t_zero]
+        if len(keep) != len(idxs) // 2:
+            raise PairingError("zero eigenspace does not split into ladder pairs")
+    elif np.any(np.abs(mu) <= t_zero):
+        raise PairingError(
+            f"symplectically null eigenvector at frequency {val:.6g}"
+        )
+    else:
+        keep = range(len(mu))
     out = []
-    for k in range(len(mu)):
+    for k in keep:
         m = float(mu[k])
-        w = basis_vecs @ U[:, k]
-        if abs(m) <= t_zero:
-            raise PairingError(
-                f"symplectically null eigenvector at frequency {val:.6g}"
-            )
-        w = w / math.sqrt(abs(m))
-        if m > 0:
-            out.append(_RawPair(val, w, val))
-        else:
-            out.append(_RawPair(val, np.conj(w), -val))
+        w = (basis_vecs @ U[:, k]) / math.sqrt(abs(m))
+        w, freq = (w, val) if m > 0 else (np.conj(w), -val)
+        w = _canonical_phase(w)
+        raising = LinearForm(basis, w)
+        lowering = LinearForm(basis, np.conj(w))
+        nc = complex(1j * (lowering.coeffs @ J @ raising.coeffs))
+        out.append(FrequencyPair(lambda_plus=val, raising=raising,
+                                 lowering=lowering, norm_constant=float(nc.real),
+                                 raising_frequency=freq))
     return out
-
-
-def _pairs_from_zero_group(idxs, V, J, t_zero) -> list[_RawPair]:
-    basis_vecs, mu, U = _symplectic_gram(idxs, V, J)
-    positive = [k for k in range(len(mu)) if mu[k] > t_zero]
-    if len(positive) != len(idxs) // 2:
-        raise PairingError("zero eigenspace does not split into ladder pairs")
-    out = []
-    for k in positive:
-        w = basis_vecs @ U[:, k]
-        w = w / math.sqrt(float(mu[k]))
-        out.append(_RawPair(0.0, w, 0.0))
-    return out
-
-
-def _finalize_pair(p: _RawPair, basis, J) -> FrequencyPair:
-    w = _canonical_phase(p.raising_vec)
-    raising = LinearForm(basis, w)
-    lowering = LinearForm(basis, np.conj(w))
-    nc = complex(1j * (lowering.coeffs @ J @ raising.coeffs))
-    return FrequencyPair(
-        lambda_plus=float(p.lambda_plus),
-        raising=raising,
-        lowering=lowering,
-        norm_constant=float(nc.real),
-        raising_frequency=float(p.raising_frequency),
-    )
 
 
 def ladder_check(q: QuadraticForm, z: LinearForm) -> float:
@@ -358,18 +335,36 @@ def vacuum_annihilation_residual(z: LinearForm) -> float:
     return float(np.linalg.norm(d) / math.sqrt(2.0))
 
 
+def _misses_vacuum(p: FrequencyPair) -> bool:
+    """Whether the lowering member fails to annihilate the Gaussian vacuum.
+
+    [lowering, raising] = 1 makes |raising.vac|^2 - |lowering.vac|^2 = 1, so
+    the raising member never annihilates it and one threshold (the members
+    share their norm) decides the pair.
+    """
+    t = tol.annihilation_tol(float(np.linalg.norm(p.raising.coeffs)))
+    return not (vacuum_annihilation_residual(p.lowering) <= t
+                < vacuum_annihilation_residual(p.raising))
+
+
 def classify_spectrum(q: QuadraticForm) -> SpectrumReport:
-    """Decision tree over frequency reality, defectiveness and definiteness."""
+    """Decision tree over frequency reality, defectiveness and definiteness.
+
+    Each verdict is taken once: reality by the pairing tolerance, a zero
+    frequency by the pairing (which returns it as exactly 0.0), and the class
+    of a diagonalisable real form by the smallest eigenvalue of gamma.  An
+    indefinite form's generators are its raising frequencies; the vacuum
+    residuals only flag a pair whose lowering member misses the vacuum.
+    """
     adj = adjoint_representation(q)
     e = eigen_decompose(adj)
-    t_pair = tol.pairing_tol(e.matrix_norm)
     gevals = np.linalg.eigvalsh(q.gamma)
     gmin = float(gevals[0])
     pairs: tuple[FrequencyPair, ...] = ()
     gens: tuple[float, ...] = ()
     ground = vac = None
 
-    if np.any(np.abs(e.eigenvalues.imag) > t_pair):
+    if _nonreal_frequency(e) is not None:
         cls = Classification.NON_REAL_FREQUENCIES
         note = (
             "adjoint eigenvalues include non-real frequencies; no real "
@@ -389,58 +384,38 @@ def classify_spectrum(q: QuadraticForm) -> SpectrumReport:
     else:
         pairs = tuple(pair_frequencies(e, q.basis))
         dtol = tol.definiteness_tol(float(np.max(np.abs(gevals))))
-        t_zero = tol.zero_frequency_tol(e.matrix_norm)
 
         if gmin > -dtol:
             ground = vac = float(q.offset + 0.5 * sum(p.lambda_plus for p in pairs))
+            gens = tuple(p.lambda_plus for p in pairs)
             if gmin > dtol:
                 cls = Classification.BOUNDED_BELOW_DISCRETE
-                gens = tuple(p.lambda_plus for p in pairs)
                 note = (
                     "form matrix positive definite; spectrum is the discrete "
                     "lattice ground + n . generators with finite degeneracies"
                 )
-            else:
-                # positive semidefinite boundary
-                gens = tuple(
-                    0.0 if p.lambda_plus <= t_zero else p.lambda_plus for p in pairs
+            elif 0.0 in gens:
+                # positive semidefinite boundary with a zero-frequency pair
+                cls = Classification.CRITICAL_INFINITE_MULTIPLICITY
+                note = (
+                    "zero-frequency ladder pair on the semidefinite boundary: "
+                    "every lattice level carries infinite multiplicity"
                 )
-                if any(p.lambda_plus <= t_zero for p in pairs):
-                    cls = Classification.CRITICAL_INFINITE_MULTIPLICITY
-                    note = (
-                        "zero-frequency ladder pair on the semidefinite boundary: "
-                        "every lattice level carries infinite multiplicity"
-                    )
-                else:
-                    cls = Classification.BOUNDED_BELOW_DISCRETE
-                    note = (
-                        "form matrix semidefinite but all frequencies nonzero; "
-                        "treated as bounded below"
-                    )
+            else:
+                cls = Classification.BOUNDED_BELOW_DISCRETE
+                note = (
+                    "form matrix semidefinite but all frequencies nonzero; "
+                    "treated as bounded below"
+                )
         else:
             # indefinite with all-real frequencies
-            signed = []
-            fallback = False
-            for p in pairs:
-                thr_r = tol.annihilation_tol(float(np.linalg.norm(p.raising.coeffs)))
-                thr_l = tol.annihilation_tol(float(np.linalg.norm(p.lowering.coeffs)))
-                res_r = vacuum_annihilation_residual(p.raising)
-                res_l = vacuum_annihilation_residual(p.lowering)
-                if res_l <= thr_l and res_r > thr_r:
-                    signed.append(p.raising_frequency)
-                elif res_r <= thr_r and res_l > thr_l:
-                    signed.append(-p.raising_frequency)
-                else:
-                    signed.append(p.raising_frequency)
-                    fallback = True
-            signed.sort(reverse=True)
-            gens = tuple(signed)
+            gens = tuple(sorted((p.raising_frequency for p in pairs), reverse=True))
             cls = Classification.UNBOUNDED_LATTICE
             note = (
                 "form matrix indefinite with real frequencies: the Gaussian-vacuum "
                 "lattice extends without a lower bound (signed generators)"
             )
-            if fallback:
+            if any(_misses_vacuum(p) for p in pairs):
                 note += (
                     "; warning: some pair had no member annihilating the standard "
                     "Gaussian vacuum, sign taken from the commutator orientation"

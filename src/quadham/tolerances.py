@@ -8,6 +8,7 @@ normally leave that at 1.
 
 from __future__ import annotations
 
+import math
 import os
 
 _ENV_VAR = "QUADHAM_TOL_SCALE"
@@ -19,8 +20,8 @@ _config_scale = 1.0
 
 def set_config_scale(value: float) -> None:
     global _config_scale
-    if not (value > 0.0):
-        raise ValueError("tolerance scale must be positive")
+    if not 0.0 < value < math.inf:
+        raise ValueError("tolerance scale must be finite and positive")
     _config_scale = float(value)
 
 
@@ -32,9 +33,12 @@ def tol_scale() -> float:
             env = float(raw)
         except ValueError as exc:
             raise ValueError(f"{_ENV_VAR} must be a float, got {raw!r}") from exc
-        if not env > 0.0:
-            raise ValueError(f"{_ENV_VAR} must be positive, got {env}")
-    return env * _config_scale
+        if not 0.0 < env < math.inf:
+            raise ValueError(f"{_ENV_VAR} must be finite and positive, got {env}")
+    scale = env * _config_scale
+    if scale == math.inf:
+        raise ValueError(f"tolerance scale {env} x {_config_scale} overflows")
+    return scale
 
 
 def pairing_tol(matrix_norm: float) -> float:

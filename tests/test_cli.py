@@ -264,3 +264,41 @@ class TestSubprocess:
         )
         assert proc.returncode == 2
         assert "--config" in proc.stderr
+
+
+class TestPhysicalPreset:
+    PHYS = {"preset": "physical", "m1": 1, "m2": 2, "k1": 4, "k2": 1,
+            "omega": 2}
+
+    def model(self, hbar=1.0):
+        return quadham.reduce_to_dimensionless(quadham.PhysicalParameters(
+            m1=1.0, m2=2.0, k1=4.0, k2=1.0, omega=2.0, hbar=hbar))
+
+    @pytest.mark.parametrize("hbar", [None, 0.5])
+    def test_analyze(self, hbar, tmp_path):
+        payload = dict(self.PHYS) if hbar is None else dict(self.PHYS, hbar=hbar)
+        code, text = run_cli(["analyze", "--config",
+                              write_config(tmp_path, payload)], tmp_path)
+        assert code == 0
+        env = json.loads(text)
+        assert env["config"] == payload
+        res = env["results"]
+        d = self.model(1.0 if hbar is None else hbar)
+        assert res["model"] == json.loads(serialize.dumps_json(d))
+        report = quadham.classify_spectrum(quadham.build_model(d))
+        assert res["classification"] == report.classification.value
+        assert res["lattice_generators"] == json.loads(
+            serialize.dumps_json(list(report.lattice_generators)))
+
+    def test_scan_csv(self, tmp_path):
+        code, text = run_cli(["scan", "--config",
+                              write_config(tmp_path, self.PHYS),
+                              "--from", "0", "--to", "2", "--steps", "5",
+                              "--format", "csv"], tmp_path)
+        assert code == 0
+        d = self.model()
+        res = quadham.phase_scan(0.0, 2.0, 5, mu=d.mu, k=d.k)
+        rows = [(s.b, s.classification.value, s.margin, s.ground_energy)
+                for s in res.samples]
+        assert text == serialize.dumps_csv(
+            ["b", "classification", "margin", "ground_energy"], rows)

@@ -262,3 +262,27 @@ class TestPhaseScan:
         res = phase_scan(0.0, -4.0, steps=6)
         assert len(res.transitions) == 1
         assert abs(res.transitions[0].b_star + 2.0) <= 1e-10
+
+
+class TestPhaseScanBisection:
+    # the boundary b^2 = 4 min(k, 1/mu) is irrational here, so no midpoint
+    # lands on it and the bisection runs to its 1e-10 bracket
+    @pytest.mark.parametrize("mu, k, b_from, b_to, steps, roots", [
+        (1.0, 0.5, 0.0, 3.0, 4, (math.sqrt(2.0),)),
+        (2.0, 1.0, -3.0, 3.0, 7, (-math.sqrt(2.0), math.sqrt(2.0))),
+    ])
+    def test_irrational_boundary(self, mu, k, b_from, b_to, steps, roots,
+                                 monkeypatch):
+        from quadham import models
+        calls = []
+        margin = models._margin
+        monkeypatch.setattr(models, "_margin",
+                            lambda *args: calls.append(args) or margin(*args))
+        res = phase_scan(b_from, b_to, steps=steps, mu=mu, k=k)
+        assert len(calls) >= 30 * len(roots)
+        assert len(res.transitions) == len(roots)
+        for t, root in zip(sorted(res.transitions, key=lambda t: t.b_star),
+                           roots):
+            assert abs(t.b_star - root) <= 1e-10
+            assert t.bracket_lo <= root <= t.bracket_hi
+            assert t.bracket_hi - t.bracket_lo <= 1e-10

@@ -1,0 +1,132 @@
+"""Each spectral verdict is taken at one site, on quantities computed once.
+
+Pairing groups eigenvalues by the clusters of `eigen_decompose`, the zero
+frequency test lives in the pairing, and an indefinite form's generators are
+its raising frequencies: [lowering, raising] = 1 is the bosonic normalisation
+|raising.vac|^2 - |lowering.vac|^2 = 1 (Colpa, Physica A 93 (1978) 327), so
+the raising member never annihilates the Gaussian vacuum.
+"""
+
+import numpy as np
+import pytest
+
+from quadham import (
+    Classification,
+    DimensionlessModel,
+    PairingError,
+    PhaseSpaceBasis,
+    QuadraticForm,
+    adjoint_representation,
+    build_model,
+    classify_spectrum,
+    eigen_decompose,
+    linear_commutator,
+    pair_frequencies,
+    random_positive_definite_form,
+    sb_operator,
+    vacuum_annihilation_residual,
+)
+from quadham import spectral, tolerances
+
+
+def model_form(b, mu=1.0, k=1.0):
+    return build_model(DimensionlessModel(mu=mu, k=k, b=b))
+
+
+BOUNDED = Classification.BOUNDED_BELOW_DISCRETE
+CRITICAL = Classification.CRITICAL_INFINITE_MULTIPLICITY
+UNBOUNDED = Classification.UNBOUNDED_LATTICE
+
+# (form, class, whether the note carries the vacuum warning)
+LATTICE_FORMS = {
+    "b=0": (model_form(0.0), BOUNDED, False),
+    "b=1": (model_form(1.0), BOUNDED, False),
+    "b=-1.5": (model_form(-1.5), BOUNDED, False),
+    "aniso bounded": (model_form(0.5, mu=2.0, k=0.25), BOUNDED, False),
+    **{f"random-pd K={K} seed={s}": (random_positive_definite_form(K, s),
+                                     BOUNDED, False)
+       for K in (1, 2, 3) for s in (0, 1)},
+    "b=2": (model_form(2.0), CRITICAL, False),
+    "b=-2": (model_form(-2.0), CRITICAL, False),
+    "sb B=1.3": (sb_operator(1.3), CRITICAL, False),
+    "b=3": (model_form(3.0), UNBOUNDED, False),
+    "b=-10": (model_form(-10.0), UNBOUNDED, False),
+    "diag K=3": (QuadraticForm(PhaseSpaceBasis(3),
+                               np.diag([1.0, 1.0, -1.0, 1.0, 1.0, -1.0]), 0.0),
+                 UNBOUNDED, False),
+    "aniso b=4": (model_form(4.0, mu=0.5, k=0.5), UNBOUNDED, True),
+    "aniso b=-3.2": (model_form(-3.2, mu=2.0, k=2.0), UNBOUNDED, True),
+}
+
+
+@pytest.mark.parametrize("name", LATTICE_FORMS)
+def test_bosonic_normalisation_of_every_pair(name):
+    q, cls, _ = LATTICE_FORMS[name]
+    rep = classify_spectrum(q)
+    assert rep.classification is cls
+    assert len(rep.pairs) == q.basis.K
+    for p in rep.pairs:
+        res_r = vacuum_annihilation_residual(p.raising)
+        res_l = vacuum_annihilation_residual(p.lowering)
+        assert abs(p.norm_constant - 1.0) <= 1e-9
+        assert abs(res_r ** 2 - res_l ** 2 - p.norm_constant) <= 1e-9
+        assert abs(linear_commutator(p.lowering, p.raising) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("name", [n for n, (_, cls, _) in LATTICE_FORMS.items()
+                                  if cls is UNBOUNDED])
+def test_unbounded_generators_are_the_raising_frequencies(name):
+    q, _, warned = LATTICE_FORMS[name]
+    rep = classify_spectrum(q)
+    assert rep.lattice_generators == tuple(
+        sorted((p.raising_frequency for p in rep.pairs), reverse=True))
+    missed = any(
+        vacuum_annihilation_residual(p.lowering)
+        > tolerances.annihilation_tol(float(np.linalg.norm(p.lowering.coeffs)))
+        for p in rep.pairs)
+    assert missed is warned
+    assert ("warning" in rep.multiplicity_note) is warned
+
+
+@pytest.mark.parametrize("q", [model_form(0.0), model_form(2.0),
+                               sb_operator(-0.7),
+                               random_positive_definite_form(3, 4)])
+def test_pairing_reuses_the_eigen_clusters(q, monkeypatch):
+    calls = []
+    cluster = spectral._cluster
+    monkeypatch.setattr(spectral, "_cluster",
+                        lambda *args: calls.append(args) or cluster(*args))
+    e = eigen_decompose(adjoint_representation(q))
+    assert len(calls) == 1
+    pairs = pair_frequencies(e, q.basis)
+    assert len(calls) == 1
+    assert len(pairs) == q.basis.K
+
+
+@pytest.mark.parametrize("b", [1.0, 2.0, 3.0])
+def test_zero_frequency_is_tested_once(b, monkeypatch):
+    # only the pairing asks whether a frequency is zero; the classification
+    # reads the exact 0.0 it leaves behind
+    calls = []
+    zero_tol = tolerances.zero_frequency_tol
+    monkeypatch.setattr(tolerances, "zero_frequency_tol",
+                        lambda *args: calls.append(args) or zero_tol(*args))
+    rep = classify_spectrum(model_form(b))
+    assert len(calls) == 1
+    assert (0.0 in rep.lattice_generators) is (rep.classification is CRITICAL)
+
+
+def test_conjugate_eigenvalues_within_a_loose_tolerance_stay_apart(monkeypatch):
+    # two coupled modes of opposite sign: adjoint eigenvalues +-2.0006 +- 0.05i
+    g = np.diag([1.0, -1.0, 1.0, -1.0])
+    g[0, 1] = g[1, 0] = 0.05
+    q = QuadraticForm(PhaseSpaceBasis(2), g, 0.0)
+    assert classify_spectrum(q).classification is \
+        Classification.NON_REAL_FREQUENCIES
+    # loosened until |Im| passes the reality test, the conjugates are still
+    # separate eigenspaces whose eigenvectors are symplectically null
+    monkeypatch.setenv("QUADHAM_TOL_SCALE", "2e7")
+    e = eigen_decompose(adjoint_representation(q))
+    assert len(e.clusters) == 4
+    with pytest.raises(PairingError, match="symplectically null"):
+        classify_spectrum(q)
