@@ -17,6 +17,7 @@ from .errors import (
     FockCapError,
     HermiticityError,
     LadderCheckError,
+    LatticeCapError,
     LatticeUnavailableError,
     NonHermitianFormError,
     NonRealFrequencyError,
@@ -96,7 +97,8 @@ __all__ = [
     # errors
     "QuadhamError", "ConfigError", "BasisMismatchError",
     "NonHermitianFormError", "EigensolverError", "NonRealFrequencyError",
-    "PairingError", "LadderCheckError", "LatticeUnavailableError",
+    "PairingError", "LadderCheckError", "LatticeCapError",
+    "LatticeUnavailableError",
     "FockCapError", "HermiticityError",
     # phase space
     "PhaseSpaceBasis", "LinearForm", "QuadraticForm", "AdjointMatrix",

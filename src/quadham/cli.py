@@ -9,6 +9,7 @@ success, 2 for configuration/usage problems, 3 for runtime failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -17,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import models, serialize
-from .errors import ConfigError, QuadhamError
+from .errors import ConfigError, LatticeCapError, QuadhamError
 from .fock import (
     ComparisonReport,
     FockTruncation,
@@ -37,7 +38,11 @@ from .wavefunctions import (
 )
 from . import tolerances as tol
 
+# largest m + n the wavefunction command builds; (60, 60) takes seconds
+MAX_WAVEFUNCTION_QUANTA = 120
 
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True,
@@ -269,11 +274,18 @@ def _cmd_analyze(form, model):
     return results, (header, rows)
 
 
+def _lattice(report, max_quanta: int):
+    try:
+        return spectrum_lattice(report, max_quanta)
+    except LatticeCapError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _cmd_spectrum(form, max_quanta: int):
     if max_quanta < 0:
         raise ConfigError("--max-quanta must be non-negative")
     report = classify_spectrum(form)
-    levels = spectrum_lattice(report, max_quanta)
+    levels = _lattice(report, max_quanta)
     results = {
         "classification": report.classification.value,
         "max_quanta": max_quanta,
@@ -334,7 +346,7 @@ def _cmd_verify(form, n_max, max_quanta, max_levels):
         shell_upto = 0
     else:
         trunc = FockTruncation(n_max=n_max, K=form.basis.K)
-        levels = spectrum_lattice(report, max_quanta)
+        levels = _lattice(report, max_quanta)
         oracle = oracle_spectrum(form, trunc)
         comparison = compare_with_lattice(
             oracle, levels, max_levels=max_levels,
@@ -361,6 +373,9 @@ def _cmd_verify(form, n_max, max_quanta, max_levels):
 def _cmd_wavefunction(cfg, model, m, n):
     if m < 0 or n < 0:
         raise ConfigError("quantum numbers m and n must be non-negative")
+    if m + n > MAX_WAVEFUNCTION_QUANTA:
+        raise ConfigError(f"m + n = {m + n} exceeds the limit of "
+                          f"{MAX_WAVEFUNCTION_QUANTA} quanta")
     if cfg.get("preset") == "oscillator-b":
         if model is None or not model.is_symmetric:
             raise ConfigError(

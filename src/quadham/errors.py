@@ -41,6 +41,10 @@ class FockCapError(QuadhamError):
     """Requested truncated basis exceeds the safety cap."""
 
 
+class LatticeCapError(QuadhamError):
+    """Requested lattice enumeration exceeds the state cap."""
+
+
 class HermiticityError(QuadhamError):
     """An assembled matrix violates Hermiticity beyond tolerance."""
 

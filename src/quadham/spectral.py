@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     EigensolverError,
     LadderCheckError,
+    LatticeCapError,
     LatticeUnavailableError,
     NonRealFrequencyError,
     PairingError,
@@ -32,6 +33,10 @@ from .phase_space import (
     adjoint_representation,
 )
 from . import tolerances as tol
+
+# most lattice states spectrum_lattice enumerates: 6e5 states (K=6, 24
+# quanta) take 6 s and 330 MB, 7.5e4 take 0.6 s and 74 MB
+LATTICE_STATE_CAP = 10**5
 
 
 class Classification(str, enum.Enum):
@@ -439,7 +444,9 @@ def spectrum_lattice(r: SpectrumReport, max_quanta: int) -> list[LatticeLevel]:
     Zero generators are excluded from enumeration and instead mark every level
     as infinitely degenerate.  Bounded/critical lattices merge equal energies
     globally; unbounded lattices merge only within a total-quanta shell and
-    sort by (total quanta, energy).
+    sort by (total quanta, energy).  More than LATTICE_STATE_CAP states, the
+    C(max_quanta + k, k) tuples of k nonzero generators, raise LatticeCapError
+    before any is built.
     """
     if not r.classification.has_lattice:
         raise LatticeUnavailableError(
@@ -453,6 +460,12 @@ def spectrum_lattice(r: SpectrumReport, max_quanta: int) -> list[LatticeLevel]:
 
     active = [g for g in r.lattice_generators if g != 0.0]
     infinite = len(active) < len(r.lattice_generators)
+    count = math.comb(max_quanta + len(active), len(active))
+    if count > LATTICE_STATE_CAP:
+        raise LatticeCapError(
+            f"{count} lattice states up to {max_quanta} quanta exceed cap "
+            f"{LATTICE_STATE_CAP}"
+        )
     unbounded = r.classification is Classification.UNBOUNDED_LATTICE
 
     # (merge block, energy, quanta): unbounded lattices merge only within a

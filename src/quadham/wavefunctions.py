@@ -5,6 +5,20 @@ complex rationals and scale a PiScale.  Position acts by multiplication,
 momentum by p_j = -i d/dx_j, which on the polynomial part is
 f -> -i df/dx_j + i x_j f.  Every operation here is exact: floats entering
 through form coefficients are dyadic rationals and convert losslessly.
+
+The arithmetic runs on Gaussian integers.  A public call converts its
+polynomial once to numerator pairs (re, im) of Python ints over one shared
+positive denominator (a power of two for the dyadic coefficients the models
+produce, any positive integer for general Fraction coefficients), runs the
+ladder kernel ``_act``, ``inner`` or the content split of ``canonical`` on
+those, and converts back once.  ``PolyGaussian.poly`` keeps ComplexRational
+values.
+
+``build_eigenfunction`` normalises Z^m W^n |0> in closed form when both forms
+are pure creation combinations (cp_j = -i cx_j, so Z^dagger |0> = 0) with
+[Z^dagger, W] = 0.  Then [Z, W] = 0 and c = [Z^dagger, Z] > 0 follow, and
+||Z^m W^n |0>||^2 = m! n! c_Z^m c_W^n (Colpa, Physica A 93 (1978) 327).  Any
+other pair of forms is normalised through ``inner``.
 """
 
 from __future__ import annotations
@@ -17,9 +31,6 @@ import numpy as np
 
 from ._exact import ComplexRational, PiScale, _fraction_str, _rational_sqrt
 from .phase_space import LinearForm, PhaseSpaceBasis, QuadraticForm
-
-_I = ComplexRational(0, 1)
-
 
 @dataclass(frozen=True, eq=False)
 class ExactAmount:
@@ -109,7 +120,7 @@ class PolyGaussian:
             )
         out = {k: v * ratio for k, v in self.poly.items()}
         for k, v in other.poly.items():
-            _accumulate(out, k, v)
+            out[k] = out[k] + v if k in out else v
         return PolyGaussian(self.K, out, other.scale)
 
     def __sub__(self, other: "PolyGaussian") -> "PolyGaussian":
@@ -124,12 +135,11 @@ class PolyGaussian:
 
     def apply_position(self, j: int) -> "PolyGaussian":
         self._check_mode(j)
-        return PolyGaussian(self.K, _act(self.poly, _unit(self.K, j)), self.scale)
+        return _applied(self, _unit(self.K, j), 1)
 
     def apply_momentum(self, j: int) -> "PolyGaussian":
         self._check_mode(j)
-        return PolyGaussian(self.K, _act(self.poly, _unit(self.K, self.K + j)),
-                            self.scale)
+        return _applied(self, _unit(self.K, self.K + j), 1)
 
     def _check_mode(self, j: int) -> None:
         if not 0 <= j < self.K:
@@ -145,16 +155,7 @@ class PolyGaussian:
         """
         if not self.poly:
             return PolyGaussian(self.K, {}, PiScale.one())
-        content = None
-        for c in self.poly.values():
-            for part in (abs(c.re), abs(c.im)):
-                if part == 0:
-                    continue
-                content = part if content is None else _fraction_gcd(content, part)
-        if content is None or content == 1:
-            return self
-        poly = {k: v / content for k, v in self.poly.items()}
-        return PolyGaussian(self.K, poly, self.scale * content)
+        return _canonical(self.K, *_to_ints(self.poly), self.scale)
 
     def equals_exact(self, other: "PolyGaussian") -> bool:
         if self.K != other.K:
@@ -203,26 +204,45 @@ class PolyGaussian:
         return f"PolyGaussian({self.render()!r})"
 
 
-def _accumulate(table: dict, key: tuple, value: ComplexRational) -> None:
+# ---- Gaussian-integer representation ---------------------------------------
+
+
+def _ints(values) -> tuple[list[tuple[int, int]], int]:
+    """Exact numbers as Gaussian-integer numerators (re, im) over one denominator."""
+    cs = [ComplexRational.from_number(v) for v in values]
+    den = math.lcm(1, *(c.re.denominator for c in cs),
+                   *(c.im.denominator for c in cs))
+    return [(c.re.numerator * (den // c.re.denominator),
+             c.im.numerator * (den // c.im.denominator)) for c in cs], den
+
+
+def _to_ints(poly: dict) -> tuple[dict, int]:
+    """A polynomial's numerator pairs by exponent tuple, and their denominator."""
+    pairs, den = _ints(poly.values())
+    return dict(zip(poly, pairs)), den
+
+
+def _from_ints(terms: dict, den: int) -> dict:
+    return {k: ComplexRational(Fraction(re, den), Fraction(im, den))
+            for k, (re, im) in terms.items()}
+
+
+def _canonical(K: int, terms: dict, den: int, scale: PiScale) -> "PolyGaussian":
+    """canonical() of scale * (terms / den) * G for nonzero terms."""
+    g = math.gcd(*(part for pair in terms.values() for part in pair))
+    poly = {k: ComplexRational(re // g, im // g) for k, (re, im) in terms.items()}
+    return PolyGaussian(K, poly, scale * Fraction(g, den))
+
+
+def _accumulate(table: dict, key: tuple, value: tuple[int, int]) -> None:
     cur = table.get(key)
-    new = value if cur is None else cur + value
-    if new.is_zero:
-        table.pop(key, None)
-    else:
-        table[key] = new
+    table[key] = value if cur is None else (cur[0] + value[0], cur[1] + value[1])
 
 
 def _bump(exps: tuple, j: int, step: int) -> tuple:
     out = list(exps)
     out[j] += step
     return tuple(out)
-
-
-def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(
-        math.gcd(a.numerator, b.numerator),
-        math.lcm(a.denominator, b.denominator),
-    )
 
 
 def _render_gaussian(K: int) -> str:
@@ -288,41 +308,50 @@ def vacuum(K: int) -> PolyGaussian:
     return PolyGaussian(K, {(0,) * K: ComplexRational(1)}, PiScale(1, -K))
 
 
-def _unit(K: int, index: int) -> list[ComplexRational]:
-    """Exact coefficients of the single basis operator O_index."""
-    coeffs = [ComplexRational(0)] * (2 * K)
-    coeffs[index] = ComplexRational(1)
+def _unit(K: int, index: int) -> list[tuple[int, int]]:
+    """Numerator pairs of the single basis operator O_index, denominator 1."""
+    coeffs = [(0, 0)] * (2 * K)
+    coeffs[index] = (1, 0)
     return coeffs
 
 
-def _act(poly: dict, coeffs) -> dict:
-    """Polynomial part of sum_j (cx_j x_j + cp_j p_j) acting on poly * G.
+def _act(terms: dict, coeffs) -> dict:
+    """Numerators of sum_j (cx_j x_j + cp_j p_j) acting on terms * G.
 
-    coeffs holds 2K exact ComplexRationals, positions first.  Momentum acts
-    as p_j (f G) = (-i df/dx_j + i x_j f) G.
+    terms maps exponent tuples to Gaussian-integer pairs (re, im); coeffs
+    holds 2K such pairs, positions first.  The result is over the product of
+    the two denominators.  Momentum acts as p_j (f G) = (-i df/dx_j + i x_j f) G,
+    so x_j^e goes to (cx_j + i cp_j) x_j^(e+1) - e i cp_j x_j^(e-1).
     """
     K = len(coeffs) // 2
     out: dict = {}
     for j in range(K):
-        cx, cp = coeffs[j], coeffs[K + j]
-        if not cx.is_zero:
-            for exps, c in poly.items():
-                _accumulate(out, _bump(exps, j, +1), c * cx)
-        if not cp.is_zero:
-            icp = cp * _I
-            for exps, c in poly.items():
-                if exps[j] > 0:
-                    _accumulate(out, _bump(exps, j, -1), icp * (-exps[j]) * c)
-                _accumulate(out, _bump(exps, j, +1), icp * c)
-    return out
+        (xr, xi), (pr, pi) = coeffs[j], coeffs[K + j]
+        ur, ui = xr - pi, xi + pr  # cx_j + i cp_j
+        dr, di = -pi, pr           # i cp_j
+        for exps, (cr, ci) in terms.items():
+            if ur or ui:
+                _accumulate(out, _bump(exps, j, +1),
+                            (ur * cr - ui * ci, ur * ci + ui * cr))
+            e = exps[j]
+            if e and (dr or di):
+                _accumulate(out, _bump(exps, j, -1),
+                            (-e * (dr * cr - di * ci), -e * (dr * ci + di * cr)))
+    return {k: v for k, v in out.items() if v != (0, 0)}
+
+
+def _applied(s: PolyGaussian, coeffs: list, den: int) -> PolyGaussian:
+    """s acted on by the linear form with numerators coeffs over den."""
+    terms, s_den = _to_ints(s.poly)
+    return PolyGaussian(s.K, _from_ints(_act(terms, coeffs), s_den * den),
+                        s.scale)
 
 
 def apply_linear_form(z: LinearForm, s: PolyGaussian) -> PolyGaussian:
     """Act with sum_j (cx_j x_j + cp_j p_j); coefficients convert exactly."""
     if z.basis.K != s.K:
         raise ValueError("linear form and state have different mode counts")
-    coeffs = [ComplexRational.from_number(complex(c)) for c in z.coeffs]
-    return PolyGaussian(s.K, _act(s.poly, coeffs), s.scale)
+    return _applied(s, *_ints(complex(c) for c in z.coeffs))
 
 
 def apply_quadratic_form(q: QuadraticForm, s: PolyGaussian) -> PolyGaussian:
@@ -330,16 +359,18 @@ def apply_quadratic_form(q: QuadraticForm, s: PolyGaussian) -> PolyGaussian:
     K = q.basis.K
     if K != s.K:
         raise ValueError("quadratic form and state have different mode counts")
-    offset = ComplexRational.from_number(q.offset)
-    total = {} if offset.is_zero else {k: v * offset for k, v in s.poly.items()}
+    terms, s_den = _to_ints(s.poly)
+    coeffs, den = _ints([*(float(g) for g in q.gamma.ravel()), q.offset])
+    ofr, ofi = coeffs.pop()
+    total = {k: (ofr * cr - ofi * ci, ofr * ci + ofi * cr)
+             for k, (cr, ci) in terms.items()} if ofr or ofi else {}
     for a, row in enumerate(q.gamma):
         if not row.any():
             continue
-        inner_poly = _act(s.poly, [ComplexRational.from_number(float(g))
-                                   for g in row])
-        for exps, c in _act(inner_poly, _unit(K, a)).items():
+        inner_terms = _act(terms, coeffs[2 * K * a:2 * K * (a + 1)])
+        for exps, c in _act(inner_terms, _unit(K, a)).items():
             _accumulate(total, exps, c)
-    return PolyGaussian(K, total, s.scale)
+    return PolyGaussian(K, _from_ints(total, s_den * den), s.scale)
 
 
 def inner(a: PolyGaussian, b: PolyGaussian) -> ExactAmount:
@@ -347,20 +378,31 @@ def inner(a: PolyGaussian, b: PolyGaussian) -> ExactAmount:
     if a.K != b.K:
         raise ValueError("states have different mode counts")
     factor = a.scale * b.scale * PiScale(1, 2 * a.K)
-    # moments[m] = integral x^m e^(-x^2) dx / sqrt(pi): (m-1)!! / 2^(m/2)
-    # for even m, 0 for odd m
-    top = max(map(max, a.poly), default=0) + max(map(max, b.poly), default=0)
-    moments = [Fraction(1)]
-    for m in range(1, top + 1):
-        moments.append(0 if m % 2 else moments[m - 2] * Fraction(m - 1, 2))
-    total = ComplexRational(0)
-    for ea, ca in a.poly.items():
-        cac = ca.conjugate()
-        for eb, cb in b.poly.items():
-            w = math.prod(moments[x + y] for x, y in zip(ea, eb))
-            if w:
-                total = total + cac * cb * w
-    return ExactAmount(total, factor)
+    ta, da = _to_ints(a.poly)
+    tb, db = _to_ints(b.poly)
+    # integral x^m e^(-x^2) dx / sqrt(pi) is (m-1)!! / 2^(m/2) for even m and
+    # 0 for odd m, so only terms whose exponents agree in parity pair up.
+    # Over the common denominator 2^half a pair weighs
+    # prod_j (x_j + y_j - 1)!! * 2^(half - (|x| + |y|)/2).
+    top = max(map(max, ta), default=0) + max(map(max, tb), default=0)
+    double_fact = [1] * (top + 1)
+    for m in range(2, top + 1, 2):
+        double_fact[m] = double_fact[m - 2] * (m - 1)
+    half = (max(map(sum, ta), default=0) + max(map(sum, tb), default=0)) // 2
+    by_parity: dict = {}
+    for eb, cb in tb.items():
+        by_parity.setdefault(tuple(e & 1 for e in eb), []).append((eb, sum(eb), cb))
+    re = im = 0
+    for ea, (ar, ai) in ta.items():
+        sa = sum(ea)
+        for eb, sb, (br, bi) in by_parity.get(tuple(e & 1 for e in ea), ()):
+            w = math.prod(double_fact[x + y] for x, y in zip(ea, eb)) \
+                << (half - (sa + sb) // 2)
+            re += (ar * br + ai * bi) * w
+            im += (ar * bi - ai * br) * w
+    den = da * db << half
+    return ExactAmount(ComplexRational(Fraction(re, den), Fraction(im, den)),
+                       factor)
 
 
 def squared_norm(s: PolyGaussian) -> ExactAmount:
@@ -396,14 +438,39 @@ def is_scalar_multiple_exact(a: PolyGaussian, b: PolyGaussian) -> ExactAmount | 
         return ExactAmount(ComplexRational(0), PiScale.one())
     if set(a.poly) != set(b.poly):
         return None
-    ratio = None
-    for key, cb in b.poly.items():
-        r = a.poly[key] / cb
-        if ratio is None:
-            ratio = r
-        elif ratio != r:
+    ta, da = _to_ints(a.poly)
+    tb, db = _to_ints(b.poly)
+    key = next(iter(tb))
+    (pr, pi), (qr, qi) = ta[key], tb[key]
+    # a_k / b_k = p / q for every k, as a_k * q = p * b_k
+    for k, (br, bi) in tb.items():
+        ar, ai = ta[k]
+        if (ar * qr - ai * qi != pr * br - pi * bi
+                or ar * qi + ai * qr != pr * bi + pi * br):
             return None
+    ratio = ComplexRational(Fraction(pr * db), Fraction(pi * db)) \
+        / ComplexRational(qr * da, qi * da)
     return ExactAmount(ratio, a.scale / b.scale)
+
+
+def _creation_norms(z: list, w: list) -> tuple[int, int] | None:
+    """Numerators of c_Z = [Z^dagger, Z] and c_W = [W^dagger, W], or None.
+
+    None unless ||Z^m W^n |0>||^2 = m! n! c_Z^m c_W^n: both forms must be
+    pure creation combinations, cp_j = -i cx_j, and [Z^dagger, W] must vanish.
+    For such forms [x_j, p_k] = i delta_jk gives [Z, W] = 0 identically,
+    [Z^dagger, W] = 2 sum_j conj(zx_j) wx_j and c_Z = 2 sum_j |zx_j|^2, each
+    over the product of the two forms' denominators.
+    """
+    K = len(z) // 2
+    for f in (z, w):
+        if any(f[K + j] != (f[j][1], -f[j][0]) for j in range(K)):
+            return None
+    cross_re = sum(zr * wr + zi * wi for (zr, zi), (wr, wi) in zip(z[:K], w[:K]))
+    cross_im = sum(zr * wi - zi * wr for (zr, zi), (wr, wi) in zip(z[:K], w[:K]))
+    if cross_re or cross_im:
+        return None
+    return tuple(2 * sum(r * r + i * i for r, i in f[:K]) for f in (z, w))
 
 
 def build_eigenfunction(z_first: LinearForm, z_second: LinearForm,
@@ -413,12 +480,22 @@ def build_eigenfunction(z_first: LinearForm, z_second: LinearForm,
         raise ValueError("quantum numbers must be non-negative integers")
     if z_first.basis != z_second.basis:
         raise ValueError("ladder forms live on different bases")
-    s = vacuum(z_first.basis.K)
-    for _ in range(int(n)):
-        s = apply_linear_form(z_second, s)
-    for _ in range(int(m)):
-        s = apply_linear_form(z_first, s)
-    if s.is_zero:
+    m, n = int(m), int(n)
+    first, first_den = _ints(complex(c) for c in z_first.coeffs)
+    second, second_den = _ints(complex(c) for c in z_second.coeffs)
+    v = vacuum(z_first.basis.K)
+    terms, den = _to_ints(v.poly)
+    for _ in range(n):
+        terms = _act(terms, second)
+    for _ in range(m):
+        terms = _act(terms, first)
+    if not terms:
         raise ValueError("ladder application annihilated the state")
-    return normalized_copy(s)
-
+    den *= first_den ** m * second_den ** n
+    c = _creation_norms(first, second)
+    if c is None:
+        return normalized_copy(PolyGaussian(v.K, _from_ints(terms, den), v.scale))
+    sq = (math.factorial(m) * math.factorial(n)
+          * Fraction(c[0], first_den ** 2) ** m
+          * Fraction(c[1], second_den ** 2) ** n)
+    return _canonical(v.K, terms, den, v.scale / PiScale(sq, 0))

@@ -302,3 +302,52 @@ class TestPhysicalPreset:
                 for s in res.samples]
         assert text == serialize.dumps_csv(
             ["b", "classification", "margin", "ground_energy"], rows)
+
+
+class TestParserBuiltOnce:
+    def test_two_calls_build_one_parser(self, tmp_path):
+        cli._build_parser.cache_clear()
+        assert run_cli(["analyze", "--config", OSC_B1], tmp_path, "a.json")[0] == 0
+        assert run_cli(["spectrum", "--config", OSC_B1, "--format", "csv"],
+                       tmp_path, "b.csv")[0] == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_second_call_keeps_no_values_of_the_first(self, tmp_path):
+        code, first = run_cli(["spectrum", "--config", OSC_B1, "--max-quanta",
+                               "2", "--format", "csv"], tmp_path, "a.csv")
+        assert code == 0 and first.startswith("n1,n2,energy")
+        code, second = run_cli(["spectrum", "--config", OSC_B1], tmp_path,
+                               "b.json")
+        assert code == 0
+        assert json.loads(second)["results"]["max_quanta"] == 4
+
+
+class TestRequestLimits:
+    def test_oversized_wavefunction_fails_before_any_ladder_step(
+            self, tmp_path, capsys, monkeypatch):
+        calls = []
+        build = cli.build_eigenfunction
+        monkeypatch.setattr(cli, "build_eigenfunction",
+                            lambda *args: calls.append(args) or build(*args))
+        m = cli.MAX_WAVEFUNCTION_QUANTA // 2
+        code, text = run_cli(["wavefunction", "--config", OSC_B1, str(m + 1),
+                              str(cli.MAX_WAVEFUNCTION_QUANTA - m)], tmp_path)
+        assert code == 2 and text is None
+        assert "config error" in capsys.readouterr().err
+        assert calls == []
+        assert run_cli(["wavefunction", "--config", OSC_B1, "1", "1"],
+                       tmp_path)[0] == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    def test_oversized_lattice_is_a_config_error(self, command, tmp_path,
+                                                 capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "oracle_spectrum",
+                            lambda *args: built.append(args))
+        code, text = run_cli([command, "--config", OSC_B1, "--max-quanta",
+                              "1000000"], tmp_path)
+        assert code == 2 and text is None
+        assert "exceed cap" in capsys.readouterr().err
+        assert built == []

@@ -1,0 +1,318 @@
+"""The Gaussian-integer ladder kernel and the closed-form eigenfunction norm.
+
+The ComplexRational functions prefixed ``ref_`` are the Fraction-arithmetic
+ladder action, inner product, canonical form and scalar-multiple test that
+quadham.wavefunctions computed before it moved to Gaussian integers; the
+integer kernel must reproduce them exactly.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from quadham import (
+    ComplexRational,
+    LinearForm,
+    PhaseSpaceBasis,
+    PiScale,
+    PolyGaussian,
+    QuadraticForm,
+    apply_linear_form,
+    apply_quadratic_form,
+    build_eigenfunction,
+    inner,
+    is_scalar_multiple_exact,
+    normalized_copy,
+    squared_norm,
+    symmetric_ladders,
+    symmetric_raising_pair,
+    vacuum,
+)
+from quadham import wavefunctions as wf
+
+_I = ComplexRational(0, 1)
+
+
+# ---- reference: the ComplexRational kernel ---------------------------------
+
+def _ref_accumulate(table, key, value):
+    cur = table.get(key)
+    new = value if cur is None else cur + value
+    if new.is_zero:
+        table.pop(key, None)
+    else:
+        table[key] = new
+
+
+def _ref_bump(exps, j, step):
+    out = list(exps)
+    out[j] += step
+    return tuple(out)
+
+
+def ref_unit(K, index):
+    coeffs = [ComplexRational(0)] * (2 * K)
+    coeffs[index] = ComplexRational(1)
+    return coeffs
+
+
+def ref_act(poly, coeffs):
+    K = len(coeffs) // 2
+    out = {}
+    for j in range(K):
+        cx, cp = coeffs[j], coeffs[K + j]
+        if not cx.is_zero:
+            for exps, c in poly.items():
+                _ref_accumulate(out, _ref_bump(exps, j, +1), c * cx)
+        if not cp.is_zero:
+            icp = cp * _I
+            for exps, c in poly.items():
+                if exps[j] > 0:
+                    _ref_accumulate(out, _ref_bump(exps, j, -1),
+                                    icp * (-exps[j]) * c)
+                _ref_accumulate(out, _ref_bump(exps, j, +1), icp * c)
+    return out
+
+
+def ref_apply_quadratic(q, s):
+    K = q.basis.K
+    offset = ComplexRational.from_number(q.offset)
+    total = {} if offset.is_zero else {k: v * offset for k, v in s.poly.items()}
+    for a, row in enumerate(q.gamma):
+        if not row.any():
+            continue
+        inner_poly = ref_act(s.poly, [ComplexRational.from_number(float(g))
+                                      for g in row])
+        for exps, c in ref_act(inner_poly, ref_unit(K, a)).items():
+            _ref_accumulate(total, exps, c)
+    return total
+
+
+def ref_inner(a, b):
+    top = max(map(max, a.poly), default=0) + max(map(max, b.poly), default=0)
+    moments = [Fraction(1)]
+    for m in range(1, top + 1):
+        moments.append(0 if m % 2 else moments[m - 2] * Fraction(m - 1, 2))
+    total = ComplexRational(0)
+    for ea, ca in a.poly.items():
+        cac = ca.conjugate()
+        for eb, cb in b.poly.items():
+            w = math.prod(moments[x + y] for x, y in zip(ea, eb))
+            if w:
+                total = total + cac * cb * w
+    return total, a.scale * b.scale * PiScale(1, 2 * a.K)
+
+
+def ref_canonical(s):
+    content = None
+    for c in s.poly.values():
+        for part in (abs(c.re), abs(c.im)):
+            if part == 0:
+                continue
+            content = part if content is None else Fraction(
+                math.gcd(content.numerator, part.numerator),
+                math.lcm(content.denominator, part.denominator))
+    if content is None or content == 1:
+        return s.poly, s.scale
+    return {k: v / content for k, v in s.poly.items()}, s.scale * content
+
+
+def ref_scalar_multiple(a, b):
+    ratio = None
+    for key, cb in b.poly.items():
+        r = a.poly[key] / cb
+        if ratio is None:
+            ratio = r
+        elif ratio != r:
+            return None
+    return ratio
+
+
+# ---- random inputs ----------------------------------------------------------
+
+def _fraction(rng):
+    return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 12)))
+
+
+def random_state(rng, K, terms=5):
+    poly = {tuple(int(e) for e in rng.integers(0, 4, size=K)):
+            ComplexRational(_fraction(rng), _fraction(rng)) for _ in range(terms)}
+    scale = PiScale(Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9))),
+                    int(rng.integers(-3, 4)))
+    return PolyGaussian(K, poly, scale)
+
+
+def random_fraction_coeffs(rng, K):
+    coeffs = [ComplexRational(_fraction(rng), _fraction(rng)) for _ in range(2 * K)]
+    coeffs[int(rng.integers(0, 2 * K))] = ComplexRational(0)
+    return coeffs
+
+
+def random_dyadic_form(rng, K):
+    c = rng.integers(-8, 9, size=2 * K) / 8.0 + 1j * rng.integers(-8, 9, size=2 * K) / 4.0
+    return LinearForm(PhaseSpaceBasis(K), c)
+
+
+CASES = [(K, seed) for K in (1, 2, 3) for seed in range(4)]
+
+
+class TestIntegerKernelMatchesReference:
+    @pytest.mark.parametrize("K,seed", CASES)
+    def test_act_with_fraction_coefficients(self, K, seed):
+        rng = np.random.default_rng(seed)
+        s = random_state(rng, K)
+        coeffs = random_fraction_coeffs(rng, K)
+        terms, den = wf._to_ints(s.poly)
+        pairs, cden = wf._ints(coeffs)
+        got = wf._from_ints(wf._act(terms, pairs), den * cden)
+        assert got == ref_act(s.poly, coeffs)
+        assert all(not c.is_zero for c in got.values())
+
+    @pytest.mark.parametrize("K,seed", CASES)
+    def test_linear_form_and_single_operators(self, K, seed):
+        rng = np.random.default_rng(seed)
+        s = random_state(rng, K)
+        z = random_dyadic_form(rng, K)
+        want = ref_act(s.poly, [ComplexRational.from_number(complex(c))
+                                for c in z.coeffs])
+        got = apply_linear_form(z, s)
+        assert got.poly == want and got.scale == s.scale
+        for j in range(K):
+            assert s.apply_position(j).poly == ref_act(s.poly, ref_unit(K, j))
+            assert s.apply_momentum(j).poly == ref_act(s.poly,
+                                                       ref_unit(K, K + j))
+
+    @pytest.mark.parametrize("K,seed", CASES)
+    def test_quadratic_form_with_zero_row_and_offset(self, K, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.integers(-12, 13, size=(2 * K, 2 * K)) / 16.0
+        g = (g + g.T) / 2.0
+        zero = int(rng.integers(0, 2 * K))
+        g[zero, :] = 0.0
+        g[:, zero] = 0.0
+        q = QuadraticForm(PhaseSpaceBasis(K), g, -0.625)
+        s = random_state(rng, K)
+        got = apply_quadratic_form(q, s)
+        assert got.poly == ref_apply_quadratic(q, s)
+        assert got.scale == s.scale
+
+    @pytest.mark.parametrize("K,seed", CASES)
+    def test_inner(self, K, seed):
+        rng = np.random.default_rng(seed)
+        a = random_state(rng, K, terms=6)
+        b = random_state(rng, K, terms=4)
+        for x, y in ((a, b), (b, a), (a, a)):
+            got = inner(x, y)
+            coeff, factor = ref_inner(x, y)
+            assert got.coeff == coeff and got.factor == factor
+
+    @pytest.mark.parametrize("K,seed", CASES)
+    def test_canonical(self, K, seed):
+        rng = np.random.default_rng(seed)
+        s = random_state(rng, K)
+        for t in (s, s.scalar_mul(Fraction(2, 3)),
+                  s.scalar_mul(ComplexRational(Fraction(-6, 5), Fraction(9, 7)))):
+            got = t.canonical()
+            poly, scale = ref_canonical(t)
+            assert got.poly == poly and got.scale == scale
+
+    @pytest.mark.parametrize("K,seed", CASES)
+    def test_scalar_multiple(self, K, seed):
+        rng = np.random.default_rng(seed)
+        b = random_state(rng, K)
+        r = ComplexRational(_fraction(rng) or 1, Fraction(5, 3))
+        a = b.scalar_mul(r)
+        got = is_scalar_multiple_exact(a, b)
+        assert got.coeff == ref_scalar_multiple(a, b) == r
+        assert got.factor == PiScale.one()
+        key = next(iter(a.poly))
+        off = PolyGaussian(K, {**a.poly, key: a.poly[key] + Fraction(1, 3)},
+                           a.scale)
+        assert ref_scalar_multiple(off, b) is None
+        assert is_scalar_multiple_exact(off, b) is None
+
+
+# ---- closed-form norm ------------------------------------------------------
+
+def _counting_inner(monkeypatch):
+    calls = []
+    original = wf.inner
+    monkeypatch.setattr(wf, "inner",
+                        lambda a, b: calls.append(1) or original(a, b))
+    return calls
+
+
+def _raw_state(z, w, m, n):
+    s = vacuum(z.basis.K)
+    for _ in range(n):
+        s = apply_linear_form(w, s)
+    for _ in range(m):
+        s = apply_linear_form(z, s)
+    return s
+
+
+class TestClosedFormNorm:
+    def test_symmetric_pair_constants(self):
+        z, w = (wf._ints(complex(c) for c in spec.form.coeffs)[0]
+                for spec in symmetric_raising_pair())
+        assert wf._creation_norms(z, w) == (4, 4)
+
+    def test_equals_inner_up_to_24_quanta(self, monkeypatch):
+        z, w = (spec.form for spec in symmetric_raising_pair())
+        calls = _counting_inner(monkeypatch)
+        for n in range(25):
+            raw = _raw_state(z, w, 0, n)
+            for m in range(25 - n):
+                calls.clear()
+                psi = build_eigenfunction(z, w, m, n)
+                assert calls == [], (m, n)
+                # inner's squared norm, then the state divided by its root
+                sq = math.factorial(m) * math.factorial(n) * 4 ** (m + n)
+                assert squared_norm(raw).equals_rational(sq), (m, n)
+                poly, scale = ref_canonical(
+                    PolyGaussian(2, raw.poly, raw.scale / PiScale(sq, 0)))
+                assert psi.poly == poly and psi.scale == scale, (m, n)
+                raw = apply_linear_form(z, raw)
+
+    def test_equals_inner_at_16_16(self):
+        z, w = (spec.form for spec in symmetric_raising_pair())
+        psi = build_eigenfunction(z, w, 16, 16)
+        assert squared_norm(psi).is_one
+        want = normalized_copy(_raw_state(z, w, 16, 16))
+        assert psi.poly == want.poly and psi.scale == want.scale
+
+
+def _creation_x():
+    """Pure creation on the first of two modes, x - i p_x."""
+    return LinearForm(PhaseSpaceBasis(2), np.array([1, 0, -1j, 0]))
+
+
+class TestPreconditionFailuresUseInner:
+    @pytest.mark.parametrize("case,m,n", [
+        # a lowering member: W^dagger W^2 |0> = 2 c_W W |0>
+        ("lowering", 1, 2),
+        # x and p_x: [x, p_x] = i, neither a creation combination
+        ("non_commuting", 2, 1),
+        # two creation combinations with [Z^dagger, W] = -2i
+        ("cross_commutator", 2, 2),
+        # Z = W: [Z^dagger, W] = c_Z
+        ("same_form", 1, 1),
+    ])
+    def test_normalised_by_inner(self, case, m, n, monkeypatch):
+        ladders = symmetric_ladders()
+        basis = PhaseSpaceBasis(2)
+        z, w = {
+            "lowering": (ladders[2].form, ladders[1].form),
+            "non_commuting": (LinearForm(basis, np.array([1, 0, 0, 0])),
+                              LinearForm(basis, np.array([0, 0, 1, 0]))),
+            "cross_commutator": (ladders[3].form, _creation_x()),
+            "same_form": (ladders[3].form, ladders[3].form),
+        }[case]
+        calls = _counting_inner(monkeypatch)
+        psi = build_eigenfunction(z, w, m, n)
+        assert calls
+        assert squared_norm(psi).is_one
+        want = normalized_copy(_raw_state(z, w, m, n))
+        assert psi.poly == want.poly and psi.scale == want.scale

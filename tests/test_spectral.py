@@ -7,6 +7,7 @@ from conftest import random_symmetric
 from quadham import (
     Classification,
     LadderCheckError,
+    LatticeCapError,
     LatticeUnavailableError,
     LinearForm,
     NonRealFrequencyError,
@@ -362,3 +363,20 @@ class TestSpectrumLattice:
         merged = [lv for lv in spectrum_lattice(rep, 2) if set(lv.states) == set(states)]
         assert len(merged) == 1
         assert merged[0].states == states
+
+
+class TestLatticeCap:
+    def test_large_enumeration_raises_before_building(self):
+        from quadham import spectral
+        report = classify_spectrum(random_positive_definite_form(20, 1))
+        with pytest.raises(LatticeCapError, match="30045015 lattice states"):
+            spectral.spectrum_lattice(report, 10)
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        from quadham import spectral
+        report = classify_spectrum(random_positive_definite_form(2, 1))
+        monkeypatch.setattr(spectral, "LATTICE_STATE_CAP", 15)
+        levels = spectral.spectrum_lattice(report, 4)
+        assert sum(lv.degeneracy for lv in levels) == 15
+        with pytest.raises(LatticeCapError):
+            spectral.spectrum_lattice(report, 5)
