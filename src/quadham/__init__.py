@@ -19,6 +19,7 @@ from .errors import (
     LadderCheckError,
     LatticeCapError,
     LatticeUnavailableError,
+    NonFiniteResultError,
     NonHermitianFormError,
     NonRealFrequencyError,
     PairingError,
@@ -99,7 +100,7 @@ __all__ = [
     "NonHermitianFormError", "EigensolverError", "NonRealFrequencyError",
     "PairingError", "LadderCheckError", "LatticeCapError",
     "LatticeUnavailableError",
-    "FockCapError", "HermiticityError",
+    "FockCapError", "HermiticityError", "NonFiniteResultError",
     # phase space
     "PhaseSpaceBasis", "LinearForm", "QuadraticForm", "AdjointMatrix",
     "make_quadratic_form", "adjoint_representation", "linear_commutator",

@@ -465,6 +465,9 @@ def main(argv=None) -> int:
         code = exc.code
         return int(code) if isinstance(code, int) else (0 if code is None else 2)
 
+    # the run's tolerances use the config's scale alone; the caller's own
+    # config scale comes back through the token when the run ends
+    token = tol._CONFIG_SCALE.set(1.0)
     try:
         try:
             eff_cfg, results, (header, rows) = _dispatch(args)
@@ -479,7 +482,7 @@ def main(argv=None) -> int:
                 sys.stdout.write(text)
             return 0
         finally:
-            tol.set_config_scale(1.0)
+            tol._CONFIG_SCALE.reset(token)
     except ConfigError as exc:
         print(f"quadham: config error: {exc}", file=sys.stderr)
         return 2

@@ -49,5 +49,9 @@ class HermiticityError(QuadhamError):
     """An assembled matrix violates Hermiticity beyond tolerance."""
 
 
+class NonFiniteResultError(QuadhamError, ValueError):
+    """A result holds a NaN or infinite float, which has no serialised form."""
+
+
 class ConfigError(Exception):
     """Invalid CLI configuration or arguments (exit code 2)."""

@@ -8,15 +8,16 @@ those entries and nothing else.  Same-mode products are computed at a
 padded cutoff and cropped so every retained entry equals its untruncated
 value; cross-mode products and linear forms are elementwise in the mode
 factors and need no padding.  Hermiticity is checked on the band sums,
-before the one dense matrix is written.  Basis states are occupancy tuples
-in row-major order with mode 1 slowest.
+before build_fock_matrix writes its one dense matrix.  Basis states are
+occupancy tuples in row-major order with mode 1 slowest.
 
 Every offset of a quadratic form changes the total occupancy by 0 or +-2,
 so the matrix is exactly block-diagonal over the parity of total quanta.
 When the entries that change the total are also (numerically) zero, the
 form conserves total occupancy and the matrix is block-diagonal over shells
 of equal total quanta.  The eigenvalues are those of the blocks: one per
-shell for a conserving form, one per parity otherwise.  Shell blocks with
+shell for a conserving form, one per parity otherwise.  The oracle writes
+each block from the band sums and never the dense matrix.  Shell blocks with
 total quanta s <= n_max retain every state of that total and reproduce
 untruncated eigenvalues; the other eigenvalues are variational
 approximations converging from above.
@@ -27,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -43,10 +43,12 @@ class FockTruncation:
 
     n_max: int
     K: int
-    # a dense complex matrix of 4096 states is 256 MiB.  The oracle peaks at
-    # one such matrix plus its largest block: tracemalloc measures 45.6 MB
-    # for assembly and 56.9 MB for oracle_spectrum at 1681 states, where one
-    # matrix is 45.2 MB
+    # bounds build_fock_matrix: a dense complex matrix of 4096 states is
+    # 256 MiB.  The oracle holds only its largest block, plus LAPACK's copy of
+    # it during the eigensolve.  At 1681 states, where one dense matrix is
+    # 45.2 MB, tracemalloc measures 45.6 MB for build_fock_matrix and 12.4 MB
+    # for oracle_spectrum: the 841-state parity block (LAPACK's copy is
+    # allocated outside Python's tracked heap)
     cap: int = 4096
 
     def __post_init__(self):
@@ -109,15 +111,6 @@ def _positions(t: FockTruncation, d: tuple[int, ...]) -> tuple[np.ndarray, np.nd
     return rows, rows + sum(x * n ** (t.K - 1 - j) for j, x in enumerate(d))
 
 
-def _quadratic_offsets(K: int) -> list[tuple[int, ...]]:
-    """Every offset vector a quadratic form can fill."""
-    out = [_shift(K, {})]
-    out += [_shift(K, {m: d}) for m in range(K) for d in (-2, 2)]
-    out += [_shift(K, {i: di, j: dj}) for i, j in combinations(range(K), 2)
-            for di in (-1, 1) for dj in (-1, 1)]
-    return out
-
-
 def _band_sums(t: FockTruncation, terms) -> dict[tuple[int, ...], np.ndarray]:
     """Per-offset sums of (offset, values) terms, added in the order given.
 
@@ -144,8 +137,14 @@ def _dense(t: FockTruncation, sums: dict[tuple[int, ...], np.ndarray]) -> np.nda
     return out
 
 
-def build_fock_matrix(q: QuadraticForm, t: FockTruncation) -> np.ndarray:
-    """Matrix of the form on the retained basis; exact entries, then checked."""
+def _checked_band_sums(
+    q: QuadraticForm, t: FockTruncation
+) -> tuple[dict[tuple[int, ...], np.ndarray], float]:
+    """Band sums of the form on the retained basis and their largest |entry|.
+
+    Raises HermiticityError when the sums are not those of a Hermitian
+    matrix.
+    """
     K = q.basis.K
     if K != t.K:
         raise ValueError("truncation mode count does not match the form")
@@ -178,8 +177,8 @@ def build_fock_matrix(q: QuadraticForm, t: FockTruncation) -> np.ndarray:
     sums = _band_sums(t, terms())
     # the band of -d lists the rows o + d in the order the band of d lists
     # the rows o, so max |h - h^H| is max |band[d] - conj(band[-d])| and no
-    # dense matrix besides h is needed; entries outside every band are 0,
-    # and a band is empty when its offset exceeds the cutoff
+    # dense matrix is needed; entries outside every band are 0, and a band
+    # is empty when its offset exceeds the cutoff
     bands = [(acc, sums[tuple(-x for x in d)]) for d, acc in sums.items() if acc.size]
     dev = float(np.max([np.max(np.abs(acc - np.conj(mirror))) for acc, mirror in bands],
                        initial=0.0))
@@ -188,7 +187,12 @@ def build_fock_matrix(q: QuadraticForm, t: FockTruncation) -> np.ndarray:
         raise HermiticityError(
             f"assembled matrix deviates from Hermitian by {dev:.3e}"
         )
-    return _dense(t, sums)
+    return sums, scale
+
+
+def build_fock_matrix(q: QuadraticForm, t: FockTruncation) -> np.ndarray:
+    """Matrix of the form on the retained basis; exact entries, then checked."""
+    return _dense(t, _checked_band_sums(q, t)[0])
 
 
 def linear_form_matrix(z: LinearForm, t: FockTruncation) -> np.ndarray:
@@ -220,32 +224,66 @@ class OracleSpectrum:
         return _degenerate_levels(self.eigenvalues)
 
 
+def _block_layout(t: FockTruncation, conserves: bool):
+    """Block of each basis state, its index within the block, block sizes.
+
+    Blocks are the shells of equal total quanta when the form conserves
+    them, else the two parities of the total; a block lists its states in
+    basis order, as the index arrays of shell_indices do.
+    """
+    block = t._grid().sum(axis=0)
+    if not conserves:
+        block %= 2
+    sizes = np.bincount(block)
+    local = np.empty(t.dim, dtype=np.intp)
+    local[np.argsort(block, kind="stable")] = (
+        np.arange(t.dim) - np.repeat(np.cumsum(sizes) - sizes, sizes))
+    return block, local, sizes
+
+
+def _zero_filled(size: int, rows: np.ndarray, cols: np.ndarray,
+                 values: np.ndarray) -> np.ndarray:
+    """size x size zeros holding the values at (rows, cols)."""
+    out = np.zeros((size, size), dtype=complex)
+    out[rows, cols] = values
+    return out
+
+
 def oracle_spectrum(q: QuadraticForm, t: FockTruncation) -> OracleSpectrum:
     """Block eigenvalues of the truncated matrix.
 
     The form conserves total quanta when every entry that changes the total
-    is at most machine zero relative to the largest entry; only the entries
-    a quadratic form can fill are read.  Conserving forms are diagonalised
-    shell by shell, others per parity of total quanta.
+    is at most machine zero relative to the largest entry.  Conserving forms
+    are diagonalised shell by shell, others per parity of total quanta.
+    Each block is written from the band sums just before its eigensolve, so
+    the dense matrix of build_fock_matrix is never formed.
     """
-    h = build_fock_matrix(q, t)
-    entries = {d: h[_positions(t, d)] for d in _quadratic_offsets(t.K)}
-    scale = max(float(np.max(np.abs(v))) for v in entries.values() if v.size)
+    sums, scale = _checked_band_sums(q, t)
     mz = tol.machine_zero_tol(scale)
-    conserves = all(np.all(np.abs(v) <= mz)
-                    for d, v in entries.items() if sum(d))
+    conserves = all(np.all(np.abs(acc) <= mz) for d, acc in sums.items() if sum(d))
 
-    shells = t.shell_indices()
-    if conserves:
-        blocks = shells
-    else:
-        by_parity = list(shells.values())
-        blocks = {p: np.sort(np.concatenate(by_parity[p::2])) for p in (0, 1)}
+    block, local, sizes = _block_layout(t, conserves)
+    # a conserving form's shells leave out the entries that change the total,
+    # as every block leaves out the entries outside it
+    kept = [(d, acc) for d, acc in sums.items() if acc.size and not (conserves and sum(d))]
+    positions = [_positions(t, d) for d, _ in kept]
+    rows = np.concatenate([np.empty(0, dtype=np.intp)] + [r for r, _ in positions])
+    cols = np.concatenate([np.empty(0, dtype=np.intp)] + [c for _, c in positions])
+    values = np.concatenate([np.empty(0, dtype=complex)] + [acc.ravel() for _, acc in kept])
+    keys = block[rows]
+    counts = np.bincount(keys, minlength=len(sizes))
+    ends = np.cumsum(counts)
+    order = np.argsort(keys, kind="stable")
+    rows, cols, values = local[rows[order]], local[cols[order]], values[order]
+
     parts = []
     shell_evals = {} if conserves else None
-    for key, ix in blocks.items():
+    for key, (size, start, end) in enumerate(
+            zip(sizes.tolist(), (ends - counts).tolist(), ends.tolist())):
+        seg = slice(start, end)
         try:
-            w = np.linalg.eigvalsh(h[np.ix_(ix, ix)])
+            # the block is a temporary, freed when eigvalsh returns
+            w = np.linalg.eigvalsh(_zero_filled(size, rows[seg], cols[seg], values[seg]))
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
         parts.append(w)
@@ -261,12 +299,16 @@ def oracle_spectrum(q: QuadraticForm, t: FockTruncation) -> OracleSpectrum:
     )
 
 
+def _value_clusters(values: np.ndarray) -> list[np.ndarray]:
+    """Index groups of the clusters of sorted eigenvalues."""
+    if len(values) == 0:
+        return []
+    return _cluster(values, tol.cluster_tol(float(np.max(np.abs(values)))))
+
+
 def _degenerate_levels(values: np.ndarray) -> tuple[tuple[float, int], ...]:
     """(mean, count) of each cluster of sorted eigenvalues."""
-    if len(values) == 0:
-        return ()
-    t_c = tol.cluster_tol(float(np.max(np.abs(values))))
-    return tuple((float(np.mean(values[g])), len(g)) for g in _cluster(values, t_c))
+    return tuple((float(np.mean(values[g])), len(g)) for g in _value_clusters(values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,14 +363,17 @@ def compare_with_lattice(
 
     shell = o.shell_eigenvalues is not None
     if shell:
-        pooled = _degenerate_levels(np.sort(np.concatenate(
+        pooled = np.sort(np.concatenate(
             [o.shell_eigenvalues[s] for s in sorted(o.shell_eigenvalues)]
-        )))
+        ))
+        # index groups for now: only the clusters compared are averaged
+        observed = _value_clusters(pooled)
     window = None
     if any(level.infinite for level in levels):
         mode = "critical"
         expected = [(e, None) for e in sorted({lv.energy for lv in levels})]
-        observed = [(e, None) for e, _ in (pooled if shell else o.clusters)]
+        if not shell:
+            observed = [(e, None) for e, _ in o.clusters]
         threshold = tol.oracle_shell_tol() if shell else tol.oracle_variational_tol()
         notes = (
             "distinct energies only; multiplicities grow with the truncation "
@@ -337,7 +382,6 @@ def compare_with_lattice(
     elif shell:
         mode = "shell"
         expected = sorted((lv.energy, lv.degeneracy) for lv in levels)
-        observed = pooled
         threshold = tol.oracle_shell_tol()
         notes = f"pooled shells s <= {o.shell_exact_upto}; threshold {threshold:.1e}"
         if len(expected) != len(observed) and max_levels is None:
@@ -359,6 +403,9 @@ def compare_with_lattice(
     for limit in (window, max_levels):
         if limit is not None:
             n = min(n, limit)
+    if shell:
+        observed = [(float(np.mean(pooled[g])), len(g) if mode == "shell" else None)
+                    for g in observed[:n]]
     rows = tuple(
         ComparisonRow(ee, oe, abs(ee - oe), ed, od)
         for (ee, ed), (oe, od) in zip(expected[:n], observed[:n])

@@ -18,6 +18,7 @@ import numbers
 import numpy as np
 
 from ._version import __version__
+from .errors import NonFiniteResultError
 
 _JSON_FLOAT = "%.12e"
 _CSV_FLOAT = "%.9e"
@@ -25,7 +26,7 @@ _CSV_FLOAT = "%.9e"
 
 def _float_token(value: float, fmt: str) -> str:
     if not np.isfinite(value):
-        raise ValueError(f"cannot serialise non-finite float {value!r}")
+        raise NonFiniteResultError(f"cannot serialise non-finite float {value!r}")
     return fmt % float(value)
 
 

@@ -3,26 +3,35 @@
 Every tolerance in the package is defined here and multiplied by the value of
 the QUADHAM_TOL_SCALE environment variable (default 1.0).  The CLI can layer an
 additional factor from its config file via set_config_scale(); library callers
-normally leave that at 1.
+normally leave that at 1.  That factor is a context variable: it holds for
+the calling thread or task only, and the CLI restores its caller's value when
+a run ends.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 
 _ENV_VAR = "QUADHAM_TOL_SCALE"
 
-# Extra multiplier installed by the CLI from config options; not thread safe
-# while being mutated, set once at process start.
-_config_scale = 1.0
+# extra multiplier installed by set_config_scale, per thread and task
+_CONFIG_SCALE: contextvars.ContextVar[float] = contextvars.ContextVar(
+    "quadham_config_scale", default=1.0)
+
+
+def __getattr__(name: str):
+    # read-only view of the calling context's config scale
+    if name == "_config_scale":
+        return _CONFIG_SCALE.get()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def set_config_scale(value: float) -> None:
-    global _config_scale
     if not 0.0 < value < math.inf:
         raise ValueError("tolerance scale must be finite and positive")
-    _config_scale = float(value)
+    _CONFIG_SCALE.set(float(value))
 
 
 def tol_scale() -> float:
@@ -35,9 +44,10 @@ def tol_scale() -> float:
             raise ValueError(f"{_ENV_VAR} must be a float, got {raw!r}") from exc
         if not 0.0 < env < math.inf:
             raise ValueError(f"{_ENV_VAR} must be finite and positive, got {env}")
-    scale = env * _config_scale
+    config = _CONFIG_SCALE.get()
+    scale = env * config
     if scale == math.inf:
-        raise ValueError(f"tolerance scale {env} x {_config_scale} overflows")
+        raise ValueError(f"tolerance scale {env} x {config} overflows")
     return scale
 
 

@@ -187,6 +187,22 @@ class TestExitCodes:
         assert code == 3
         assert "quadham: error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_result_is_its_own_error(self, fmt, tmp_path, monkeypatch,
+                                                capsys):
+        def nan_analyze(form, model):
+            return {"energy": float("nan")}, (["energy"], [(float("nan"),)])
+
+        monkeypatch.setattr(cli, "_cmd_analyze", nan_analyze)
+        code = cli.main(["analyze", "--config", OSC_B1, "--format", fmt])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "quadham: error: cannot serialise non-finite float nan\n")
+        with pytest.raises(ValueError):  # callers catching ValueError still do
+            serialize.dumps_json(float("inf"))
+        with pytest.raises(quadham.NonFiniteResultError):
+            serialize.dumps_csv(["x"], [(complex(1.0, float("nan")),)])
+
     def test_usage_error_is_two(self, capsys):
         assert cli.main(["analyze"]) == 2
 

@@ -346,6 +346,103 @@ class TestOracleSpectrum:
                 assert np.linalg.norm(h @ v - want * v) < 1e-12 * nv
 
 
+def expected_blocks(h, t, conserves):
+    """Shell or parity blocks cut from the dense matrix, in eigensolve order."""
+    shells = list(t.shell_indices().values())
+    if not conserves:
+        shells = [np.sort(np.concatenate(shells[p::2])) for p in (0, 1)]
+    return [h[np.ix_(ix, ix)] for ix in shells]
+
+
+class TestBlockStreaming:
+    """oracle_spectrum writes each block from the band sums, never h itself."""
+
+    def test_blocks_equal_the_cut_dense_matrix(self, monkeypatch):
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a):
+            seen.append(a.copy())
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        forms = list(random_forms(13))
+        forms += [(model_form(1.3), 6), (model_form(2.0), 5),
+                  (model_form(0.5, mu=2.0), 5)]
+        for q, n_max in forms:
+            t = FockTruncation(n_max, q.basis.K)
+            seen.clear()
+            o = oracle_spectrum(q, t)
+            want = expected_blocks(build_fock_matrix(q, t), t,
+                                   o.shell_eigenvalues is not None)
+            assert len(seen) == len(want)
+            for got, block in zip(seen, want):
+                assert got.shape == block.shape
+                assert got.tobytes() == block.tobytes()
+
+    def test_never_builds_the_dense_matrix(self, monkeypatch):
+        calls = []
+        build = fock.build_fock_matrix
+
+        def counting(q, t):
+            calls.append(t)
+            return build(q, t)
+
+        monkeypatch.setattr(fock, "build_fock_matrix", counting)
+        for q, n_max in [(model_form(1.3), 6), (model_form(0.5, mu=2.0), 5),
+                         (random_positive_definite_form(2, seed=3), 8)]:
+            oracle_spectrum(q, FockTruncation(n_max, 2))
+        assert calls == []
+
+    def test_holds_less_than_one_dense_matrix(self):
+        t = FockTruncation(20, 2)
+        q = random_positive_definite_form(2, seed=3)
+        tracemalloc.start()
+        try:
+            oracle_spectrum(q, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * 16 * t.dim ** 2
+
+    def test_non_hermitian_operator_rejected(self, monkeypatch):
+        ops = fock._single_mode_ops
+
+        def upper_p(levels):
+            x, p = ops(levels)
+            return x, np.triu(p)
+
+        monkeypatch.setattr(fock, "_single_mode_ops", upper_p)
+        with pytest.raises(HermiticityError, match="deviates from Hermitian"):
+            oracle_spectrum(model_form(1.3), FockTruncation(4, 2))
+
+    @pytest.mark.parametrize("K, n_max", [(1, 0), (2, 0), (2, 1), (2, 3), (3, 2)])
+    def test_zero_form(self, K, n_max):
+        # no band sums at all: every shell block is zero
+        t = FockTruncation(n_max, K)
+        o = oracle_spectrum(QuadraticForm(PhaseSpaceBasis(K), np.zeros((2 * K, 2 * K))), t)
+        assert o.eigenvalues.tobytes() == np.zeros(t.dim).tobytes()
+        assert o.shell_exact_upto == n_max
+        sizes = {s: len(ix) for s, ix in t.shell_indices().items() if s <= n_max}
+        assert {s: v.tobytes() for s, v in o.shell_eigenvalues.items()} == {
+            s: np.zeros(size).tobytes() for s, size in sizes.items()}
+        assert o.clusters == ((0.0, t.dim),)
+
+    @pytest.mark.parametrize("q", [model_form(1.3), model_form(0.5, mu=2.0),
+                                   random_positive_definite_form(2, seed=3)],
+                             ids=["symmetric", "anisotropic", "random-pd"])
+    def test_single_state(self, q):
+        # at n_max = 0 no entry changes the total, so the one state is shell 0
+        t = FockTruncation(0, 2)
+        h00 = build_fock_matrix(q, t)[0, 0]
+        o = oracle_spectrum(q, t)
+        assert o.eigenvalues.tolist() == [h00.real]
+        assert o.shell_exact_upto == 0
+        assert list(o.shell_eigenvalues) == [0]
+        assert o.shell_eigenvalues[0].tolist() == [h00.real]
+        assert o.dim == 1
+
+
 class TestComparison:
     def test_shell_mode(self):
         q = model_form(1.0)
@@ -407,3 +504,33 @@ class TestComparison:
         assert r.status == "PASS"
         assert r.n_compared <= sum(
             lv.degeneracy for lv in levels[:3]) + len(levels)
+
+    @pytest.mark.parametrize("b, max_levels", [(1.3, 10), (1.3, None), (2.0, 10)],
+                             ids=["shell", "shell-all-levels", "critical"])
+    def test_pooled_shells_average_only_the_compared_clusters(
+            self, b, max_levels, monkeypatch):
+        q = model_form(b)
+        rep = classify_spectrum(q)
+        # a deeper lattice than the truncation makes the level counts differ
+        levels = spectrum_lattice(rep, 14)
+        o = oracle_spectrum(q, FockTruncation(12, 2))
+        pooled = np.sort(np.concatenate(list(o.shell_eigenvalues.values())))
+        want = fock._degenerate_levels(pooled)
+        means = []
+        mean = np.mean
+
+        def counting(a, *args, **kwargs):
+            means.append(len(a))
+            return mean(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "mean", counting)
+        r = compare_with_lattice(o, levels, max_levels=max_levels,
+                                 classification=rep.classification)
+        monkeypatch.undo()
+        assert len(means) == r.n_compared
+        assert r.n_compared == (len(want) if max_levels is None else max_levels)
+        shell = r.mode == "shell"
+        assert [(row.observed_energy, row.observed_degeneracy) for row in r.rows] == [
+            (e, c if shell else None) for e, c in want[:r.n_compared]]
+        if max_levels is None:
+            assert f"oracle {len(want)}), compared the lowest {len(want)}" in r.notes

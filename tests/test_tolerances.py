@@ -4,8 +4,10 @@ An infinite scale makes every tolerance infinite, so a bounded form would
 fail to pair; it is rejected up front instead.
 """
 
+import contextvars
 import json
 import math
+import threading
 
 import pytest
 
@@ -56,3 +58,51 @@ def test_cli_reports_bad_env_scale_as_config_error(payload, raw, tmp_path,
     assert cli.main(["analyze", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
     assert tolerances._config_scale == 1.0
+
+
+def _caller_scale_after_cli(argv):
+    """Exit code of a CLI run and the caller's config scale after it."""
+    tolerances.set_config_scale(3.0)
+    code = cli.main(argv)
+    return code, tolerances.tol_scale()
+
+
+@pytest.mark.parametrize("payload, code", [
+    ({"preset": "oscillator-b", "b": 1.0}, 0),
+    ({"preset": "oscillator-b", "b": 1.0, "tol_scale": -1.0}, 2),
+    ({"preset": "harmonic"}, 2),
+], ids=["success", "bad-tol-scale", "unknown-preset"])
+def test_cli_restores_the_callers_config_scale(payload, code, tmp_path, monkeypatch,
+                                               capsys):
+    # a library caller's scale survives an in-process CLI run, which itself
+    # runs at the config's scale (1 by default: threshold 1.0e-08 below)
+    monkeypatch.delenv("QUADHAM_TOL_SCALE", raising=False)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "out.json"
+    argv = ["verify", "--config", str(path), "--n-max", "4", "--out", str(out)]
+    got, after = contextvars.copy_context().run(_caller_scale_after_cli, argv)
+    assert (got, after) == (code, 3.0)
+    if code == 0:
+        assert "threshold 1.0e-08" in out.read_text(encoding="utf-8")
+    assert tolerances.tol_scale() == 1.0
+
+
+def test_config_scale_is_per_thread(monkeypatch):
+    monkeypatch.delenv("QUADHAM_TOL_SCALE", raising=False)
+    seen = []
+
+    def other():
+        seen.append(tolerances.tol_scale())
+
+    def body():
+        tolerances.set_config_scale(5.0)
+        worker = threading.Thread(target=other)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        return tolerances.tol_scale()
+
+    assert contextvars.copy_context().run(body) == 5.0
+    assert seen == [1.0]
+    assert tolerances.tol_scale() == 1.0
