@@ -96,20 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # ---- configuration ----------------------------------------------------------
 
-_PRESET_KEYS = {
-    "oscillator-b": {"b"},
-    "physical": {"m1", "m2", "k1", "k2", "omega"},
-    "sb": {"B"},
-    "random-pd": {"K", "seed"},
-}
-_PRESET_OPTIONAL = {
-    "oscillator-b": {"mu", "k"},
-    "physical": {"hbar"},
-    "sb": set(),
-    "random-pd": {"spread"},
-}
-
-
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -123,8 +109,11 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _require_number(cfg: dict, key: str) -> float:
-    v = cfg.get(key)
+def _number(cfg: dict, key: str, default: float | None = None) -> float | None:
+    """The finite number at cfg[key], or default when the key is absent."""
+    if key not in cfg:
+        return default
+    v = cfg[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"config key {key!r} must be a number")
     if not math.isfinite(float(v)):
@@ -132,19 +121,42 @@ def _require_number(cfg: dict, key: str) -> float:
     return float(v)
 
 
-def _check_keys(cfg: dict, preset: str) -> None:
-    required = _PRESET_KEYS[preset]
-    optional = _PRESET_OPTIONAL[preset] | {"preset", "tol_scale"}
-    missing = required - set(cfg)
-    if missing:
-        raise ConfigError(
-            f"preset {preset!r} needs key(s): {', '.join(sorted(missing))}"
-        )
-    unknown = set(cfg) - required - optional
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) for preset {preset!r}: {', '.join(sorted(unknown))}"
-        )
+def _oscillator_b(cfg: dict):
+    d = models.DimensionlessModel(mu=_number(cfg, "mu", 1.0),
+                                  k=_number(cfg, "k", 1.0), b=_number(cfg, "b"))
+    return models.build_model(d), d
+
+
+def _physical(cfg: dict):
+    d = models.reduce_to_dimensionless(models.PhysicalParameters(
+        *(_number(cfg, key) for key in ("m1", "m2", "k1", "k2", "omega")),
+        hbar=_number(cfg, "hbar", 1.0),
+    ))
+    return models.build_model(d), d
+
+
+def _random_pd(cfg: dict):
+    k_modes, seed = cfg["K"], cfg["seed"]
+    if isinstance(k_modes, bool) or not isinstance(k_modes, int):
+        raise ConfigError("config key 'K' must be an integer")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError("config key 'seed' must be an integer")
+    spread = cfg.get("spread", [0.6, 1.8])
+    if (not isinstance(spread, (list, tuple)) or len(spread) != 2
+            or any(isinstance(s, bool) or not isinstance(s, (int, float))
+                   for s in spread)):
+        raise ConfigError("config key 'spread' must be [lo, hi]")
+    return models.random_positive_definite_form(
+        k_modes, seed, (float(spread[0]), float(spread[1]))), None
+
+
+# preset -> (required keys, optional keys, builder of (form, model-or-None))
+_PRESETS = {
+    "oscillator-b": ({"b"}, {"mu", "k"}, _oscillator_b),
+    "physical": ({"m1", "m2", "k1", "k2", "omega"}, {"hbar"}, _physical),
+    "sb": ({"B"}, set(), lambda cfg: (models.sb_operator(_number(cfg, "B")), None)),
+    "random-pd": ({"K", "seed"}, {"spread"}, _random_pd),
+}
 
 
 def _build_form(cfg: dict, seed_override: int | None):
@@ -156,53 +168,30 @@ def _build_form(cfg: dict, seed_override: int | None):
                           "gamma, not both")
     if has_preset:
         preset = cfg["preset"]
-        if preset not in _PRESET_KEYS:
+        if preset not in _PRESETS:
             raise ConfigError(
                 f"unknown preset {preset!r}; expected one of "
-                f"{', '.join(sorted(_PRESET_KEYS))}"
+                f"{', '.join(sorted(_PRESETS))}"
             )
-        _check_keys(cfg, preset)
+        required, optional, build = _PRESETS[preset]
+        missing = required - set(cfg)
+        if missing:
+            raise ConfigError(
+                f"preset {preset!r} needs key(s): {', '.join(sorted(missing))}"
+            )
+        unknown = set(cfg) - required - optional - {"preset", "tol_scale"}
+        if unknown:
+            raise ConfigError(
+                f"unknown key(s) for preset {preset!r}: {', '.join(sorted(unknown))}"
+            )
+        eff = dict(cfg)
+        if seed_override is not None and "seed" in eff:  # random-pd's seed
+            eff["seed"] = seed_override
         try:
-            if preset == "oscillator-b":
-                d = models.DimensionlessModel(
-                    mu=_require_number(cfg, "mu") if "mu" in cfg else 1.0,
-                    k=_require_number(cfg, "k") if "k" in cfg else 1.0,
-                    b=_require_number(cfg, "b"),
-                )
-                return models.build_model(d), dict(cfg), d
-            if preset == "physical":
-                phys = models.PhysicalParameters(
-                    m1=_require_number(cfg, "m1"),
-                    m2=_require_number(cfg, "m2"),
-                    k1=_require_number(cfg, "k1"),
-                    k2=_require_number(cfg, "k2"),
-                    omega=_require_number(cfg, "omega"),
-                    hbar=_require_number(cfg, "hbar") if "hbar" in cfg else 1.0,
-                )
-                d = models.reduce_to_dimensionless(phys)
-                return models.build_model(d), dict(cfg), d
-            if preset == "sb":
-                return models.sb_operator(_require_number(cfg, "B")), dict(cfg), None
-            # random-pd
-            k_modes = cfg["K"]
-            if isinstance(k_modes, bool) or not isinstance(k_modes, int):
-                raise ConfigError("config key 'K' must be an integer")
-            seed = cfg["seed"] if seed_override is None else seed_override
-            if isinstance(seed, bool) or not isinstance(seed, int):
-                raise ConfigError("config key 'seed' must be an integer")
-            spread = cfg.get("spread", [0.6, 1.8])
-            if (not isinstance(spread, (list, tuple)) or len(spread) != 2
-                    or any(isinstance(s, bool) or not isinstance(s, (int, float))
-                           for s in spread)):
-                raise ConfigError("config key 'spread' must be [lo, hi]")
-            form = models.random_positive_definite_form(
-                k_modes, seed, (float(spread[0]), float(spread[1]))
-            )
-            eff = dict(cfg)
-            eff["seed"] = seed
-            return form, eff, None
+            form, model = build(eff)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        return form, eff, model
 
     if "gamma" not in cfg:
         raise ConfigError("config needs either 'preset' or an explicit 'gamma'")
@@ -231,10 +220,7 @@ def _build_form(cfg: dict, seed_override: int | None):
     if dev > tol.machine_zero_tol(float(np.max(np.abs(g))) if g.size else 0.0):
         raise ConfigError(f"'gamma' is not symmetric (deviation {dev:.3e})")
     g = (g + g.T) / 2.0
-    offset = 0.0
-    if "offset" in cfg:
-        offset = _require_number(cfg, "offset")
-    form = QuadraticForm(PhaseSpaceBasis(k_modes), g, offset)
+    form = QuadraticForm(PhaseSpaceBasis(k_modes), g, _number(cfg, "offset", 0.0))
     return form, dict(cfg), None
 
 
@@ -370,26 +356,25 @@ def _cmd_verify(form, n_max, max_quanta, max_levels):
     return results, (header, rows)
 
 
-def _cmd_wavefunction(cfg, model, m, n):
+def _cmd_wavefunction(form, cfg, model, m, n):
     if m < 0 or n < 0:
         raise ConfigError("quantum numbers m and n must be non-negative")
     if m + n > MAX_WAVEFUNCTION_QUANTA:
         raise ConfigError(f"m + n = {m + n} exceeds the limit of "
                           f"{MAX_WAVEFUNCTION_QUANTA} quanta")
     if cfg.get("preset") == "oscillator-b":
-        if model is None or not model.is_symmetric:
+        if not model.is_symmetric:
             raise ConfigError(
                 "exact eigenfunctions need the symmetric model (mu = 1, k = 1)"
             )
         b = model.b
     elif cfg.get("preset") == "sb":
-        B = float(cfg["B"])
-        if abs(B) != 2.0:
+        b = float(cfg["B"])
+        if abs(b) != 2.0:
             raise ConfigError(
                 "exact eigenfunctions for the 'sb' preset need |B| = 2, where "
                 "the form coincides with the symmetric model"
             )
-        b = B
     else:
         raise ConfigError(
             "the wavefunction command supports the 'oscillator-b' preset with "
@@ -398,11 +383,9 @@ def _cmd_wavefunction(cfg, model, m, n):
 
     raise_m, raise_n = models.symmetric_raising_pair()
     psi = build_eigenfunction(raise_m.form, raise_n.form, m, n)
-    d = models.DimensionlessModel(mu=1.0, k=1.0, b=b)
-    h = models.build_model(d)
-    amount = is_scalar_multiple_exact(apply_quadratic_form(h, psi), psi)
-    bf = Fraction(b)
-    energy_exact = 2 + (2 + bf) * m + (2 - bf) * n
+    # at |B| = 2 sb_operator(B) has the b = B model's gamma, entry for entry
+    amount = is_scalar_multiple_exact(apply_quadratic_form(form, psi), psi)
+    energy_exact = models.symmetric_energy(Fraction(b), m, n)
     if amount is None or not amount.equals_rational(energy_exact):
         raise QuadhamError("exact eigen-relation check failed")
     lz = is_scalar_multiple_exact(
@@ -451,7 +434,7 @@ def _dispatch(args) -> tuple[dict, dict, tuple]:
         results, table = _cmd_verify(form, args.n_max, args.max_quanta,
                                      args.max_levels)
     elif args.command == "wavefunction":
-        results, table = _cmd_wavefunction(eff_cfg, model, args.m, args.n)
+        results, table = _cmd_wavefunction(form, eff_cfg, model, args.m, args.n)
     else:  # pragma: no cover - argparse enforces the choices
         raise ConfigError(f"unknown command {args.command!r}")
     return eff_cfg, results, table

@@ -76,10 +76,8 @@ class FockTruncation:
 
     def shell_indices(self) -> dict[int, np.ndarray]:
         """Flat indices grouped by total occupancy."""
-        totals = self._grid().sum(axis=0)
-        order = np.argsort(totals, kind="stable")
-        bounds = np.cumsum(np.bincount(totals))[:-1]
-        return dict(enumerate(np.split(order, bounds)))
+        block, _, sizes = _block_layout(self, conserves=True)
+        return {s: np.flatnonzero(block == s) for s in range(len(sizes))}
 
 
 def _single_mode_ops(levels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -128,12 +126,21 @@ def _band_sums(t: FockTruncation, terms) -> dict[tuple[int, ...], np.ndarray]:
     return sums
 
 
-def _dense(t: FockTruncation, sums: dict[tuple[int, ...], np.ndarray]) -> np.ndarray:
-    """Dense matrix holding each band sum at its entries <o| . |o + d>."""
-    out = np.zeros((t.dim, t.dim), dtype=complex)
-    for d, acc in sums.items():
-        rows, cols = _positions(t, d)
-        out[rows, cols] = acc.ravel()
+def _entries(t: FockTruncation, bands) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat (rows, cols, values) of (offset d, band sum) pairs: the sum of
+    d lies at the entries <o| . |o + d>, which no other offset fills."""
+    bands = list(bands)
+    positions = [_positions(t, d) for d, _ in bands]
+    return (np.concatenate([np.empty(0, dtype=np.intp)] + [r for r, _ in positions]),
+            np.concatenate([np.empty(0, dtype=np.intp)] + [c for _, c in positions]),
+            np.concatenate([np.empty(0, dtype=complex)] + [acc.ravel() for _, acc in bands]))
+
+
+def _zero_filled(size: int, rows: np.ndarray, cols: np.ndarray,
+                 values: np.ndarray) -> np.ndarray:
+    """size x size zeros holding the values at (rows, cols)."""
+    out = np.zeros((size, size), dtype=complex)
+    out[rows, cols] = values
     return out
 
 
@@ -192,7 +199,7 @@ def _checked_band_sums(
 
 def build_fock_matrix(q: QuadraticForm, t: FockTruncation) -> np.ndarray:
     """Matrix of the form on the retained basis; exact entries, then checked."""
-    return _dense(t, _checked_band_sums(q, t)[0])
+    return _zero_filled(t.dim, *_entries(t, _checked_band_sums(q, t)[0].items()))
 
 
 def linear_form_matrix(z: LinearForm, t: FockTruncation) -> np.ndarray:
@@ -206,7 +213,7 @@ def linear_form_matrix(z: LinearForm, t: FockTruncation) -> np.ndarray:
         for idx, c in enumerate(z.coeffs) if c != 0
         for d in (-1, 1)
     )
-    return _dense(t, _band_sums(t, terms))
+    return _zero_filled(t.dim, *_entries(t, _band_sums(t, terms).items()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,14 +248,6 @@ def _block_layout(t: FockTruncation, conserves: bool):
     return block, local, sizes
 
 
-def _zero_filled(size: int, rows: np.ndarray, cols: np.ndarray,
-                 values: np.ndarray) -> np.ndarray:
-    """size x size zeros holding the values at (rows, cols)."""
-    out = np.zeros((size, size), dtype=complex)
-    out[rows, cols] = values
-    return out
-
-
 def oracle_spectrum(q: QuadraticForm, t: FockTruncation) -> OracleSpectrum:
     """Block eigenvalues of the truncated matrix.
 
@@ -265,11 +264,8 @@ def oracle_spectrum(q: QuadraticForm, t: FockTruncation) -> OracleSpectrum:
     block, local, sizes = _block_layout(t, conserves)
     # a conserving form's shells leave out the entries that change the total,
     # as every block leaves out the entries outside it
-    kept = [(d, acc) for d, acc in sums.items() if acc.size and not (conserves and sum(d))]
-    positions = [_positions(t, d) for d, _ in kept]
-    rows = np.concatenate([np.empty(0, dtype=np.intp)] + [r for r, _ in positions])
-    cols = np.concatenate([np.empty(0, dtype=np.intp)] + [c for _, c in positions])
-    values = np.concatenate([np.empty(0, dtype=complex)] + [acc.ravel() for _, acc in kept])
+    rows, cols, values = _entries(t, ((d, acc) for d, acc in sums.items()
+                                      if acc.size and not (conserves and sum(d))))
     keys = block[rows]
     counts = np.bincount(keys, minlength=len(sizes))
     ends = np.cumsum(counts)
@@ -348,10 +344,11 @@ def compare_with_lattice(
 
     Shell-conserving forms compare the pooled shell eigenvalues (a complete,
     untruncated multiset for total quanta <= n_max) against the expanded
-    lattice, degeneracies included.  Other bounded forms compare the lowest
-    window variationally.  Infinite-multiplicity lattices compare distinct
-    energies only.  Unbounded lattices are not approximated by a truncation
-    from below, so no comparison applies.
+    lattice, degeneracies included, or its distinct energies only when its
+    multiplicity is infinite.  Other bounded forms compare the lowest window
+    variationally.  No comparison applies to an unbounded lattice, which a
+    truncation does not approximate from below, nor to an infinite
+    multiplicity without shells, whose higher levels it cannot resolve.
     """
     if classification is Classification.UNBOUNDED_LATTICE:
         return ComparisonReport.not_applicable(
@@ -360,21 +357,25 @@ def compare_with_lattice(
         )
     if not levels:
         return ComparisonReport.not_applicable("empty lattice")
-
     shell = o.shell_eigenvalues is not None
+    critical = any(level.infinite for level in levels)
+    if critical and not shell:
+        return ComparisonReport.not_applicable(
+            "infinite multiplicity without shell structure; a truncation "
+            "cannot resolve the levels above the bottom level"
+        )
+
     if shell:
         pooled = np.sort(np.concatenate(
             [o.shell_eigenvalues[s] for s in sorted(o.shell_eigenvalues)]
         ))
         # index groups for now: only the clusters compared are averaged
-        observed = _value_clusters(pooled)
+        groups = _value_clusters(pooled)
     window = None
-    if any(level.infinite for level in levels):
+    if critical:
         mode = "critical"
         expected = [(e, None) for e in sorted({lv.energy for lv in levels})]
-        if not shell:
-            observed = [(e, None) for e, _ in o.clusters]
-        threshold = tol.oracle_shell_tol() if shell else tol.oracle_variational_tol()
+        threshold = tol.oracle_shell_tol()
         notes = (
             "distinct energies only; multiplicities grow with the truncation "
             "and are not compared"
@@ -384,31 +385,32 @@ def compare_with_lattice(
         expected = sorted((lv.energy, lv.degeneracy) for lv in levels)
         threshold = tol.oracle_shell_tol()
         notes = f"pooled shells s <= {o.shell_exact_upto}; threshold {threshold:.1e}"
-        if len(expected) != len(observed) and max_levels is None:
+        if len(expected) != len(groups) and max_levels is None:
             notes += (
                 f"; level counts differ (lattice {len(expected)}, "
-                f"oracle {len(observed)}), compared the lowest {{n}}"
+                f"oracle {len(groups)}), compared the lowest {{n}}"
             )
     else:
         mode = "variational"
         expected = [(e, None) for e in sorted(
             lv.energy for lv in levels for _ in range(lv.degeneracy)
         )]
-        observed = [(e, None) for e in o.eigenvalues.tolist()]
         window = max(1, o.dim // 4)
         threshold = tol.oracle_variational_tol()
         notes = f"lowest {{n}} of {o.dim} truncated eigenvalues; threshold {threshold:.1e}"
 
-    n = min(len(expected), len(observed))
+    n = min(len(expected), len(groups) if shell else len(o.eigenvalues))
     for limit in (window, max_levels):
         if limit is not None:
             n = min(n, limit)
     if shell:
         observed = [(float(np.mean(pooled[g])), len(g) if mode == "shell" else None)
-                    for g in observed[:n]]
+                    for g in groups[:n]]
+    else:
+        observed = [(e, None) for e in o.eigenvalues[:n].tolist()]
     rows = tuple(
         ComparisonRow(ee, oe, abs(ee - oe), ed, od)
-        for (ee, ed), (oe, od) in zip(expected[:n], observed[:n])
+        for (ee, ed), (oe, od) in zip(expected, observed)
     )
     max_diff = max((r.abs_diff for r in rows), default=0.0)
     agree = (all(r.expected_degeneracy == r.observed_degeneracy for r in rows)

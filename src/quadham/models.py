@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -168,9 +169,10 @@ def symmetric_raising_pair() -> tuple[LadderSpec, ...]:
     return ladders[3], ladders[1]
 
 
-def symmetric_energy(b: float, m: int, n: int) -> float:
-    """Lattice energy 2 + (2 + b) m + (2 - b) n of the symmetric model."""
-    return 2.0 + (2.0 + b) * m + (2.0 - b) * n
+def symmetric_energy(b: float | Fraction, m: int, n: int) -> float | Fraction:
+    """Lattice energy 2 + (2 + b) m + (2 - b) n of the symmetric model, exact
+    for a Fraction b."""
+    return 2 + (2 + b) * m + (2 - b) * n
 
 
 def random_positive_definite_form(

@@ -133,7 +133,9 @@ def eigen_decompose(m: AdjointMatrix) -> EigenData:
     clusters = []
     eigenspaces = []
     for g in _cluster(eigenvalues, tol.pairing_tol(norm)):
-        value = complex(np.mean(eigenvalues[g]))
+        # the real mean adds the real parts in sorted order, so it is the
+        # frequency pair_frequencies reads for this cluster
+        value = complex(np.mean(eigenvalues.real[g]), np.mean(eigenvalues.imag[g]))
         geom = 1
         if len(g) > 1:
             _, svals, vh = np.linalg.svd(entries - value * np.eye(n))
@@ -237,10 +239,8 @@ def pair_frequencies(e: EigenData, basis: PhaseSpaceBasis) -> list[FrequencyPair
     t_zero = tol.zero_frequency_tol(e.matrix_norm)
     J = basis.symplectic()
 
-    groups = []
-    for c in e.clusters:
-        g = sorted(c.indices, key=lambda i: (freqs[i], i))
-        groups.append((float(np.mean(freqs[g])), g))
+    groups = [(c.value.real, sorted(c.indices, key=lambda i: (freqs[i], i)))
+              for c in e.clusters]
 
     zero_groups = [g for val, g in groups if abs(val) <= t_zero]
     neg_groups = {abs(val): len(g) for val, g in groups if val < -t_zero}

@@ -1,0 +1,277 @@
+"""Print one SHA-256 line per output family, to compare two checkouts.
+
+Run from the repository root of each checkout and compare the lines:
+
+    PYTHONPATH=src python3 tests/digests.py
+
+Equal lines mean the outputs are byte-identical.  The families are:
+
+- classify: `eigen_decompose` eigenvalues and cluster members (not the
+  cluster means) and `classify_spectrum` reports (or the error raised) on a
+  fixed corpus of model, `sb`, random definite,
+  random indefinite and hand-picked forms that covers all five classes, at
+  QUADHAM_TOL_SCALE 1, 1e6 and 1e8;
+- oracle: `oracle_spectrum` results, `build_fock_matrix` and
+  `linear_form_matrix` bytes, and `compare_with_lattice` reports at two
+  lattice depths and four `max_levels` on the model grid, random indefinite
+  forms (`random_forms` of tests/test_fock_oracle.py) and random definite
+  forms;
+- critical-no-shells: the comparisons, library and `verify`, of critical
+  forms that do not conserve total quanta (symplectic squeezes of the b = 2
+  model, `sb` at |B| != 2), kept apart because they became NOT_APPLICABLE
+  where they used to be compared (and fail);
+- exact: `render()` and `.poly` of the exact eigenfunctions for the (m, n)
+  pairs of the `exact_states` benchmark workload;
+- cli: stdout, stderr and exit code of every subcommand in JSON and CSV,
+  timestamp removed, on preset, explicit and invalid configurations.
+
+Not a test module: pytest does not collect it.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import pathlib
+import sys
+import tempfile
+
+import numpy as np
+
+import quadham as qh
+from quadham import cli, serialize
+
+HERE = pathlib.Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE))
+from test_fock_oracle import random_forms  # noqa: E402
+
+SCALES = ("1", "1e6", "1e8")
+EXACT_PAIRS = ((0, 0), (1, 0), (0, 2), (2, 1), (1, 3), (3, 2), (2, 4), (4, 3),
+               (3, 5), (5, 4), (4, 6), (6, 5), (5, 7), (7, 6), (2, 12), (8, 7),
+               (3, 13), (9, 8), (4, 14), (10, 9), (5, 15), (1, 20), (16, 6),
+               (2, 21), (12, 12))
+
+
+def token(x) -> str:
+    """Exact text of a value: repr for scalars, raw bytes for arrays."""
+    if isinstance(x, np.ndarray):
+        return f"a{x.dtype}{x.shape}:{x.tobytes().hex()}"
+    if isinstance(x, (list, tuple)):
+        return "[" + ",".join(token(v) for v in x) + "]"
+    if isinstance(x, dict):
+        return "{" + ",".join(f"{token(k)}:{token(v)}" for k, v in x.items()) + "}"
+    if hasattr(x, "__dataclass_fields__"):
+        return type(x).__name__ + token({k: getattr(x, k) for k in x.__dataclass_fields__})
+    if isinstance(x, qh.LinearForm):
+        return token(x.coeffs)
+    return repr(x)
+
+
+class Digest:
+    def __init__(self):
+        self.h = hashlib.sha256()
+        self.count = 0
+
+    def add(self, *items) -> None:
+        self.h.update(token(items).encode())
+        self.h.update(b"\n")
+        self.count += 1
+
+    def line(self, name: str) -> str:
+        return f"{name} {self.count} {self.h.hexdigest()}"
+
+
+def model(b, mu=1.0, k=1.0):
+    return qh.build_model(qh.DimensionlessModel(mu=mu, k=k, b=b))
+
+
+def squeezed_critical(s):
+    """The b = 2 model in the symplectically squeezed variables S = diag(s, 1, 1/s, 1)."""
+    q = model(2.0)
+    S = np.diag([s, 1.0, 1.0 / s, 1.0])
+    return qh.QuadraticForm(q.basis, S.T @ q.gamma @ S, q.offset)
+
+
+def explicit(K, gamma, offset=0.0):
+    return qh.QuadraticForm(qh.PhaseSpaceBasis(K), np.asarray(gamma, dtype=float), offset)
+
+
+def classify_corpus():
+    forms = []
+    for mu, k in ((1.0, 1.0), (2.0, 1.0), (0.5, 1.0), (1.0, 2.0), (2.0, 0.5), (0.5, 2.0)):
+        forms += [model(float(b), mu, k) for b in np.linspace(-4.0, 4.0, 41)]
+    forms += [model(b) for b in (2.0, -2.0, 2.000001, 1.999999)]
+    forms += [model(2.0, 0.5, 1.0), model(2.0, 1.0, 2.0), model(2 ** 0.5, 2.0, 1.0)]
+    forms += [qh.sb_operator(float(B)) for B in np.linspace(-4.0, 4.0, 299)]
+    forms += [qh.random_positive_definite_form(K, seed)
+              for K in (1, 2, 3, 4) for seed in range(10)]
+    for seed in (0, 1):
+        forms += [q for q, _ in random_forms(seed)]
+    forms += [squeezed_critical(s) for s in (1.05, 1.2, 1.5)]
+    forms += [explicit(1, [[eps, 0.0], [0.0, 1.0]]) for eps in (0.0, 1e-12, 1e-10, 1e-9)]
+    forms += [explicit(1, [[1.0, 0.0], [0.0, -1.0]]), explicit(1, [[0.0, 1.0], [1.0, 0.0]]),
+              explicit(1, [[1.0, 0.0], [0.0, 0.0]]), explicit(2, np.zeros((4, 4)))]
+    g = np.diag([1.0, -1.0, 1.0, -1.0])
+    g[0, 1] = g[1, 0] = 0.05
+    forms.append(explicit(2, g))
+    return forms
+
+
+def classify_lines() -> list[str]:
+    forms = classify_corpus()
+    lines = []
+    saved = os.environ.get("QUADHAM_TOL_SCALE")
+    try:
+        for scale in SCALES:
+            os.environ["QUADHAM_TOL_SCALE"] = scale
+            d = Digest()
+            for q in forms:
+                try:
+                    e = qh.eigen_decompose(qh.adjoint_representation(q))
+                    d.add(e.eigenvalues, e.defective,
+                          [(c.algebraic, c.geometric, c.indices) for c in e.clusters])
+                    d.add(qh.classify_spectrum(q))
+                except qh.QuadhamError as exc:
+                    d.add(type(exc).__name__, str(exc))
+            lines.append(d.line(f"classify[tol_scale={scale}]"))
+    finally:
+        if saved is None:
+            os.environ.pop("QUADHAM_TOL_SCALE", None)
+        else:
+            os.environ["QUADHAM_TOL_SCALE"] = saved
+    return lines
+
+
+def oracle_corpus():
+    for mu, k in ((1.0, 1.0), (2.0, 1.0), (2.0, 0.5)):
+        for b in (0.0, 1.3, -1.3, 2.0, -2.0, 3.0, -3.0):
+            for n_max in range(11):
+                yield model(b, mu, k), n_max
+    for seed in (0, 1, 2, 3, 13):
+        yield from random_forms(seed)
+    for seed in range(5):
+        for n_max in (8, 16):
+            yield qh.random_positive_definite_form(2, seed), n_max
+    yield qh.random_positive_definite_form(3, 0), 6
+    yield explicit(2, np.zeros((4, 4))), 3
+    for s in (1.05, 1.2, 1.5):
+        for n_max in (6, 12):
+            yield squeezed_critical(s), n_max
+
+
+def oracle_line(critical: Digest) -> str:
+    main = Digest()
+    rng = np.random.default_rng(7)
+    for q, n_max in oracle_corpus():
+        t = qh.FockTruncation(n_max, q.basis.K)
+        o = qh.oracle_spectrum(q, t)
+        main.add(o.eigenvalues, o.shell_eigenvalues, o.shell_exact_upto, o.dim, o.clusters)
+        main.add(qh.build_fock_matrix(q, t))
+        z = qh.LinearForm(q.basis, rng.standard_normal(2 * q.basis.K)
+                          + 1j * rng.standard_normal(2 * q.basis.K))
+        main.add(qh.linear_form_matrix(z, t))
+        report = qh.classify_spectrum(q)
+        if not report.classification.has_lattice:
+            continue
+        for depth in (n_max, n_max + 2):
+            levels = qh.spectrum_lattice(report, depth)
+            no_shells = o.shell_eigenvalues is None and any(lv.infinite for lv in levels)
+            for max_levels in (None, 1, 3, 10):
+                r = qh.compare_with_lattice(o, levels, max_levels=max_levels,
+                                            classification=report.classification)
+                (critical if no_shells else main).add(r)
+    return main.line("oracle")
+
+
+def exact_line() -> str:
+    d = Digest()
+    z_m, z_n = qh.symmetric_raising_pair()
+    for m, n in EXACT_PAIRS:
+        psi = qh.build_eigenfunction(z_m.form, z_n.form, m, n)
+        d.add(psi.render(), sorted(psi.poly.items()))
+    return d.line("exact")
+
+
+def cli_configs():
+    yield {"preset": "oscillator-b", "b": 1.0}
+    yield {"preset": "oscillator-b", "b": -0.75}
+    yield {"preset": "oscillator-b", "b": 2.0}
+    yield {"preset": "oscillator-b", "b": 3.0}
+    yield {"preset": "oscillator-b", "b": 0.5, "mu": 2.0, "k": 0.5}
+    yield {"preset": "oscillator-b", "b": 1, "mu": 1, "k": 1, "tol_scale": 10.0}
+    yield {"preset": "physical", "m1": 1, "m2": 2, "k1": 4, "k2": 1, "omega": 2}
+    yield {"preset": "physical", "m1": 1, "m2": 1, "k1": 1, "k2": 1, "omega": 0.5,
+           "hbar": 0.5}
+    for B in (2.0, -2.0, 0.0):
+        yield {"preset": "sb", "B": B}
+    yield {"preset": "random-pd", "K": 2, "seed": 3}
+    yield {"preset": "random-pd", "K": 1, "seed": 4, "spread": [0.8, 1.25]}
+    yield {"K": 1, "gamma": [[1.0, 0.2], [0.2, 0.5]], "offset": -0.25}
+    # invalid: each names one config error
+    yield {"preset": "mystery", "b": 1.0}
+    yield {"preset": "oscillator-b"}
+    yield {"preset": "oscillator-b", "b": 1.0, "tilt": 3.0}
+    yield {"preset": "oscillator-b", "b": 1.0, "mu": -1}
+    yield {"preset": "oscillator-b", "b": "1"}
+    yield {"preset": "oscillator-b", "b": 1.0, "k": True}
+    yield {"preset": "physical", "m1": "x", "m2": 1, "k1": 1, "k2": 1, "omega": 1}
+    yield {"preset": "physical", "m1": 1, "m2": 1, "k1": 1, "k2": 1, "omega": 1,
+           "hbar": 0}
+    yield {"preset": "sb", "B": None}
+    yield {"preset": "random-pd", "K": 2.5, "seed": 1, "spread": 3}
+    yield {"preset": "random-pd", "K": 2, "seed": 1, "spread": 3}
+    yield {"preset": "random-pd", "K": 2, "seed": "s"}
+    yield {"preset": "random-pd", "K": 2, "seed": 1, "spread": [2.0, 1.0]}
+    yield {"preset": "random-pd", "K": 0, "seed": 1}
+    yield {"preset": "oscillator-b", "b": 1.0, "gamma": [[1.0]]}
+    yield {"K": 1, "gamma": [[1.0, 0.0], [0.0, 1.0]], "offset": "x"}
+    yield {"K": 1, "gamma": [[1.0, 0.3], [0.0, 1.0]]}
+
+
+def cli_runs():
+    for cmd in (["analyze"], ["spectrum", "--max-quanta", "3"],
+                ["verify", "--n-max", "6"], ["verify", "--n-max", "12"],
+                ["scan", "--from", "-3", "--to", "3", "--steps", "7"],
+                ["wavefunction", "0", "0"], ["wavefunction", "2", "1"],
+                ["wavefunction", "3", "5"]):
+        for fmt in ("json", "csv"):
+            yield cmd + ["--format", fmt]
+    yield ["analyze", "--seed", "9", "--format", "json"]
+
+
+# critical forms without shell structure: `verify` goes to critical-no-shells
+CRITICAL_NO_SHELLS = ({"preset": "sb", "B": 1.0},
+                      {"K": 2, "gamma": squeezed_critical(1.2).gamma.tolist()})
+
+
+def cli_line(critical: Digest) -> str:
+    d = Digest()
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, cfg in enumerate(list(cli_configs()) + list(CRITICAL_NO_SHELLS)):
+            path = pathlib.Path(tmp) / f"cfg{i}.json"
+            path.write_text(json.dumps(cfg), encoding="utf-8")
+            for argv in cli_runs():
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(argv[:1] + ["--config", str(path)] + argv[1:])
+                text = out.getvalue()
+                if code == 0 and argv[-1] == "json":
+                    text = serialize.dumps_json(serialize.golden_form(json.loads(text)))
+                target = critical if cfg in CRITICAL_NO_SHELLS and argv[0] == "verify" else d
+                target.add(cfg, argv, code, text, err.getvalue())
+    return d.line("cli")
+
+
+def main() -> None:
+    critical = Digest()
+    for line in classify_lines():
+        print(line, flush=True)
+    print(oracle_line(critical), flush=True)
+    print(exact_line(), flush=True)
+    print(cli_line(critical), flush=True)
+    print(critical.line("critical-no-shells"), flush=True)
+
+
+if __name__ == "__main__":
+    main()

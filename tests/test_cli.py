@@ -2,14 +2,20 @@ import json
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import quadham
-from quadham import cli, serialize
+from quadham import cli, models, serialize
 from make_goldens import CASES, DATA, GOLDEN, stable_text
 
 OSC_B1 = str(DATA / "osc_b1.json")
+# the b = 2 model in the symplectically squeezed variables diag(1.2, 1, 1/1.2, 1)
+_S = np.diag([1.2, 1.0, 1 / 1.2, 1.0])
+SQUEEZED_B2 = (_S @ quadham.build_model(quadham.DimensionlessModel(1.0, 1.0, 2.0)).gamma
+               @ _S).tolist()
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -249,6 +255,19 @@ class TestVerifyCommand:
         assert comp["status"] == "PASS"
 
 
+    @pytest.mark.parametrize("payload", [
+        {"K": 2, "gamma": SQUEEZED_B2}, {"preset": "sb", "B": 1.0}], ids=["squeezed b=2", "sb B=1"])
+    def test_critical_without_shells_not_applicable(self, payload, tmp_path):
+        code, text = run_cli(["verify", "--config", write_config(tmp_path, payload),
+                              "--n-max", "12"], tmp_path)
+        assert code == 0
+        res = json.loads(text)["results"]
+        assert res["classification"] == "CriticalInfiniteMultiplicity"
+        assert res["shell_exact_upto"] == 0
+        comp = res["comparison"]
+        assert (comp["status"], comp["mode"], comp["rows"]) == ("NOT_APPLICABLE", "none", [])
+        assert comp["notes"].startswith("infinite multiplicity without shell structure")
+
     def test_oversized_request_fails_before_assembly(self, tmp_path, capsys,
                                                      monkeypatch):
         built = []
@@ -367,3 +386,48 @@ class TestRequestLimits:
         assert code == 2 and text is None
         assert "exceed cap" in capsys.readouterr().err
         assert built == []
+
+
+class TestConfigErrorTexts:
+    @pytest.mark.parametrize("payload, message", [
+        ({"preset": "mystery", "b": 1.0},
+         "unknown preset 'mystery'; expected one of oscillator-b, physical, "
+         "random-pd, sb"),
+        ({"preset": "physical", "m1": 1, "omega": 1},
+         "preset 'physical' needs key(s): k1, k2, m2"),
+        ({"preset": "oscillator-b", "b": 1.0, "tilt": 3.0, "zeta": 1},
+         "unknown key(s) for preset 'oscillator-b': tilt, zeta"),
+        # K is checked before spread
+        ({"preset": "random-pd", "K": 2.5, "seed": 1, "spread": 3},
+         "config key 'K' must be an integer"),
+        ({"preset": "random-pd", "K": 2, "seed": 1, "spread": 3},
+         "config key 'spread' must be [lo, hi]"),
+        ({"preset": "physical", "m1": "x", "m2": 1, "k1": 1, "k2": 1, "omega": 1},
+         "config key 'm1' must be a number"),
+        ({"preset": "oscillator-b", "b": 1.0, "mu": -1},
+         "mu must be positive and finite"),
+    ], ids=["preset", "missing", "unknown", "K", "spread", "m1", "mu"])
+    def test_message(self, payload, message, tmp_path, capsys):
+        code = cli.main(["analyze", "--config", write_config(tmp_path, payload)])
+        assert code == 2
+        assert capsys.readouterr().err == f"quadham: config error: {message}\n"
+
+
+class TestWavefunctionUsesTheBuiltForm:
+    @pytest.mark.parametrize("payload, builds", [
+        ({"preset": "oscillator-b", "b": -0.75}, 1),
+        ({"preset": "sb", "B": 2.0}, 0),
+        ({"preset": "sb", "B": -2.0}, 0)])
+    def test_one_form_per_run(self, payload, builds, tmp_path, monkeypatch):
+        calls = []
+        build = models.build_model
+        monkeypatch.setattr(models, "build_model",
+                            lambda d: calls.append(d) or build(d))
+        code, text = run_cli(["wavefunction", "--config",
+                              write_config(tmp_path, payload), "2", "1"], tmp_path)
+        assert code == 0
+        assert len(calls) == builds
+        res = json.loads(text)["results"]
+        b = res["b"]
+        assert res["energy"] == float(quadham.symmetric_energy(Fraction(b), 2, 1))
+        assert res["eigen_check"] == "exact"

@@ -21,6 +21,7 @@ from quadham import (
     make_quadratic_form,
     oracle_spectrum,
     random_positive_definite_form,
+    sb_operator,
     spectrum_lattice,
     symmetric_energy,
     symmetric_raising_pair,
@@ -31,6 +32,12 @@ from quadham import tolerances as tol
 
 def model_form(b, mu=1.0, k=1.0):
     return build_model(DimensionlessModel(mu=mu, k=k, b=b))
+
+
+def squeezed(q, s):
+    """The form in the variables S = diag(s, 1, 1/s, 1), gamma' = S^T gamma S."""
+    S = np.diag([s, 1.0, 1.0 / s, 1.0])
+    return QuadraticForm(q.basis, S.T @ q.gamma @ S, q.offset)
 
 
 def _ladder_ops(levels):
@@ -477,6 +484,33 @@ class TestComparison:
         assert r.status == "PASS"
         assert r.max_abs_diff < 1e-8
         assert r.degeneracies_agree is None
+
+    @pytest.mark.parametrize("q", [
+        squeezed(model_form(2.0), 1.05), squeezed(model_form(2.0), 1.2),
+        squeezed(model_form(2.0), 1.5), sb_operator(1.0)],
+        ids=["squeeze 1.05", "squeeze 1.2", "squeeze 1.5", "sb B=1"])
+    @pytest.mark.parametrize("n_max", [12, 24])
+    def test_critical_without_shells_not_applicable(self, q, n_max):
+        # the truncation splits the infinitely degenerate bottom level into
+        # clusters near 2 (or 1) that would be matched against 6, 10, ...
+        rep = classify_spectrum(q)
+        assert rep.classification is Classification.CRITICAL_INFINITE_MULTIPLICITY
+        o = oracle_spectrum(q, FockTruncation(n_max, 2))
+        assert o.shell_eigenvalues is None
+        r = compare_with_lattice(o, spectrum_lattice(rep, n_max),
+                                 classification=rep.classification)
+        assert (r.status, r.mode, r.n_compared, r.rows) == (
+            "NOT_APPLICABLE", "none", 0, ())
+        assert r.notes == (
+            "infinite multiplicity without shell structure; a truncation "
+            "cannot resolve the levels above the bottom level")
+
+    def test_squeezed_critical_model_keeps_its_verdict(self):
+        # S = diag(s, 1, 1/s, 1) is symplectic: the same Hamiltonian in other
+        # variables, so the b = 2 verdict and generators (4, 0) stay
+        rep = classify_spectrum(squeezed(model_form(2.0), 1.2))
+        assert rep.classification is Classification.CRITICAL_INFINITE_MULTIPLICITY
+        assert rep.lattice_generators == pytest.approx((4.0, 0.0), abs=1e-12)
 
     def test_unbounded_not_applicable(self):
         q = model_form(3.0)

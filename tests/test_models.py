@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -208,6 +209,22 @@ class TestSymmetricEnergy:
             2.0 + 3.3 * 2 + 0.7, rel=1e-15)
         # at the critical coupling the second quantum number is free
         assert symmetric_energy(2.0, 1, 5) == symmetric_energy(2.0, 1, 0)
+
+    def test_exact_for_a_fraction(self):
+        e = symmetric_energy(Fraction(-7, 8), 3, 2)
+        assert isinstance(e, Fraction) and e == Fraction(89, 8)
+        assert symmetric_energy(Fraction(2), 4, 9) == 18
+
+    def test_float_bits_match_the_float_formula(self):
+        rng = np.random.default_rng(3)
+        bs = np.concatenate([rng.uniform(-5.0, 5.0, 40),
+                             [0.0, -0.0, 2.0, -2.0, 1.3, 1e-300, 0.1]])
+        for b in map(float, bs):
+            for m in range(30):
+                for n in range(30):
+                    e = symmetric_energy(b, m, n)
+                    assert type(e) is float
+                    assert e.hex() == (2.0 + (2.0 + b) * m + (2.0 - b) * n).hex()
 
 
 class TestPhaseScan:

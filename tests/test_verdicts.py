@@ -130,3 +130,55 @@ def test_conjugate_eigenvalues_within_a_loose_tolerance_stay_apart(monkeypatch):
     assert len(e.clusters) == 4
     with pytest.raises(PairingError, match="symplectically null"):
         classify_spectrum(q)
+
+
+@pytest.mark.parametrize("eps, definite", [(1e-12, False), (2e-10, False),
+                                           (3e-10, True), (1e-9, True)])
+def test_semidefinite_form_with_nonzero_frequency_is_bounded(eps, definite):
+    # H = eps x^2 + p^2 has the one frequency 2 sqrt(eps) > 0; gamma's lowest
+    # eigenvalue eps meets definiteness_tol(1) = 2e-10 at eps = 2e-10
+    rep = classify_spectrum(QuadraticForm(PhaseSpaceBasis(1),
+                                          np.diag([eps, 1.0]), 0.0))
+    assert rep.classification is BOUNDED
+    assert rep.lattice_generators == pytest.approx((2.0 * eps ** 0.5,), rel=1e-12)
+    assert rep.ground_energy == pytest.approx(eps ** 0.5, rel=1e-12)
+    assert rep.multiplicity_note == (
+        "form matrix positive definite; spectrum is the discrete lattice "
+        "ground + n . generators with finite degeneracies" if definite else
+        "form matrix semidefinite but all frequencies nonzero; treated as "
+        "bounded below")
+    if eps == 1e-12:
+        assert rep.lattice_generators == pytest.approx((2e-6,), rel=1e-12)
+        assert rep.ground_energy == pytest.approx(1e-6, rel=1e-12)
+
+
+@pytest.mark.parametrize("q, scale", [(model_form(0.0), "1"), (model_form(2.0), "1"),
+                                      (sb_operator(0.1), "1e8"),
+                                      (random_positive_definite_form(3, 4), "1e8")])
+def test_cluster_value_is_the_mean_of_real_and_imaginary_parts(q, scale, monkeypatch):
+    # the real mean over members in (real part, index) order is the frequency
+    # the pairing used to average again; at scale 1e8 the zero cluster of
+    # sb_operator(0.1) takes in -0.2148, where a complex mean differs in the
+    # last bit
+    monkeypatch.setenv("QUADHAM_TOL_SCALE", scale)
+    e = eigen_decompose(adjoint_representation(q))
+    for c in e.clusters:
+        g = sorted(c.indices, key=lambda i: (e.eigenvalues.real[i], i))
+        assert c.value.real == float(np.mean(e.eigenvalues.real[g]))
+        assert c.value.imag == float(np.mean(e.eigenvalues.imag[g]))
+
+
+@pytest.mark.parametrize("q", [model_form(0.0), model_form(2.0), model_form(3.0),
+                               sb_operator(-0.7),
+                               random_positive_definite_form(3, 4)])
+def test_pairing_takes_no_mean(q, monkeypatch):
+    e = eigen_decompose(adjoint_representation(q))
+    calls = []
+    mean = np.mean
+    monkeypatch.setattr(np, "mean",
+                        lambda *args, **kwargs: calls.append(args) or mean(*args, **kwargs))
+    pairs = pair_frequencies(e, q.basis)
+    monkeypatch.undo()
+    assert calls == []
+    values = {c.value.real for c in e.clusters}
+    assert all(p.lambda_plus in values or p.lambda_plus == 0.0 for p in pairs)
