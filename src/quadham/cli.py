@@ -9,6 +9,7 @@ success, 2 for configuration/usage problems, 3 for runtime failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -21,6 +22,7 @@ from . import models, serialize
 from .errors import ConfigError, LatticeCapError, QuadhamError
 from .fock import (
     ComparisonReport,
+    ComparisonRow,
     FockTruncation,
     compare_with_lattice,
     oracle_spectrum,
@@ -40,6 +42,8 @@ from . import tolerances as tol
 
 # largest m + n the wavefunction command builds; (60, 60) takes seconds
 MAX_WAVEFUNCTION_QUANTA = 120
+# most samples a scan takes; a sample costs about 0.7 ms, so 10**4 about 7 s
+MAX_SCAN_STEPS = 10**4
 
 
 @functools.cache
@@ -236,6 +240,11 @@ def _pair_payload(p) -> dict:
     }
 
 
+def _columns(records, names) -> tuple[list[str], list[tuple]]:
+    """A CSV table of the named attributes, one row per record."""
+    return list(names), [tuple(getattr(r, n) for n in names) for r in records]
+
+
 def _cmd_analyze(form, model):
     report = classify_spectrum(form)
     e = eigen_decompose(adjoint_representation(form))
@@ -296,8 +305,13 @@ def _cmd_scan(model, b_from, b_to, steps):
             "scan sweeps the coupling of an oscillator model; use the "
             "'oscillator-b' or 'physical' preset"
         )
+    if not (math.isfinite(b_from) and math.isfinite(b_to)):
+        raise ConfigError("--from and --to must be finite")
     if steps < 1:
         raise ConfigError("--steps must be at least 1")
+    if steps > MAX_SCAN_STEPS:
+        raise ConfigError(f"--steps {steps} exceeds the limit of "
+                          f"{MAX_SCAN_STEPS} samples")
     result = models.phase_scan(b_from, b_to, steps, mu=model.mu, k=model.k)
     results = {
         "mu": model.mu,
@@ -308,10 +322,8 @@ def _cmd_scan(model, b_from, b_to, steps):
         "samples": result.samples,
         "transitions": result.transitions,
     }
-    header = ["b", "classification", "margin", "ground_energy"]
-    rows = [(s.b, s.classification.value, s.margin, s.ground_energy)
-            for s in result.samples]
-    return results, (header, rows)
+    return results, _columns(result.samples,
+                             ("b", "classification", "margin", "ground_energy"))
 
 
 def _cmd_verify(form, n_max, max_quanta, max_levels):
@@ -346,14 +358,8 @@ def _cmd_verify(form, n_max, max_quanta, max_levels):
         "shell_exact_upto": shell_upto,
         "comparison": comparison,
     }
-    header = ["expected_energy", "observed_energy", "abs_diff",
-              "expected_degeneracy", "observed_degeneracy"]
-    rows = [
-        (r.expected_energy, r.observed_energy, r.abs_diff,
-         r.expected_degeneracy, r.observed_degeneracy)
-        for r in comparison.rows
-    ]
-    return results, (header, rows)
+    return results, _columns(comparison.rows,
+                             [f.name for f in dataclasses.fields(ComparisonRow)])
 
 
 def _cmd_wavefunction(form, cfg, model, m, n):
@@ -394,19 +400,9 @@ def _cmd_wavefunction(form, cfg, model, m, n):
     if lz is None or not lz.equals_rational(m - n):
         raise QuadhamError("exact rotation-generator check failed")
 
-    energy, state = float(energy_exact), psi.render()
-    results = {
-        "m": m,
-        "n": n,
-        "b": b,
-        "energy": energy,
-        "angular_momentum": m - n,
-        "state": state,
-        "eigen_check": "exact",
-    }
     header = ["m", "n", "b", "energy", "angular_momentum", "state"]
-    rows = [(m, n, b, energy, m - n, state)]
-    return results, (header, rows)
+    row = (m, n, b, float(energy_exact), m - n, psi.render())
+    return dict(zip(header, row), eigen_check="exact"), (header, [row])
 
 
 # ---- entry point ------------------------------------------------------------
@@ -452,20 +448,17 @@ def main(argv=None) -> int:
     # config scale comes back through the token when the run ends
     token = tol._CONFIG_SCALE.set(1.0)
     try:
-        try:
-            eff_cfg, results, (header, rows) = _dispatch(args)
-            if args.format == "json":
-                text = serialize.dumps_json(serialize.envelope(eff_cfg, results))
-            else:
-                text = serialize.dumps_csv(header, rows)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
-            return 0
-        finally:
-            tol._CONFIG_SCALE.reset(token)
+        eff_cfg, results, (header, rows) = _dispatch(args)
+        if args.format == "json":
+            text = serialize.dumps_json(serialize.envelope(eff_cfg, results))
+        else:
+            text = serialize.dumps_csv(header, rows)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0
     except ConfigError as exc:
         print(f"quadham: config error: {exc}", file=sys.stderr)
         return 2
@@ -475,6 +468,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - the contract is "no tracebacks"
         print(f"quadham: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        tol._CONFIG_SCALE.reset(token)
 
 
 if __name__ == "__main__":

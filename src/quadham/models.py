@@ -103,9 +103,7 @@ def build_model(d: DimensionlessModel) -> QuadraticForm:
 
 def isotropic_form() -> QuadraticForm:
     """The uncoupled symmetric part x^2 + y^2 + px^2 + py^2."""
-    return make_quadratic_form(2, [
-        (X, X, 1.0), (Y, Y, 1.0), (PX, PX, 1.0), (PY, PY, 1.0),
-    ])
+    return build_model(DimensionlessModel(1.0, 1.0, 0.0))
 
 
 def angular_momentum_form() -> QuadraticForm:
@@ -259,10 +257,11 @@ def phase_scan(
 ) -> PhaseScanResult:
     """Classify along a sweep of the coupling and locate boundary crossings.
 
-    steps is the sample count (endpoints included).  A sample sitting on the
-    definiteness boundary is itself recorded as a transition; between
-    samples whose smallest gamma eigenvalue changes strict sign, the crossing
-    is bisected down to a bracket of width 1e-10.
+    steps is the sample count (endpoints included).  Transitions are read
+    from gamma's smallest eigenvalue alone, never from the classes: a sample
+    sitting on the definiteness boundary is itself a transition; between
+    samples off it whose smallest eigenvalue changes strict sign, the
+    crossing is bisected down to a bracket of width 1e-10.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -279,20 +278,10 @@ def phase_scan(
             generators=report.lattice_generators,
         ))
 
-    transitions: list[Transition] = []
-    gnorm = max(abs(s.margin) for s in samples) if samples else 1.0
-    dead = tol.definiteness_tol(gnorm + 1.0)
-    for i in range(len(samples) - 1):
-        a, c = samples[i], samples[i + 1]
-        if a.classification == c.classification:
-            continue
-        if abs(a.margin) <= dead:
-            transitions.append(Transition(a.b, a.b, a.b))
-            continue
-        if abs(c.margin) <= dead:
-            transitions.append(Transition(c.b, c.b, c.b))
-            continue
-        if a.margin * c.margin < 0:
+    dead = tol.definiteness_tol(max(abs(s.margin) for s in samples) + 1.0)
+    transitions = [Transition(s.b, s.b, s.b) for s in samples if abs(s.margin) <= dead]
+    for a, c in zip(samples, samples[1:]):
+        if a.margin * c.margin < 0 and min(abs(a.margin), abs(c.margin)) > dead:
             lo, hi = a.b, c.b
             flo = a.margin
             while abs(hi - lo) > 1e-10:

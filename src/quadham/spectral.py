@@ -111,8 +111,9 @@ class LatticeLevel:
 def eigen_decompose(m: AdjointMatrix) -> EigenData:
     """Eigenvalues/vectors of the adjoint matrix via its real generator R.
 
-    Geometric multiplicities of clustered eigenvalues come from the SVD rank
-    of (M - lambda I); simple eigenvalues skip the SVD.  A repeated
+    Eigenvalues within the pairing tolerance t form a cluster, whose
+    geometric multiplicity counts the singular values of (M - lambda I) at
+    most t; simple eigenvalues skip the SVD.  A repeated
     eigenvalue with a full eigenspace takes its eigenvectors from the null
     space of that SVD, because the general eigensolver can return parallel
     vectors for it.
@@ -130,16 +131,17 @@ def eigen_decompose(m: AdjointMatrix) -> EigenData:
     eigenvalues = 1j * w
     norm = float(np.linalg.norm(R, 2))
     n = len(eigenvalues)
+    t = tol.pairing_tol(norm)
     clusters = []
     eigenspaces = []
-    for g in _cluster(eigenvalues, tol.pairing_tol(norm)):
+    for g in _cluster(eigenvalues, t):
         # the real mean adds the real parts in sorted order, so it is the
         # frequency pair_frequencies reads for this cluster
         value = complex(np.mean(eigenvalues.real[g]), np.mean(eigenvalues.imag[g]))
         geom = 1
         if len(g) > 1:
             _, svals, vh = np.linalg.svd(entries - value * np.eye(n))
-            rank = int(np.sum(svals > tol.rank_threshold(float(svals[0]))))
+            rank = int(np.sum(svals > t))
             geom = n - rank
             if geom == len(g):
                 eigenspaces.append((g, vh[rank:].conj().T))
@@ -199,9 +201,10 @@ def _cluster(values, t: float) -> list[list[int]]:
 
 
 def _nonreal_frequency(e: EigenData) -> float | None:
-    """Largest |Im| of the eigenvalues if it exceeds the pairing tolerance."""
-    worst = float(np.max(np.abs(e.eigenvalues.imag), initial=0.0))
-    return worst if worst > tol.pairing_tol(e.matrix_norm) else None
+    """Largest |Im| of a cluster value if above t / 2, where `_cluster`
+    stops merging conjugates a +- i eps (2 eps apart) into one real value."""
+    worst = max((abs(c.value.imag) for c in e.clusters), default=0.0)
+    return worst if worst > tol.pairing_tol(e.matrix_norm) / 2.0 else None
 
 
 def _canonical_phase(vec: np.ndarray) -> np.ndarray:
@@ -355,11 +358,12 @@ def _misses_vacuum(p: FrequencyPair) -> bool:
 def classify_spectrum(q: QuadraticForm) -> SpectrumReport:
     """Decision tree over frequency reality, defectiveness and definiteness.
 
-    Each verdict is taken once: reality by the pairing tolerance, a zero
-    frequency by the pairing (which returns it as exactly 0.0), and the class
-    of a diagonalisable real form by the smallest eigenvalue of gamma.  An
-    indefinite form's generators are its raising frequencies; the vacuum
-    residuals only flag a pair whose lowering member misses the vacuum.
+    Each verdict is taken once, the boundary ones at the cluster radius t:
+    reality and rank by the clusters, a zero frequency by the pairing (as
+    exactly 0.0, critical whatever gamma reads), and any other real form by
+    gamma's lowest eigenvalue.  An indefinite form's generators are its
+    raising frequencies; the vacuum residuals only flag a pair whose
+    lowering member misses the vacuum.
     """
     adj = adjoint_representation(q)
     e = eigen_decompose(adj)
@@ -393,18 +397,18 @@ def classify_spectrum(q: QuadraticForm) -> SpectrumReport:
         if gmin > -dtol:
             ground = vac = float(q.offset + 0.5 * sum(p.lambda_plus for p in pairs))
             gens = tuple(p.lambda_plus for p in pairs)
-            if gmin > dtol:
-                cls = Classification.BOUNDED_BELOW_DISCRETE
-                note = (
-                    "form matrix positive definite; spectrum is the discrete "
-                    "lattice ground + n . generators with finite degeneracies"
-                )
-            elif 0.0 in gens:
-                # positive semidefinite boundary with a zero-frequency pair
+            if 0.0 in gens:
+                # a zero-frequency pair is critical whatever gmin reads
                 cls = Classification.CRITICAL_INFINITE_MULTIPLICITY
                 note = (
                     "zero-frequency ladder pair on the semidefinite boundary: "
                     "every lattice level carries infinite multiplicity"
+                )
+            elif gmin > dtol:
+                cls = Classification.BOUNDED_BELOW_DISCRETE
+                note = (
+                    "form matrix positive definite; spectrum is the discrete "
+                    "lattice ground + n . generators with finite degeneracies"
                 )
             else:
                 cls = Classification.BOUNDED_BELOW_DISCRETE

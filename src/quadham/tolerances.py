@@ -52,17 +52,12 @@ def tol_scale() -> float:
 
 
 def pairing_tol(matrix_norm: float) -> float:
-    """Eigenvalue reality and +/- pairing tolerance."""
+    """Eigenvalue cluster radius: sameness, reality, +/- pairing and rank."""
     return 1e-9 * (1.0 + matrix_norm) * tol_scale()
 
 
 def zero_frequency_tol(matrix_norm: float) -> float:
     return 1e-10 * (1.0 + matrix_norm) * tol_scale()
-
-
-def rank_threshold(sigma_max: float) -> float:
-    """Singular values above this count toward numerical rank."""
-    return 1e-10 * sigma_max * tol_scale()
 
 
 def definiteness_tol(gamma_norm: float) -> float:

@@ -20,8 +20,13 @@ Equal lines mean the outputs are byte-identical.  The families are:
   forms that do not conserve total quanta (symplectic squeezes of the b = 2
   model, `sb` at |B| != 2), kept apart because they became NOT_APPLICABLE
   where they used to be compared (and fail);
-- exact: `render()` and `.poly` of the exact eigenfunctions for the (m, n)
-  pairs of the `exact_states` benchmark workload;
+- boundary: `classify_spectrum` reports (or the error raised) of the
+  symmetric model at b = +-2 +- delta for 101 log-spaced delta in
+  [1e-12, 1e-7] and at b = +-2 +- 10^-k for k = 1..15, and of the
+  non-real form diag(1, -1, 1, -1) + 0.05 x1 x2 at QUADHAM_TOL_SCALE 2e7;
+- exact: `render()`, `.poly` and `.scale` of the exact eigenfunctions for
+  the (m, n) pairs of the `exact_states` benchmark workload, with the exact
+  amounts H psi / psi (H the symmetric model at a dyadic b) and L_z psi / psi;
 - cli: stdout, stderr and exit code of every subcommand in JSON and CSV,
   timestamp removed, on preset, explicit and invalid configurations.
 
@@ -118,14 +123,32 @@ def classify_corpus():
     return forms
 
 
+@contextlib.contextmanager
+def tol_scale(scale: str):
+    saved = os.environ.get("QUADHAM_TOL_SCALE")
+    os.environ["QUADHAM_TOL_SCALE"] = scale
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop("QUADHAM_TOL_SCALE", None)
+        else:
+            os.environ["QUADHAM_TOL_SCALE"] = saved
+
+
+def add_report(d: Digest, q) -> None:
+    try:
+        d.add(qh.classify_spectrum(q))
+    except qh.QuadhamError as exc:
+        d.add(type(exc).__name__, str(exc))
+
+
 def classify_lines() -> list[str]:
     forms = classify_corpus()
     lines = []
-    saved = os.environ.get("QUADHAM_TOL_SCALE")
-    try:
-        for scale in SCALES:
-            os.environ["QUADHAM_TOL_SCALE"] = scale
-            d = Digest()
+    for scale in SCALES:
+        d = Digest()
+        with tol_scale(scale):
             for q in forms:
                 try:
                     e = qh.eigen_decompose(qh.adjoint_representation(q))
@@ -134,13 +157,24 @@ def classify_lines() -> list[str]:
                     d.add(qh.classify_spectrum(q))
                 except qh.QuadhamError as exc:
                     d.add(type(exc).__name__, str(exc))
-            lines.append(d.line(f"classify[tol_scale={scale}]"))
-    finally:
-        if saved is None:
-            os.environ.pop("QUADHAM_TOL_SCALE", None)
-        else:
-            os.environ["QUADHAM_TOL_SCALE"] = saved
+        lines.append(d.line(f"classify[tol_scale={scale}]"))
     return lines
+
+
+def boundary_line() -> str:
+    d = Digest()
+    for b0 in (2.0, -2.0):
+        for sign in (1.0, -1.0):
+            for delta in np.logspace(-12.0, -7.0, 101):
+                add_report(d, model(b0 + sign * float(delta)))
+    for k in range(1, 16):
+        for b in (2.0 - 10.0 ** -k, 2.0 + 10.0 ** -k, -2.0 + 10.0 ** -k, -2.0 - 10.0 ** -k):
+            add_report(d, model(b))
+    g = np.diag([1.0, -1.0, 1.0, -1.0])
+    g[0, 1] = g[1, 0] = 0.05
+    with tol_scale("2e7"):
+        add_report(d, explicit(2, g))
+    return d.line("boundary")
 
 
 def oracle_corpus():
@@ -187,9 +221,13 @@ def oracle_line(critical: Digest) -> str:
 def exact_line() -> str:
     d = Digest()
     z_m, z_n = qh.symmetric_raising_pair()
-    for m, n in EXACT_PAIRS:
+    lz = qh.angular_momentum_form()
+    for i, (m, n) in enumerate(EXACT_PAIRS):
         psi = qh.build_eigenfunction(z_m.form, z_n.form, m, n)
-        d.add(psi.render(), sorted(psi.poly.items()))
+        h = model((i - 12) / 8.0)
+        d.add(psi.render(), sorted(psi.poly.items()), psi.scale,
+              qh.is_scalar_multiple_exact(qh.apply_quadratic_form(h, psi), psi),
+              qh.is_scalar_multiple_exact(qh.apply_quadratic_form(lz, psi), psi))
     return d.line("exact")
 
 
@@ -267,6 +305,7 @@ def main() -> None:
     critical = Digest()
     for line in classify_lines():
         print(line, flush=True)
+    print(boundary_line(), flush=True)
     print(oracle_line(critical), flush=True)
     print(exact_line(), flush=True)
     print(cli_line(critical), flush=True)

@@ -387,6 +387,30 @@ class TestRequestLimits:
         assert "exceed cap" in capsys.readouterr().err
         assert built == []
 
+    @pytest.mark.parametrize("bounds, message", [
+        (("nan", "1"), "--from and --to must be finite"),
+        (("0", "inf"), "--from and --to must be finite"),
+        (("-inf", "1"), "--from and --to must be finite"),
+        (("0", "1", "--steps", "10001"),
+         "--steps 10001 exceeds the limit of 10000 samples"),
+    ], ids=["nan", "inf", "-inf", "steps"])
+    def test_bad_scan_fails_before_any_sample(self, bounds, message, tmp_path,
+                                              capsys, monkeypatch, recwarn):
+        calls = []
+        scan = models.phase_scan
+        monkeypatch.setattr(models, "phase_scan",
+                            lambda *args, **kw: calls.append(args) or scan(*args, **kw))
+        code, text = run_cli(["scan", "--config", OSC_B1, f"--from={bounds[0]}",
+                              f"--to={bounds[1]}", *bounds[2:]], tmp_path)
+        assert code == 2 and text is None
+        assert capsys.readouterr().err == f"quadham: config error: {message}\n"
+        assert calls == []
+        assert len(recwarn) == 0
+        assert cli.MAX_SCAN_STEPS == 10**4
+        assert run_cli(["scan", "--config", OSC_B1, "--from", "0", "--to", "1",
+                        "--steps", "3"], tmp_path)[0] == 0
+        assert len(calls) == 1
+
 
 class TestConfigErrorTexts:
     @pytest.mark.parametrize("payload, message", [
