@@ -10,6 +10,8 @@ for the symmetric gamma stored here.  Ladder operators Z = sum_i c_i O_i with
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +42,7 @@ class PhaseSpaceBasis:
 
     def symplectic(self) -> np.ndarray:
         """J with [O_m, O_n] = i J_mn; block form [[0, I], [-I, 0]]."""
-        K = self.K
-        J = np.zeros((2 * K, 2 * K))
-        J[:K, K:] = np.eye(K)
-        J[K:, :K] = -np.eye(K)
-        return J
+        return _symplectic(self.K).copy()
 
     def labels(self) -> list[str]:
         if self.K == 1:
@@ -54,6 +52,16 @@ class PhaseSpaceBasis:
         return [f"x{j}" for j in range(1, self.K + 1)] + [
             f"p{j}" for j in range(1, self.K + 1)
         ]
+
+
+@functools.lru_cache(maxsize=8)
+def _symplectic(K: int) -> np.ndarray:
+    """Read-only J of K modes, shared by the package's own callers."""
+    J = np.zeros((2 * K, 2 * K))
+    J[:K, K:] = np.eye(K)
+    J[K:, :K] = -np.eye(K)
+    J.flags.writeable = False
+    return J
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +78,7 @@ class LinearForm:
                 f"coefficient vector must have length {self.basis.dim}, "
                 f"got shape {c.shape}"
             )
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
 
@@ -92,9 +100,9 @@ class QuadraticForm:
         d = self.basis.dim
         if g.shape != (d, d):
             raise ValueError(f"gamma must be {d}x{d}, got {g.shape}")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ValueError("gamma entries must be finite")
-        if not np.array_equal(g, g.T):
+        if not (g == g.T).all():
             raise ValueError("gamma must be exactly symmetric")
         if not np.isfinite(self.offset):
             raise ValueError("offset must be finite")
@@ -154,8 +162,7 @@ def make_quadratic_form(K: int, terms) -> QuadraticForm:
     """
     basis = PhaseSpaceBasis(K)
     d = basis.dim
-    J = basis.symplectic()
-    gamma = np.zeros((d, d))
+    gamma = [[0.0] * d for _ in range(d)]
     offset_im = 0.0
     for term in terms:
         try:
@@ -173,25 +180,26 @@ def make_quadratic_form(K: int, terms) -> QuadraticForm:
                 f"monomial coefficients must be real, got {coeff!r}"
             )
         c = float(coeff)
-        if not np.isfinite(c):
+        if not math.isfinite(c):
             raise ValueError(f"non-finite coefficient in term {term!r}")
         a, b = i - 1, j - 1
-        gamma[a, b] += c / 2.0
-        gamma[b, a] += c / 2.0
-        # O_a O_b = sym(O_a O_b) + (i/2) J_ab
-        offset_im += c * J[a, b] / 2.0
+        gamma[a][b] += c / 2.0
+        gamma[b][a] += c / 2.0
+        # O_a O_b = sym(O_a O_b) + (i/2) J_ab, J_ab = +1 at (a, a + K), -1
+        # at (a + K, a) and 0 elsewhere
+        J_ab = 1.0 if b - a == K else -1.0 if a - b == K else 0.0
+        offset_im += c * J_ab / 2.0
     if abs(offset_im) > offset_imag_tol():
         raise NonHermitianFormError(
             f"imaginary reordering residual {offset_im:.3e} exceeds tolerance; "
             "the monomial combination is not Hermitian"
         )
-    return QuadraticForm(basis, gamma, 0.0)
+    return QuadraticForm(basis, np.array(gamma), 0.0)
 
 
 def adjoint_representation(q: QuadraticForm) -> AdjointMatrix:
     """Closed-form adjoint matrix 2 i gamma J (gamma stored symmetric)."""
-    J = q.basis.symplectic()
-    entries = 2j * (q.gamma @ J)
+    entries = 2j * (q.gamma @ _symplectic(q.basis.K))
     return AdjointMatrix(entries=entries, source=q)
 
 
@@ -199,8 +207,7 @@ def linear_commutator(a: LinearForm, b: LinearForm) -> complex:
     """[A, B] = i a^T J b for linear forms; a complex scalar."""
     if a.basis != b.basis:
         raise BasisMismatchError("linear forms live on different bases")
-    J = a.basis.symplectic()
-    return complex(1j * (a.coeffs @ J @ b.coeffs))
+    return complex(1j * (a.coeffs @ _symplectic(a.basis.K) @ b.coeffs))
 
 
 def quadratic_commutator(a: QuadraticForm, b: QuadraticForm) -> QuadraticForm:
@@ -215,8 +222,7 @@ def quadratic_commutator(a: QuadraticForm, b: QuadraticForm) -> QuadraticForm:
     A = adjoint_representation(a).entries
     B = adjoint_representation(b).entries
     M = A @ B - B @ A
-    J = a.basis.symplectic()
-    C = M @ J / 2.0
+    C = M @ _symplectic(a.basis.K) / 2.0
     scale = float(np.max(np.abs(C))) if C.size else 0.0
     if float(np.max(np.abs(C.imag))) > machine_zero_tol(scale):
         raise QuadhamError("commutator produced a non-real form matrix")

@@ -30,6 +30,7 @@ from .phase_space import (
     LinearForm,
     PhaseSpaceBasis,
     QuadraticForm,
+    _symplectic,
     adjoint_representation,
 )
 from . import tolerances as tol
@@ -37,6 +38,10 @@ from . import tolerances as tol
 # most lattice states spectrum_lattice enumerates: 6e5 states (K=6, 24
 # quanta) take 6 s and 330 MB, 7.5e4 take 0.6 s and 74 MB
 LATTICE_STATE_CAP = 10**5
+
+# eigh's eigenvectors of a 1 x 1 Hermitian matrix
+_UNIT = np.ones((1, 1), dtype=complex)
+_UNIT.flags.writeable = False
 
 
 class Classification(str, enum.Enum):
@@ -113,7 +118,8 @@ def eigen_decompose(m: AdjointMatrix) -> EigenData:
 
     Eigenvalues within the pairing tolerance t form a cluster, whose
     geometric multiplicity counts the singular values of (M - lambda I) at
-    most t; simple eigenvalues skip the SVD.  A repeated
+    most t; a simple eigenvalue is its own cluster value and skips the SVD.
+    The norm of R is its largest singular value.  A repeated
     eigenvalue with a full eigenspace takes its eigenvectors from the null
     space of that SVD, because the general eigensolver can return parallel
     vectors for it.
@@ -121,30 +127,34 @@ def eigen_decompose(m: AdjointMatrix) -> EigenData:
     entries = m.entries
     R = np.real(-1j * entries)
     # entries are purely imaginary for real gamma; guard against misuse
-    resid = float(np.max(np.abs(entries - 1j * R))) if entries.size else 0.0
-    if resid > tol.machine_zero_tol(float(np.max(np.abs(entries)))):
+    resid = float(abs(entries - 1j * R).max()) if entries.size else 0.0
+    if resid > tol.machine_zero_tol(float(abs(entries).max())):
         raise ValueError("adjoint matrix is not i times a real matrix")
     try:
         w, V = np.linalg.eig(R)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
     eigenvalues = 1j * w
-    norm = float(np.linalg.norm(R, 2))
-    n = len(eigenvalues)
+    norm = float(np.linalg.svd(R, compute_uv=False)[0])
+    values = eigenvalues.tolist()
+    n = len(values)
     t = tol.pairing_tol(norm)
     clusters = []
     eigenspaces = []
-    for g in _cluster(eigenvalues, t):
+    for g in _cluster(values, t):
+        if len(g) == 1:
+            # the mean of one value; + 0.0 turns -0.0 into 0.0 as np.mean does
+            clusters.append(EigenCluster(value=values[g[0]] + 0.0, algebraic=1,
+                                         geometric=1, indices=(g[0],)))
+            continue
         # the real mean adds the real parts in sorted order, so it is the
         # frequency pair_frequencies reads for this cluster
         value = complex(np.mean(eigenvalues.real[g]), np.mean(eigenvalues.imag[g]))
-        geom = 1
-        if len(g) > 1:
-            _, svals, vh = np.linalg.svd(entries - value * np.eye(n))
-            rank = int(np.sum(svals > t))
-            geom = n - rank
-            if geom == len(g):
-                eigenspaces.append((g, vh[rank:].conj().T))
+        _, svals, vh = np.linalg.svd(entries - value * np.eye(n))
+        rank = int((svals > t).sum())
+        geom = n - rank
+        if geom == len(g):
+            eigenspaces.append((g, vh[rank:].conj().T))
         clusters.append(EigenCluster(value=value, algebraic=len(g),
                                      geometric=geom, indices=tuple(g)))
     clusters.sort(key=lambda c: (c.value.real, c.value.imag))
@@ -163,17 +173,17 @@ def eigen_decompose(m: AdjointMatrix) -> EigenData:
 
 
 def _cluster(values, t: float) -> list[list[int]]:
-    """Index groups of values (real or complex) that coincide within t.
+    """Index groups of values that coincide within t.
 
-    Values are visited in (real, imag) order, ties in input order.  Each one
+    values is an array, or a list of floats or of complex numbers.  They are
+    visited in (real, imag) order, ties in input order.  Each one
     joins the last group when within t of that group's first member, else
     the first earlier group within t (complex values sorted by real part
     can interleave two clusters), else it starts a new group.  Sorted real
     values can only ever match the last group, so they skip that search.
     """
-    arr = np.asarray(values)
-    vals = arr.tolist()
-    search_earlier = arr.dtype.kind == "c"
+    vals = values.tolist() if isinstance(values, np.ndarray) else values
+    search_earlier = bool(vals) and isinstance(vals[0], complex)
     key = (lambda i: (vals[i].real, vals[i].imag)) if search_earlier else vals.__getitem__
     groups: list[list[int]] = []
     anchor = None  # first member of the last group
@@ -200,21 +210,21 @@ def _cluster(values, t: float) -> list[list[int]]:
     return groups
 
 
-def _nonreal_frequency(e: EigenData) -> float | None:
-    """Largest |Im| of a cluster value if above t / 2, where `_cluster`
-    stops merging conjugates a +- i eps (2 eps apart) into one real value."""
+def _nonreal_frequency(e: EigenData, t: float) -> float | None:
+    """Largest |Im| of a cluster value if above t / 2, where `_cluster` (at
+    radius t) stops merging conjugates a +- i eps (2 eps apart) into one
+    real value."""
     worst = max((abs(c.value.imag) for c in e.clusters), default=0.0)
-    return worst if worst > tol.pairing_tol(e.matrix_norm) / 2.0 else None
+    return worst if worst > t / 2.0 else None
 
 
 def _canonical_phase(vec: np.ndarray) -> np.ndarray:
     """Rotate so the first significant coefficient is positive real."""
-    mags = np.abs(vec)
-    m = float(np.max(mags))
+    mags = abs(vec).tolist()
+    m = max(mags)
     if m == 0.0:
         return vec
-    idx = int(np.argmax(mags > 1e-12 * m))
-    pivot = vec[idx]
+    pivot = vec[next(i for i, x in enumerate(mags) if x > 1e-12 * m)]
     return vec * (abs(pivot) / pivot)
 
 
@@ -231,16 +241,16 @@ def pair_frequencies(e: EigenData, basis: PhaseSpaceBasis) -> list[FrequencyPair
     """
     if basis != e.source.source.basis:
         raise ValueError("basis does not match the decomposed form")
-    worst = _nonreal_frequency(e)
+    t_pair = tol.pairing_tol(e.matrix_norm)
+    worst = _nonreal_frequency(e, t_pair)
     if worst is not None:
         raise NonRealFrequencyError(
             f"non-real eigenvalue (|Im| up to {worst:.3e}); "
             "the form has no real frequency pairing"
         )
-    freqs = e.eigenvalues.real
-    t_pair = tol.pairing_tol(e.matrix_norm)
+    freqs = e.eigenvalues.real.tolist()
     t_zero = tol.zero_frequency_tol(e.matrix_norm)
-    J = basis.symplectic()
+    J = _symplectic(basis.K)
 
     groups = [(c.value.real, sorted(c.indices, key=lambda i: (freqs[i], i)))
               for c in e.clusters]
@@ -278,16 +288,22 @@ def _pairs_from_group(val, idxs, V, J, t_zero, basis) -> list[FrequencyPair]:
 
     At val != 0 every direction of G = i V^dag J V gives a pair, an
     h-negative one the conjugate of a raising member at -val; at val = 0
-    only the h-positive half raises and must be half the eigenspace.
+    only the h-positive half raises and must be half the eigenspace.  A
+    one-member group skips eigh: of a 1 x 1 matrix it returns the real part
+    and the unit vector.
     """
     basis_vecs = V[:, idxs]
     G = 1j * (basis_vecs.conj().T @ J @ basis_vecs)
-    mu, U = np.linalg.eigh((G + G.conj().T) / 2.0)
+    if len(idxs) == 1:
+        mu, U = [float(G[0, 0].real)], _UNIT
+    else:
+        mu, U = np.linalg.eigh((G + G.conj().T) / 2.0)
+        mu = mu.tolist()
     if val == 0.0:
         keep = [k for k in range(len(mu)) if mu[k] > t_zero]
         if len(keep) != len(idxs) // 2:
             raise PairingError("zero eigenspace does not split into ladder pairs")
-    elif np.any(np.abs(mu) <= t_zero):
+    elif any(abs(m) <= t_zero for m in mu):
         raise PairingError(
             f"symplectically null eigenvector at frequency {val:.6g}"
         )
@@ -295,7 +311,7 @@ def _pairs_from_group(val, idxs, V, J, t_zero, basis) -> list[FrequencyPair]:
         keep = range(len(mu))
     out = []
     for k in keep:
-        m = float(mu[k])
+        m = mu[k]
         w = (basis_vecs @ U[:, k]) / math.sqrt(abs(m))
         w, freq = (w, val) if m > 0 else (np.conj(w), -val)
         w = _canonical_phase(w)
@@ -317,7 +333,7 @@ def ladder_check(q: QuadraticForm, z: LinearForm) -> float:
     if cn == 0.0:
         raise ValueError("zero vector is not a ladder operator candidate")
     M = adjoint_representation(q).entries
-    hnorm = float(np.linalg.norm(M, 2))
+    hnorm = float(np.linalg.svd(M, compute_uv=False)[0])
     lam = complex((np.conj(c) @ (M @ c)) / (np.conj(c) @ c))
     residual = float(np.linalg.norm(M @ c - lam * c)) / cn
     t = tol.ladder_residual_tol(hnorm)
@@ -373,13 +389,7 @@ def classify_spectrum(q: QuadraticForm) -> SpectrumReport:
     gens: tuple[float, ...] = ()
     ground = vac = None
 
-    if _nonreal_frequency(e) is not None:
-        cls = Classification.NON_REAL_FREQUENCIES
-        note = (
-            "adjoint eigenvalues include non-real frequencies; no real "
-            "ladder structure or energy lattice exists"
-        )
-    elif e.defective:
+    if e.defective and _nonreal_frequency(e, tol.pairing_tol(e.matrix_norm)) is None:
         bad = [c for c in e.clusters if c.geometric < c.algebraic]
         desc = ", ".join(
             f"{c.value.real:.6g} (algebraic {c.algebraic}, geometric {c.geometric})"
@@ -391,45 +401,54 @@ def classify_spectrum(q: QuadraticForm) -> SpectrumReport:
             "ladder operators do not span and no discrete lattice applies"
         )
     else:
-        pairs = tuple(pair_frequencies(e, q.basis))
-        dtol = tol.definiteness_tol(float(np.max(np.abs(gevals))))
-
-        if gmin > -dtol:
-            ground = vac = float(q.offset + 0.5 * sum(p.lambda_plus for p in pairs))
-            gens = tuple(p.lambda_plus for p in pairs)
-            if 0.0 in gens:
-                # a zero-frequency pair is critical whatever gmin reads
-                cls = Classification.CRITICAL_INFINITE_MULTIPLICITY
-                note = (
-                    "zero-frequency ladder pair on the semidefinite boundary: "
-                    "every lattice level carries infinite multiplicity"
-                )
-            elif gmin > dtol:
-                cls = Classification.BOUNDED_BELOW_DISCRETE
-                note = (
-                    "form matrix positive definite; spectrum is the discrete "
-                    "lattice ground + n . generators with finite degeneracies"
-                )
-            else:
-                cls = Classification.BOUNDED_BELOW_DISCRETE
-                note = (
-                    "form matrix semidefinite but all frequencies nonzero; "
-                    "treated as bounded below"
-                )
-        else:
-            # indefinite with all-real frequencies
-            gens = tuple(sorted((p.raising_frequency for p in pairs), reverse=True))
-            cls = Classification.UNBOUNDED_LATTICE
+        try:
+            # the pairing rejects non-real frequencies: reality is tested there
+            pairs = tuple(pair_frequencies(e, q.basis))
+        except NonRealFrequencyError:
+            cls = Classification.NON_REAL_FREQUENCIES
             note = (
-                "form matrix indefinite with real frequencies: the Gaussian-vacuum "
-                "lattice extends without a lower bound (signed generators)"
+                "adjoint eigenvalues include non-real frequencies; no real "
+                "ladder structure or energy lattice exists"
             )
-            if any(_misses_vacuum(p) for p in pairs):
-                note += (
-                    "; warning: some pair had no member annihilating the standard "
-                    "Gaussian vacuum, sign taken from the commutator orientation"
+        else:
+            dtol = tol.definiteness_tol(float(abs(gevals).max()))
+
+            if gmin > -dtol:
+                ground = vac = float(q.offset + 0.5 * sum(p.lambda_plus for p in pairs))
+                gens = tuple(p.lambda_plus for p in pairs)
+                if 0.0 in gens:
+                    # a zero-frequency pair is critical whatever gmin reads
+                    cls = Classification.CRITICAL_INFINITE_MULTIPLICITY
+                    note = (
+                        "zero-frequency ladder pair on the semidefinite boundary: "
+                        "every lattice level carries infinite multiplicity"
+                    )
+                elif gmin > dtol:
+                    cls = Classification.BOUNDED_BELOW_DISCRETE
+                    note = (
+                        "form matrix positive definite; spectrum is the discrete "
+                        "lattice ground + n . generators with finite degeneracies"
+                    )
+                else:
+                    cls = Classification.BOUNDED_BELOW_DISCRETE
+                    note = (
+                        "form matrix semidefinite but all frequencies nonzero; "
+                        "treated as bounded below"
+                    )
+            else:
+                # indefinite with all-real frequencies
+                gens = tuple(sorted((p.raising_frequency for p in pairs), reverse=True))
+                cls = Classification.UNBOUNDED_LATTICE
+                note = (
+                    "form matrix indefinite with real frequencies: the Gaussian-vacuum "
+                    "lattice extends without a lower bound (signed generators)"
                 )
-            vac = float(q.offset + 0.5 * sum(gens))
+                if any(_misses_vacuum(p) for p in pairs):
+                    note += (
+                        "; warning: some pair had no member annihilating the standard "
+                        "Gaussian vacuum, sign taken from the commutator orientation"
+                    )
+                vac = float(q.offset + 0.5 * sum(gens))
 
     return SpectrumReport(
         classification=cls,
@@ -472,27 +491,24 @@ def spectrum_lattice(r: SpectrumReport, max_quanta: int) -> list[LatticeLevel]:
         )
     unbounded = r.classification is Classification.UNBOUNDED_LATTICE
 
-    # (merge block, energy, quanta): unbounded lattices merge only within a
-    # total-quanta shell
-    entries = []
-    for quanta in _multi_indices(len(active), max_quanta):
-        energy = anchor + sum(map(operator.mul, quanta, active))
-        entries.append((sum(quanta) if unbounded else 0, float(energy), quanta))
-    if not entries:
-        return []
+    # lexicographic order, which `_cluster` keeps among equal energies
+    quanta = _multi_indices(len(active), max_quanta)
+    energies = [float(anchor + sum(map(operator.mul, n, active))) for n in quanta]
+    t = tol.lattice_merge_tol(max(map(abs, energies)))
 
-    emax = max(abs(x[1]) for x in entries)
-    t = tol.lattice_merge_tol(emax)
-
-    entries.sort()
+    # unbounded lattices merge only within a total-quanta shell
+    blocks = [range(len(quanta))]
+    if unbounded:
+        blocks = [[] for _ in range(max_quanta + 1)]
+        for i, n in enumerate(quanta):
+            blocks[sum(n)].append(i)
     levels = []
-    for _, run in itertools.groupby(entries, key=lambda x: x[0]):
-        block = list(run)
-        for g in _cluster([x[1] for x in block], t):
-            states = [block[i][2] for i in g]
+    for block in blocks:
+        for g in _cluster([energies[i] for i in block], t):
+            states = [quanta[block[i]] for i in g]
             if not unbounded:
                 states.sort()
-            levels.append(LatticeLevel(block[g[0]][1], tuple(states),
+            levels.append(LatticeLevel(energies[block[g[0]]], tuple(states),
                                        len(states), infinite))
     return levels
 

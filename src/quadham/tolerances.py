@@ -1,9 +1,10 @@
 """Centralised numerical tolerances.
 
 Every tolerance in the package is defined here and multiplied by the value of
-the QUADHAM_TOL_SCALE environment variable (default 1.0).  The CLI can layer an
-additional factor from its config file via set_config_scale(); library callers
-normally leave that at 1.  That factor is a context variable: it holds for
+the QUADHAM_TOL_SCALE environment variable (default 1.0), read on every call;
+each distinct value is parsed once.  The CLI can layer an additional factor
+from its config file via set_config_scale(); library callers normally leave
+that at 1.  That factor is a context variable: it holds for
 the calling thread or task only, and the CLI restores its caller's value when
 a run ends.
 """
@@ -11,6 +12,7 @@ a run ends.
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
 import os
 
@@ -21,29 +23,28 @@ _CONFIG_SCALE: contextvars.ContextVar[float] = contextvars.ContextVar(
     "quadham_config_scale", default=1.0)
 
 
-def __getattr__(name: str):
-    # read-only view of the calling context's config scale
-    if name == "_config_scale":
-        return _CONFIG_SCALE.get()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def set_config_scale(value: float) -> None:
     if not 0.0 < value < math.inf:
         raise ValueError("tolerance scale must be finite and positive")
     _CONFIG_SCALE.set(float(value))
 
 
+@functools.lru_cache(maxsize=8)
+def _env_scale(raw: str | None) -> float:
+    """The factor a raw QUADHAM_TOL_SCALE value sets; a bad value raises."""
+    if raw is None:
+        return 1.0
+    try:
+        env = float(raw)
+    except ValueError as exc:
+        raise ValueError(f"{_ENV_VAR} must be a float, got {raw!r}") from exc
+    if not 0.0 < env < math.inf:
+        raise ValueError(f"{_ENV_VAR} must be finite and positive, got {env}")
+    return env
+
+
 def tol_scale() -> float:
-    raw = os.environ.get(_ENV_VAR)
-    env = 1.0
-    if raw is not None:
-        try:
-            env = float(raw)
-        except ValueError as exc:
-            raise ValueError(f"{_ENV_VAR} must be a float, got {raw!r}") from exc
-        if not 0.0 < env < math.inf:
-            raise ValueError(f"{_ENV_VAR} must be finite and positive, got {env}")
+    env = _env_scale(os.environ.get(_ENV_VAR))
     config = _CONFIG_SCALE.get()
     scale = env * config
     if scale == math.inf:

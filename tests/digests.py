@@ -20,6 +20,10 @@ Equal lines mean the outputs are byte-identical.  The families are:
   forms that do not conserve total quanta (symplectic squeezes of the b = 2
   model, `sb` at |B| != 2), kept apart because they became NOT_APPLICABLE
   where they used to be compared (and fail);
+- lattice: for each form of the classify corpus at QUADHAM_TOL_SCALE 1
+  whose class has a lattice, the `spectrum_lattice` levels (energy,
+  states, degeneracy, `infinite`) at max_quanta 3 and 8, and
+  `ladder_check` of every pair's raising member (or the error raised);
 - boundary: `classify_spectrum` reports (or the error raised) of the
   symmetric model at b = +-2 +- delta for 101 log-spaced delta in
   [1e-12, 1e-7] and at b = +-2 +- 10^-k for k = 1..15, and of the
@@ -159,6 +163,28 @@ def classify_lines() -> list[str]:
                     d.add(type(exc).__name__, str(exc))
         lines.append(d.line(f"classify[tol_scale={scale}]"))
     return lines
+
+
+def lattice_line() -> str:
+    d = Digest()
+    for q in classify_corpus():
+        try:
+            report = qh.classify_spectrum(q)
+        except qh.QuadhamError:
+            continue
+        if not report.classification.has_lattice:
+            continue
+        for max_quanta in (3, 8):
+            try:
+                d.add(qh.spectrum_lattice(report, max_quanta))
+            except qh.QuadhamError as exc:
+                d.add(type(exc).__name__, str(exc))
+        for pair in report.pairs:
+            try:
+                d.add(qh.ladder_check(q, pair.raising))
+            except qh.QuadhamError as exc:
+                d.add(type(exc).__name__, str(exc))
+    return d.line("lattice")
 
 
 def boundary_line() -> str:
@@ -305,6 +331,7 @@ def main() -> None:
     critical = Digest()
     for line in classify_lines():
         print(line, flush=True)
+    print(lattice_line(), flush=True)
     print(boundary_line(), flush=True)
     print(oracle_line(critical), flush=True)
     print(exact_line(), flush=True)

@@ -32,6 +32,15 @@ class TestBasis:
             assert np.array_equal(J.T, -J)
             assert np.array_equal(J @ J, -np.eye(2 * K))
 
+    def test_symplectic_returns_a_fresh_array(self):
+        # J is built once per K; a caller writing into its copy changes no
+        # later call
+        J = PhaseSpaceBasis(2).symplectic()
+        J[:] = 7.0
+        eye = np.eye(2)
+        block = np.block([[np.zeros((2, 2)), eye], [-eye, np.zeros((2, 2))]])
+        assert np.array_equal(PhaseSpaceBasis(2).symplectic(), block)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PhaseSpaceBasis(0)

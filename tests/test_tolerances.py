@@ -57,7 +57,25 @@ def test_cli_reports_bad_env_scale_as_config_error(payload, raw, tmp_path,
     monkeypatch.setenv("QUADHAM_TOL_SCALE", raw)
     assert cli.main(["analyze", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
-    assert tolerances._config_scale == 1.0
+    assert tolerances._CONFIG_SCALE.get() == 1.0
+
+
+def test_env_scale_change_takes_effect_on_the_next_call(monkeypatch):
+    # each raw value is parsed once, but the variable is read on every call
+    monkeypatch.setenv("QUADHAM_TOL_SCALE", "2")
+    assert tolerances.pairing_tol(0.0) == 2e-9
+    monkeypatch.setenv("QUADHAM_TOL_SCALE", "4")
+    assert tolerances.pairing_tol(0.0) == 4e-9
+    monkeypatch.delenv("QUADHAM_TOL_SCALE")
+    assert tolerances.pairing_tol(0.0) == 1e-9
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1"])
+def test_bad_env_scale_raises_on_every_call(raw, monkeypatch):
+    monkeypatch.setenv("QUADHAM_TOL_SCALE", raw)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="QUADHAM_TOL_SCALE"):
+            tolerances.pairing_tol(0.0)
 
 
 def _caller_scale_after_cli(argv):

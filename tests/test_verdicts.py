@@ -19,6 +19,7 @@ from quadham import (
     build_model,
     classify_spectrum,
     eigen_decompose,
+    isotropic_form,
     linear_commutator,
     pair_frequencies,
     random_positive_definite_form,
@@ -182,3 +183,44 @@ def test_pairing_takes_no_mean(q, monkeypatch):
     assert calls == []
     values = {c.value.real for c in e.clusters}
     assert all(p.lambda_plus in values or p.lambda_plus == 0.0 for p in pairs)
+
+
+@pytest.mark.parametrize("q, expected", [
+    # simple spectrum: a one-member cluster is its own value and its own
+    # eigenspace, so neither a mean nor eigh is taken, and the norm is read
+    # from one SVD
+    (model_form(0.7), {"eig": 1, "eigh": 0, "eigvalsh": 1, "svd": 1, "norm": 0,
+                       "mean": 0}),
+    # two doubly degenerate clusters: both averaged, both ranked by an SVD,
+    # and the positive one diagonalised by eigh
+    (isotropic_form(), {"eig": 1, "eigh": 1, "eigvalsh": 1, "svd": 3, "norm": 0,
+                        "mean": 4}),
+], ids=["simple", "isotropic"])
+def test_classification_calls_into_numpy(q, expected, monkeypatch):
+    counts = dict.fromkeys(expected, 0)
+
+    def counting(name, f):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return call
+
+    for name in ("eig", "eigh", "eigvalsh", "svd", "norm"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(np, "mean", counting("mean", np.mean))
+    classify_spectrum(q)
+    monkeypatch.undo()
+    assert counts == expected
+
+
+def test_one_member_cluster_value_is_bitwise_its_mean():
+    # 1j * w can carry -0.0 parts, which the mean of one value turns into 0.0
+    # (mu = 2 at b = -1.8 has two, on non-real eigenvalues)
+    for q in (model_form(0.7), model_form(3.0), model_form(-1.8, mu=2.0)):
+        e = eigen_decompose(adjoint_representation(q))
+        for c in e.clusters:
+            if c.algebraic == 1:
+                (i,) = c.indices
+                mean = complex(np.mean(e.eigenvalues.real[[i]]),
+                               np.mean(e.eigenvalues.imag[[i]]))
+                assert repr(c.value) == repr(mean)
