@@ -6,13 +6,21 @@ momentum by p_j = -i d/dx_j, which on the polynomial part is
 f -> -i df/dx_j + i x_j f.  Every operation here is exact: floats entering
 through form coefficients are dyadic rationals and convert losslessly.
 
-The arithmetic runs on Gaussian integers.  A public call converts its
-polynomial once to numerator pairs (re, im) of Python ints over one shared
+The arithmetic runs on Gaussian integers.  A state holds its polynomial as
+numerator pairs (re, im) of Python ints by exponent tuple over one shared
 positive denominator (a power of two for the dyadic coefficients the models
-produce, any positive integer for general Fraction coefficients), runs the
-ladder kernel ``_act``, ``inner`` or the content split of ``canonical`` on
-those, and converts back once.  ``PolyGaussian.poly`` keeps ComplexRational
-values.
+produce, any positive integer for general Fraction coefficients).  The
+ladder kernel ``_act``, the quadratic-form kernel, ``inner``, ``canonical``
+and ``is_scalar_multiple_exact`` work on those pairs, and every kernel result
+is built from its pairs directly.  ``PolyGaussian.poly`` is a read-only
+ComplexRational view of the pairs, built on first use.
+
+A quadratic form sum_ab gamma_ab O_a O_b + offset acts on the polynomial
+part as one second-order operator: sum_jk (A_jk x_j x_k + B_jk x_j d_k +
+C_jk d_j d_k) + c0.  Its table follows from p_j (f G) = (-i d_j f + i x_j f) G
+and is derived once per call, in Gaussian integers, with exact cancellations
+dropped: for gamma = identity the x_j^2 terms cancel and p_j^2 + x_j^2 leaves
+-d_j^2 + 2 x_j d_j + 1.
 
 ``build_eigenfunction`` normalises Z^m W^n |0> in closed form when both forms
 are pure creation combinations (cp_j = -i cx_j, so Z^dagger |0> = 0) with
@@ -26,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -79,24 +88,50 @@ def _clean_poly(K: int, poly) -> dict:
     return out
 
 
-@dataclass(frozen=True, eq=False)
 class PolyGaussian:
-    """scale * (polynomial in x_1..x_K) * exp(-|x|^2/2)."""
+    """scale * (polynomial in x_1..x_K) * exp(-|x|^2/2).
 
-    K: int
-    poly: dict
-    scale: PiScale
+    The numerator pairs and their denominator are the state; ``poly`` is
+    their ComplexRational view, built from them on first use.  The
+    constructor validates and converts a caller's polynomial; kernel results
+    come from ``_from_kernel``.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.K, int) or self.K < 1:
+    __slots__ = ("K", "scale", "_terms", "_den", "_poly")
+
+    def __init__(self, K: int, poly, scale: PiScale):
+        if not isinstance(K, int) or K < 1:
             raise ValueError("K must be a positive integer")
-        object.__setattr__(self, "poly", _clean_poly(self.K, self.poly))
-        if not isinstance(self.scale, PiScale):
+        clean = _clean_poly(K, poly)
+        if not isinstance(scale, PiScale):
             raise TypeError("scale must be a PiScale")
+        _set(self, K, *_to_ints(clean), scale)
+
+    @classmethod
+    def _from_kernel(cls, K: int, terms: dict, den: int,
+                     scale: PiScale) -> "PolyGaussian":
+        """A state from kernel output: nonzero pairs over den > 0, unchecked."""
+        s = object.__new__(cls)
+        _set(s, K, terms, den, scale)
+        return s
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PolyGaussian is immutable")
+
+    def __reduce__(self):
+        return PolyGaussian._from_kernel, (self.K, self._terms, self._den, self.scale)
+
+    @property
+    def poly(self) -> MappingProxyType:
+        """Exponent tuple -> ComplexRational coefficient, read-only."""
+        if self._poly is None:
+            object.__setattr__(self, "_poly",
+                               MappingProxyType(_from_ints(self._terms, self._den)))
+        return self._poly
 
     @property
     def is_zero(self) -> bool:
-        return not self.poly
+        return not self._terms
 
     # ---- linear structure ------------------------------------------------
 
@@ -153,16 +188,16 @@ class PolyGaussian:
         After this, equal states compare equal field by field.  The sign and
         phase stay in the polynomial; only positive rational content moves.
         """
-        if not self.poly:
-            return PolyGaussian(self.K, {}, PiScale.one())
-        return _canonical(self.K, *_to_ints(self.poly), self.scale)
+        if not self._terms:
+            return PolyGaussian._from_kernel(self.K, {}, 1, PiScale.one())
+        return _canonical(self.K, self._terms, self._den, self.scale)
 
     def equals_exact(self, other: "PolyGaussian") -> bool:
         if self.K != other.K:
             return False
         a = self.canonical()
         b = other.canonical()
-        return a.scale == b.scale and a.poly == b.poly
+        return a.scale == b.scale and a._terms == b._terms
 
     # ---- numerics ----------------------------------------------------------
 
@@ -187,7 +222,7 @@ class PolyGaussian:
     # ---- rendering ---------------------------------------------------------
 
     def render(self) -> str:
-        if not self.poly:
+        if not self._terms:
             return "0"
         parts = []
         if not self.scale.is_one:
@@ -204,16 +239,35 @@ class PolyGaussian:
         return f"PolyGaussian({self.render()!r})"
 
 
+def _set(s: PolyGaussian, K: int, terms: dict, den: int, scale: PiScale) -> None:
+    for name, value in (("K", K), ("scale", scale), ("_terms", terms),
+                        ("_den", den), ("_poly", None)):
+        object.__setattr__(s, name, value)
+
+
 # ---- Gaussian-integer representation ---------------------------------------
+
+
+def _ratios(v) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(numerator, denominator) in lowest terms of v's real and imaginary parts.
+
+    A float converts through as_integer_ratio, which is what Fraction(float)
+    does; anything else goes through ComplexRational.from_number.
+    """
+    if isinstance(v, float):
+        return v.as_integer_ratio(), (0, 1)
+    if isinstance(v, complex):
+        return v.real.as_integer_ratio(), v.imag.as_integer_ratio()
+    c = ComplexRational.from_number(v)
+    return (c.re.numerator, c.re.denominator), (c.im.numerator, c.im.denominator)
 
 
 def _ints(values) -> tuple[list[tuple[int, int]], int]:
     """Exact numbers as Gaussian-integer numerators (re, im) over one denominator."""
-    cs = [ComplexRational.from_number(v) for v in values]
-    den = math.lcm(1, *(c.re.denominator for c in cs),
-                   *(c.im.denominator for c in cs))
-    return [(c.re.numerator * (den // c.re.denominator),
-             c.im.numerator * (den // c.im.denominator)) for c in cs], den
+    parts = [_ratios(v) for v in values]
+    den = math.lcm(1, *(d for re, im in parts for d in (re[1], im[1])))
+    return [(rn * (den // rd), jn * (den // jd))
+            for (rn, rd), (jn, jd) in parts], den
 
 
 def _to_ints(poly: dict) -> tuple[dict, int]:
@@ -230,8 +284,9 @@ def _from_ints(terms: dict, den: int) -> dict:
 def _canonical(K: int, terms: dict, den: int, scale: PiScale) -> "PolyGaussian":
     """canonical() of scale * (terms / den) * G for nonzero terms."""
     g = math.gcd(*(part for pair in terms.values() for part in pair))
-    poly = {k: ComplexRational(re // g, im // g) for k, (re, im) in terms.items()}
-    return PolyGaussian(K, poly, scale * Fraction(g, den))
+    return PolyGaussian._from_kernel(
+        K, {k: (re // g, im // g) for k, (re, im) in terms.items()}, 1,
+        scale * Fraction(g, den))
 
 
 def _accumulate(table: dict, key: tuple, value: tuple[int, int]) -> None:
@@ -327,6 +382,8 @@ def _act(terms: dict, coeffs) -> dict:
     out: dict = {}
     for j in range(K):
         (xr, xi), (pr, pi) = coeffs[j], coeffs[K + j]
+        if not (xr or xi or pr or pi):
+            continue
         ur, ui = xr - pi, xi + pr  # cx_j + i cp_j
         dr, di = -pi, pr           # i cp_j
         for exps, (cr, ci) in terms.items():
@@ -342,9 +399,8 @@ def _act(terms: dict, coeffs) -> dict:
 
 def _applied(s: PolyGaussian, coeffs: list, den: int) -> PolyGaussian:
     """s acted on by the linear form with numerators coeffs over den."""
-    terms, s_den = _to_ints(s.poly)
-    return PolyGaussian(s.K, _from_ints(_act(terms, coeffs), s_den * den),
-                        s.scale)
+    return PolyGaussian._from_kernel(s.K, _act(s._terms, coeffs), s._den * den,
+                                     s.scale)
 
 
 def apply_linear_form(z: LinearForm, s: PolyGaussian) -> PolyGaussian:
@@ -354,23 +410,99 @@ def apply_linear_form(z: LinearForm, s: PolyGaussian) -> PolyGaussian:
     return _applied(s, *_ints(complex(c) for c in z.coeffs))
 
 
-def apply_quadratic_form(q: QuadraticForm, s: PolyGaussian) -> PolyGaussian:
-    """Act with sum_a O_a (sum_b gamma_ab O_b) + offset, exactly."""
+def _quadratic_table(q: QuadraticForm) -> tuple[tuple, int]:
+    """q as one second-order operator on the polynomial part, over a denominator.
+
+    With X_j f = x_j f and P_j f = i (x_j f - d_j f), the ordered products are
+    X_j P_k = i x_j x_k - i x_j d_k,
+    P_j X_k = i x_j x_k - i x_k d_j - i delta_jk and
+    P_j P_k = -x_j x_k + x_j d_k + x_k d_j - d_j d_k + delta_jk, so
+    sum_ab gamma_ab O_a O_b + offset acts as
+    sum_jk (A_jk x_j x_k + B_jk x_j d_k + C_jk d_j d_k) + c0 with, for the
+    blocks xx, xp, px, pp of gamma,
+        A_jk = xx_jk - pp_jk + i (xp_jk + px_jk)
+        B_jk = pp_jk + pp_kj - i (xp_jk + px_kj)
+        C_jk = -pp_jk
+        c0   = offset + sum_j (pp_jj - i px_jj).
+    The table is (c0, diag, moves): diag holds (j, B_jj), and moves holds
+    (j, dj, k, dk, coefficient) for A_jk + A_kj (j <= k, the j = k entry
+    once) with dj = dk = +1, for B_jk (j != k) with dj = +1, dk = -1, and for
+    C_jk + C_kj (j <= k) with dj = dk = -1.  Entries that cancel to zero
+    are dropped; gamma and offset are real.
+    """
     K = q.basis.K
-    if K != s.K:
+    pairs, den = _ints([*q.gamma.ravel().tolist(), q.offset])
+    *g, offset = (re for re, _ in pairs)
+    G = [g[r * 2 * K:(r + 1) * 2 * K] for r in range(2 * K)]
+
+    def a(j, k):
+        return G[j][k] - G[K + j][K + k], G[j][K + k] + G[K + j][k]
+
+    def b(j, k):
+        return G[K + j][K + k] + G[K + k][K + j], -(G[j][K + k] + G[K + k][j])
+
+    def c(j, k):
+        return -G[K + j][K + k], 0
+
+    def sym(f, j, k):  # f_jk + f_kj, or f_jj once
+        (ur, ui), (vr, vi) = f(j, k), f(k, j)
+        return (ur, ui) if j == k else (ur + vr, ui + vi)
+
+    c0 = (offset + sum(G[K + j][K + j] for j in range(K)),
+          -sum(G[K + j][j] for j in range(K)))
+    modes = range(K)
+    diag = [(j, b(j, j)) for j in modes]
+    moves = [(j, 1, k, 1, sym(a, j, k)) for j in modes for k in modes if j <= k]
+    moves += [(j, 1, k, -1, b(j, k)) for j in modes for k in modes if j != k]
+    moves += [(j, -1, k, -1, sym(c, j, k)) for j in modes for k in modes if j <= k]
+    return (c0, [d for d in diag if d[1] != (0, 0)],
+            [mv for mv in moves if mv[4] != (0, 0)]), den
+
+
+def _act_quadratic(terms: dict, table: tuple) -> dict:
+    """Numerators of the second-order operator table acting on terms * G.
+
+    A monomial keeps its exponents with weight c0 + sum_j B_jj e_j.  A move
+    shifts e_k by dk and then e_j by dj; a lowering weighs the exponent it
+    lowers, read after the earlier shift, and a raise weighs 1, so d_j d_k
+    weighs e_k (e_j - delta_jk) and x_j d_k weighs e_k.
+    """
+    (c0r, c0i), diag, moves = table
+    out: dict = {}
+    get = out.get
+    for exps, (cr, ci) in terms.items():
+        fr, fi = c0r, c0i
+        for j, (br, bi) in diag:
+            fr += exps[j] * br
+            fi += exps[j] * bi
+        if fr or fi:
+            cur = get(exps)
+            vr, vi = fr * cr - fi * ci, fr * ci + fi * cr
+            out[exps] = (vr, vi) if cur is None else (cur[0] + vr, cur[1] + vi)
+        e = list(exps)
+        for j, dj, k, dk, (ar, ai) in moves:
+            w = e[k] if dk < 0 else 1
+            e[k] += dk
+            if dj < 0:
+                w *= e[j]
+            e[j] += dj
+            if w:
+                key = tuple(e)
+                cur = get(key)
+                vr, vi = w * (ar * cr - ai * ci), w * (ar * ci + ai * cr)
+                out[key] = (vr, vi) if cur is None else (cur[0] + vr, cur[1] + vi)
+            e[j] -= dj
+            e[k] -= dk
+    return {k: v for k, v in out.items() if v != (0, 0)}
+
+
+def apply_quadratic_form(q: QuadraticForm, s: PolyGaussian) -> PolyGaussian:
+    """Act with sum_ab gamma_ab O_a O_b + offset, exactly, in one pass."""
+    if q.basis.K != s.K:
         raise ValueError("quadratic form and state have different mode counts")
-    terms, s_den = _to_ints(s.poly)
-    coeffs, den = _ints([*(float(g) for g in q.gamma.ravel()), q.offset])
-    ofr, ofi = coeffs.pop()
-    total = {k: (ofr * cr - ofi * ci, ofr * ci + ofi * cr)
-             for k, (cr, ci) in terms.items()} if ofr or ofi else {}
-    for a, row in enumerate(q.gamma):
-        if not row.any():
-            continue
-        inner_terms = _act(terms, coeffs[2 * K * a:2 * K * (a + 1)])
-        for exps, c in _act(inner_terms, _unit(K, a)).items():
-            _accumulate(total, exps, c)
-    return PolyGaussian(K, _from_ints(total, s_den * den), s.scale)
+    table, den = _quadratic_table(q)
+    return PolyGaussian._from_kernel(s.K, _act_quadratic(s._terms, table),
+                                     s._den * den, s.scale)
 
 
 def inner(a: PolyGaussian, b: PolyGaussian) -> ExactAmount:
@@ -378,8 +510,8 @@ def inner(a: PolyGaussian, b: PolyGaussian) -> ExactAmount:
     if a.K != b.K:
         raise ValueError("states have different mode counts")
     factor = a.scale * b.scale * PiScale(1, 2 * a.K)
-    ta, da = _to_ints(a.poly)
-    tb, db = _to_ints(b.poly)
+    ta, da = a._terms, a._den
+    tb, db = b._terms, b._den
     # integral x^m e^(-x^2) dx / sqrt(pi) is (m-1)!! / 2^(m/2) for even m and
     # 0 for odd m, so only terms whose exponents agree in parity pair up.
     # Over the common denominator 2^half a pair weighs
@@ -425,7 +557,7 @@ def norm_scale(s: PolyGaussian) -> PiScale:
 
 def normalized_copy(s: PolyGaussian) -> PolyGaussian:
     n = norm_scale(s)
-    return PolyGaussian(s.K, s.poly, s.scale / n).canonical()
+    return _canonical(s.K, s._terms, s._den, s.scale / n)
 
 
 def is_scalar_multiple_exact(a: PolyGaussian, b: PolyGaussian) -> ExactAmount | None:
@@ -436,10 +568,10 @@ def is_scalar_multiple_exact(a: PolyGaussian, b: PolyGaussian) -> ExactAmount | 
         return ExactAmount(ComplexRational(1), PiScale.one()) if a.is_zero else None
     if a.is_zero:
         return ExactAmount(ComplexRational(0), PiScale.one())
-    if set(a.poly) != set(b.poly):
+    ta, da = a._terms, a._den
+    tb, db = b._terms, b._den
+    if ta.keys() != tb.keys():
         return None
-    ta, da = _to_ints(a.poly)
-    tb, db = _to_ints(b.poly)
     key = next(iter(tb))
     (pr, pi), (qr, qi) = ta[key], tb[key]
     # a_k / b_k = p / q for every k, as a_k * q = p * b_k
@@ -484,7 +616,7 @@ def build_eigenfunction(z_first: LinearForm, z_second: LinearForm,
     first, first_den = _ints(complex(c) for c in z_first.coeffs)
     second, second_den = _ints(complex(c) for c in z_second.coeffs)
     v = vacuum(z_first.basis.K)
-    terms, den = _to_ints(v.poly)
+    terms, den = v._terms, v._den
     for _ in range(n):
         terms = _act(terms, second)
     for _ in range(m):
@@ -494,7 +626,7 @@ def build_eigenfunction(z_first: LinearForm, z_second: LinearForm,
     den *= first_den ** m * second_den ** n
     c = _creation_norms(first, second)
     if c is None:
-        return normalized_copy(PolyGaussian(v.K, _from_ints(terms, den), v.scale))
+        return normalized_copy(PolyGaussian._from_kernel(v.K, terms, den, v.scale))
     sq = (math.factorial(m) * math.factorial(n)
           * Fraction(c[0], first_den ** 2) ** m
           * Fraction(c[1], second_den ** 2) ** n)

@@ -30,7 +30,10 @@ Equal lines mean the outputs are byte-identical.  The families are:
   non-real form diag(1, -1, 1, -1) + 0.05 x1 x2 at QUADHAM_TOL_SCALE 2e7;
 - exact: `render()`, `.poly` and `.scale` of the exact eigenfunctions for
   the (m, n) pairs of the `exact_states` benchmark workload, with the exact
-  amounts H psi / psi (H the symmetric model at a dyadic b) and L_z psi / psi;
+  amounts H psi / psi (H the symmetric model at a dyadic b) and L_z psi / psi,
+  then `apply_quadratic_form` outputs (`.poly` and `.scale`) of random dyadic
+  forms with x-p cross terms and a nonzero offset, K = 1-3, on random states
+  whose coefficients have denominator 3;
 - cli: stdout, stderr and exit code of every subcommand in JSON and CSV,
   timestamp removed, on preset, explicit and invalid configurations.
 
@@ -45,6 +48,7 @@ import os
 import pathlib
 import sys
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 
@@ -254,7 +258,30 @@ def exact_line() -> str:
         d.add(psi.render(), sorted(psi.poly.items()), psi.scale,
               qh.is_scalar_multiple_exact(qh.apply_quadratic_form(h, psi), psi),
               qh.is_scalar_multiple_exact(qh.apply_quadratic_form(lz, psi), psi))
+    rng = np.random.default_rng(12)
+    for K in (1, 2, 3):
+        for _ in range(4):
+            g = rng.integers(-16, 17, size=(2 * K, 2 * K)) / 8.0
+            g = (g + g.T) / 2.0
+            g[:K, K:] = rng.choice([-1.0, 1.0], size=(K, K)) * rng.integers(1, 9, size=(K, K)) / 4.0
+            g[K:, :K] = g[:K, K:].T
+            q = explicit(K, g, float(rng.integers(1, 9)) / 4.0)
+            for _ in range(3):
+                s = random_state(rng, K)
+                out = qh.apply_quadratic_form(q, s)
+                d.add(K, g, sorted(out.poly.items()), out.scale)
     return d.line("exact")
+
+
+def random_state(rng, K, terms=6):
+    """A state with coefficients of denominator 3 and a random PiScale."""
+    def third():
+        return Fraction(int(rng.integers(-9, 10)), 3)
+    poly = {tuple(int(e) for e in rng.integers(0, 5, size=K)):
+            qh.ComplexRational(third(), third()) for _ in range(terms)}
+    scale = qh.PiScale(Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9))),
+                       int(rng.integers(-3, 4)))
+    return qh.PolyGaussian(K, poly, scale)
 
 
 def cli_configs():

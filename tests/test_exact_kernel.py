@@ -1,11 +1,14 @@
-"""The Gaussian-integer ladder kernel and the closed-form eigenfunction norm.
+"""The Gaussian-integer kernels and the closed-form eigenfunction norm.
 
 The ComplexRational functions prefixed ``ref_`` are the Fraction-arithmetic
-ladder action, inner product, canonical form and scalar-multiple test that
-quadham.wavefunctions computed before it moved to Gaussian integers; the
-integer kernel must reproduce them exactly.
+ladder action, quadratic-form action (two linear-form passes per nonzero row
+of gamma), inner product, canonical form, scalar-multiple test and number
+conversion that quadham.wavefunctions computed before it moved to Gaussian
+integers and to one operator table per quadratic form; the integer kernels
+must reproduce them exactly.
 """
 
+import copy
 import math
 from fractions import Fraction
 
@@ -14,14 +17,17 @@ import pytest
 
 from quadham import (
     ComplexRational,
+    DimensionlessModel,
     LinearForm,
     PhaseSpaceBasis,
     PiScale,
     PolyGaussian,
     QuadraticForm,
+    angular_momentum_form,
     apply_linear_form,
     apply_quadratic_form,
     build_eigenfunction,
+    build_model,
     inner,
     is_scalar_multiple_exact,
     normalized_copy,
@@ -88,6 +94,15 @@ def ref_apply_quadratic(q, s):
         for exps, c in ref_act(inner_poly, ref_unit(K, a)).items():
             _ref_accumulate(total, exps, c)
     return total
+
+
+def ref_ints(values):
+    """Numerator pairs over one denominator, through Fraction."""
+    cs = [ComplexRational.from_number(v) for v in values]
+    den = math.lcm(1, *(c.re.denominator for c in cs),
+                   *(c.im.denominator for c in cs))
+    return [(c.re.numerator * (den // c.re.denominator),
+             c.im.numerator * (den // c.im.denominator)) for c in cs], den
 
 
 def ref_inner(a, b):
@@ -158,6 +173,55 @@ def random_dyadic_form(rng, K):
 CASES = [(K, seed) for K in (1, 2, 3) for seed in range(4)]
 
 
+def _model(b):
+    return build_model(DimensionlessModel(mu=1.0, k=1.0, b=b))
+
+
+def _cross_form(rng, K):
+    """Random dyadic form whose every x-p cross entry is nonzero."""
+    g = rng.integers(-12, 13, size=(2 * K, 2 * K)) / 16.0
+    g = (g + g.T) / 2.0
+    xp = rng.choice([-1.0, 1.0], size=(K, K)) * rng.integers(1, 9, size=(K, K)) / 8.0
+    g[:K, K:] = xp
+    g[K:, :K] = xp.T
+    return QuadraticForm(PhaseSpaceBasis(K), g, 0.375)
+
+
+def psi_states(quanta):
+    """The symmetric model's build_eigenfunction states with m + n <= quanta."""
+    z, w = (spec.form for spec in symmetric_raising_pair())
+    return [build_eigenfunction(z, w, m, n)
+            for m in range(quanta + 1) for n in range(quanta + 1 - m)]
+
+
+# random (K, seed) cases by their ids, then the model's forms by name
+QUADRATIC_CASES = [f"{K}-{seed}" for K, seed in CASES] + [
+    *(f"b={b}" for b in (0.0, 0.375, -0.375, 2.0, -2.0, 3.0, -3.0)), "L_z"]
+
+
+def quadratic_inputs(case):
+    """(form, state) pairs for one of QUADRATIC_CASES.
+
+    A random case pairs a form with a zero row and a form with every x-p
+    cross entry nonzero with a random state, the zero state and the vacuum;
+    a model case pairs the form with every eigenfunction up to 12 quanta.
+    """
+    if case == "L_z" or case.startswith("b="):
+        q = angular_momentum_form() if case == "L_z" else _model(float(case[2:]))
+        return [(q, s) for s in psi_states(12)]
+    K, seed = map(int, case.split("-"))
+    rng = np.random.default_rng(seed)
+    g = rng.integers(-12, 13, size=(2 * K, 2 * K)) / 16.0
+    g = (g + g.T) / 2.0
+    zero = int(rng.integers(0, 2 * K))
+    g[zero, :] = 0.0
+    g[:, zero] = 0.0
+    s = random_state(rng, K)
+    forms = (QuadraticForm(PhaseSpaceBasis(K), g, -0.625), _cross_form(rng, K))
+    states = (s, PolyGaussian(K, {}, s.scale), vacuum(K))
+    return [(q, t) for q in forms for t in states]
+
+
 class TestIntegerKernelMatchesReference:
     @pytest.mark.parametrize("K,seed", CASES)
     def test_act_with_fraction_coefficients(self, K, seed):
@@ -184,19 +248,62 @@ class TestIntegerKernelMatchesReference:
             assert s.apply_momentum(j).poly == ref_act(s.poly,
                                                        ref_unit(K, K + j))
 
+    @pytest.mark.parametrize("case", QUADRATIC_CASES)
+    def test_quadratic_form_with_zero_row_and_offset(self, case):
+        for q, s in quadratic_inputs(case):
+            got = apply_quadratic_form(q, s)
+            assert got.poly == ref_apply_quadratic(q, s)
+            assert got.scale == s.scale
+
+    def test_quadratic_form_runs_no_linear_pass(self, monkeypatch):
+        s = psi_states(4)[-1]
+        calls = []
+        original = wf._act
+        monkeypatch.setattr(wf, "_act",
+                            lambda t, c: calls.append(1) or original(t, c))
+        for q in (_model(0.375), angular_momentum_form(),
+                  _cross_form(np.random.default_rng(0), 2)):
+            apply_quadratic_form(q, s)
+        assert calls == []
+
     @pytest.mark.parametrize("K,seed", CASES)
-    def test_quadratic_form_with_zero_row_and_offset(self, K, seed):
+    def test_kernel_states_carry_their_pairs(self, K, seed):
         rng = np.random.default_rng(seed)
-        g = rng.integers(-12, 13, size=(2 * K, 2 * K)) / 16.0
-        g = (g + g.T) / 2.0
-        zero = int(rng.integers(0, 2 * K))
-        g[zero, :] = 0.0
-        g[:, zero] = 0.0
-        q = QuadraticForm(PhaseSpaceBasis(K), g, -0.625)
         s = random_state(rng, K)
-        got = apply_quadratic_form(q, s)
-        assert got.poly == ref_apply_quadratic(q, s)
-        assert got.scale == s.scale
+        z = random_dyadic_form(rng, K)
+        v = apply_linear_form(z, vacuum(K))
+        states = [s, apply_linear_form(z, s), s.apply_position(K - 1),
+                  s.apply_momentum(0), apply_quadratic_form(_cross_form(rng, K), s),
+                  s.canonical(), PolyGaussian(K, {}, s.scale).canonical(), v,
+                  normalized_copy(v)]
+        if K == 2:
+            lowering = symmetric_ladders()[2].form
+            states += psi_states(4) + [
+                build_eigenfunction(lowering, symmetric_raising_pair()[1].form, 1, 2),
+                apply_quadratic_form(_model(-0.375), psi_states(4)[-2])]
+        for t in states:
+            assert wf._from_ints(t._terms, t._den) == t.poly
+            assert t._den > 0 and all(pair != (0, 0) for pair in t._terms.values())
+            with pytest.raises(TypeError):
+                t.poly[(0,) * K] = ComplexRational(1)
+            c = copy.copy(t)
+            assert c.poly == t.poly and c.scale == t.scale and c.K == K
+
+    @pytest.mark.parametrize("values", [
+        [0.0], [-0.0], [5e-324], [-5e-324], [1e308], [0.1],
+        [np.float64(0.1)], [np.float64(-2.5e-300)],
+        [complex(-0.0, -0.0)], [complex(0.25, -0.0)], [complex(-0.0, 1e-300)],
+        [np.complex128(0.1 - 3.5j)],
+        [0, 7, -12, Fraction(-5, 12), Fraction(7, 3)],
+        [ComplexRational(Fraction(1, 6), Fraction(-4, 9)), ComplexRational(0)],
+        [0.0, -0.0, 5e-324, 1e308, 0.1, np.float64(0.3), complex(-0.0, 0.5),
+         3, Fraction(2, 7), ComplexRational(Fraction(1, 5), 2)],
+    ])
+    def test_ints_equals_fraction_route(self, values):
+        pairs, den = wf._ints(values)
+        want_pairs, want_den = ref_ints(values)
+        assert den == want_den and pairs == want_pairs
+        assert all(type(x) is int for pair in pairs for x in pair)
 
     @pytest.mark.parametrize("K,seed", CASES)
     def test_inner(self, K, seed):
