@@ -41,7 +41,6 @@ from .models import (
     PhaseScanResult,
     PhysicalParameters,
     ScanSample,
-    SymmetryReport,
     Transition,
     angular_momentum_form,
     build_model,
@@ -53,7 +52,6 @@ from .models import (
     symmetric_energy,
     symmetric_ladders,
     symmetric_raising_pair,
-    symmetry_checks,
 )
 from .phase_space import (
     AdjointMatrix,
@@ -121,9 +119,9 @@ __all__ = [
     "compare_with_lattice",
     # models
     "PhysicalParameters", "DimensionlessModel", "LadderSpec", "ScanSample",
-    "Transition", "PhaseScanResult", "SymmetryReport",
+    "Transition", "PhaseScanResult",
     "reduce_to_dimensionless", "build_model", "isotropic_form",
     "angular_momentum_form", "sb_operator", "symmetric_ladders",
     "symmetric_raising_pair", "symmetric_energy",
-    "random_positive_definite_form", "symmetry_checks", "phase_scan",
+    "random_positive_definite_form", "phase_scan",
 ]

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -225,11 +224,6 @@ class OracleSpectrum:
     shell_eigenvalues: dict[int, np.ndarray] | None
     dim: int
 
-    @cached_property
-    def clusters(self) -> tuple[tuple[float, int], ...]:
-        """(mean, count) of each cluster of the eigenvalues."""
-        return _degenerate_levels(self.eigenvalues)
-
 
 def _block_layout(t: FockTruncation, conserves: bool):
     """Block of each basis state, its index within the block, block sizes.
@@ -300,11 +294,6 @@ def _value_clusters(values: np.ndarray) -> list[np.ndarray]:
     if len(values) == 0:
         return []
     return _cluster(values, tol.cluster_tol(float(np.max(np.abs(values)))))
-
-
-def _degenerate_levels(values: np.ndarray) -> tuple[tuple[float, int], ...]:
-    """(mean, count) of each cluster of sorted eigenvalues."""
-    return tuple((float(np.mean(values[g])), len(g)) for g in _value_clusters(values))
 
 
 @dataclass(frozen=True, eq=False)

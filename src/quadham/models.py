@@ -20,10 +20,9 @@ from .phase_space import (
     LinearForm,
     PhaseSpaceBasis,
     QuadraticForm,
-    adjoint_representation,
     make_quadratic_form,
 )
-from .spectral import Classification, SpectrumReport, _cluster, classify_spectrum
+from .spectral import Classification, _cluster, classify_spectrum
 from . import tolerances as tol
 
 # 1-based operator indices for two modes, as make_quadratic_form expects
@@ -187,37 +186,6 @@ def random_positive_definite_form(
     g = (q * d) @ q.T
     g = (g + g.T) / 2.0
     return QuadraticForm(PhaseSpaceBasis(K), g, 0.0)
-
-
-@dataclass(frozen=True, eq=False)
-class SymmetryReport:
-    swap_exact: bool
-    parity_exact: bool
-    swap_matrix: np.ndarray
-
-
-def symmetry_checks(d: DimensionlessModel) -> SymmetryReport:
-    """Exact (bitwise) discrete symmetries of the symmetric model.
-
-    Swapping the two modes maps coupling b to -b; full parity commutes with
-    any quadratic form.  Both identities hold entrywise in floats because
-    they only permute and negate entries.
-    """
-    if not d.is_symmetric:
-        raise ValueError("mode-swap symmetry needs mu = 1 and k = 1")
-    s = np.zeros((4, 4))
-    s[0, 1] = s[1, 0] = s[2, 3] = s[3, 2] = 1.0
-
-    m_plus = adjoint_representation(build_model(d)).entries
-    flipped = DimensionlessModel(d.mu, d.k, -d.b, d.energy_scale)
-    m_minus = adjoint_representation(build_model(flipped)).entries
-    swap_exact = bool(np.array_equal(m_minus, s.T @ m_plus @ s))
-
-    gamma = build_model(d).gamma
-    parity = -np.eye(4)
-    parity_exact = bool(np.array_equal(parity.T @ gamma @ parity, gamma))
-    return SymmetryReport(swap_exact=swap_exact, parity_exact=parity_exact,
-                          swap_matrix=s)
 
 
 @dataclass(frozen=True, eq=False)

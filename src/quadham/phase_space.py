@@ -82,10 +82,6 @@ class LinearForm:
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
 
-    def adjoint(self) -> "LinearForm":
-        """Hermitian adjoint: coefficients conjugated entrywise."""
-        return LinearForm(self.basis, np.conj(self.coeffs))
-
 
 @dataclass(frozen=True, eq=False)
 class QuadraticForm:
@@ -146,9 +142,6 @@ class AdjointMatrix:
     @property
     def K(self) -> int:
         return self.source.basis.K
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.entries, 2))
 
 
 def make_quadratic_form(K: int, terms) -> QuadraticForm:

@@ -2,15 +2,17 @@
 
 The adjoint matrix is i R with R = (gamma + gamma^T) J real, so eigenvalues
 are computed as i times the eigenvalues of R and no general complex
-eigensolver is needed.  Real eigenvalue pairs (+lambda, -lambda) are matched
-into ladder pairs normalised so that [lowering, raising] = 1, and the spectrum
-class is decided by the definiteness of gamma together with the frequency set.
+eigensolver is needed.  They come in sets lambda, -lambda, conj(lambda)
+(Van Loan, Linear Algebra Appl. 61 (1984) 233), and the eigenvalue clusters
+are built symmetric under both maps, so each real cluster above zero and its
+mirror at -lambda give ladder pairs normalised so that [lowering, raising] =
+1 with no matching step.  The spectrum class is decided by the definiteness
+of gamma together with the frequency set.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -116,13 +118,19 @@ class LatticeLevel:
 def eigen_decompose(m: AdjointMatrix) -> EigenData:
     """Eigenvalues/vectors of the adjoint matrix via its real generator R.
 
-    Eigenvalues within the pairing tolerance t form a cluster, whose
-    geometric multiplicity counts the singular values of (M - lambda I) at
-    most t; a simple eigenvalue is its own cluster value and skips the SVD.
-    The norm of R is its largest singular value.  A repeated
-    eigenvalue with a full eigenspace takes its eigenvectors from the null
-    space of that SVD, because the general eigensolver can return parallel
-    vectors for it.
+    Each eigenvalue v is folded to |Re v| + i |Im v| and the folded values
+    are clustered once at the pairing tolerance t, so v and its mirrors -v,
+    conj(v) and -conj(v) (R's conjugate eigenvalue, exactly) fold onto one
+    point.  A folded cluster is then parted by the sign of each part of each
+    member whose |part| exceeds t / 2, the distance beyond which `_cluster`
+    keeps a value apart from its mirror.  The clusters are therefore
+    symmetric under lambda -> -lambda and lambda -> conj(lambda); their
+    members are in (real, imag, index) order.  A cluster's geometric
+    multiplicity counts the singular values of (M - lambda I) at most t; a
+    simple eigenvalue is its own cluster value and skips the SVD.  The norm
+    of R is its largest singular value.  A repeated eigenvalue with a full
+    eigenspace takes its eigenvectors from the null space of that SVD,
+    because the general eigensolver can return parallel vectors for it.
     """
     entries = m.entries
     R = np.real(-1j * entries)
@@ -139,24 +147,30 @@ def eigen_decompose(m: AdjointMatrix) -> EigenData:
     values = eigenvalues.tolist()
     n = len(values)
     t = tol.pairing_tol(norm)
+    half = t / 2.0
     clusters = []
     eigenspaces = []
-    for g in _cluster(values, t):
-        if len(g) == 1:
-            # the mean of one value; + 0.0 turns -0.0 into 0.0 as np.mean does
-            clusters.append(EigenCluster(value=values[g[0]] + 0.0, algebraic=1,
-                                         geometric=1, indices=(g[0],)))
-            continue
-        # the real mean adds the real parts in sorted order, so it is the
-        # frequency pair_frequencies reads for this cluster
-        value = complex(np.mean(eigenvalues.real[g]), np.mean(eigenvalues.imag[g]))
-        _, svals, vh = np.linalg.svd(entries - value * np.eye(n))
-        rank = int((svals > t).sum())
-        geom = n - rank
-        if geom == len(g):
-            eigenspaces.append((g, vh[rank:].conj().T))
-        clusters.append(EigenCluster(value=value, algebraic=len(g),
-                                     geometric=geom, indices=tuple(g)))
+    for folded in _cluster([complex(abs(v.real), abs(v.imag)) for v in values], t):
+        parts: dict[tuple[int, int], list[int]] = {}
+        for i in folded:
+            v = values[i]
+            parts.setdefault(((v.real > half) - (v.real < -half),
+                              (v.imag > half) - (v.imag < -half)), []).append(i)
+        for g in parts.values():
+            if len(g) == 1:
+                # the mean of one value; + 0.0 turns -0.0 into 0.0 as np.mean does
+                clusters.append(EigenCluster(value=values[g[0]] + 0.0, algebraic=1,
+                                             geometric=1, indices=(g[0],)))
+                continue
+            g.sort(key=lambda i: (values[i].real, values[i].imag, i))
+            value = complex(np.mean(eigenvalues.real[g]), np.mean(eigenvalues.imag[g]))
+            _, svals, vh = np.linalg.svd(entries - value * np.eye(n))
+            rank = int((svals > t).sum())
+            geom = n - rank
+            if geom == len(g):
+                eigenspaces.append((g, vh[rank:].conj().T))
+            clusters.append(EigenCluster(value=value, algebraic=len(g),
+                                         geometric=geom, indices=tuple(g)))
     clusters.sort(key=lambda c: (c.value.real, c.value.imag))
     if eigenspaces:
         V = V.astype(complex)
@@ -211,9 +225,10 @@ def _cluster(values, t: float) -> list[list[int]]:
 
 
 def _nonreal_frequency(e: EigenData, t: float) -> float | None:
-    """Largest |Im| of a cluster value if above t / 2, where `_cluster` (at
-    radius t) stops merging conjugates a +- i eps (2 eps apart) into one
-    real value."""
+    """Largest |Im| of a cluster value if above t / 2: a member with |Im| >
+    t / 2 is parted from its conjugate a -+ i eps (2 eps apart) by
+    `eigen_decompose`, and only such members give a cluster value beyond
+    t / 2."""
     worst = max((abs(c.value.imag) for c in e.clusters), default=0.0)
     return worst if worst > t / 2.0 else None
 
@@ -229,10 +244,15 @@ def _canonical_phase(vec: np.ndarray) -> np.ndarray:
 
 
 def pair_frequencies(e: EigenData, basis: PhaseSpaceBasis) -> list[FrequencyPair]:
-    """Match real eigenvalues into K ladder pairs with [lowering, raising] = 1.
+    """Real eigenvalues as K ladder pairs with [lowering, raising] = 1.
 
     The eigenspaces are the clusters of `eigen_decompose`, members taken in
-    (real part, index) order.  Within each the Hermitian form h(u, v) =
+    (real part, index) order.  Those clusters are mirror-symmetric, so no
+    -lambda partner is searched for: each cluster above the zero-frequency
+    tolerance stands for itself and its mirror, and the one cluster within
+    it (every member |Re| <= t / 2) is the zero eigenspace.  The eigenvalue
+    -conj(v) of R's conjugate eigenvalue pairs each positive member exactly,
+    so these give K pairs.  Within each cluster the Hermitian form h(u, v) =
     i u^dag J v is diagonalised: h-positive directions are raising members,
     h-negative ones are conjugates of raising members in the opposite
     eigenspace, and the zero eigenspace pairs internally, its h-positive half
@@ -251,35 +271,15 @@ def pair_frequencies(e: EigenData, basis: PhaseSpaceBasis) -> list[FrequencyPair
     freqs = e.eigenvalues.real.tolist()
     t_zero = tol.zero_frequency_tol(e.matrix_norm)
     J = _symplectic(basis.K)
-
-    groups = [(c.value.real, sorted(c.indices, key=lambda i: (freqs[i], i)))
-              for c in e.clusters]
-
-    zero_groups = [g for val, g in groups if abs(val) <= t_zero]
-    neg_groups = {abs(val): len(g) for val, g in groups if val < -t_zero}
-
     pairs: list[FrequencyPair] = []
-    for val, idxs in [(val, g) for val, g in groups if val > t_zero]:
-        match = [v for v in neg_groups if abs(v - val) <= t_pair]
-        if not match or neg_groups[match[0]] != len(idxs):
-            raise PairingError(
-                f"unpaired eigenvalue {val:.6g}: no matching -lambda group"
-            )
-        pairs.extend(_pairs_from_group(val, idxs, e.eigenvectors, J, t_zero, basis))
-
-    if zero_groups:
-        zidx = zero_groups[0]
-        if len(zero_groups) > 1:
-            zidx = sorted(itertools.chain.from_iterable(zero_groups))
-        if len(zidx) % 2 != 0:
-            raise PairingError("zero eigenspace has odd dimension")
-        pairs.extend(_pairs_from_group(0.0, zidx, e.eigenvectors, J, t_zero, basis))
-
-    if len(pairs) != basis.K:
-        raise PairingError(
-            f"pairing produced {len(pairs)} pairs, expected {basis.K}"
-        )
-    pairs.sort(key=lambda p: -p.lambda_plus)
+    # highest frequency first, down to the zero cluster
+    for c in reversed(e.clusters):
+        val = c.value.real
+        if val < -t_zero:
+            break  # the rest mirror the clusters paired above
+        idxs = sorted(c.indices, key=lambda i: (freqs[i], i))
+        pairs.extend(_pairs_from_group(val if val > t_zero else 0.0, idxs,
+                                       e.eigenvectors, J, t_zero, basis))
     return pairs
 
 

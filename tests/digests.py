@@ -11,7 +11,9 @@ Equal lines mean the outputs are byte-identical.  The families are:
   fixed corpus of model, `sb`, random definite,
   random indefinite and hand-picked forms that covers all five classes, at
   QUADHAM_TOL_SCALE 1, 1e6 and 1e8;
-- oracle: `oracle_spectrum` results, `build_fock_matrix` and
+- oracle: `oracle_spectrum` results (eigenvalues, shell eigenvalues, shell
+  depth and dimension; `OracleSpectrum.clusters` is gone and no longer
+  hashed), `build_fock_matrix` and
   `linear_form_matrix` bytes, and `compare_with_lattice` reports at two
   lattice depths and four `max_levels` on the model grid, random indefinite
   forms (`random_forms` of tests/test_fock_oracle.py) and random definite
@@ -36,6 +38,17 @@ Equal lines mean the outputs are byte-identical.  The families are:
   whose coefficients have denominator 3;
 - cli: stdout, stderr and exit code of every subcommand in JSON and CSV,
   timestamp removed, on preset, explicit and invalid configurations.
+
+Against a checkout whose eigenvalue clusters are not mirror-symmetric (one
+`_cluster` pass on the unfolded values, then a +-lambda search in the
+pairing), only classify[tol_scale=1e8] differs.  There the 7 random definite
+forms (K, seed) = (3, 4), (4, 0), (4, 1), (4, 2), (4, 6), (4, 8), (4, 9) go
+from `PairingError` "unpaired eigenvalue" to `BoundedBelowDiscrete`, the 6
+`sb` couplings |B| = 0.0805, 0.1074, 0.1342 from `DefectiveExceptional` to
+`CriticalInfiniteMultiplicity`, and 2 random indefinite forms (`random_forms`
+seed 0, numbers 21 and 39) keep their `NonRealFrequencies` report
+while their cluster members change from {-iy, 0, 0}, {+iy} to {-iy}, {0, 0},
+{+iy}.
 
 Not a test module: pytest does not collect it.
 """
@@ -230,7 +243,7 @@ def oracle_line(critical: Digest) -> str:
     for q, n_max in oracle_corpus():
         t = qh.FockTruncation(n_max, q.basis.K)
         o = qh.oracle_spectrum(q, t)
-        main.add(o.eigenvalues, o.shell_eigenvalues, o.shell_exact_upto, o.dim, o.clusters)
+        main.add(o.eigenvalues, o.shell_eigenvalues, o.shell_exact_upto, o.dim)
         main.add(qh.build_fock_matrix(q, t))
         z = qh.LinearForm(q.basis, rng.standard_normal(2 * q.basis.K)
                           + 1j * rng.standard_normal(2 * q.basis.K))

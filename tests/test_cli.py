@@ -129,6 +129,18 @@ class TestConfigHandling:
         assert json.loads(text)["results"]["classification"] == \
             "CriticalInfiniteMultiplicity"
 
+    def test_loose_tol_scale_pairs_a_definite_form(self, tmp_path, capsys):
+        # at tol_scale 1e8 (t = 0.405) the frequencies 2.168 and 2.532 merge;
+        # their mirrors merge the same way, so the form still pairs
+        cfg = write_config(tmp_path, {"preset": "random-pd", "K": 3, "seed": 4,
+                                      "tol_scale": 1e8})
+        code, text = run_cli(["analyze", "--config", cfg], tmp_path)
+        assert (code, capsys.readouterr().err) == (0, "")
+        res = json.loads(text)["results"]
+        assert res["classification"] == "BoundedBelowDiscrete"
+        assert res["lattice_generators"] == pytest.approx([2.800344, 2.350012, 2.350012],
+                                                          abs=1e-6)
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):

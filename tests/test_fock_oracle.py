@@ -312,26 +312,9 @@ class TestOracleSpectrum:
         # at b = 2 the bottom eigenvalue 2 appears once per retained n
         for n_max in (4, 6):
             o = oracle_spectrum(model_form(2.0), FockTruncation(n_max, 2))
-            value, count = o.clusters[0]
-            assert abs(value - 2.0) < 1e-10
-            assert count == n_max + 1
-
-    def test_clusters_computed_on_first_read(self, monkeypatch):
-        calls = []
-        levels = fock._degenerate_levels
-
-        def counting(values):
-            calls.append(values)
-            return levels(values)
-
-        monkeypatch.setattr(fock, "_degenerate_levels", counting)
-        o = oracle_spectrum(random_positive_definite_form(2, seed=5),
-                            FockTruncation(4, 2))
-        assert not calls
-        first = o.clusters
-        assert o.clusters is first
-        assert len(calls) == 1
-        assert first == levels(o.eigenvalues)
+            bottom = fock._value_clusters(o.eigenvalues)[0]
+            assert abs(np.mean(o.eigenvalues[bottom]) - 2.0) < 1e-10
+            assert len(bottom) == n_max + 1
 
     def test_ladder_transport(self):
         # matrix powers of the raising operators walk the exact lattice
@@ -433,7 +416,7 @@ class TestBlockStreaming:
         sizes = {s: len(ix) for s, ix in t.shell_indices().items() if s <= n_max}
         assert {s: v.tobytes() for s, v in o.shell_eigenvalues.items()} == {
             s: np.zeros(size).tobytes() for s, size in sizes.items()}
-        assert o.clusters == ((0.0, t.dim),)
+        assert fock._value_clusters(o.eigenvalues) == [list(range(t.dim))]
 
     @pytest.mark.parametrize("q", [model_form(1.3), model_form(0.5, mu=2.0),
                                    random_positive_definite_form(2, seed=3)],
@@ -549,7 +532,7 @@ class TestComparison:
         levels = spectrum_lattice(rep, 14)
         o = oracle_spectrum(q, FockTruncation(12, 2))
         pooled = np.sort(np.concatenate(list(o.shell_eigenvalues.values())))
-        want = fock._degenerate_levels(pooled)
+        want = [(float(np.mean(pooled[g])), len(g)) for g in fock._value_clusters(pooled)]
         means = []
         mean = np.mean
 

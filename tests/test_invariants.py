@@ -3,14 +3,16 @@
 Symplectic congruence gamma -> S^T gamma S keeps the frequencies, scaling
 gamma by s scales them by s, permuting the modes changes nothing, and the
 frequencies are twice the Williamson values, the positive eigenvalues of
-i gamma^1/2 J gamma^1/2.
+i gamma^1/2 J gamma^1/2.  The symmetric model's discrete symmetries hold
+bitwise.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from quadham import Classification, PhaseSpaceBasis, QuadraticForm, classify_spectrum
+from quadham import (Classification, DimensionlessModel, PhaseSpaceBasis, QuadraticForm,
+                     build_model, classify_spectrum)
 
 RTOL = 1e-12
 INVARIANT = settings(derandomize=True, deadline=None, database=None, max_examples=40)
@@ -75,3 +77,15 @@ def test_williamson_values(q):
     root = (U * np.sqrt(w)) @ U.T
     sym = np.linalg.eigvalsh(1j * root @ q.basis.symplectic() @ root)
     np.testing.assert_allclose(frequencies(q), 2.0 * sym[::-1][:q.basis.K], rtol=RTOL)
+
+
+def test_symmetric_model_mode_swap_and_parity():
+    # swapping the two modes maps b to -b, and full parity x, p -> -x, -p
+    # leaves any quadratic form alone; both only permute and negate entries
+    swap = [1, 0, 3, 2]
+    parity = -np.eye(4)
+    for b in (-3.0, -2.0, -0.5, 0.0, 1.7, 2.0):
+        gamma = build_model(DimensionlessModel(1.0, 1.0, b)).gamma
+        assert np.array_equal(gamma[np.ix_(swap, swap)],
+                              build_model(DimensionlessModel(1.0, 1.0, -b)).gamma)
+        assert np.array_equal(parity.T @ gamma @ parity, gamma)

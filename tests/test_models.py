@@ -22,7 +22,6 @@ from quadham import (
     symmetric_energy,
     symmetric_ladders,
     symmetric_raising_pair,
-    symmetry_checks,
 )
 
 
@@ -188,18 +187,6 @@ class TestRandomForms:
             random_positive_definite_form(1, seed=0, spread=(0.0, 1.0))
         with pytest.raises(ValueError):
             random_positive_definite_form(1, seed=0, spread=(2.0, 1.0))
-
-
-class TestSymmetryChecks:
-    def test_symmetric_model(self):
-        rep = symmetry_checks(DimensionlessModel(mu=1.0, k=1.0, b=1.7))
-        assert rep.swap_exact
-        assert rep.parity_exact
-        assert rep.swap_matrix.shape == (4, 4)
-
-    def test_requires_symmetric_parameters(self):
-        with pytest.raises(ValueError):
-            symmetry_checks(DimensionlessModel(mu=2.0, k=1.0, b=1.0))
 
 
 class TestSymmetricEnergy:

@@ -137,7 +137,6 @@ class TestAdjointRepresentation:
         m = adjoint_representation(QuadraticForm(PhaseSpaceBasis(K), g, 0.0))
         assert np.all(m.entries.real == 0.0)
         assert m.K == K
-        assert m.norm() > 0.0
 
 
 class TestLinearCommutator:
@@ -157,7 +156,7 @@ class TestLinearCommutator:
         basis = PhaseSpaceBasis(1)
         s = 1.0 / np.sqrt(2.0)
         low = LinearForm(basis, [s, 1j * s])
-        high = low.adjoint()
+        high = LinearForm(basis, np.conj(low.coeffs))
         assert abs(linear_commutator(low, high) - 1.0) < 1e-15
 
     def test_basis_mismatch(self):
