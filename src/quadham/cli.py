@@ -40,7 +40,8 @@ from .wavefunctions import (
 )
 from . import tolerances as tol
 
-# largest m + n the wavefunction command builds; (60, 60) takes 0.7-0.9 s on 2 vCPUs
+# largest m + n the wavefunction command builds; (60, 60) takes 46-77 ms on
+# 2 vCPUs of a shared host (best of 5)
 MAX_WAVEFUNCTION_QUANTA = 120
 # most samples a scan takes; a sample costs about 0.7 ms, so 10**4 about 7 s
 MAX_SCAN_STEPS = 10**4

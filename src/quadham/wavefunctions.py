@@ -10,9 +10,10 @@ The arithmetic runs on Gaussian integers.  A state holds its polynomial as
 numerator pairs (re, im) of Python ints by exponent tuple over one shared
 positive denominator (a power of two for the dyadic coefficients the models
 produce, any positive integer for general Fraction coefficients).  The
-ladder kernel ``_act``, the quadratic-form kernel, ``inner``, ``canonical``
-and ``is_scalar_multiple_exact`` work on those pairs, and every kernel result
-is built from its pairs directly.  ``PolyGaussian.poly`` is a read-only
+linear-form kernel ``_act``, the quadratic-form kernel,
+``build_eigenfunction``, ``inner``, ``canonical`` and
+``is_scalar_multiple_exact`` work on those pairs, and every kernel result is
+built from its pairs directly.  ``PolyGaussian.poly`` is a read-only
 ComplexRational view of the pairs, built on first use.
 
 A quadratic form sum_ab gamma_ab O_a O_b + offset acts on the polynomial
@@ -22,7 +23,11 @@ and is derived once per call, in Gaussian integers, with exact cancellations
 dropped: for gamma = identity the x_j^2 terms cancel and p_j^2 + x_j^2 leaves
 -d_j^2 + 2 x_j d_j + 1.
 
-``build_eigenfunction`` normalises Z^m W^n |0> in closed form when both forms
+``build_eigenfunction`` builds Z^m W^n |0> from its generating function
+e^(sZ) e^(tW) |0>, a Gaussian because [Z, W] is a scalar: a finite sum of
+products of two Hermite-type polynomials, Ito's complex Hermite polynomials
+for the symmetric model's raising pair, instead of m + n ladder passes.  It
+normalises the state in closed form when both forms
 are pure creation combinations (cp_j = -i cx_j, so Z^dagger |0> = 0) with
 [Z^dagger, W] = 0.  Then [Z, W] = 0 and c = [Z^dagger, Z] > 0 follow, and
 ||Z^m W^n |0>||^2 = m! n! c_Z^m c_W^n (Colpa, Physica A 93 (1978) 327).  Any
@@ -289,17 +294,6 @@ def _canonical(K: int, terms: dict, den: int, scale: PiScale) -> "PolyGaussian":
         scale * Fraction(g, den))
 
 
-def _accumulate(table: dict, key: tuple, value: tuple[int, int]) -> None:
-    cur = table.get(key)
-    table[key] = value if cur is None else (cur[0] + value[0], cur[1] + value[1])
-
-
-def _bump(exps: tuple, j: int, step: int) -> tuple:
-    out = list(exps)
-    out[j] += step
-    return tuple(out)
-
-
 def _render_gaussian(K: int) -> str:
     labels = PhaseSpaceBasis(K).labels()[:K]
     if K == 1:
@@ -380,6 +374,7 @@ def _act(terms: dict, coeffs) -> dict:
     """
     K = len(coeffs) // 2
     out: dict = {}
+    get = out.get
     for j in range(K):
         (xr, xi), (pr, pi) = coeffs[j], coeffs[K + j]
         if not (xr or xi or pr or pi):
@@ -387,13 +382,21 @@ def _act(terms: dict, coeffs) -> dict:
         ur, ui = xr - pi, xi + pr  # cx_j + i cp_j
         dr, di = -pi, pr           # i cp_j
         for exps, (cr, ci) in terms.items():
+            e = list(exps)
             if ur or ui:
-                _accumulate(out, _bump(exps, j, +1),
-                            (ur * cr - ui * ci, ur * ci + ui * cr))
-            e = exps[j]
-            if e and (dr or di):
-                _accumulate(out, _bump(exps, j, -1),
-                            (-e * (dr * cr - di * ci), -e * (dr * ci + di * cr)))
+                e[j] += 1
+                key = tuple(e)
+                vr, vi = ur * cr - ui * ci, ur * ci + ui * cr
+                cur = get(key)
+                out[key] = (vr, vi) if cur is None else (cur[0] + vr, cur[1] + vi)
+                e[j] -= 1
+            w = e[j]
+            if w and (dr or di):
+                e[j] -= 1
+                key = tuple(e)
+                vr, vi = -w * (dr * cr - di * ci), -w * (dr * ci + di * cr)
+                cur = get(key)
+                out[key] = (vr, vi) if cur is None else (cur[0] + vr, cur[1] + vi)
     return {k: v for k, v in out.items() if v != (0, 0)}
 
 
@@ -605,9 +608,68 @@ def _creation_norms(z: list, w: list) -> tuple[int, int] | None:
     return tuple(2 * sum(r * r + i * i for r, i in f[:K]) for f in (z, w))
 
 
+def _raising_part(coeffs: list) -> list[tuple[int, int]]:
+    """u_j = cx_j + i cp_j: the linear form acts on the polynomial part as
+    u.x - d.grad with d_j = i cp_j, as in ``_act``."""
+    K = len(coeffs) // 2
+    return [(xr - pi, xi + pr) for (xr, xi), (pr, pi) in zip(coeffs[:K], coeffs[K:])]
+
+
+def _dot_lowering(u: list, coeffs: list) -> tuple[int, int]:
+    """The bilinear product u.d with d_j = i cp_j of coeffs."""
+    re = im = 0
+    for (ur, ui), (pr, pi) in zip(u, coeffs[len(coeffs) // 2:]):
+        re -= ur * pi + ui * pr
+        im += ur * pr - ui * pi
+    return re, im
+
+
+def _hermite(u: list, ud: tuple[int, int], top: int, shifts: list) -> list[dict]:
+    """U_0 .. U_top of U_0 = 1, U_(p+1) = (u.x) U_p - p (u.d) U_(p-1).
+
+    Each U_p maps packed exponent keys to numerator pairs; x_j adds
+    shifts[j] to a key.
+    """
+    moves = [(s, ur, ui) for s, (ur, ui) in zip(shifts, u) if ur or ui]
+    kr, ki = ud
+    polys = [{0: (1, 0)}]
+    for p in range(top):
+        out: dict = {}
+        get = out.get
+        for key, (cr, ci) in polys[p].items():
+            for s, ur, ui in moves:
+                k = key + s
+                vr, vi = ur * cr - ui * ci, ur * ci + ui * cr
+                cur = get(k)
+                out[k] = (vr, vi) if cur is None else (cur[0] + vr, cur[1] + vi)
+        if p and (kr or ki):
+            for key, (cr, ci) in polys[p - 1].items():
+                vr, vi = p * (kr * cr - ki * ci), p * (kr * ci + ki * cr)
+                cur = get(key)
+                out[key] = (-vr, -vi) if cur is None else (cur[0] - vr, cur[1] - vi)
+        polys.append(out)
+    return polys
+
+
 def build_eigenfunction(z_first: LinearForm, z_second: LinearForm,
                         m: int, n: int) -> PolyGaussian:
-    """Normalised state from m hits of z_first after n hits of z_second."""
+    """Normalised Z^m W^n |0>, Z = z_first and W = z_second.
+
+    On the polynomial part a form acts as u.x - d.grad, u_j = cx_j + i cp_j
+    and d_j = i cp_j.  Because [Z, W] and [d_j, x_k] are scalars,
+    e^(sZ) e^(tW) = e^(sZ + tW + st [Z, W] / 2) and e^(a.x - b.grad) 1 =
+    e^(a.x - a.b / 2), so with A = u_Z.x and B = u_W.x
+        e^(sZ) e^(tW) 1 = e^(sA - s^2 u_Z.d_Z / 2) e^(tB - t^2 u_W.d_W / 2)
+                          e^(-st u_W.d_Z),
+    whose s^m t^n / (m! n!) coefficient is
+        Z^m W^n 1 = sum_c c! C(m, c) C(n, c) (-u_W.d_Z)^c U_(m-c) V_(n-c)
+    with U_0 = 1, U_(p+1) = A U_p - p (u_Z.d_Z) U_(p-1), and V_q alike from
+    B.  For the symmetric model's raising pair these are Ito's complex
+    Hermite polynomials H_(m,n)(z, conj z) (K. Ito, Jpn. J. Math. 22 (1952)
+    63).  Every term is a Gaussian integer over first_den^m second_den^n, as
+    after m + n ladder passes.  Exponent tuples are packed into one int in
+    base m + n + 1 while summing and unpacked once at the end.
+    """
     if m < 0 or n < 0 or m != int(m) or n != int(n):
         raise ValueError("quantum numbers must be non-negative integers")
     if z_first.basis != z_second.basis:
@@ -615,19 +677,45 @@ def build_eigenfunction(z_first: LinearForm, z_second: LinearForm,
     m, n = int(m), int(n)
     first, first_den = _ints(complex(c) for c in z_first.coeffs)
     second, second_den = _ints(complex(c) for c in z_second.coeffs)
-    v = vacuum(z_first.basis.K)
-    terms, den = v._terms, v._den
-    for _ in range(n):
-        terms = _act(terms, second)
-    for _ in range(m):
-        terms = _act(terms, first)
+    K = z_first.basis.K
+    base = m + n + 1
+    shifts = [base ** j for j in range(K)]
+    u_z, u_w = _raising_part(first), _raising_part(second)
+    us = _hermite(u_z, _dot_lowering(u_z, first), m, shifts)
+    vs = _hermite(u_w, _dot_lowering(u_w, second), n, shifts)
+    kr, ki = _dot_lowering(u_w, first)
+    kr, ki = -kr, -ki  # kappa = -u_W.d_Z
+    out: dict = {}
+    get = out.get
+    wr, wi = 1, 0  # kappa^c, zero for every c > 0 when kappa = 0
+    for c in range(min(m, n) + 1 if kr or ki else 1):
+        if c:
+            wr, wi = wr * kr - wi * ki, wr * ki + wi * kr
+        f = math.comb(m, c) * math.comb(n, c) * math.factorial(c)
+        sr, si = f * wr, f * wi
+        v_items = list(vs[n - c].items())
+        for ka, (ar, ai) in us[m - c].items():
+            tr, ti = sr * ar - si * ai, sr * ai + si * ar
+            for kb, (br, bi) in v_items:
+                k = ka + kb
+                vr, vi = tr * br - ti * bi, tr * bi + ti * br
+                cur = get(k)
+                out[k] = (vr, vi) if cur is None else (cur[0] + vr, cur[1] + vi)
+    terms = {}
+    for key, pair in out.items():
+        if pair != (0, 0):
+            exps = []
+            for _ in range(K):
+                key, e = divmod(key, base)
+                exps.append(e)
+            terms[tuple(exps)] = pair
     if not terms:
         raise ValueError("ladder application annihilated the state")
-    den *= first_den ** m * second_den ** n
+    den = first_den ** m * second_den ** n
     c = _creation_norms(first, second)
-    if c is None:
-        return normalized_copy(PolyGaussian._from_kernel(v.K, terms, den, v.scale))
-    sq = (math.factorial(m) * math.factorial(n)
-          * Fraction(c[0], first_den ** 2) ** m
-          * Fraction(c[1], second_den ** 2) ** n)
-    return _canonical(v.K, terms, den, v.scale / PiScale(sq, 0))
+    if c is None:  # the vacuum's scale is pi^(-K/4)
+        return normalized_copy(PolyGaussian._from_kernel(K, terms, den,
+                                                         PiScale(1, -K)))
+    sq = Fraction(math.factorial(m) * math.factorial(n) * c[0] ** m * c[1] ** n,
+                  den * den)
+    return _canonical(K, terms, den, PiScale(1 / sq, -K))

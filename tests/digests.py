@@ -32,10 +32,13 @@ Equal lines mean the outputs are byte-identical.  The families are:
   non-real form diag(1, -1, 1, -1) + 0.05 x1 x2 at QUADHAM_TOL_SCALE 2e7;
 - exact: `render()`, `.poly` and `.scale` of the exact eigenfunctions for
   the (m, n) pairs of the `exact_states` benchmark workload, with the exact
-  amounts H psi / psi (H the symmetric model at a dyadic b) and L_z psi / psi,
-  then `apply_quadratic_form` outputs (`.poly` and `.scale`) of random dyadic
-  forms with x-p cross terms and a nonzero offset, K = 1-3, on random states
-  whose coefficients have denominator 3;
+  amounts H psi / psi (H the symmetric model at a dyadic b) and L_z psi / psi;
+  `render()`, `.poly` and `.scale` of `build_eigenfunction` (or the error
+  raised) for 0 <= m, n <= 4 on seeded random dyadic ladder pairs at
+  K = 1-3, which are not creation combinations, and on creation pairs on
+  disjoint modes at K = 2, 3; then `apply_quadratic_form` outputs (`.poly`
+  and `.scale`) of random dyadic forms with x-p cross terms and a nonzero
+  offset, K = 1-3, on random states whose coefficients have denominator 3;
 - cli: stdout, stderr and exit code of every subcommand in JSON and CSV,
   timestamp removed, on preset, explicit and invalid configurations.
 
@@ -271,6 +274,14 @@ def exact_line() -> str:
         d.add(psi.render(), sorted(psi.poly.items()), psi.scale,
               qh.is_scalar_multiple_exact(qh.apply_quadratic_form(h, psi), psi),
               qh.is_scalar_multiple_exact(qh.apply_quadratic_form(lz, psi), psi))
+    for z, w in random_ladder_pairs(np.random.default_rng(5)):
+        for m in range(5):
+            for n in range(5):
+                try:
+                    psi = qh.build_eigenfunction(z, w, m, n)
+                    d.add(psi.render(), sorted(psi.poly.items()), psi.scale)
+                except ValueError as exc:
+                    d.add(type(exc).__name__, str(exc))
     rng = np.random.default_rng(12)
     for K in (1, 2, 3):
         for _ in range(4):
@@ -284,6 +295,24 @@ def exact_line() -> str:
                 out = qh.apply_quadratic_form(q, s)
                 d.add(K, g, sorted(out.poly.items()), out.scale)
     return d.line("exact")
+
+
+def random_ladder_pairs(rng):
+    """Dyadic (Z, W): random forms at K = 1-3, creation pairs at K = 2, 3."""
+    def form(K, c):
+        return qh.LinearForm(qh.PhaseSpaceBasis(K), c)
+    for K in (1, 2, 3):
+        for _ in range(3):
+            yield tuple(form(K, rng.integers(-8, 9, size=2 * K) / 8.0
+                             + 1j * rng.integers(-8, 9, size=2 * K) / 4.0)
+                        for _ in range(2))
+    for K in (2, 3):
+        # Z on modes 0..K-2, W on mode K-1, so [Z^dagger, W] = 0
+        zx = np.zeros(K, dtype=complex)
+        zx[:K - 1] = rng.integers(1, 9, size=K - 1) / 8.0 + 1j * rng.integers(-8, 9, size=K - 1) / 4.0
+        wx = np.zeros(K, dtype=complex)
+        wx[K - 1] = rng.integers(1, 9) / 4.0
+        yield tuple(form(K, np.concatenate([cx, -1j * cx])) for cx in (zx, wx))
 
 
 def random_state(rng, K, terms=6):

@@ -5,7 +5,9 @@ ladder action, quadratic-form action (two linear-form passes per nonzero row
 of gamma), inner product, canonical form, scalar-multiple test and number
 conversion that quadham.wavefunctions computed before it moved to Gaussian
 integers and to one operator table per quadratic form; the integer kernels
-must reproduce them exactly.
+must reproduce them exactly.  ``build_eigenfunction``, which sums its
+closed-form recurrence instead of applying the ladder forms, must equal
+m + n ``apply_linear_form`` passes from the vacuum (``_raw_state``).
 """
 
 import copy
@@ -266,6 +268,19 @@ class TestIntegerKernelMatchesReference:
             apply_quadratic_form(q, s)
         assert calls == []
 
+    def test_eigenfunction_runs_no_ladder_pass(self, monkeypatch):
+        calls = []
+        original = wf._act
+        monkeypatch.setattr(wf, "_act",
+                            lambda t, c: calls.append(1) or original(t, c))
+        z, w = (spec.form for spec in symmetric_raising_pair())
+        rng = np.random.default_rng(0)
+        for m, n in ((0, 1), (3, 0), (2, 5), (12, 12)):
+            build_eigenfunction(z, w, m, n)
+            build_eigenfunction(random_dyadic_form(rng, 3),
+                                random_dyadic_form(rng, 3), m % 4, n % 4)
+        assert calls == []
+
     @pytest.mark.parametrize("K,seed", CASES)
     def test_kernel_states_carry_their_pairs(self, K, seed):
         rng = np.random.default_rng(seed)
@@ -383,6 +398,28 @@ class TestClosedFormNorm:
                 assert psi.poly == poly and psi.scale == scale, (m, n)
                 raw = apply_linear_form(z, raw)
 
+    @pytest.mark.parametrize("K,seed", [(K, seed) for K in (2, 3) for seed in range(3)])
+    def test_creation_pairs_on_disjoint_modes(self, K, seed, monkeypatch):
+        # Z on modes 0..K-2, W on mode K-1: [Z^dagger, W] = 0 and the norm
+        # is closed-form, while u_Z.d_Z = 2 sum_j zx_j^2 is nonzero, so U_p
+        # is not A^p as for the symmetric pair
+        rng = np.random.default_rng(seed)
+        zx = np.zeros(K, dtype=complex)
+        zx[:K - 1] = (rng.integers(1, 9, size=K - 1) / 8.0
+                      + 1j * rng.integers(-8, 9, size=K - 1) / 4.0)
+        wx = np.zeros(K, dtype=complex)
+        wx[K - 1] = rng.integers(1, 9) / 4.0
+        z, w = (LinearForm(PhaseSpaceBasis(K), np.concatenate([cx, -1j * cx]))
+                for cx in (zx, wx))
+        calls = _counting_inner(monkeypatch)
+        for m in range(5):
+            for n in range(5):
+                calls.clear()
+                psi = build_eigenfunction(z, w, m, n)
+                assert calls == [], (m, n)
+                want = normalized_copy(_raw_state(z, w, m, n))
+                assert psi.poly == want.poly and psi.scale == want.scale, (m, n)
+
     def test_equals_inner_at_16_16(self):
         z, w = (spec.form for spec in symmetric_raising_pair())
         psi = build_eigenfunction(z, w, 16, 16)
@@ -423,3 +460,18 @@ class TestPreconditionFailuresUseInner:
         assert squared_norm(psi).is_one
         want = normalized_copy(_raw_state(z, w, m, n))
         assert psi.poly == want.poly and psi.scale == want.scale
+
+    @pytest.mark.parametrize("K,seed", CASES)
+    def test_random_dyadic_pairs(self, K, seed):
+        rng = np.random.default_rng(seed)
+        z, w = random_dyadic_form(rng, K), random_dyadic_form(rng, K)
+        for m in range(5):
+            for n in range(5):
+                psi = build_eigenfunction(z, w, m, n)
+                want = normalized_copy(_raw_state(z, w, m, n))
+                assert psi.poly == want.poly and psi.scale == want.scale, (m, n)
+
+    def test_annihilated_state_raises(self):
+        lowering = symmetric_ladders()[2].form
+        with pytest.raises(ValueError, match="annihilated"):
+            build_eigenfunction(lowering, symmetric_raising_pair()[1].form, 1, 0)
