@@ -1,4 +1,4 @@
-"""Exact polynomial-times-Gaussian states and ladder actions on them.
+"""Exact polynomial-times-Gaussian states and operator actions on them.
 
 A state is scale * f(x) * exp(-|x|^2 / 2) with f a polynomial over exact
 complex rationals and scale a PiScale.  Position acts by multiplication,
@@ -6,18 +6,21 @@ momentum by p_j = -i d/dx_j, which on the polynomial part is
 f -> -i df/dx_j + i x_j f.  Every operation here is exact: floats entering
 through form coefficients are dyadic rationals and convert losslessly.
 
-The arithmetic runs on Gaussian integers.  A state holds its polynomial as
-numerator pairs (re, im) of Python ints by exponent tuple over one shared
-positive denominator (a power of two for the dyadic coefficients the models
-produce, any positive integer for general Fraction coefficients).  The
-linear-form kernel ``_act``, the quadratic-form kernel,
-``build_eigenfunction``, ``inner``, ``canonical`` and
-``is_scalar_multiple_exact`` work on those pairs, and every kernel result is
-built from its pairs directly.  ``PolyGaussian.poly`` is a read-only
-ComplexRational view of the pairs, built on first use.
+A state holds its polynomial as numerator pairs (re, im) of Python ints by
+exponent tuple over one shared positive denominator (a power of two for the
+dyadic coefficients the models produce, any positive integer for general
+Fraction coefficients).  Every operation runs on those pairs: the linear
+structure, ``evaluate``, ``render``, ``inner``, ``canonical``,
+``is_scalar_multiple_exact`` and ``build_eigenfunction``.  The constructor
+is the one place a caller's coefficients convert to pairs, and
+``PolyGaussian.poly``, a read-only ComplexRational view built on first use,
+is output only: nothing here reads it.
 
-A quadratic form sum_ab gamma_ab O_a O_b + offset acts on the polynomial
-part as one second-order operator: sum_jk (A_jk x_j x_k + B_jk x_j d_k +
+Every operator acts through one kernel, ``_act_table``, on a table of
+moves.  A linear form sum_j (cx_j x_j + cp_j p_j) acts on the polynomial
+part as u.x - d.grad with u_j = cx_j + i cp_j and d_j = i cp_j, a
+first-order table.  A quadratic form sum_ab gamma_ab O_a O_b + offset acts
+as one second-order operator: sum_jk (A_jk x_j x_k + B_jk x_j d_k +
 C_jk d_j d_k) + c0.  Its table follows from p_j (f G) = (-i d_j f + i x_j f) G
 and is derived once per call, in Gaussian integers, with exact cancellations
 dropped: for gamma = identity the x_j^2 terms cancel and p_j^2 + x_j^2 leaves
@@ -43,7 +46,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ._exact import ComplexRational, PiScale, _fraction_str, _rational_sqrt
+from ._exact import ComplexRational, PiScale, _rational_sqrt
 from .phase_space import LinearForm, PhaseSpaceBasis, QuadraticForm
 
 @dataclass(frozen=True, eq=False)
@@ -79,27 +82,13 @@ class ExactAmount:
         return f"ExactAmount({self.coeff!r}, {self.factor!r})"
 
 
-def _clean_poly(K: int, poly) -> dict:
-    out = {}
-    for exps, coeff in poly.items():
-        key = tuple(int(e) for e in exps)
-        if len(key) != K:
-            raise ValueError(f"exponent tuple {key} does not have length {K}")
-        if any(e < 0 for e in key):
-            raise ValueError(f"negative exponent in {key}")
-        c = ComplexRational.from_number(coeff)
-        if not c.is_zero:
-            out[key] = c
-    return out
-
-
 class PolyGaussian:
     """scale * (polynomial in x_1..x_K) * exp(-|x|^2/2).
 
     The numerator pairs and their denominator are the state; ``poly`` is
     their ComplexRational view, built from them on first use.  The
-    constructor validates and converts a caller's polynomial; kernel results
-    come from ``_from_kernel``.
+    constructor validates and converts a caller's polynomial; every other
+    state comes from ``_from_kernel``.
     """
 
     __slots__ = ("K", "scale", "_terms", "_den", "_poly")
@@ -107,10 +96,10 @@ class PolyGaussian:
     def __init__(self, K: int, poly, scale: PiScale):
         if not isinstance(K, int) or K < 1:
             raise ValueError("K must be a positive integer")
-        clean = _clean_poly(K, poly)
+        terms, den = _poly_ints(K, poly)
         if not isinstance(scale, PiScale):
             raise TypeError("scale must be a PiScale")
-        _set(self, K, *_to_ints(clean), scale)
+        _set(self, K, terms, den, scale)
 
     @classmethod
     def _from_kernel(cls, K: int, terms: dict, den: int,
@@ -141,11 +130,10 @@ class PolyGaussian:
     # ---- linear structure ------------------------------------------------
 
     def scalar_mul(self, z) -> "PolyGaussian":
-        c = ComplexRational.from_number(z)
-        if c.is_zero:
-            return PolyGaussian(self.K, {}, self.scale)
-        return PolyGaussian(self.K, {k: v * c for k, v in self.poly.items()},
-                            self.scale)
+        [(zr, zi)], den = _ints([z])
+        terms = {k: (zr * re - zi * im, zr * im + zi * re)
+                 for k, (re, im) in self._terms.items()} if zr or zi else {}
+        return PolyGaussian._from_kernel(self.K, terms, self._den * den, self.scale)
 
     def __add__(self, other: "PolyGaussian") -> "PolyGaussian":
         if not isinstance(other, PolyGaussian):
@@ -158,10 +146,17 @@ class PolyGaussian:
                 "scales differ by an irrational factor; exact addition "
                 "is not representable"
             )
-        out = {k: v * ratio for k, v in self.poly.items()}
-        for k, v in other.poly.items():
-            out[k] = out[k] + v if k in out else v
-        return PolyGaussian(self.K, out, other.scale)
+        # (p / q) A / da + B / db over L = lcm(q da, db), so that repeated
+        # sums keep the denominator of their terms
+        qa = ratio.denominator * self._den
+        den = math.lcm(qa, other._den)
+        fa, fb = ratio.numerator * (den // qa), den // other._den
+        out = {k: (fa * re, fa * im) for k, (re, im) in self._terms.items()}
+        for k, (re, im) in other._terms.items():
+            ar, ai = out.get(k, (0, 0))
+            out[k] = (ar + fb * re, ai + fb * im)
+        return PolyGaussian._from_kernel(
+            self.K, {k: v for k, v in out.items() if v != (0, 0)}, den, other.scale)
 
     def __sub__(self, other: "PolyGaussian") -> "PolyGaussian":
         if not isinstance(other, PolyGaussian):
@@ -175,11 +170,11 @@ class PolyGaussian:
 
     def apply_position(self, j: int) -> "PolyGaussian":
         self._check_mode(j)
-        return _applied(self, _unit(self.K, j), 1)
+        return _applied(self, _linear_table(_unit(self.K, j)), 1)
 
     def apply_momentum(self, j: int) -> "PolyGaussian":
         self._check_mode(j)
-        return _applied(self, _unit(self.K, self.K + j), 1)
+        return _applied(self, _linear_table(_unit(self.K, self.K + j)), 1)
 
     def _check_mode(self, j: int) -> None:
         if not 0 <= j < self.K:
@@ -209,18 +204,22 @@ class PolyGaussian:
     def evaluate(self, points) -> complex | np.ndarray:
         """Value at points of shape (K,) or (N, K)."""
         pts = np.asarray(points, dtype=float)
+        if pts.ndim not in (1, 2):
+            raise ValueError(f"points must have shape ({self.K},) or (N, {self.K})")
+        if pts.shape[-1] != self.K:
+            raise ValueError(f"points must have last dimension {self.K}")
         single = pts.ndim == 1
         if single:
             pts = pts[None, :]
-        if pts.shape[-1] != self.K:
-            raise ValueError(f"points must have last dimension {self.K}")
+        den = self._den
         acc = np.zeros(pts.shape[0], dtype=complex)
-        for exps, c in self.poly.items():
+        for exps, (re, im) in self._terms.items():
             mono = np.ones(pts.shape[0])
             for j, e in enumerate(exps):
                 if e:
                     mono = mono * pts[:, j] ** e
-            acc += c.to_complex() * mono
+            # int / int is correctly rounded, as Fraction.__float__ is
+            acc += complex(re / den, im / den) * mono
         acc *= float(self.scale) * np.exp(-0.5 * np.sum(pts * pts, axis=-1))
         return complex(acc[0]) if single else acc
 
@@ -232,9 +231,10 @@ class PolyGaussian:
         parts = []
         if not self.scale.is_one:
             parts.append(self.scale.display())
-        poly_str = _render_poly(self.poly, PhaseSpaceBasis(self.K).labels()[:self.K])
+        poly_str = _render_poly(self._terms, self._den,
+                                PhaseSpaceBasis(self.K).labels()[:self.K])
         if poly_str != "1":
-            if len(self.poly) > 1:
+            if len(self._terms) > 1:
                 poly_str = f"({poly_str})"
             parts.append(poly_str)
         parts.append(_render_gaussian(self.K))
@@ -275,10 +275,19 @@ def _ints(values) -> tuple[list[tuple[int, int]], int]:
             for (rn, rd), (jn, jd) in parts], den
 
 
-def _to_ints(poly: dict) -> tuple[dict, int]:
-    """A polynomial's numerator pairs by exponent tuple, and their denominator."""
+def _poly_ints(K: int, poly) -> tuple[dict, int]:
+    """A caller's polynomial as nonzero numerator pairs by exponent tuple,
+    and their denominator; zero coefficients have denominator 1."""
+    keys = []
+    for exps in poly:
+        key = tuple(int(e) for e in exps)
+        if len(key) != K:
+            raise ValueError(f"exponent tuple {key} does not have length {K}")
+        if any(e < 0 for e in key):
+            raise ValueError(f"negative exponent in {key}")
+        keys.append(key)
     pairs, den = _ints(poly.values())
-    return dict(zip(poly, pairs)), den
+    return {k: pair for k, pair in zip(keys, pairs) if pair != (0, 0)}, den
 
 
 def _from_ints(terms: dict, den: int) -> dict:
@@ -312,36 +321,38 @@ def _mono_str(exps: tuple, labels: list[str]) -> str:
     return "*".join(pieces)
 
 
-def _term_pieces(c: ComplexRational, mono: str) -> tuple[bool, str]:
-    """(is_negative, body) for one rendered term."""
-    if c.im == 0:
-        neg = c.re < 0
-        mag = abs(c.re)
-        if mono and mag == 1:
-            coeff = ""
-        else:
-            coeff = _fraction_str(mag)
-    elif c.re == 0:
-        neg = c.im < 0
-        mag = abs(c.im)
-        coeff = "i" if mag == 1 else f"{_fraction_str(mag)}*i"
+def _ratio_str(num: int, den: int) -> str:
+    """num / den in lowest terms, "n" or "n/d"."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _imag_str(mag: int, den: int) -> str:
+    return "i" if mag == den else f"{_ratio_str(mag, den)}*i"
+
+
+def _term_pieces(re: int, im: int, den: int, mono: str) -> tuple[bool, str]:
+    """(is_negative, body) for one rendered term with coefficient (re + i im) / den."""
+    if im == 0:
+        neg = re < 0
+        coeff = "" if mono and abs(re) == den else _ratio_str(abs(re), den)
+    elif re == 0:
+        neg = im < 0
+        coeff = _imag_str(abs(im), den)
     else:
         neg = False
-        re_s = _fraction_str(c.re)
-        im_mag = abs(c.im)
-        im_s = "i" if im_mag == 1 else f"{_fraction_str(im_mag)}*i"
-        sign = "+" if c.im > 0 else "-"
-        coeff = f"({re_s} {sign} {im_s})"
+        sign = "+" if im > 0 else "-"
+        coeff = f"({_ratio_str(re, den)} {sign} {_imag_str(abs(im), den)})"
     if coeff and mono:
         return neg, f"{coeff}*{mono}"
     return neg, coeff or mono
 
 
-def _render_poly(poly: dict, labels: list[str]) -> str:
-    keys = sorted(poly, key=lambda k: (sum(k), tuple(-e for e in k)))
+def _render_poly(terms: dict, den: int, labels: list[str]) -> str:
+    keys = sorted(terms, key=lambda k: (sum(k), tuple(-e for e in k)))
     out = []
     for key in keys:
-        neg, body = _term_pieces(poly[key], _mono_str(key, labels))
+        neg, body = _term_pieces(*terms[key], den, _mono_str(key, labels))
         if not out:
             out.append(f"-{body}" if neg else body)
         else:
@@ -364,53 +375,30 @@ def _unit(K: int, index: int) -> list[tuple[int, int]]:
     return coeffs
 
 
-def _act(terms: dict, coeffs) -> dict:
-    """Numerators of sum_j (cx_j x_j + cp_j p_j) acting on terms * G.
+def _linear_table(coeffs: list) -> tuple:
+    """sum_j (cx_j x_j + cp_j p_j), numerators coeffs, as a first-order table.
 
-    terms maps exponent tuples to Gaussian-integer pairs (re, im); coeffs
-    holds 2K such pairs, positions first.  The result is over the product of
-    the two denominators.  Momentum acts as p_j (f G) = (-i df/dx_j + i x_j f) G,
-    so x_j^e goes to (cx_j + i cp_j) x_j^(e+1) - e i cp_j x_j^(e-1).
+    On the polynomial part the form is u.x - d.grad (``_split``): a raise of
+    e_j with coefficient u_j and a lowering of e_j with coefficient -d_j.
     """
-    K = len(coeffs) // 2
-    out: dict = {}
-    get = out.get
-    for j in range(K):
-        (xr, xi), (pr, pi) = coeffs[j], coeffs[K + j]
-        if not (xr or xi or pr or pi):
-            continue
-        ur, ui = xr - pi, xi + pr  # cx_j + i cp_j
-        dr, di = -pi, pr           # i cp_j
-        for exps, (cr, ci) in terms.items():
-            e = list(exps)
-            if ur or ui:
-                e[j] += 1
-                key = tuple(e)
-                vr, vi = ur * cr - ui * ci, ur * ci + ui * cr
-                cur = get(key)
-                out[key] = (vr, vi) if cur is None else (cur[0] + vr, cur[1] + vi)
-                e[j] -= 1
-            w = e[j]
-            if w and (dr or di):
-                e[j] -= 1
-                key = tuple(e)
-                vr, vi = -w * (dr * cr - di * ci), -w * (dr * ci + di * cr)
-                cur = get(key)
-                out[key] = (vr, vi) if cur is None else (cur[0] + vr, cur[1] + vi)
-    return {k: v for k, v in out.items() if v != (0, 0)}
+    u, d = _split(coeffs)
+    moves = [(j, 1, j, 0, uj) for j, uj in enumerate(u) if uj != (0, 0)]
+    moves += [(j, -1, j, 0, (-dr, -di)) for j, (dr, di) in enumerate(d) if dr or di]
+    return (0, 0), [], moves
 
 
-def _applied(s: PolyGaussian, coeffs: list, den: int) -> PolyGaussian:
-    """s acted on by the linear form with numerators coeffs over den."""
-    return PolyGaussian._from_kernel(s.K, _act(s._terms, coeffs), s._den * den,
-                                     s.scale)
+def _applied(s: PolyGaussian, table: tuple, den: int) -> PolyGaussian:
+    """s acted on by the operator table with numerators over den."""
+    return PolyGaussian._from_kernel(s.K, _act_table(s._terms, table),
+                                     s._den * den, s.scale)
 
 
 def apply_linear_form(z: LinearForm, s: PolyGaussian) -> PolyGaussian:
     """Act with sum_j (cx_j x_j + cp_j p_j); coefficients convert exactly."""
     if z.basis.K != s.K:
         raise ValueError("linear form and state have different mode counts")
-    return _applied(s, *_ints(complex(c) for c in z.coeffs))
+    coeffs, den = _ints(complex(c) for c in z.coeffs)
+    return _applied(s, _linear_table(coeffs), den)
 
 
 def _quadratic_table(q: QuadraticForm) -> tuple[tuple, int]:
@@ -462,13 +450,16 @@ def _quadratic_table(q: QuadraticForm) -> tuple[tuple, int]:
             [mv for mv in moves if mv[4] != (0, 0)]), den
 
 
-def _act_quadratic(terms: dict, table: tuple) -> dict:
-    """Numerators of the second-order operator table acting on terms * G.
+def _act_table(terms: dict, table: tuple) -> dict:
+    """Numerators of an operator table acting on terms * G; the one kernel.
 
     A monomial keeps its exponents with weight c0 + sum_j B_jj e_j.  A move
     shifts e_k by dk and then e_j by dj; a lowering weighs the exponent it
     lowers, read after the earlier shift, and a raise weighs 1, so d_j d_k
-    weighs e_k (e_j - delta_jk) and x_j d_k weighs e_k.
+    weighs e_k (e_j - delta_jk) and x_j d_k weighs e_k.  A move with dk = 0
+    leaves e_k alone with weight 1: the first-order moves of
+    ``_linear_table``.  The result is over the product of the terms' and the
+    table's denominators.
     """
     (c0r, c0i), diag, moves = table
     out: dict = {}
@@ -503,9 +494,7 @@ def apply_quadratic_form(q: QuadraticForm, s: PolyGaussian) -> PolyGaussian:
     """Act with sum_ab gamma_ab O_a O_b + offset, exactly, in one pass."""
     if q.basis.K != s.K:
         raise ValueError("quadratic form and state have different mode counts")
-    table, den = _quadratic_table(q)
-    return PolyGaussian._from_kernel(s.K, _act_quadratic(s._terms, table),
-                                     s._den * den, s.scale)
+    return _applied(s, *_quadratic_table(q))
 
 
 def inner(a: PolyGaussian, b: PolyGaussian) -> ExactAmount:
@@ -608,19 +597,21 @@ def _creation_norms(z: list, w: list) -> tuple[int, int] | None:
     return tuple(2 * sum(r * r + i * i for r, i in f[:K]) for f in (z, w))
 
 
-def _raising_part(coeffs: list) -> list[tuple[int, int]]:
-    """u_j = cx_j + i cp_j: the linear form acts on the polynomial part as
-    u.x - d.grad with d_j = i cp_j, as in ``_act``."""
+def _split(coeffs: list) -> tuple[list, list]:
+    """(u, d) of a linear form's numerators, positions first: the form acts
+    on the polynomial part as u.x - d.grad, u_j = cx_j + i cp_j and
+    d_j = i cp_j."""
     K = len(coeffs) // 2
-    return [(xr - pi, xi + pr) for (xr, xi), (pr, pi) in zip(coeffs[:K], coeffs[K:])]
+    u = [(xr - pi, xi + pr) for (xr, xi), (pr, pi) in zip(coeffs[:K], coeffs[K:])]
+    return u, [(-pi, pr) for pr, pi in coeffs[K:]]
 
 
-def _dot_lowering(u: list, coeffs: list) -> tuple[int, int]:
-    """The bilinear product u.d with d_j = i cp_j of coeffs."""
+def _dot(u: list, d: list) -> tuple[int, int]:
+    """The bilinear product sum_j u_j d_j of two lists of pairs."""
     re = im = 0
-    for (ur, ui), (pr, pi) in zip(u, coeffs[len(coeffs) // 2:]):
-        re -= ur * pi + ui * pr
-        im += ur * pr - ui * pi
+    for (ur, ui), (dr, di) in zip(u, d):
+        re += ur * dr - ui * di
+        im += ur * di + ui * dr
     return re, im
 
 
@@ -680,10 +671,10 @@ def build_eigenfunction(z_first: LinearForm, z_second: LinearForm,
     K = z_first.basis.K
     base = m + n + 1
     shifts = [base ** j for j in range(K)]
-    u_z, u_w = _raising_part(first), _raising_part(second)
-    us = _hermite(u_z, _dot_lowering(u_z, first), m, shifts)
-    vs = _hermite(u_w, _dot_lowering(u_w, second), n, shifts)
-    kr, ki = _dot_lowering(u_w, first)
+    (u_z, d_z), (u_w, d_w) = _split(first), _split(second)
+    us = _hermite(u_z, _dot(u_z, d_z), m, shifts)
+    vs = _hermite(u_w, _dot(u_w, d_w), n, shifts)
+    kr, ki = _dot(u_w, d_z)
     kr, ki = -kr, -ki  # kappa = -u_W.d_Z
     out: dict = {}
     get = out.get

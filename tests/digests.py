@@ -38,7 +38,15 @@ Equal lines mean the outputs are byte-identical.  The families are:
   K = 1-3, which are not creation combinations, and on creation pairs on
   disjoint modes at K = 2, 3; then `apply_quadratic_form` outputs (`.poly`
   and `.scale`) of random dyadic forms with x-p cross terms and a nonzero
-  offset, K = 1-3, on random states whose coefficients have denominator 3;
+  offset, K = 1-3, on random states whose coefficients have denominator 3,
+  with `render()` and `evaluate` at fixed points of each state and each
+  output; last, on those states, `.poly`, `.scale` and `render()` of
+  `apply_linear_form` of a random dyadic form, `apply_position` and
+  `apply_momentum` of every mode, and (`evaluate` too) `+` and `-` with a
+  state whose scale differs by a rational factor and `scalar_mul` by a
+  ComplexRational, a Fraction, a float, a complex and 0 (a linear-form
+  output's `evaluate` sums its terms in their dict order, which the exact
+  output does not fix, so it is not hashed);
 - cli: stdout, stderr and exit code of every subcommand in JSON and CSV,
   timestamp removed, on preset, explicit and invalid configurations.
 
@@ -283,6 +291,7 @@ def exact_line() -> str:
                 except ValueError as exc:
                     d.add(type(exc).__name__, str(exc))
     rng = np.random.default_rng(12)
+    states = []
     for K in (1, 2, 3):
         for _ in range(4):
             g = rng.integers(-16, 17, size=(2 * K, 2 * K)) / 8.0
@@ -294,7 +303,35 @@ def exact_line() -> str:
                 s = random_state(rng, K)
                 out = qh.apply_quadratic_form(q, s)
                 d.add(K, g, sorted(out.poly.items()), out.scale)
+                states.append(s)
+                pts = np.linspace(-2.0, 2.0, 5 * K).reshape(5, K)
+                for t in (s, out):
+                    d.add(t.render(), t.evaluate(pts), t.evaluate(pts[1]))
+    add_linear_outputs(d, states, np.random.default_rng(13))
     return d.line("exact")
+
+
+def add_linear_outputs(d: Digest, states, rng) -> None:
+    """The linear-form actions and the linear structure on states."""
+    def add(t, pts=None):
+        d.add(sorted(t.poly.items()), t.scale, t.render(),
+              None if pts is None else t.evaluate(pts))
+    for s in states:
+        K = s.K
+        z = qh.LinearForm(qh.PhaseSpaceBasis(K), rng.integers(-8, 9, size=2 * K) / 8.0
+                          + 1j * rng.integers(-8, 9, size=2 * K) / 4.0)
+        add(qh.apply_linear_form(z, s))
+        for j in range(K):
+            add(s.apply_position(j))
+            add(s.apply_momentum(j))
+        pts = rng.integers(-8, 9, size=(4, K)) / 4.0
+        other = random_state(rng, K)
+        other = qh.PolyGaussian(K, {**other.poly, **{k: v * Fraction(3, 2) for k, v in s.poly.items()}},
+                                s.scale * Fraction(2, 3))
+        for t in (s + other, other - s, s.scalar_mul(qh.ComplexRational(Fraction(-2, 5), 3)),
+                  s.scalar_mul(Fraction(7, 3)), s.scalar_mul(-0.625),
+                  s.scalar_mul(complex(0.5, -1.25)), s.scalar_mul(0)):
+            add(t, pts)
 
 
 def random_ladder_pairs(rng):

@@ -2,10 +2,11 @@
 
 The ComplexRational functions prefixed ``ref_`` are the Fraction-arithmetic
 ladder action, quadratic-form action (two linear-form passes per nonzero row
-of gamma), inner product, canonical form, scalar-multiple test and number
-conversion that quadham.wavefunctions computed before it moved to Gaussian
-integers and to one operator table per quadratic form; the integer kernels
-must reproduce them exactly.  ``build_eigenfunction``, which sums its
+of gamma), inner product, canonical form, scalar-multiple test, number
+conversion, rendering, evaluation and linear structure that
+quadham.wavefunctions computed over the ``.poly`` view before it moved to
+Gaussian integers and to one operator-table kernel; the integer code must
+reproduce them exactly.  ``build_eigenfunction``, which sums its
 closed-form recurrence instead of applying the ladder forms, must equal
 m + n ``apply_linear_form`` passes from the vacuum (``_raw_state``).
 """
@@ -39,6 +40,7 @@ from quadham import (
     vacuum,
 )
 from quadham import wavefunctions as wf
+from quadham._exact import _fraction_str
 
 _I = ComplexRational(0, 1)
 
@@ -147,6 +149,66 @@ def ref_scalar_multiple(a, b):
     return ratio
 
 
+def _ref_term_pieces(c, mono):
+    if c.im == 0:
+        neg = c.re < 0
+        mag = abs(c.re)
+        coeff = "" if mono and mag == 1 else _fraction_str(mag)
+    elif c.re == 0:
+        neg = c.im < 0
+        mag = abs(c.im)
+        coeff = "i" if mag == 1 else f"{_fraction_str(mag)}*i"
+    else:
+        neg = False
+        im_mag = abs(c.im)
+        im_s = "i" if im_mag == 1 else f"{_fraction_str(im_mag)}*i"
+        sign = "+" if c.im > 0 else "-"
+        coeff = f"({_fraction_str(c.re)} {sign} {im_s})"
+    if coeff and mono:
+        return neg, f"{coeff}*{mono}"
+    return neg, coeff or mono
+
+
+def ref_render(s):
+    if not s.poly:
+        return "0"
+    labels = PhaseSpaceBasis(s.K).labels()[:s.K]
+    out = []
+    for key in sorted(s.poly, key=lambda k: (sum(k), tuple(-e for e in k))):
+        neg, body = _ref_term_pieces(s.poly[key], wf._mono_str(key, labels))
+        if not out:
+            out.append(f"-{body}" if neg else body)
+        else:
+            out.append(f"- {body}" if neg else f"+ {body}")
+    poly_str = " ".join(out)
+    parts = [] if s.scale.is_one else [s.scale.display()]
+    if poly_str != "1":
+        parts.append(f"({poly_str})" if len(s.poly) > 1 else poly_str)
+    parts.append(wf._render_gaussian(s.K))
+    return " * ".join(parts)
+
+
+def ref_evaluate(s, pts):
+    acc = np.zeros(pts.shape[0], dtype=complex)
+    for exps, c in s.poly.items():
+        mono = np.ones(pts.shape[0])
+        for j, e in enumerate(exps):
+            if e:
+                mono = mono * pts[:, j] ** e
+        acc += c.to_complex() * mono
+    acc *= float(s.scale) * np.exp(-0.5 * np.sum(pts * pts, axis=-1))
+    return acc
+
+
+def ref_sum(a, b):
+    """(a + b).poly over b's scale, for a rational scale ratio."""
+    ratio = a.scale.rational_ratio(b.scale)
+    out = {k: v * ratio for k, v in a.poly.items()}
+    for k, v in b.poly.items():
+        _ref_accumulate(out, k, v)
+    return {k: v for k, v in out.items() if not v.is_zero}
+
+
 # ---- random inputs ----------------------------------------------------------
 
 def _fraction(rng):
@@ -224,15 +286,23 @@ def quadratic_inputs(case):
     return [(q, t) for q in forms for t in states]
 
 
+def _counting_kernel(monkeypatch):
+    calls = []
+    original = wf._act_table
+    monkeypatch.setattr(wf, "_act_table",
+                        lambda t, table: calls.append(1) or original(t, table))
+    return calls
+
+
 class TestIntegerKernelMatchesReference:
     @pytest.mark.parametrize("K,seed", CASES)
     def test_act_with_fraction_coefficients(self, K, seed):
         rng = np.random.default_rng(seed)
         s = random_state(rng, K)
         coeffs = random_fraction_coeffs(rng, K)
-        terms, den = wf._to_ints(s.poly)
         pairs, cden = wf._ints(coeffs)
-        got = wf._from_ints(wf._act(terms, pairs), den * cden)
+        got = wf._from_ints(wf._act_table(s._terms, wf._linear_table(pairs)),
+                            s._den * cden)
         assert got == ref_act(s.poly, coeffs)
         assert all(not c.is_zero for c in got.values())
 
@@ -258,21 +328,16 @@ class TestIntegerKernelMatchesReference:
             assert got.scale == s.scale
 
     def test_quadratic_form_runs_no_linear_pass(self, monkeypatch):
+        # one pass of the table kernel per form, not two per row of gamma
         s = psi_states(4)[-1]
-        calls = []
-        original = wf._act
-        monkeypatch.setattr(wf, "_act",
-                            lambda t, c: calls.append(1) or original(t, c))
+        calls = _counting_kernel(monkeypatch)
         for q in (_model(0.375), angular_momentum_form(),
                   _cross_form(np.random.default_rng(0), 2)):
             apply_quadratic_form(q, s)
-        assert calls == []
+        assert calls == [1, 1, 1]
 
     def test_eigenfunction_runs_no_ladder_pass(self, monkeypatch):
-        calls = []
-        original = wf._act
-        monkeypatch.setattr(wf, "_act",
-                            lambda t, c: calls.append(1) or original(t, c))
+        calls = _counting_kernel(monkeypatch)
         z, w = (spec.form for spec in symmetric_raising_pair())
         rng = np.random.default_rng(0)
         for m, n in ((0, 1), (3, 0), (2, 5), (12, 12)):
@@ -354,6 +419,110 @@ class TestIntegerKernelMatchesReference:
                            a.scale)
         assert ref_scalar_multiple(off, b) is None
         assert is_scalar_multiple_exact(off, b) is None
+
+
+# ---- linear structure, evaluation and rendering -----------------------------
+
+def _mixed_state(K):
+    """Unit, negative, imaginary, mixed and fractional coefficients, den 6."""
+    coeffs = [1, -1, ComplexRational(0, 1), ComplexRational(0, -1),
+              ComplexRational(1, -1), ComplexRational(Fraction(-1, 2), 1),
+              Fraction(5, 6), ComplexRational(0, Fraction(-4, 3)),
+              ComplexRational(Fraction(7, 3), Fraction(1, 2))]
+    keys = [(i,) + (i % 2,) * (K - 1) for i in range(len(coeffs))]
+    return PolyGaussian(K, dict(zip(keys, coeffs)), PiScale(Fraction(9, 4), -K))
+
+
+def _rendered_states(K, seed):
+    rng = np.random.default_rng(seed)
+    states = [random_state(rng, K), random_state(rng, K, terms=3), _mixed_state(K)]
+    z = random_dyadic_form(rng, K)
+    states += [apply_linear_form(z, t) for t in states]
+    return states + [states[0].apply_momentum(K - 1), PolyGaussian(K, {}, PiScale())]
+
+
+def _scaled_pair(rng, K):
+    """a at scale 4/9 * pi^(k/4) and b at pi^(k/4), sharing some terms
+    so that a - b cancels them: the scales differ by the ratio 2/3."""
+    a = random_state(rng, K)
+    k = int(rng.integers(-3, 4))
+    a = PolyGaussian(K, a.poly, PiScale(Fraction(4, 9), k))
+    shared = list(a.poly)[:2]
+    b = random_state(rng, K, terms=3)
+    poly = {**b.poly, **{key: a.poly[key] * Fraction(2, 3) for key in shared}}
+    return a, PolyGaussian(K, poly, PiScale(1, k))
+
+
+class TestPairArithmeticMatchesReference:
+    @pytest.mark.parametrize("K,seed", CASES)
+    def test_render(self, K, seed):
+        states = _rendered_states(K, seed)
+        assert any(t._den != 1 for t in states)
+        for t in states:
+            assert t.render() == ref_render(t)
+
+    def test_render_covers_every_coefficient_shape(self):
+        s = _mixed_state(1)
+        assert s._den == 6
+        assert s.render() == ref_render(s) == (
+            "(3/2)/pi^(1/4) * (1 - x + i*x^2 - i*x^3 + (1 - i)*x^4 "
+            "+ (-1/2 + i)*x^5 + 5/6*x^6 - 4/3*i*x^7 + (7/3 + 1/2*i)*x^8) "
+            "* exp(-x^2/2)")
+
+    @pytest.mark.parametrize("K,seed", CASES)
+    def test_sum_difference_and_negation(self, K, seed):
+        rng = np.random.default_rng(seed)
+        a, b = _scaled_pair(rng, K)
+        assert a.scale.rational_ratio(b.scale) == Fraction(2, 3)
+        for x, y in ((a, b), (b, a), (a, a)):
+            want = ref_sum(x, y)
+            assert (x + y).poly == want and (x + y).scale == y.scale
+            neg = {k: -v for k, v in y.poly.items()}
+            diff = x - y
+            assert diff.poly == ref_sum(x, PolyGaussian(K, neg, y.scale))
+            assert diff.scale == y.scale
+        assert (a - PolyGaussian(K, a.poly, a.scale)).is_zero
+        # sums keep the denominator of their terms, not its powers
+        total = b
+        for _ in range(20):
+            total = total + b - b.scalar_mul(Fraction(1, 2))
+        assert total._den <= 2 * b._den and total.equals_exact(b.scalar_mul(11))
+        assert len((a - b).poly) < len(a.poly) + len(b.poly)
+        assert (-a).poly == {k: -v for k, v in a.poly.items()}
+        assert (-a).scale == a.scale
+
+    @pytest.mark.parametrize("K,seed", CASES)
+    def test_irrational_scale_ratio_raises(self, K, seed):
+        a, b = _scaled_pair(np.random.default_rng(seed), K)
+        for off in (PiScale(2, b.scale.quarter), PiScale(1, b.scale.quarter + 1)):
+            with pytest.raises(ValueError, match="irrational"):
+                a + PolyGaussian(K, b.poly, off)
+
+    @pytest.mark.parametrize("K,seed", CASES)
+    def test_scalar_mul(self, K, seed):
+        a, _ = _scaled_pair(np.random.default_rng(seed), K)
+        for r in (ComplexRational(Fraction(-6, 5), Fraction(9, 7)), Fraction(-7, 12),
+                  0.375, -1.0e-3, complex(0.25, -1.5), 3, 0, 0.0,
+                  ComplexRational(0)):
+            got = a.scalar_mul(r)
+            c = ComplexRational.from_number(r)
+            want = {} if c.is_zero else {k: v * c for k, v in a.poly.items()}
+            assert got.poly == want and got.scale == a.scale, r
+            assert got.render() == ref_render(got)
+        with pytest.raises(TypeError):
+            a.scalar_mul(True)
+
+    @pytest.mark.parametrize("K,seed", CASES)
+    def test_evaluate_bitwise(self, K, seed):
+        rng = np.random.default_rng(seed)
+        a, b = _scaled_pair(rng, K)
+        pts = rng.standard_normal((7, K)) * 1.7
+        for t in (a, b, a + b, a - b, a.scalar_mul(Fraction(1, 3)),
+                  apply_linear_form(random_dyadic_form(rng, K), a),
+                  apply_quadratic_form(_cross_form(rng, K), b)):
+            got = t.evaluate(pts)
+            assert got.tobytes() == ref_evaluate(t, pts).tobytes()
+            assert complex(t.evaluate(pts[3])) == complex(got[3])
 
 
 # ---- closed-form norm ------------------------------------------------------

@@ -89,6 +89,16 @@ class TestVacuum:
         assert val == pytest.approx(math.exp(-0.5) / math.sqrt(math.pi),
                                     rel=1e-14)
 
+    def test_evaluate_rejects_malformed_points(self):
+        with pytest.raises(ValueError, match=r"shape \(1,\) or \(N, 1\)"):
+            vacuum(1).evaluate(0.5)
+        with pytest.raises(ValueError, match=r"shape \(2,\) or \(N, 2\)"):
+            vacuum(2).evaluate(np.zeros((2, 3, 2)))
+        for pts in ((0.0, 0.0, 0.0), np.zeros((4, 3)), np.zeros((0,))):
+            with pytest.raises(ValueError, match="points must have last dimension 2"):
+                vacuum(2).evaluate(pts)
+        assert vacuum(2).evaluate(np.zeros((0, 2))).shape == (0,)
+
     def test_momentum_action(self):
         # p acting on exp(-x^2/2) gives i x times the same Gaussian
         v = vacuum(1)
