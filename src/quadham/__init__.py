@@ -32,7 +32,6 @@ from .fock import (
     OracleSpectrum,
     build_fock_matrix,
     compare_with_lattice,
-    linear_form_matrix,
     oracle_spectrum,
 )
 from .models import (
@@ -115,7 +114,7 @@ __all__ = [
     "is_scalar_multiple_exact",
     # fock
     "FockTruncation", "OracleSpectrum", "ComparisonReport", "ComparisonRow",
-    "build_fock_matrix", "linear_form_matrix", "oracle_spectrum",
+    "build_fock_matrix", "oracle_spectrum",
     "compare_with_lattice",
     # models
     "PhysicalParameters", "DimensionlessModel", "LadderSpec", "ScanSample",

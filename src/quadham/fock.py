@@ -6,8 +6,8 @@ same-mode product moves it by 0 or +-2.  So a term of the form only fills
 the entries <o| . |o + d> for a few offset vectors d, and assembly writes
 those entries and nothing else.  Same-mode products are computed at a
 padded cutoff and cropped so every retained entry equals its untruncated
-value; cross-mode products and linear forms are elementwise in the mode
-factors and need no padding.  Hermiticity is checked on the band sums,
+value; cross-mode products are elementwise in the mode factors and need
+no padding.  Hermiticity is checked on the band sums,
 before build_fock_matrix writes its one dense matrix.  Basis states are
 occupancy tuples in row-major order with mode 1 slowest.
 
@@ -31,9 +31,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigensolverError, FockCapError, HermiticityError
-from .phase_space import LinearForm, QuadraticForm
+from .phase_space import QuadraticForm
 from .spectral import Classification, LatticeLevel, _cluster
 from . import tolerances as tol
+
+# most states a FockTruncation retains; bounds build_fock_matrix: a dense
+# complex matrix of 4096 states is 256 MiB.  The oracle holds only its largest
+# block, plus LAPACK's copy of it during the eigensolve.  At 1681 states,
+# where one dense matrix is 45.2 MB, tracemalloc measures 45.6 MB for
+# build_fock_matrix and 12.4 MB for oracle_spectrum: the 841-state parity
+# block (LAPACK's copy is allocated outside Python's tracked heap)
+FOCK_STATE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -42,23 +50,16 @@ class FockTruncation:
 
     n_max: int
     K: int
-    # bounds build_fock_matrix: a dense complex matrix of 4096 states is
-    # 256 MiB.  The oracle holds only its largest block, plus LAPACK's copy of
-    # it during the eigensolve.  At 1681 states, where one dense matrix is
-    # 45.2 MB, tracemalloc measures 45.6 MB for build_fock_matrix and 12.4 MB
-    # for oracle_spectrum: the 841-state parity block (LAPACK's copy is
-    # allocated outside Python's tracked heap)
-    cap: int = 4096
 
     def __post_init__(self):
         if not isinstance(self.n_max, int) or self.n_max < 0:
             raise ValueError("n_max must be a non-negative integer")
         if not isinstance(self.K, int) or self.K < 1:
             raise ValueError("K must be a positive integer")
-        if self.dim > self.cap:
+        if self.dim > FOCK_STATE_CAP:
             raise FockCapError(
                 f"truncated dimension {(self.n_max + 1)}^{self.K} = {self.dim} "
-                f"exceeds cap {self.cap}"
+                f"exceeds cap {FOCK_STATE_CAP}"
             )
 
     @property
@@ -68,15 +69,6 @@ class FockTruncation:
     def _grid(self) -> np.ndarray:
         """Occupancies as a (K, dim) array, columns in basis order."""
         return np.indices((self.n_max + 1,) * self.K).reshape(self.K, -1)
-
-    def occupancies(self) -> list[tuple[int, ...]]:
-        """Basis order: row-major tuples, mode 1 slowest."""
-        return list(map(tuple, self._grid().T.tolist()))
-
-    def shell_indices(self) -> dict[int, np.ndarray]:
-        """Flat indices grouped by total occupancy."""
-        block, _, sizes = _block_layout(self, conserves=True)
-        return {s: np.flatnonzero(block == s) for s in range(len(sizes))}
 
 
 def _single_mode_ops(levels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -201,20 +193,6 @@ def build_fock_matrix(q: QuadraticForm, t: FockTruncation) -> np.ndarray:
     return _zero_filled(t.dim, *_entries(t, _checked_band_sums(q, t)[0].items()))
 
 
-def linear_form_matrix(z: LinearForm, t: FockTruncation) -> np.ndarray:
-    """Matrix of a linear form on the retained basis (entries exact)."""
-    K = z.basis.K
-    if K != t.K:
-        raise ValueError("truncation mode count does not match the form")
-    singles = _single_mode_ops(t.n_max + 1)
-    terms = (
-        (_shift(K, {idx % K: d}), c * _band(singles[idx // K], d, idx % K, K))
-        for idx, c in enumerate(z.coeffs) if c != 0
-        for d in (-1, 1)
-    )
-    return _zero_filled(t.dim, *_entries(t, _band_sums(t, terms).items()))
-
-
 @dataclass(frozen=True, eq=False)
 class OracleSpectrum:
     """Eigenvalues of the truncated matrix plus shell structure when exact."""
@@ -230,7 +208,7 @@ def _block_layout(t: FockTruncation, conserves: bool):
 
     Blocks are the shells of equal total quanta when the form conserves
     them, else the two parities of the total; a block lists its states in
-    basis order, as the index arrays of shell_indices do.
+    basis order.
     """
     block = t._grid().sum(axis=0)
     if not conserves:

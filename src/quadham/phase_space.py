@@ -25,24 +25,14 @@ class PhaseSpaceBasis:
     """Canonical basis (x_1..x_K, p_1..p_K); hbar fixed to 1 internally."""
 
     K: int
-    hbar: float = 1.0
 
     def __post_init__(self):
         if not isinstance(self.K, int) or self.K < 1:
             raise ValueError("K must be a positive integer")
-        if self.hbar != 1.0:
-            raise ValueError(
-                "internal units are dimensionless with hbar = 1; rescale "
-                "physical inputs before building forms"
-            )
 
     @property
     def dim(self) -> int:
         return 2 * self.K
-
-    def symplectic(self) -> np.ndarray:
-        """J with [O_m, O_n] = i J_mn; block form [[0, I], [-I, 0]]."""
-        return _symplectic(self.K).copy()
 
     def labels(self) -> list[str]:
         if self.K == 1:
@@ -56,7 +46,7 @@ class PhaseSpaceBasis:
 
 @functools.lru_cache(maxsize=8)
 def _symplectic(K: int) -> np.ndarray:
-    """Read-only J of K modes, shared by the package's own callers."""
+    """Read-only J of K modes, [O_m, O_n] = i J_mn: [[0, I], [-I, 0]]."""
     J = np.zeros((2 * K, 2 * K))
     J[:K, K:] = np.eye(K)
     J[K:, :K] = -np.eye(K)

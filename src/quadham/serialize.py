@@ -112,8 +112,3 @@ def envelope(config: dict, results) -> dict:
         "timestamp": stamp,
         "results": results,
     }
-
-
-def golden_form(env: dict) -> dict:
-    """The comparable part of an envelope: everything but the timestamp."""
-    return {k: v for k, v in env.items() if k != "timestamp"}

@@ -30,10 +30,10 @@ from .errors import (
 from .phase_space import (
     AdjointMatrix,
     LinearForm,
-    PhaseSpaceBasis,
     QuadraticForm,
     _symplectic,
     adjoint_representation,
+    linear_commutator,
 )
 from . import tolerances as tol
 
@@ -243,7 +243,7 @@ def _canonical_phase(vec: np.ndarray) -> np.ndarray:
     return vec * (abs(pivot) / pivot)
 
 
-def pair_frequencies(e: EigenData, basis: PhaseSpaceBasis) -> list[FrequencyPair]:
+def pair_frequencies(e: EigenData) -> list[FrequencyPair]:
     """Real eigenvalues as K ladder pairs with [lowering, raising] = 1.
 
     The eigenspaces are the clusters of `eigen_decompose`, members taken in
@@ -259,8 +259,6 @@ def pair_frequencies(e: EigenData, basis: PhaseSpaceBasis) -> list[FrequencyPair
     raising.  A zero frequency comes out as exactly 0.0.  A null direction
     (h ~ 0) means the pairing is ill-posed and is reported instead of patched.
     """
-    if basis != e.source.source.basis:
-        raise ValueError("basis does not match the decomposed form")
     t_pair = tol.pairing_tol(e.matrix_norm)
     worst = _nonreal_frequency(e, t_pair)
     if worst is not None:
@@ -270,6 +268,7 @@ def pair_frequencies(e: EigenData, basis: PhaseSpaceBasis) -> list[FrequencyPair
         )
     freqs = e.eigenvalues.real.tolist()
     t_zero = tol.zero_frequency_tol(e.matrix_norm)
+    basis = e.source.source.basis
     J = _symplectic(basis.K)
     pairs: list[FrequencyPair] = []
     # highest frequency first, down to the zero cluster
@@ -317,7 +316,7 @@ def _pairs_from_group(val, idxs, V, J, t_zero, basis) -> list[FrequencyPair]:
         w = _canonical_phase(w)
         raising = LinearForm(basis, w)
         lowering = LinearForm(basis, np.conj(w))
-        nc = complex(1j * (lowering.coeffs @ J @ raising.coeffs))
+        nc = linear_commutator(lowering, raising)
         out.append(FrequencyPair(lambda_plus=val, raising=raising,
                                  lowering=lowering, norm_constant=float(nc.real),
                                  raising_frequency=freq))
@@ -403,7 +402,7 @@ def classify_spectrum(q: QuadraticForm) -> SpectrumReport:
     else:
         try:
             # the pairing rejects non-real frequencies: reality is tested there
-            pairs = tuple(pair_frequencies(e, q.basis))
+            pairs = tuple(pair_frequencies(e))
         except NonRealFrequencyError:
             cls = Classification.NON_REAL_FREQUENCIES
             note = (

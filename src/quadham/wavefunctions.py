@@ -40,6 +40,7 @@ other pair of forms is normalised through ``inner``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -166,20 +167,6 @@ class PolyGaussian:
     def __neg__(self) -> "PolyGaussian":
         return self.scalar_mul(-1)
 
-    # ---- operator actions ------------------------------------------------
-
-    def apply_position(self, j: int) -> "PolyGaussian":
-        self._check_mode(j)
-        return _applied(self, _linear_table(_unit(self.K, j)), 1)
-
-    def apply_momentum(self, j: int) -> "PolyGaussian":
-        self._check_mode(j)
-        return _applied(self, _linear_table(_unit(self.K, self.K + j)), 1)
-
-    def _check_mode(self, j: int) -> None:
-        if not 0 <= j < self.K:
-            raise ValueError(f"mode index {j} out of range for K={self.K}")
-
     # ---- canonical form and equality --------------------------------------
 
     def canonical(self) -> "PolyGaussian":
@@ -280,6 +267,9 @@ def _poly_ints(K: int, poly) -> tuple[dict, int]:
     and their denominator; zero coefficients have denominator 1."""
     keys = []
     for exps in poly:
+        if any(isinstance(e, bool) or not isinstance(e, numbers.Integral)
+               for e in exps):
+            raise ValueError(f"exponents must be integers, got {exps!r}")
         key = tuple(int(e) for e in exps)
         if len(key) != K:
             raise ValueError(f"exponent tuple {key} does not have length {K}")
@@ -366,13 +356,6 @@ def _render_poly(terms: dict, den: int, labels: list[str]) -> str:
 def vacuum(K: int) -> PolyGaussian:
     """Normalised Gaussian ground state of K modes."""
     return PolyGaussian(K, {(0,) * K: ComplexRational(1)}, PiScale(1, -K))
-
-
-def _unit(K: int, index: int) -> list[tuple[int, int]]:
-    """Numerator pairs of the single basis operator O_index, denominator 1."""
-    coeffs = [(0, 0)] * (2 * K)
-    coeffs[index] = (1, 0)
-    return coeffs
 
 
 def _linear_table(coeffs: list) -> tuple:

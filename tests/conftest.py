@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from quadham import LinearForm, PhaseSpaceBasis
+
 
 @pytest.fixture
 def rng():
@@ -27,6 +29,11 @@ def adjoint_by_expansion(gamma: np.ndarray, J: np.ndarray) -> np.ndarray:
                 if J[a, c] != 0.0:
                     m[b, c] += 1j * g * J[a, c]
     return m
+
+
+def unit_form(K: int, index: int) -> LinearForm:
+    """The basis operator O_index of (x_1..x_K, p_1..p_K) as a linear form."""
+    return LinearForm(PhaseSpaceBasis(K), np.eye(2 * K)[index])
 
 
 def random_symmetric(rng, d: int, scale: float = 2.0) -> np.ndarray:

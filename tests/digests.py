@@ -8,20 +8,9 @@ Equal lines mean the outputs are byte-identical.  The families are:
 
 - classify: `eigen_decompose` eigenvalues and cluster members (not the
   cluster means) and `classify_spectrum` reports (or the error raised) on a
-  fixed corpus of model, `sb`, random definite,
-  random indefinite and hand-picked forms that covers all five classes, at
-  QUADHAM_TOL_SCALE 1, 1e6 and 1e8;
-- oracle: `oracle_spectrum` results (eigenvalues, shell eigenvalues, shell
-  depth and dimension; `OracleSpectrum.clusters` is gone and no longer
-  hashed), `build_fock_matrix` and
-  `linear_form_matrix` bytes, and `compare_with_lattice` reports at two
-  lattice depths and four `max_levels` on the model grid, random indefinite
-  forms (`random_forms` of tests/test_fock_oracle.py) and random definite
-  forms;
-- critical-no-shells: the comparisons, library and `verify`, of critical
-  forms that do not conserve total quanta (symplectic squeezes of the b = 2
-  model, `sb` at |B| != 2), kept apart because they became NOT_APPLICABLE
-  where they used to be compared (and fail);
+  fixed corpus of model, `sb`, random definite, random indefinite and
+  hand-picked forms that covers all five classes, at QUADHAM_TOL_SCALE 1,
+  1e6 and 1e8;
 - lattice: for each form of the classify corpus at QUADHAM_TOL_SCALE 1
   whose class has a lattice, the `spectrum_lattice` levels (energy,
   states, degeneracy, `infinite`) at max_quanta 3 and 8, and
@@ -30,6 +19,11 @@ Equal lines mean the outputs are byte-identical.  The families are:
   symmetric model at b = +-2 +- delta for 101 log-spaced delta in
   [1e-12, 1e-7] and at b = +-2 +- 10^-k for k = 1..15, and of the
   non-real form diag(1, -1, 1, -1) + 0.05 x1 x2 at QUADHAM_TOL_SCALE 2e7;
+- oracle: `oracle_spectrum` results (eigenvalues, shell eigenvalues, shell
+  depth and dimension), `build_fock_matrix` bytes, and
+  `compare_with_lattice` reports at two lattice depths and four
+  `max_levels` on the model grid, random indefinite forms (`random_forms`
+  of tests/test_fock_oracle.py) and random definite forms;
 - exact: `render()`, `.poly` and `.scale` of the exact eigenfunctions for
   the (m, n) pairs of the `exact_states` benchmark workload, with the exact
   amounts H psi / psi (H the symmetric model at a dyadic b) and L_z psi / psi;
@@ -41,25 +35,21 @@ Equal lines mean the outputs are byte-identical.  The families are:
   offset, K = 1-3, on random states whose coefficients have denominator 3,
   with `render()` and `evaluate` at fixed points of each state and each
   output; last, on those states, `.poly`, `.scale` and `render()` of
-  `apply_linear_form` of a random dyadic form, `apply_position` and
-  `apply_momentum` of every mode, and (`evaluate` too) `+` and `-` with a
-  state whose scale differs by a rational factor and `scalar_mul` by a
+  `apply_linear_form` of a random dyadic form and of the unit forms x_j,
+  p_j of every mode j, and (`evaluate` too) `+` and `-` with a state whose
+  scale differs by a rational factor and `scalar_mul` by a
   ComplexRational, a Fraction, a float, a complex and 0 (a linear-form
   output's `evaluate` sums its terms in their dict order, which the exact
   output does not fix, so it is not hashed);
 - cli: stdout, stderr and exit code of every subcommand in JSON and CSV,
-  timestamp removed, on preset, explicit and invalid configurations.
+  timestamp removed, on preset, explicit and invalid configurations;
+- critical-no-shells: the comparisons, library and `verify`, of critical
+  forms that do not conserve total quanta (symplectic squeezes of the b = 2
+  model, `sb` at |B| != 2), which are NOT_APPLICABLE: a truncation without
+  shells cannot resolve their levels above the bottom one.
 
-Against a checkout whose eigenvalue clusters are not mirror-symmetric (one
-`_cluster` pass on the unfolded values, then a +-lambda search in the
-pairing), only classify[tol_scale=1e8] differs.  There the 7 random definite
-forms (K, seed) = (3, 4), (4, 0), (4, 1), (4, 2), (4, 6), (4, 8), (4, 9) go
-from `PairingError` "unpaired eigenvalue" to `BoundedBelowDiscrete`, the 6
-`sb` couplings |B| = 0.0805, 0.1074, 0.1342 from `DefectiveExceptional` to
-`CriticalInfiniteMultiplicity`, and 2 random indefinite forms (`random_forms`
-seed 0, numbers 21 and 39) keep their `NonRealFrequencies` report
-while their cluster members change from {-iy, 0, 0}, {+iy} to {-iy}, {0, 0},
-{+iy}.
+A `PhaseSpaceBasis` is hashed as `PhaseSpaceBasis(K)`, its mode count, and
+every other dataclass as the values of its fields.
 
 Not a test module: pytest does not collect it.
 """
@@ -81,6 +71,7 @@ from quadham import cli, serialize
 
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
+from make_goldens import golden_form  # noqa: E402
 from test_fock_oracle import random_forms  # noqa: E402
 
 SCALES = ("1", "1e6", "1e8")
@@ -98,10 +89,10 @@ def token(x) -> str:
         return "[" + ",".join(token(v) for v in x) + "]"
     if isinstance(x, dict):
         return "{" + ",".join(f"{token(k)}:{token(v)}" for k, v in x.items()) + "}"
+    if isinstance(x, qh.PhaseSpaceBasis):
+        return f"PhaseSpaceBasis({x.K})"
     if hasattr(x, "__dataclass_fields__"):
         return type(x).__name__ + token({k: getattr(x, k) for k in x.__dataclass_fields__})
-    if isinstance(x, qh.LinearForm):
-        return token(x.coeffs)
     return repr(x)
 
 
@@ -250,15 +241,11 @@ def oracle_corpus():
 
 def oracle_line(critical: Digest) -> str:
     main = Digest()
-    rng = np.random.default_rng(7)
     for q, n_max in oracle_corpus():
         t = qh.FockTruncation(n_max, q.basis.K)
         o = qh.oracle_spectrum(q, t)
         main.add(o.eigenvalues, o.shell_eigenvalues, o.shell_exact_upto, o.dim)
         main.add(qh.build_fock_matrix(q, t))
-        z = qh.LinearForm(q.basis, rng.standard_normal(2 * q.basis.K)
-                          + 1j * rng.standard_normal(2 * q.basis.K))
-        main.add(qh.linear_form_matrix(z, t))
         report = qh.classify_spectrum(q)
         if not report.classification.has_lattice:
             continue
@@ -321,9 +308,10 @@ def add_linear_outputs(d: Digest, states, rng) -> None:
         z = qh.LinearForm(qh.PhaseSpaceBasis(K), rng.integers(-8, 9, size=2 * K) / 8.0
                           + 1j * rng.integers(-8, 9, size=2 * K) / 4.0)
         add(qh.apply_linear_form(z, s))
+        units = np.eye(2 * K)
         for j in range(K):
-            add(s.apply_position(j))
-            add(s.apply_momentum(j))
+            for index in (j, K + j):
+                add(qh.apply_linear_form(qh.LinearForm(z.basis, units[index]), s))
         pts = rng.integers(-8, 9, size=(4, K)) / 4.0
         other = random_state(rng, K)
         other = qh.PolyGaussian(K, {**other.poly, **{k: v * Fraction(3, 2) for k, v in s.poly.items()}},
@@ -427,7 +415,7 @@ def cli_line(critical: Digest) -> str:
                     code = cli.main(argv[:1] + ["--config", str(path)] + argv[1:])
                 text = out.getvalue()
                 if code == 0 and argv[-1] == "json":
-                    text = serialize.dumps_json(serialize.golden_form(json.loads(text)))
+                    text = serialize.dumps_json(golden_form(json.loads(text)))
                 target = critical if cfg in CRITICAL_NO_SHELLS and argv[0] == "verify" else d
                 target.add(cfg, argv, code, text, err.getvalue())
     return d.line("cli")

@@ -41,9 +41,14 @@ CASES = [
 ]
 
 
+def golden_form(env: dict) -> dict:
+    """The comparable part of an envelope: everything but the timestamp."""
+    return {k: v for k, v in env.items() if k != "timestamp"}
+
+
 def stable_text(name: str, text: str) -> str:
     if name.endswith(".json"):
-        return serialize.dumps_json(serialize.golden_form(json.loads(text)))
+        return serialize.dumps_json(golden_form(json.loads(text)))
     return text
 
 

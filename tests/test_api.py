@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import json
@@ -7,6 +8,16 @@ import subprocess
 import sys
 
 import quadham
+
+ROOT = pathlib.Path(__file__).parents[1]
+
+# exported names that only the tests call, each kept as a reference check
+TEST_ONLY_EXPORTS = {
+    "quadratic_commutator": "reference for the conservation check of "
+                            "tests/test_acceptance.py",
+    "build_fock_matrix": "dense reference the oracle's blocks are checked "
+                         "against, and a per-layer name in BENCHMARK.json",
+}
 
 
 def test_every_exported_name_resolves():
@@ -18,8 +29,7 @@ def test_every_exported_name_resolves():
 def test_traced_benchmark_names_are_public_layer_functions():
     # the traced benchmark run reads 0 for a per-layer metric whose function
     # was renamed or made private, so each name must resolve here
-    spec = json.loads((pathlib.Path(__file__).parents[1] / "BENCHMARK.json")
-                      .read_text(encoding="utf-8"))
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     names = [m["name"] for m in spec["per_layer"]]
     traced = [n.split(".")[:2] for n in names
               if n.endswith(".self_s") and n.count(".") == 2]
@@ -50,3 +60,27 @@ def test_import_and_oracle_stay_numpy_only():
                           text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _used_names(files) -> set[str]:
+    """Names, attributes and imported names that the files' code refers to."""
+    used = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.update(node.name.split("."))
+    return used
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    package = ROOT / "src" / "quadham"
+    files = [f for f in package.glob("*.py") if f.name != "__init__.py"]
+    for tree in ("bench", "demos"):
+        files += sorted((ROOT / tree).rglob("*.py"))
+    used = _used_names(files)
+    unused = {name for name in quadham.__all__ if name not in used}
+    assert unused == set(TEST_ONLY_EXPORTS)

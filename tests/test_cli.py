@@ -9,7 +9,7 @@ import pytest
 
 import quadham
 from quadham import cli, models, serialize
-from make_goldens import CASES, DATA, GOLDEN, stable_text
+from make_goldens import CASES, DATA, GOLDEN, golden_form, stable_text
 
 OSC_B1 = str(DATA / "osc_b1.json")
 # the b = 2 model in the symplectically squeezed variables diag(1.2, 1, 1/1.2, 1)
@@ -43,8 +43,7 @@ class TestGoldenOutputs:
         args = ["analyze", "--config", OSC_B1]
         _, first = run_cli(args, tmp_path, "a.json")
         _, second = run_cli(args, tmp_path, "b.json")
-        strip = lambda t: serialize.dumps_json(
-            serialize.golden_form(json.loads(t)))
+        strip = lambda t: serialize.dumps_json(golden_form(json.loads(t)))
         assert strip(first) == strip(second)
 
     def test_csv_repeats_byte_identically(self, tmp_path):

@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import unit_form
 from quadham import (
     ComplexRational,
     DimensionlessModel,
@@ -315,10 +316,9 @@ class TestIntegerKernelMatchesReference:
                                 for c in z.coeffs])
         got = apply_linear_form(z, s)
         assert got.poly == want and got.scale == s.scale
-        for j in range(K):
-            assert s.apply_position(j).poly == ref_act(s.poly, ref_unit(K, j))
-            assert s.apply_momentum(j).poly == ref_act(s.poly,
-                                                       ref_unit(K, K + j))
+        for index in range(2 * K):
+            assert (apply_linear_form(unit_form(K, index), s).poly
+                    == ref_act(s.poly, ref_unit(K, index)))
 
     @pytest.mark.parametrize("case", QUADRATIC_CASES)
     def test_quadratic_form_with_zero_row_and_offset(self, case):
@@ -352,8 +352,9 @@ class TestIntegerKernelMatchesReference:
         s = random_state(rng, K)
         z = random_dyadic_form(rng, K)
         v = apply_linear_form(z, vacuum(K))
-        states = [s, apply_linear_form(z, s), s.apply_position(K - 1),
-                  s.apply_momentum(0), apply_quadratic_form(_cross_form(rng, K), s),
+        states = [s, apply_linear_form(z, s), apply_linear_form(unit_form(K, K - 1), s),
+                  apply_linear_form(unit_form(K, K), s),
+                  apply_quadratic_form(_cross_form(rng, K), s),
                   s.canonical(), PolyGaussian(K, {}, s.scale).canonical(), v,
                   normalized_copy(v)]
         if K == 2:
@@ -438,7 +439,8 @@ def _rendered_states(K, seed):
     states = [random_state(rng, K), random_state(rng, K, terms=3), _mixed_state(K)]
     z = random_dyadic_form(rng, K)
     states += [apply_linear_form(z, t) for t in states]
-    return states + [states[0].apply_momentum(K - 1), PolyGaussian(K, {}, PiScale())]
+    return states + [apply_linear_form(unit_form(K, 2 * K - 1), states[0]),
+                     PolyGaussian(K, {}, PiScale())]
 
 
 def _scaled_pair(rng, K):

@@ -10,14 +10,12 @@ from quadham import (
     FockCapError,
     FockTruncation,
     HermiticityError,
-    LinearForm,
     PhaseSpaceBasis,
     QuadraticForm,
     build_fock_matrix,
     build_model,
     classify_spectrum,
     compare_with_lattice,
-    linear_form_matrix,
     make_quadratic_form,
     oracle_spectrum,
     random_positive_definite_form,
@@ -86,10 +84,23 @@ def kron_linear_matrix(z, t):
     return out
 
 
+def occupancies(t):
+    """Basis order: row-major occupancy tuples, mode 1 slowest."""
+    return list(np.ndindex(*(t.n_max + 1,) * t.K))
+
+
+def shell_indices(t):
+    """Flat basis indices grouped by total occupancy, shells in order."""
+    groups = {}
+    for i, occ in enumerate(occupancies(t)):
+        groups.setdefault(sum(occ), []).append(i)
+    return {s: np.array(groups[s]) for s in sorted(groups)}
+
+
 def conserves_by_mask(h, t):
     """Shell conservation as a dense test of every off-shell entry."""
     shell_of = np.empty(t.dim, dtype=int)
-    for s, ix in t.shell_indices().items():
+    for s, ix in shell_indices(t).items():
         shell_of[ix] = s
     off_shell = shell_of[:, None] != shell_of[None, :]
     mz = tol.machine_zero_tol(float(np.max(np.abs(h))))
@@ -121,20 +132,6 @@ class TestTruncation:
         assert FockTruncation(3, 2).dim == 16
         assert FockTruncation(2, 3).dim == 27
 
-    def test_occupancy_order(self):
-        # row-major, first mode slowest
-        t = FockTruncation(1, 2)
-        assert t.occupancies() == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-    def test_shell_indices(self):
-        t = FockTruncation(2, 2)
-        shells = t.shell_indices()
-        assert sorted(shells) == [0, 1, 2, 3, 4]
-        assert shells[0].tolist() == [0]
-        assert shells[1].tolist() == [1, 3]
-        assert shells[2].tolist() == [2, 4, 6]
-        assert shells[4].tolist() == [8]
-
     def test_validation(self):
         with pytest.raises(ValueError):
             FockTruncation(-1, 1)
@@ -142,23 +139,9 @@ class TestTruncation:
             FockTruncation(3, 0)
 
     def test_cap(self):
-        with pytest.raises(FockCapError):
-            FockTruncation(9, 2, cap=50)
-        with pytest.raises(FockCapError):
+        assert fock.FOCK_STATE_CAP == 4096
+        with pytest.raises(FockCapError, match=r"41\^3 = 68921 exceeds cap 4096"):
             FockTruncation(40, 3)
-
-    def test_grid_order_matches_loop(self):
-        for n_max, K in ((0, 1), (4, 1), (3, 2), (2, 3), (1, 4)):
-            t = FockTruncation(n_max, K)
-            loop = [tuple(i) for i in np.ndindex(*(n_max + 1,) * K)]
-            assert t.occupancies() == loop
-            groups = {}
-            for i, occ in enumerate(loop):
-                groups.setdefault(sum(occ), []).append(i)
-            shells = t.shell_indices()
-            assert list(shells) == sorted(groups)
-            for s, ix in shells.items():
-                assert ix.tolist() == groups[s]
 
     def test_default_cap_bounds_dense_memory(self):
         # 4096 states: a dense complex matrix of 256 MiB
@@ -176,21 +159,6 @@ class TestBuildMatrix:
         off = h - np.diag(np.diag(h))
         assert np.max(np.abs(off)) == 0.0
         assert np.max(np.abs(np.diag(h) - np.arange(1, 12, 2))) < 1e-14
-
-    def test_position_matrix_entries(self):
-        t = FockTruncation(4, 1)
-        x = linear_form_matrix(LinearForm(PhaseSpaceBasis(1), [1.0, 0.0]), t)
-        for n in range(4):
-            assert x[n, n + 1] == pytest.approx(math.sqrt((n + 1) / 2),
-                                                rel=1e-15)
-            assert x[n + 1, n] == x[n, n + 1]
-        assert np.count_nonzero(x) == 8
-
-    def test_momentum_matrix_antisymmetric_imaginary(self):
-        t = FockTruncation(3, 1)
-        p = linear_form_matrix(LinearForm(PhaseSpaceBasis(1), [0.0, 1.0]), t)
-        assert np.array_equal(p, p.conj().T)
-        assert np.max(np.abs(p.real)) == 0.0
 
     def test_hermitian_exactly(self):
         h = build_fock_matrix(model_form(1.3), FockTruncation(6, 2))
@@ -211,15 +179,12 @@ class TestBuildMatrix:
             t = FockTruncation(n_max, q.basis.K)
             assert np.array_equal(build_fock_matrix(q, t),
                                   kron_fock_matrix(q, t))
-            z = LinearForm(q.basis, q.gamma[0] + 1j * q.gamma[-1])
-            assert np.array_equal(linear_form_matrix(z, t),
-                                  kron_linear_matrix(z, t))
 
     def test_cross_parity_entries_are_zero(self):
         for q, n_max in random_forms(12):
             t = FockTruncation(n_max, q.basis.K)
             h = build_fock_matrix(q, t)
-            parity = np.array([sum(o) % 2 for o in t.occupancies()])
+            parity = np.array([sum(o) % 2 for o in occupancies(t)])
             assert np.all(h[parity[:, None] != parity[None, :]] == 0)
 
     def test_basis_size_mismatch_rejected(self):
@@ -284,7 +249,7 @@ class TestOracleSpectrum:
         q = model_form(1.3)
         h = build_fock_matrix(q, t)
         o = oracle_spectrum(q, t)
-        shells = t.shell_indices()
+        shells = shell_indices(t)
         for s, evs in o.shell_eigenvalues.items():
             block = h[np.ix_(shells[s], shells[s])]
             assert np.array_equal(evs, np.linalg.eigvalsh(block))
@@ -322,8 +287,8 @@ class TestOracleSpectrum:
         t = FockTruncation(6, 2)
         h = build_fock_matrix(model_form(b), t)
         zp, zm = symmetric_raising_pair()
-        mp = linear_form_matrix(zp.form, t)
-        mm = linear_form_matrix(zm.form, t)
+        mp = kron_linear_matrix(zp.form, t)
+        mm = kron_linear_matrix(zm.form, t)
         e0 = np.zeros(t.dim, dtype=complex)
         e0[0] = 1.0
         for m in range(5):
@@ -338,7 +303,7 @@ class TestOracleSpectrum:
 
 def expected_blocks(h, t, conserves):
     """Shell or parity blocks cut from the dense matrix, in eigensolve order."""
-    shells = list(t.shell_indices().values())
+    shells = list(shell_indices(t).values())
     if not conserves:
         shells = [np.sort(np.concatenate(shells[p::2])) for p in (0, 1)]
     return [h[np.ix_(ix, ix)] for ix in shells]
@@ -413,7 +378,7 @@ class TestBlockStreaming:
         o = oracle_spectrum(QuadraticForm(PhaseSpaceBasis(K), np.zeros((2 * K, 2 * K))), t)
         assert o.eigenvalues.tobytes() == np.zeros(t.dim).tobytes()
         assert o.shell_exact_upto == n_max
-        sizes = {s: len(ix) for s, ix in t.shell_indices().items() if s <= n_max}
+        sizes = {s: len(ix) for s, ix in shell_indices(t).items() if s <= n_max}
         assert {s: v.tobytes() for s, v in o.shell_eigenvalues.items()} == {
             s: np.zeros(size).tobytes() for s, size in sizes.items()}
         assert fock._value_clusters(o.eigenvalues) == [list(range(t.dim))]

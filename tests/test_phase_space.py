@@ -13,6 +13,7 @@ from quadham import (
     make_quadratic_form,
     quadratic_commutator,
 )
+from quadham.phase_space import _symplectic
 
 
 class TestBasis:
@@ -28,25 +29,20 @@ class TestBasis:
 
     def test_symplectic_structure(self):
         for K in (1, 2, 3):
-            J = PhaseSpaceBasis(K).symplectic()
+            J = _symplectic(K)
             assert np.array_equal(J.T, -J)
             assert np.array_equal(J @ J, -np.eye(2 * K))
-
-    def test_symplectic_returns_a_fresh_array(self):
-        # J is built once per K; a caller writing into its copy changes no
-        # later call
-        J = PhaseSpaceBasis(2).symplectic()
-        J[:] = 7.0
-        eye = np.eye(2)
-        block = np.block([[np.zeros((2, 2)), eye], [-eye, np.zeros((2, 2))]])
-        assert np.array_equal(PhaseSpaceBasis(2).symplectic(), block)
+            eye, zero = np.eye(K), np.zeros((K, K))
+            assert np.array_equal(J, np.block([[zero, eye], [-eye, zero]]))
+            # J is built once per K and shared, so no caller may write into it
+            assert not J.flags.writeable
 
     def test_validation(self):
         with pytest.raises(ValueError):
             PhaseSpaceBasis(0)
         with pytest.raises(ValueError):
             PhaseSpaceBasis(2.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             PhaseSpaceBasis(1, hbar=2.0)
 
 
@@ -127,7 +123,7 @@ class TestAdjointRepresentation:
             basis = PhaseSpaceBasis(K)
             g = random_symmetric(rng, 2 * K)
             q = QuadraticForm(basis, g, 0.0)
-            expected = adjoint_by_expansion(g, basis.symplectic())
+            expected = adjoint_by_expansion(g, _symplectic(K))
             got = adjoint_representation(q).entries
             assert np.array_equal(got, expected)
 

@@ -106,10 +106,9 @@ class TestPairFrequencies:
         return low_raise
 
     def test_model_pairs(self):
-        basis = PhaseSpaceBasis(2)
         for b in (0.0, 0.5, 1.0, 1.7, 3.0):
             e = eigen_decompose(adjoint_representation(model_form(b)))
-            pairs = pair_frequencies(e, basis)
+            pairs = pair_frequencies(e)
             assert len(pairs) == 2
             lams = sorted(p.lambda_plus for p in pairs)
             assert np.allclose(lams, sorted([abs(2 - b), 2 + b]), atol=1e-12)
@@ -118,9 +117,8 @@ class TestPairFrequencies:
 
     def test_degenerate_frequencies_b0(self):
         # both pairs sit at lambda = 2; the pairing must still split them
-        basis = PhaseSpaceBasis(2)
         e = eigen_decompose(adjoint_representation(model_form(0.0)))
-        pairs = pair_frequencies(e, basis)
+        pairs = pair_frequencies(e)
         assert [round(p.lambda_plus, 12) for p in pairs] == [2.0, 2.0]
         c = self.commutator_matrix(pairs)
         assert np.allclose(c, np.eye(2), atol=1e-10)
@@ -130,9 +128,8 @@ class TestPairFrequencies:
 
     def test_zero_group_pairing(self):
         # b = 2: frequencies {-4, 0, 0, 4}; the zero group pairs internally
-        basis = PhaseSpaceBasis(2)
         e = eigen_decompose(adjoint_representation(model_form(2.0)))
-        pairs = pair_frequencies(e, basis)
+        pairs = pair_frequencies(e)
         lams = sorted(round(p.lambda_plus, 9) for p in pairs)
         assert lams == [0.0, 4.0]
         c = self.commutator_matrix(pairs)
@@ -143,7 +140,7 @@ class TestPairFrequencies:
             for seed in range(5):
                 q = random_positive_definite_form(K, seed=seed + 100 * K)
                 e = eigen_decompose(adjoint_representation(q))
-                pairs = pair_frequencies(e, q.basis)
+                pairs = pair_frequencies(e)
                 assert len(pairs) == K
                 assert all(p.lambda_plus > 0 for p in pairs)
                 assert all(abs(p.norm_constant - 1.0) < 1e-9 for p in pairs)
@@ -155,11 +152,11 @@ class TestPairFrequencies:
         q = make_quadratic_form(1, [(1, 1, 1.0), (2, 2, -1.0)])
         e = eigen_decompose(adjoint_representation(q))
         with pytest.raises(NonRealFrequencyError):
-            pair_frequencies(e, q.basis)
+            pair_frequencies(e)
 
     def test_lowering_is_conjugate(self):
         e = eigen_decompose(adjoint_representation(model_form(1.0)))
-        pairs = pair_frequencies(e, PhaseSpaceBasis(2))
+        pairs = pair_frequencies(e)
         for p in pairs:
             assert np.array_equal(p.lowering.coeffs, np.conj(p.raising.coeffs))
 

@@ -99,7 +99,7 @@ def test_pairing_reuses_the_eigen_clusters(q, monkeypatch):
                         lambda *args: calls.append(args) or cluster(*args))
     e = eigen_decompose(adjoint_representation(q))
     assert len(calls) == 1
-    pairs = pair_frequencies(e, q.basis)
+    pairs = pair_frequencies(e)
     assert len(calls) == 1
     assert len(pairs) == q.basis.K
 
@@ -233,7 +233,7 @@ def test_pairing_takes_no_mean(q, monkeypatch):
     mean = np.mean
     monkeypatch.setattr(np, "mean",
                         lambda *args, **kwargs: calls.append(args) or mean(*args, **kwargs))
-    pairs = pair_frequencies(e, q.basis)
+    pairs = pair_frequencies(e)
     monkeypatch.undo()
     assert calls == []
     values = {c.value.real for c in e.clusters}

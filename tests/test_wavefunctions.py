@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import unit_form
 from quadham import (
     ComplexRational,
     LinearForm,
@@ -102,13 +103,13 @@ class TestVacuum:
     def test_momentum_action(self):
         # p acting on exp(-x^2/2) gives i x times the same Gaussian
         v = vacuum(1)
-        out = v.apply_momentum(0)
+        out = apply_linear_form(unit_form(1, 1), v)
         assert set(out.poly) == {(1,)}
         assert out.poly[(1,)] == ComplexRational(0, 1)
 
     def test_position_action(self):
         v = vacuum(1)
-        out = v.apply_position(0)
+        out = apply_linear_form(unit_form(1, 0), v)
         assert set(out.poly) == {(1,)}
         assert out.poly[(1,)] == ComplexRational(1, 0)
 
@@ -237,7 +238,7 @@ class TestNorms:
         v = vacuum(1)
         doubled = v.scalar_mul(2)
         assert norm_scale(doubled) == PiScale(4, 0)
-        x_state = v.apply_position(0)
+        x_state = apply_linear_form(unit_form(1, 0), v)
         # |x exp(-x^2/2)|^2 = sqrt(pi)/2 against the pi^(-1/2) prefactor
         assert norm_scale(x_state) == PiScale(Fraction(1, 2), 0)
 
@@ -272,21 +273,19 @@ class TestAlgebra:
         v = vacuum(1)
         assert v.equals_exact(v.scalar_mul(1))
         assert not v.equals_exact(v.scalar_mul(-1))
-        assert not v.equals_exact(v.apply_position(0))
+        assert not v.equals_exact(apply_linear_form(unit_form(1, 0), v))
 
     def test_addition_collects_terms(self):
-        v = vacuum(1)
-        s = v.apply_position(0) + v.apply_position(0)
+        x = apply_linear_form(unit_form(1, 0), vacuum(1))
+        s = x + x
         assert s.poly == {(1,): ComplexRational(2, 0)}
-        d = v.apply_position(0) - v.apply_position(0)
-        assert d.is_zero
+        assert (x - x).is_zero
 
-    def test_mode_bounds_checked(self):
-        v = vacuum(2)
-        with pytest.raises(ValueError):
-            v.apply_position(2)
-        with pytest.raises(ValueError):
-            v.apply_momentum(-1)
+    def test_form_mode_count_checked(self):
+        with pytest.raises(ValueError, match="different mode counts"):
+            apply_linear_form(unit_form(1, 0), vacuum(2))
+        with pytest.raises(ValueError, match="different mode counts"):
+            apply_quadratic_form(angular_momentum_form(), vacuum(1))
 
     def test_linear_form_application(self):
         basis = PhaseSpaceBasis(1)
@@ -296,12 +295,24 @@ class TestAlgebra:
         gone = apply_linear_form(LinearForm(basis, [1.0, 1j]), vacuum(1))
         assert gone.is_zero
 
+    @pytest.mark.parametrize("poly", [{(1.5,): 1}, {(1.5,): 1, (1,): 2},
+                                      {(True,): 1}, {(1.0,): 1}],
+                             ids=["half", "colliding", "bool", "float"])
+    def test_non_integral_exponents_rejected(self, poly):
+        # int() would truncate 1.5 to 1 and read True as 1
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            PolyGaussian(1, poly, PiScale())
+
+    def test_numpy_integer_exponents_accepted(self):
+        s = PolyGaussian(2, {(np.int64(2), np.int32(0)): 1}, PiScale())
+        assert s.poly == {(2, 0): ComplexRational(1)}
+        assert s.render() == "x^2 * exp(-(x^2 + y^2)/2)"
+
 
 def _reference_quadratic_action(q, s):
     """sum_ab gamma_ab O_a(O_b s) + offset * s, one double application each."""
     K = s.K
-    ops = [lambda t, j=j: t.apply_position(j) for j in range(K)]
-    ops += [lambda t, j=j: t.apply_momentum(j) for j in range(K)]
+    ops = [lambda t, a=a: apply_linear_form(unit_form(K, a), t) for a in range(2 * K)]
     total = s.scalar_mul(Fraction(q.offset))
     for a in range(2 * K):
         for b in range(2 * K):
