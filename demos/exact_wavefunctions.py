@@ -19,6 +19,7 @@ from quadham import (
     build_model,
     inner,
     is_scalar_multiple_exact,
+    symmetric_energy,
     symmetric_ladders,
     symmetric_raising_pair,
     vacuum,
@@ -67,7 +68,7 @@ def main() -> None:
     for m, n in [(0, 0), (1, 0), (0, 1), (2, 1), (1, 3)]:
         psi = build_eigenfunction(plus.form, minus.form, m, n)
         energy = is_scalar_multiple_exact(apply_quadratic_form(h, psi), psi)
-        expect = 2 + (2 + bq) * m + (2 - bq) * n
+        expect = symmetric_energy(bq, m, n)
         assert energy is not None and energy.equals_rational(expect)
         out = apply_quadratic_form(lz, psi)
         if m == n:

@@ -16,6 +16,7 @@ from quadham import (
     classify_spectrum,
     eigen_decompose,
     ladder_check,
+    pair_frequencies,
     spectrum_lattice,
     symmetric_ladders,
 )
@@ -54,7 +55,10 @@ def main() -> None:
     lams = sorted(data.eigenvalues.real)
     print("computed: ", np.round(lams, 12).tolist())
     print("expected: ", sorted([-2 - B, 2 - B, -2 + B, 2 + B]))
-    print("They come in +/- pairs; each positive one is a ladder frequency.")
+    print("They come in +/- pairs; each positive one is a ladder frequency:")
+    for pair in pair_frequencies(data):
+        print(f"  lambda = {pair.lambda_plus:.12f}"
+              f"   [lowering, raising] = {pair.norm_constant:.12f}")
 
     section("Closed-form ladder operators")
     print("The four eigenoperators are independent of b.  Checking the")

@@ -194,12 +194,12 @@ class PiScale:
         """Human-readable rendering, e.g. '1/sqrt(pi)' or '(3/2)*pi^(1/4)'."""
         root = _rational_sqrt(self.q)
         if root is not None:
-            num = _fraction_str(root)
+            num = _ratio_str(root.numerator, root.denominator)
             if "/" in num:
                 num = f"({num})"
             is_rational_part_one = root == 1
         else:
-            num = f"sqrt({_fraction_str(self.q)})"
+            num = f"sqrt({_ratio_str(self.q.numerator, self.q.denominator)})"
             is_rational_part_one = False
 
         k = self.quarter
@@ -221,7 +221,7 @@ class PiScale:
         return f"{num}/{pi_part}"
 
 
-def _fraction_str(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+def _ratio_str(num: int, den: int) -> str:
+    """num / den in lowest terms, "n" or "n/d"."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"

@@ -259,13 +259,17 @@ def pair_frequencies(e: EigenData) -> list[FrequencyPair]:
     raising.  A zero frequency comes out as exactly 0.0.  A null direction
     (h ~ 0) means the pairing is ill-posed and is reported instead of patched.
     """
-    t_pair = tol.pairing_tol(e.matrix_norm)
-    worst = _nonreal_frequency(e, t_pair)
+    worst = _nonreal_frequency(e, tol.pairing_tol(e.matrix_norm))
     if worst is not None:
         raise NonRealFrequencyError(
             f"non-real eigenvalue (|Im| up to {worst:.3e}); "
             "the form has no real frequency pairing"
         )
+    return _real_pairs(e)
+
+
+def _real_pairs(e: EigenData) -> list[FrequencyPair]:
+    """`pair_frequencies` of an eigen decomposition already known to be real."""
     freqs = e.eigenvalues.real.tolist()
     t_zero = tol.zero_frequency_tol(e.matrix_norm)
     basis = e.source.source.basis
@@ -388,7 +392,13 @@ def classify_spectrum(q: QuadraticForm) -> SpectrumReport:
     gens: tuple[float, ...] = ()
     ground = vac = None
 
-    if e.defective and _nonreal_frequency(e, tol.pairing_tol(e.matrix_norm)) is None:
+    if _nonreal_frequency(e, tol.pairing_tol(e.matrix_norm)) is not None:
+        cls = Classification.NON_REAL_FREQUENCIES
+        note = (
+            "adjoint eigenvalues include non-real frequencies; no real "
+            "ladder structure or energy lattice exists"
+        )
+    elif e.defective:
         bad = [c for c in e.clusters if c.geometric < c.algebraic]
         desc = ", ".join(
             f"{c.value.real:.6g} (algebraic {c.algebraic}, geometric {c.geometric})"
@@ -400,54 +410,45 @@ def classify_spectrum(q: QuadraticForm) -> SpectrumReport:
             "ladder operators do not span and no discrete lattice applies"
         )
     else:
-        try:
-            # the pairing rejects non-real frequencies: reality is tested there
-            pairs = tuple(pair_frequencies(e))
-        except NonRealFrequencyError:
-            cls = Classification.NON_REAL_FREQUENCIES
-            note = (
-                "adjoint eigenvalues include non-real frequencies; no real "
-                "ladder structure or energy lattice exists"
-            )
-        else:
-            dtol = tol.definiteness_tol(float(abs(gevals).max()))
+        pairs = tuple(_real_pairs(e))
+        dtol = tol.definiteness_tol(float(abs(gevals).max()))
 
-            if gmin > -dtol:
-                ground = vac = float(q.offset + 0.5 * sum(p.lambda_plus for p in pairs))
-                gens = tuple(p.lambda_plus for p in pairs)
-                if 0.0 in gens:
-                    # a zero-frequency pair is critical whatever gmin reads
-                    cls = Classification.CRITICAL_INFINITE_MULTIPLICITY
-                    note = (
-                        "zero-frequency ladder pair on the semidefinite boundary: "
-                        "every lattice level carries infinite multiplicity"
-                    )
-                elif gmin > dtol:
-                    cls = Classification.BOUNDED_BELOW_DISCRETE
-                    note = (
-                        "form matrix positive definite; spectrum is the discrete "
-                        "lattice ground + n . generators with finite degeneracies"
-                    )
-                else:
-                    cls = Classification.BOUNDED_BELOW_DISCRETE
-                    note = (
-                        "form matrix semidefinite but all frequencies nonzero; "
-                        "treated as bounded below"
-                    )
-            else:
-                # indefinite with all-real frequencies
-                gens = tuple(sorted((p.raising_frequency for p in pairs), reverse=True))
-                cls = Classification.UNBOUNDED_LATTICE
+        if gmin > -dtol:
+            ground = vac = float(q.offset + 0.5 * sum(p.lambda_plus for p in pairs))
+            gens = tuple(p.lambda_plus for p in pairs)
+            if 0.0 in gens:
+                # a zero-frequency pair is critical whatever gmin reads
+                cls = Classification.CRITICAL_INFINITE_MULTIPLICITY
                 note = (
-                    "form matrix indefinite with real frequencies: the Gaussian-vacuum "
-                    "lattice extends without a lower bound (signed generators)"
+                    "zero-frequency ladder pair on the semidefinite boundary: "
+                    "every lattice level carries infinite multiplicity"
                 )
-                if any(_misses_vacuum(p) for p in pairs):
-                    note += (
-                        "; warning: some pair had no member annihilating the standard "
-                        "Gaussian vacuum, sign taken from the commutator orientation"
-                    )
-                vac = float(q.offset + 0.5 * sum(gens))
+            elif gmin > dtol:
+                cls = Classification.BOUNDED_BELOW_DISCRETE
+                note = (
+                    "form matrix positive definite; spectrum is the discrete "
+                    "lattice ground + n . generators with finite degeneracies"
+                )
+            else:
+                cls = Classification.BOUNDED_BELOW_DISCRETE
+                note = (
+                    "form matrix semidefinite but all frequencies nonzero; "
+                    "treated as bounded below"
+                )
+        else:
+            # indefinite with all-real frequencies
+            gens = tuple(sorted((p.raising_frequency for p in pairs), reverse=True))
+            cls = Classification.UNBOUNDED_LATTICE
+            note = (
+                "form matrix indefinite with real frequencies: the Gaussian-vacuum "
+                "lattice extends without a lower bound (signed generators)"
+            )
+            if any(_misses_vacuum(p) for p in pairs):
+                note += (
+                    "; warning: some pair had no member annihilating the standard "
+                    "Gaussian vacuum, sign taken from the commutator orientation"
+                )
+            vac = float(q.offset + 0.5 * sum(gens))
 
     return SpectrumReport(
         classification=cls,

@@ -1,24 +1,22 @@
 """Centralised numerical tolerances.
 
-Every tolerance in the package is defined here and multiplied by the value of
-the QUADHAM_TOL_SCALE environment variable (default 1.0), read on every call;
-each distinct value is parsed once.  The CLI can layer an additional factor
-from its config file via set_config_scale(); library callers normally leave
-that at 1.  That factor is a context variable: it holds for
-the calling thread or task only, and the CLI restores its caller's value when
-a run ends.
+Each tolerance below is multiplied by one scale, 1 unless set_config_scale()
+sets another (the CLI sets its config file's `tol_scale`).  The scale is a
+context variable: it holds for the calling thread or task only, and the CLI
+restores its caller's value when a run ends.
+
+A few fixed thresholds live beside their one use and ignore the scale:
+`spectral._canonical_phase`'s 1e-12 pivot floor, `models.phase_scan`'s 1e-10
+bisection width and 1e-9 transition merge, and `spectral.ladder_check`'s
+1e-300 floor on the non-real part.
 """
 
 from __future__ import annotations
 
 import contextvars
-import functools
 import math
-import os
 
-_ENV_VAR = "QUADHAM_TOL_SCALE"
-
-# extra multiplier installed by set_config_scale, per thread and task
+# the scale set_config_scale installs, per thread and task
 _CONFIG_SCALE: contextvars.ContextVar[float] = contextvars.ContextVar(
     "quadham_config_scale", default=1.0)
 
@@ -29,27 +27,8 @@ def set_config_scale(value: float) -> None:
     _CONFIG_SCALE.set(float(value))
 
 
-@functools.lru_cache(maxsize=8)
-def _env_scale(raw: str | None) -> float:
-    """The factor a raw QUADHAM_TOL_SCALE value sets; a bad value raises."""
-    if raw is None:
-        return 1.0
-    try:
-        env = float(raw)
-    except ValueError as exc:
-        raise ValueError(f"{_ENV_VAR} must be a float, got {raw!r}") from exc
-    if not 0.0 < env < math.inf:
-        raise ValueError(f"{_ENV_VAR} must be finite and positive, got {env}")
-    return env
-
-
 def tol_scale() -> float:
-    env = _env_scale(os.environ.get(_ENV_VAR))
-    config = _CONFIG_SCALE.get()
-    scale = env * config
-    if scale == math.inf:
-        raise ValueError(f"tolerance scale {env} x {config} overflows")
-    return scale
+    return _CONFIG_SCALE.get()
 
 
 def pairing_tol(matrix_norm: float) -> float:

@@ -47,7 +47,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ._exact import ComplexRational, PiScale, _rational_sqrt
+from ._exact import ComplexRational, PiScale, _ratio_str, _rational_sqrt
 from .phase_space import LinearForm, PhaseSpaceBasis, QuadraticForm
 
 @dataclass(frozen=True, eq=False)
@@ -218,13 +218,13 @@ class PolyGaussian:
         parts = []
         if not self.scale.is_one:
             parts.append(self.scale.display())
-        poly_str = _render_poly(self._terms, self._den,
-                                PhaseSpaceBasis(self.K).labels()[:self.K])
+        labels = PhaseSpaceBasis(self.K).labels()[:self.K]
+        poly_str = _render_poly(self._terms, self._den, labels)
         if poly_str != "1":
             if len(self._terms) > 1:
                 poly_str = f"({poly_str})"
             parts.append(poly_str)
-        parts.append(_render_gaussian(self.K))
+        parts.append(_render_gaussian(labels))
         return " * ".join(parts)
 
     def __repr__(self):
@@ -293,9 +293,8 @@ def _canonical(K: int, terms: dict, den: int, scale: PiScale) -> "PolyGaussian":
         scale * Fraction(g, den))
 
 
-def _render_gaussian(K: int) -> str:
-    labels = PhaseSpaceBasis(K).labels()[:K]
-    if K == 1:
+def _render_gaussian(labels: list[str]) -> str:
+    if len(labels) == 1:
         return f"exp(-{labels[0]}^2/2)"
     body = " + ".join(f"{v}^2" for v in labels)
     return f"exp(-({body})/2)"
@@ -309,12 +308,6 @@ def _mono_str(exps: tuple, labels: list[str]) -> str:
         elif e > 1:
             pieces.append(f"{label}^{e}")
     return "*".join(pieces)
-
-
-def _ratio_str(num: int, den: int) -> str:
-    """num / den in lowest terms, "n" or "n/d"."""
-    g = math.gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def _imag_str(mag: int, den: int) -> str:

@@ -1,12 +1,25 @@
+import contextlib
+
 import numpy as np
 import pytest
 
-from quadham import LinearForm, PhaseSpaceBasis
+from quadham import LinearForm, PhaseSpaceBasis, tolerances
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260821)
+
+
+@contextlib.contextmanager
+def scaled_tolerances(scale):
+    """Multiply every tolerance by scale inside the block; the caller's scale
+    comes back through the token when it ends."""
+    token = tolerances._CONFIG_SCALE.set(float(scale))
+    try:
+        yield
+    finally:
+        tolerances._CONFIG_SCALE.reset(token)
 
 
 def adjoint_by_expansion(gamma: np.ndarray, J: np.ndarray) -> np.ndarray:

@@ -9,16 +9,16 @@ Equal lines mean the outputs are byte-identical.  The families are:
 - classify: `eigen_decompose` eigenvalues and cluster members (not the
   cluster means) and `classify_spectrum` reports (or the error raised) on a
   fixed corpus of model, `sb`, random definite, random indefinite and
-  hand-picked forms that covers all five classes, at QUADHAM_TOL_SCALE 1,
+  hand-picked forms that covers all five classes, at tolerance scale 1,
   1e6 and 1e8;
-- lattice: for each form of the classify corpus at QUADHAM_TOL_SCALE 1
+- lattice: for each form of the classify corpus at tolerance scale 1
   whose class has a lattice, the `spectrum_lattice` levels (energy,
   states, degeneracy, `infinite`) at max_quanta 3 and 8, and
   `ladder_check` of every pair's raising member (or the error raised);
 - boundary: `classify_spectrum` reports (or the error raised) of the
   symmetric model at b = +-2 +- delta for 101 log-spaced delta in
   [1e-12, 1e-7] and at b = +-2 +- 10^-k for k = 1..15, and of the
-  non-real form diag(1, -1, 1, -1) + 0.05 x1 x2 at QUADHAM_TOL_SCALE 2e7;
+  non-real form diag(1, -1, 1, -1) + 0.05 x1 x2 at tolerance scale 2e7;
 - oracle: `oracle_spectrum` results (eigenvalues, shell eigenvalues, shell
   depth and dimension), `build_fock_matrix` bytes, and
   `compare_with_lattice` reports at two lattice depths and four
@@ -58,7 +58,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import pathlib
 import sys
 import tempfile
@@ -71,6 +70,7 @@ from quadham import cli, serialize
 
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
+from conftest import scaled_tolerances  # noqa: E402
 from make_goldens import golden_form  # noqa: E402
 from test_fock_oracle import random_forms  # noqa: E402
 
@@ -146,19 +146,6 @@ def classify_corpus():
     return forms
 
 
-@contextlib.contextmanager
-def tol_scale(scale: str):
-    saved = os.environ.get("QUADHAM_TOL_SCALE")
-    os.environ["QUADHAM_TOL_SCALE"] = scale
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop("QUADHAM_TOL_SCALE", None)
-        else:
-            os.environ["QUADHAM_TOL_SCALE"] = saved
-
-
 def add_report(d: Digest, q) -> None:
     try:
         d.add(qh.classify_spectrum(q))
@@ -171,7 +158,7 @@ def classify_lines() -> list[str]:
     lines = []
     for scale in SCALES:
         d = Digest()
-        with tol_scale(scale):
+        with scaled_tolerances(scale):
             for q in forms:
                 try:
                     e = qh.eigen_decompose(qh.adjoint_representation(q))
@@ -217,7 +204,7 @@ def boundary_line() -> str:
             add_report(d, model(b))
     g = np.diag([1.0, -1.0, 1.0, -1.0])
     g[0, 1] = g[1, 0] = 0.05
-    with tol_scale("2e7"):
+    with scaled_tolerances(2e7):
         add_report(d, explicit(2, g))
     return d.line("boundary")
 

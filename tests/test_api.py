@@ -62,6 +62,22 @@ def test_import_and_oracle_stay_numpy_only():
     assert proc.stdout.strip() == "[]"
 
 
+def test_no_module_reads_the_process_environment():
+    # settings such as the tolerance scale arrive as arguments, config keys or
+    # the context variable, never as ambient process state
+    reads = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted((ROOT / "src" / "quadham").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in reads
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                found.append(f"{path.name}:{node.lineno}")
+            elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+                    and any(alias.name in reads for alias in node.names)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def _used_names(files) -> set[str]:
     """Names, attributes and imported names that the files' code refers to."""
     used = set()

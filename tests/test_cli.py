@@ -120,14 +120,6 @@ class TestConfigHandling:
         assert json.loads(t2)["results"]["classification"] == \
             "CriticalInfiniteMultiplicity"
 
-    def test_env_scale_equivalent(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, {"preset": "oscillator-b",
-                                      "b": 2.000001})
-        monkeypatch.setenv("QUADHAM_TOL_SCALE", "1e6")
-        _, text = run_cli(["analyze", "--config", cfg], tmp_path)
-        assert json.loads(text)["results"]["classification"] == \
-            "CriticalInfiniteMultiplicity"
-
     def test_loose_tol_scale_pairs_a_definite_form(self, tmp_path, capsys):
         # at tol_scale 1e8 (t = 0.405) the frequencies 2.168 and 2.532 merge;
         # their mirrors merge the same way, so the form still pairs
@@ -231,6 +223,15 @@ class TestExitCodes:
         cfg = write_config(tmp_path, {"preset": "oscillator-b", "b": 1.0,
                                       "tol_scale": -2.0})
         assert cli.main(["analyze", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("scale", [0, float("inf"), float("nan"), True, "1", None])
+    def test_tol_scale_type_and_range_share_one_message(self, scale, tmp_path, capsys):
+        # the type check and set_config_scale's range check map to one error
+        cfg = write_config(tmp_path, {"preset": "oscillator-b", "b": 1.0,
+                                      "tol_scale": scale})
+        assert cli.main(["analyze", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "quadham: config error: config key 'tol_scale' must be a positive number\n")
 
 
 class TestVerifyCommand:

@@ -41,7 +41,6 @@ from quadham import (
     vacuum,
 )
 from quadham import wavefunctions as wf
-from quadham._exact import _fraction_str
 
 _I = ComplexRational(0, 1)
 
@@ -150,6 +149,10 @@ def ref_scalar_multiple(a, b):
     return ratio
 
 
+def _fraction_str(f):
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
 def _ref_term_pieces(c, mono):
     if c.im == 0:
         neg = c.re < 0
@@ -185,7 +188,7 @@ def ref_render(s):
     parts = [] if s.scale.is_one else [s.scale.display()]
     if poly_str != "1":
         parts.append(f"({poly_str})" if len(s.poly) > 1 else poly_str)
-    parts.append(wf._render_gaussian(s.K))
+    parts.append(wf._render_gaussian(labels))
     return " * ".join(parts)
 
 

@@ -487,6 +487,17 @@ class TestComparison:
         assert r.n_compared <= sum(
             lv.degeneracy for lv in levels[:3]) + len(levels)
 
+    @pytest.mark.parametrize("max_levels", [0, -1])
+    def test_max_levels_below_one_rejected(self, max_levels):
+        # a window of no levels compares nothing, and a negative one would
+        # slice from the end of the level list
+        q = model_form(1.0)
+        rep = classify_spectrum(q)
+        o = oracle_spectrum(q, FockTruncation(6, 2))
+        with pytest.raises(ValueError, match="max_levels"):
+            compare_with_lattice(o, spectrum_lattice(rep, 6), max_levels=max_levels,
+                                 classification=rep.classification)
+
     @pytest.mark.parametrize("b, max_levels", [(1.3, 10), (1.3, None), (2.0, 10)],
                              ids=["shell", "shell-all-levels", "critical"])
     def test_pooled_shells_average_only_the_compared_clusters(

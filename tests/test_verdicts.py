@@ -27,6 +27,7 @@ from quadham import (
     vacuum_annihilation_residual,
 )
 from quadham import spectral, tolerances
+from conftest import scaled_tolerances
 from test_fock_oracle import random_forms
 
 
@@ -117,7 +118,7 @@ def test_zero_frequency_is_tested_once(b, monkeypatch):
     assert (0.0 in rep.lattice_generators) is (rep.classification is CRITICAL)
 
 
-def test_conjugate_eigenvalues_within_a_loose_tolerance_stay_apart(monkeypatch):
+def test_conjugate_eigenvalues_within_a_loose_tolerance_stay_apart():
     # two coupled modes of opposite sign: adjoint eigenvalues +-2.0006 +- 0.05i
     g = np.diag([1.0, -1.0, 1.0, -1.0])
     g[0, 1] = g[1, 0] = 0.05
@@ -127,15 +128,15 @@ def test_conjugate_eigenvalues_within_a_loose_tolerance_stay_apart(monkeypatch):
     # loosened until |Im| = 0.05 lies within the radius t = 0.06, the
     # conjugates (0.1 apart) are still separate clusters, so the form stays
     # non-real: reality is read from the clusters, at t / 2
-    monkeypatch.setenv("QUADHAM_TOL_SCALE", "2e7")
-    e = eigen_decompose(adjoint_representation(q))
-    assert len(e.clusters) == 4
-    assert classify_spectrum(q).classification is \
-        Classification.NON_REAL_FREQUENCIES
+    with scaled_tolerances(2e7):
+        e = eigen_decompose(adjoint_representation(q))
+        assert len(e.clusters) == 4
+        assert classify_spectrum(q).classification is \
+            Classification.NON_REAL_FREQUENCIES
 
 
 # random definite forms (K, seed) whose two nearest frequencies lie within
-# the radius t at QUADHAM_TOL_SCALE 1e8: they merge into one doubled
+# the radius t at tolerance scale 1e8: they merge into one doubled
 # generator at their mean, and their mirrors -lambda merge the same way
 LOOSE_DEFINITE = {
     (3, 4): (2.800344, 2.350012, 2.350012),
@@ -147,44 +148,44 @@ LOOSE_DEFINITE = {
     (4, 9): (2.640033, 2.106842, 2.106842, 1.422016),
 }
 # K = 2 with a zero gamma row: eigenvalues +-0.3526i and a double zero, all
-# within t = 0.359 of one another at QUADHAM_TOL_SCALE 1e8
+# within t = 0.359 of one another at tolerance scale 1e8
 IMAGINARY_BESIDE_ZERO = list(random_forms(0))[21][0]
 
 
 @pytest.mark.parametrize("K, seed", list(LOOSE_DEFINITE))
-def test_loose_tolerance_pairs_every_definite_form(K, seed, monkeypatch):
-    monkeypatch.setenv("QUADHAM_TOL_SCALE", "1e8")
-    rep = classify_spectrum(random_positive_definite_form(K, seed))
-    assert rep.classification is BOUNDED
-    assert rep.lattice_generators == pytest.approx(LOOSE_DEFINITE[K, seed], abs=1e-6)
+def test_loose_tolerance_pairs_every_definite_form(K, seed):
+    with scaled_tolerances(1e8):
+        rep = classify_spectrum(random_positive_definite_form(K, seed))
+        assert rep.classification is BOUNDED
+        assert rep.lattice_generators == pytest.approx(LOOSE_DEFINITE[K, seed], abs=1e-6)
 
 
-def test_loose_tolerance_splits_an_imaginary_pair_from_a_zero_pair(monkeypatch):
+def test_loose_tolerance_splits_an_imaginary_pair_from_a_zero_pair():
     # one folded cluster holds all four values; only the members beyond t / 2
     # are parted by sign, so the double zero stays a full eigenspace
-    monkeypatch.setenv("QUADHAM_TOL_SCALE", "1e8")
-    e = eigen_decompose(adjoint_representation(IMAGINARY_BESIDE_ZERO))
-    assert [(c.algebraic, c.geometric) for c in e.clusters] == [(1, 1), (2, 2), (1, 1)]
-    assert e.clusters[0].value == pytest.approx(-0.352632j, abs=1e-6)
-    assert e.clusters[1].value == 0.0
-    assert classify_spectrum(IMAGINARY_BESIDE_ZERO).classification is \
-        Classification.NON_REAL_FREQUENCIES
+    with scaled_tolerances(1e8):
+        e = eigen_decompose(adjoint_representation(IMAGINARY_BESIDE_ZERO))
+        assert [(c.algebraic, c.geometric) for c in e.clusters] == [(1, 1), (2, 2), (1, 1)]
+        assert e.clusters[0].value == pytest.approx(-0.352632j, abs=1e-6)
+        assert e.clusters[1].value == 0.0
+        assert classify_spectrum(IMAGINARY_BESIDE_ZERO).classification is \
+            Classification.NON_REAL_FREQUENCIES
 
 
 @pytest.mark.parametrize("scale", ["1", "1e6", "1e8"])
-def test_clusters_are_symmetric_under_negation_and_conjugation(scale, monkeypatch):
-    monkeypatch.setenv("QUADHAM_TOL_SCALE", scale)
-    forms = [random_positive_definite_form(K, s) for K, s in LOOSE_DEFINITE]
-    forms += [IMAGINARY_BESIDE_ZERO]
-    forms += [model_form(float(b)) for b in np.linspace(-4.0, 4.0, 33)]
-    forms += [model_form(b) for b in (2.0 + 1e-9, -2.0 - 1e-9)]
-    for q in forms:
-        e = eigen_decompose(adjoint_representation(q))
-        t = tolerances.pairing_tol(e.matrix_norm)
-        for c in e.clusters:
-            for mirror in (-c.value, c.value.conjugate()):
-                assert any(abs(d.value - mirror) <= t and d.algebraic == c.algebraic
-                           for d in e.clusters)
+def test_clusters_are_symmetric_under_negation_and_conjugation(scale):
+    with scaled_tolerances(scale):
+        forms = [random_positive_definite_form(K, s) for K, s in LOOSE_DEFINITE]
+        forms += [IMAGINARY_BESIDE_ZERO]
+        forms += [model_form(float(b)) for b in np.linspace(-4.0, 4.0, 33)]
+        forms += [model_form(b) for b in (2.0 + 1e-9, -2.0 - 1e-9)]
+        for q in forms:
+            e = eigen_decompose(adjoint_representation(q))
+            t = tolerances.pairing_tol(e.matrix_norm)
+            for c in e.clusters:
+                for mirror in (-c.value, c.value.conjugate()):
+                    assert any(abs(d.value - mirror) <= t and d.algebraic == c.algebraic
+                               for d in e.clusters)
 
 
 @pytest.mark.parametrize("eps, definite", [(1e-12, False), (2e-10, False),
@@ -211,17 +212,17 @@ def test_semidefinite_form_with_nonzero_frequency_is_bounded(eps, definite):
                                       (sb_operator(0.1), "1e8"),
                                       (random_positive_definite_form(3, 4), "1e8"),
                                       (random_positive_definite_form(3, 33), "1e8")])
-def test_cluster_value_is_the_mean_of_real_and_imaginary_parts(q, scale, monkeypatch):
+def test_cluster_value_is_the_mean_of_real_and_imaginary_parts(q, scale):
     # the real mean over members in (real part, index) order is the frequency
     # the pairing used to average again; at scale 1e8 three frequencies of
     # random_positive_definite_form(3, 33) near +-2.9086 merge, where a complex
     # mean differs in the last bit
-    monkeypatch.setenv("QUADHAM_TOL_SCALE", scale)
-    e = eigen_decompose(adjoint_representation(q))
-    for c in e.clusters:
-        g = sorted(c.indices, key=lambda i: (e.eigenvalues.real[i], i))
-        assert c.value.real == float(np.mean(e.eigenvalues.real[g]))
-        assert c.value.imag == float(np.mean(e.eigenvalues.imag[g]))
+    with scaled_tolerances(scale):
+        e = eigen_decompose(adjoint_representation(q))
+        for c in e.clusters:
+            g = sorted(c.indices, key=lambda i: (e.eigenvalues.real[i], i))
+            assert c.value.real == float(np.mean(e.eigenvalues.real[g]))
+            assert c.value.imag == float(np.mean(e.eigenvalues.imag[g]))
 
 
 @pytest.mark.parametrize("q", [model_form(0.0), model_form(2.0), model_form(3.0),
