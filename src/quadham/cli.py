@@ -43,8 +43,8 @@ from . import tolerances as tol
 # largest m + n the wavefunction command builds; (60, 60) takes 46-77 ms on
 # 2 vCPUs of a shared host (best of 5)
 MAX_WAVEFUNCTION_QUANTA = 120
-# most samples a scan takes; phase_scan(-3, 3, 1001) costs 0.28-0.41 ms a
-# sample on 2 vCPUs of a shared host (best of 5), so 10**4 take about 4 s
+# most samples a scan takes; phase_scan(-3, 3, 1001) costs 0.16-0.23 ms a
+# sample on 2 vCPUs of a shared host (best of 5), so 10**4 take about 2 s
 MAX_SCAN_STEPS = 10**4
 
 
@@ -115,6 +115,15 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _as_float(v: int | float) -> float:
+    """float(v) of a JSON number; an int beyond the float range reads inf,
+    which every caller rejects as non-finite."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf
+
+
 def _number(cfg: dict, key: str, default: float | None = None) -> float | None:
     """The finite number at cfg[key], or default when the key is absent."""
     if key not in cfg:
@@ -122,9 +131,10 @@ def _number(cfg: dict, key: str, default: float | None = None) -> float | None:
     v = cfg[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"config key {key!r} must be a number")
-    if not math.isfinite(float(v)):
+    x = _as_float(v)
+    if not math.isfinite(x):
         raise ConfigError(f"config key {key!r} must be finite")
-    return float(v)
+    return x
 
 
 def _oscillator_b(cfg: dict):
@@ -150,7 +160,8 @@ def _random_pd(cfg: dict):
     spread = cfg.get("spread", [0.6, 1.8])
     if (not isinstance(spread, (list, tuple)) or len(spread) != 2
             or any(isinstance(s, bool) or not isinstance(s, (int, float))
-                   for s in spread)):
+                   for s in spread)
+            or any(math.isinf(_as_float(s)) for s in spread)):
         raise ConfigError("config key 'spread' must be [lo, hi]")
     return models.random_positive_definite_form(
         k_modes, seed, (float(spread[0]), float(spread[1]))), None
@@ -214,7 +225,7 @@ def _build_form(cfg: dict, seed_override: int | None):
         raise ConfigError("config key 'K' must be a positive integer")
     try:
         g = np.asarray(cfg["gamma"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"'gamma' must be a numeric matrix: {exc}") from exc
     d = 2 * k_modes
     if g.shape != (d, d):
@@ -416,7 +427,7 @@ def _dispatch(args) -> tuple[dict, dict, tuple]:
     if isinstance(scale, bool) or not isinstance(scale, (int, float)):
         raise ConfigError(bad_scale)
     try:
-        tol.set_config_scale(float(scale))
+        tol.set_config_scale(_as_float(scale))
     except ValueError as exc:
         raise ConfigError(bad_scale) from exc
 

@@ -22,11 +22,12 @@ from .phase_space import (
     QuadraticForm,
     make_quadratic_form,
 )
-from .spectral import Classification, _cluster, classify_spectrum
+from .spectral import Classification, _cluster, _verdict
 from . import tolerances as tol
 
 # 1-based operator indices for two modes, as make_quadratic_form expects
 X, Y, PX, PY = 1, 2, 3, 4
+_TWO_MODES = PhaseSpaceBasis(2)
 
 
 @dataclass(frozen=True)
@@ -89,15 +90,33 @@ def reduce_to_dimensionless(p: PhysicalParameters) -> DimensionlessModel:
 
 
 def build_model(d: DimensionlessModel) -> QuadraticForm:
-    """x^2 + k y^2 + px^2 + py^2/mu + b (x py - y px) on two modes."""
-    return make_quadratic_form(2, [
-        (X, X, 1.0),
-        (Y, Y, d.k),
-        (PX, PX, 1.0),
-        (PY, PY, 1.0 / d.mu),
-        (X, PY, d.b),
-        (Y, PX, -d.b),
+    """x^2 + k y^2 + px^2 + py^2/mu + b (x py - y px) on two modes.
+
+    gamma is written directly, each entry with the bits `make_quadratic_form`
+    sums for these monomials: 0.0 + c/2 + c/2 on the diagonal and 0.0 + c/2
+    off it, so b = 0 gives +0.0.
+    """
+    k, inv_mu, b = d.k, 1.0 / d.mu, d.b
+    if isinstance(k, bool) or isinstance(b, bool) or not math.isfinite(inv_mu):
+        # a bool coefficient or an overflowing 1/mu: make_quadratic_form
+        # raises its error for them
+        make_quadratic_form(2, [(Y, Y, k), (PY, PY, inv_mu), (X, PY, b)])
+    k, inv_mu, b = float(k), float(inv_mu), float(b)
+    h, g = 0.0 + b / 2.0, 0.0 + -b / 2.0
+    gamma = np.array([
+        [1.0, 0.0, 0.0, h],
+        [0.0, 0.0 + k / 2.0 + k / 2.0, g, 0.0],
+        [0.0, g, 1.0, 0.0],
+        [h, 0.0, 0.0, 0.0 + inv_mu / 2.0 + inv_mu / 2.0],
     ])
+    # DimensionlessModel keeps k and b finite, so gamma is finite and
+    # symmetric by construction: skip QuadraticForm's checks, which cost
+    # more than the rest of build_model
+    form = object.__new__(QuadraticForm)
+    object.__setattr__(form, "basis", _TWO_MODES)
+    object.__setattr__(form, "gamma", gamma)
+    object.__setattr__(form, "offset", 0.0)
+    return form
 
 
 def isotropic_form() -> QuadraticForm:
@@ -225,26 +244,21 @@ def phase_scan(
 ) -> PhaseScanResult:
     """Classify along a sweep of the coupling and locate boundary crossings.
 
-    steps is the sample count (endpoints included).  Transitions are read
-    from gamma's smallest eigenvalue alone, never from the classes: a sample
-    sitting on the definiteness boundary is itself a transition; between
-    samples off it whose smallest eigenvalue changes strict sign, the
-    crossing is bisected down to a bracket of width 1e-10.
+    steps is the sample count (endpoints included).  Each sample takes
+    `classify_spectrum`'s verdict without building its ladder pairs.
+    Transitions are read from gamma's smallest eigenvalue alone, never from
+    the classes: a sample sitting on the definiteness boundary is itself a
+    transition; between samples off it whose smallest eigenvalue changes
+    strict sign, the crossing is bisected down to a bracket of width 1e-10.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    bs = np.linspace(b_from, b_to, steps)
     samples = []
-    for b in bs:
-        b = float(b)
-        report = classify_spectrum(build_model(DimensionlessModel(mu=mu, k=k, b=b)))
-        samples.append(ScanSample(
-            b=b,
-            classification=report.classification,
-            margin=report.gamma_min,
-            ground_energy=report.ground_energy,
-            generators=report.lattice_generators,
-        ))
+    for b in np.linspace(b_from, b_to, steps).tolist():
+        v = _verdict(build_model(DimensionlessModel(mu=mu, k=k, b=b)))
+        samples.append(ScanSample(b=b, classification=v.classification,
+                                  margin=v.gamma_min, ground_energy=v.ground_energy,
+                                  generators=v.generators))
 
     dead = tol.definiteness_tol(max(abs(s.margin) for s in samples) + 1.0)
     transitions = [Transition(s.b, s.b, s.b) for s in samples if abs(s.margin) <= dead]

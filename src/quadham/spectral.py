@@ -16,6 +16,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -265,65 +266,81 @@ def pair_frequencies(e: EigenData) -> list[FrequencyPair]:
             f"non-real eigenvalue (|Im| up to {worst:.3e}); "
             "the form has no real frequency pairing"
         )
-    return _real_pairs(e)
+    return _ladders(_grams(e), e.source.source.basis)
 
 
-def _real_pairs(e: EigenData) -> list[FrequencyPair]:
-    """`pair_frequencies` of an eigen decomposition already known to be real."""
+class _Gram(NamedTuple):
+    """One pairing cluster's symplectic Gram data.
+
+    vecs are the cluster's eigenvectors, members in (real part, index)
+    order; mu and U the eigenvalues and eigenvectors of G = i vecs^dag J
+    vecs; keep the directions that give pairs, each raising where mu > 0.
+    """
+
+    frequency: float                 # >= 0, exactly 0.0 for the zero cluster
+    vecs: np.ndarray
+    mu: list[float]
+    U: np.ndarray
+    keep: Sequence[int]
+
+
+def _grams(e: EigenData) -> list[_Gram]:
+    """Gram data of a real decomposition's clusters, highest frequency first.
+
+    At frequency != 0 every direction of G gives a pair, an h-negative one
+    the conjugate of a raising member at -frequency; at 0 only the
+    h-positive half raises and must be half the eigenspace.  A one-member
+    cluster skips eigh: of a 1 x 1 matrix it returns the real part and the
+    unit vector.
+    """
     freqs = e.eigenvalues.real.tolist()
     t_zero = tol.zero_frequency_tol(e.matrix_norm)
-    basis = e.source.source.basis
-    J = _symplectic(basis.K)
-    pairs: list[FrequencyPair] = []
-    # highest frequency first, down to the zero cluster
+    J = _symplectic(e.source.K)
+    grams = []
     for c in reversed(e.clusters):
         val = c.value.real
         if val < -t_zero:
-            break  # the rest mirror the clusters paired above
+            break  # the rest mirror the clusters above
+        val = val if val > t_zero else 0.0
         idxs = sorted(c.indices, key=lambda i: (freqs[i], i))
-        pairs.extend(_pairs_from_group(val if val > t_zero else 0.0, idxs,
-                                       e.eigenvectors, J, t_zero, basis))
-    return pairs
+        vecs = e.eigenvectors[:, idxs]
+        G = 1j * (vecs.conj().T @ J @ vecs)
+        if len(idxs) == 1:
+            mu, U = [float(G[0, 0].real)], _UNIT
+        else:
+            mu, U = np.linalg.eigh((G + G.conj().T) / 2.0)
+            mu = mu.tolist()
+        if val == 0.0:
+            keep = [k for k in range(len(mu)) if mu[k] > t_zero]
+            if len(keep) != len(idxs) // 2:
+                raise PairingError("zero eigenspace does not split into ladder pairs")
+        elif any(abs(m) <= t_zero for m in mu):
+            raise PairingError(
+                f"symplectically null eigenvector at frequency {val:.6g}"
+            )
+        else:
+            keep = range(len(mu))
+        grams.append(_Gram(val, vecs, mu, U, keep))
+    return grams
 
 
-def _pairs_from_group(val, idxs, V, J, t_zero, basis) -> list[FrequencyPair]:
-    """Ladder pairs from the eigenvectors V[:, idxs] at frequency val >= 0.
-
-    At val != 0 every direction of G = i V^dag J V gives a pair, an
-    h-negative one the conjugate of a raising member at -val; at val = 0
-    only the h-positive half raises and must be half the eigenspace.  A
-    one-member group skips eigh: of a 1 x 1 matrix it returns the real part
-    and the unit vector.
-    """
-    basis_vecs = V[:, idxs]
-    G = 1j * (basis_vecs.conj().T @ J @ basis_vecs)
-    if len(idxs) == 1:
-        mu, U = [float(G[0, 0].real)], _UNIT
-    else:
-        mu, U = np.linalg.eigh((G + G.conj().T) / 2.0)
-        mu = mu.tolist()
-    if val == 0.0:
-        keep = [k for k in range(len(mu)) if mu[k] > t_zero]
-        if len(keep) != len(idxs) // 2:
-            raise PairingError("zero eigenspace does not split into ladder pairs")
-    elif any(abs(m) <= t_zero for m in mu):
-        raise PairingError(
-            f"symplectically null eigenvector at frequency {val:.6g}"
-        )
-    else:
-        keep = range(len(mu))
+def _ladders(grams: list[_Gram], basis) -> list[FrequencyPair]:
+    """The ladder pairs of `_grams`, in its order: each kept direction u of
+    G, scaled to [lowering, raising] = 1 and conjugated where h(u, u) < 0,
+    with its first significant coefficient made positive real."""
     out = []
-    for k in keep:
-        m = mu[k]
-        w = (basis_vecs @ U[:, k]) / math.sqrt(abs(m))
-        w, freq = (w, val) if m > 0 else (np.conj(w), -val)
-        w = _canonical_phase(w)
-        raising = LinearForm(basis, w)
-        lowering = LinearForm(basis, np.conj(w))
-        nc = linear_commutator(lowering, raising)
-        out.append(FrequencyPair(lambda_plus=val, raising=raising,
-                                 lowering=lowering, norm_constant=float(nc.real),
-                                 raising_frequency=freq))
+    for g in grams:
+        for k in g.keep:
+            m = g.mu[k]
+            w = (g.vecs @ g.U[:, k]) / math.sqrt(abs(m))
+            w, freq = (w, g.frequency) if m > 0 else (np.conj(w), -g.frequency)
+            w = _canonical_phase(w)
+            raising = LinearForm(basis, w)
+            lowering = LinearForm(basis, np.conj(w))
+            nc = linear_commutator(lowering, raising)
+            out.append(FrequencyPair(lambda_plus=g.frequency, raising=raising,
+                                     lowering=lowering, norm_constant=float(nc.real),
+                                     raising_frequency=freq))
     return out
 
 
@@ -374,90 +391,110 @@ def _misses_vacuum(p: FrequencyPair) -> bool:
                 < vacuum_annihilation_residual(p.raising))
 
 
-def classify_spectrum(q: QuadraticForm) -> SpectrumReport:
-    """Decision tree over frequency reality, defectiveness and definiteness.
+class _Verdict(NamedTuple):
+    """What `_verdict` decides; grams is empty unless the class has a lattice."""
+
+    classification: Classification
+    note: str
+    grams: list[_Gram]
+    ground_energy: float | None
+    vacuum_energy: float | None
+    generators: tuple[float, ...]
+    gamma_min: float
+
+
+def _verdict(q: QuadraticForm) -> _Verdict:
+    """The spectrum class of q and every number it rests on, no ladders.
 
     Each verdict is taken once, the boundary ones at the cluster radius t:
     reality and rank by the clusters, a zero frequency by the pairing (as
     exactly 0.0, critical whatever gamma reads), and any other real form by
-    gamma's lowest eigenvalue.  An indefinite form's generators are its
-    raising frequencies; the vacuum residuals only flag a pair whose
-    lowering member misses the vacuum.
+    gamma's lowest eigenvalue.  The pairing's Gram signs alone give the
+    generators: a definite form's are its cluster frequencies, an indefinite
+    form's its raising frequencies.
     """
-    adj = adjoint_representation(q)
-    e = eigen_decompose(adj)
-    gevals = np.linalg.eigvalsh(q.gamma)
-    gmin = float(gevals[0])
-    pairs: tuple[FrequencyPair, ...] = ()
-    gens: tuple[float, ...] = ()
-    ground = vac = None
+    e = eigen_decompose(adjoint_representation(q))
+    gevals = np.linalg.eigvalsh(q.gamma).tolist()  # ascending
+    gmin = gevals[0]
 
     if _nonreal_frequency(e, tol.pairing_tol(e.matrix_norm)) is not None:
-        cls = Classification.NON_REAL_FREQUENCIES
-        note = (
+        return _Verdict(
+            Classification.NON_REAL_FREQUENCIES,
             "adjoint eigenvalues include non-real frequencies; no real "
-            "ladder structure or energy lattice exists"
-        )
-    elif e.defective:
+            "ladder structure or energy lattice exists",
+            [], None, None, (), gmin)
+    if e.defective:
         bad = [c for c in e.clusters if c.geometric < c.algebraic]
         desc = ", ".join(
             f"{c.value.real:.6g} (algebraic {c.algebraic}, geometric {c.geometric})"
             for c in bad
         )
-        cls = Classification.DEFECTIVE_EXCEPTIONAL
-        note = (
+        return _Verdict(
+            Classification.DEFECTIVE_EXCEPTIONAL,
             f"adjoint matrix is defective at eigenvalue(s) {desc}; "
-            "ladder operators do not span and no discrete lattice applies"
-        )
-    else:
-        pairs = tuple(_real_pairs(e))
-        dtol = tol.definiteness_tol(float(abs(gevals).max()))
+            "ladder operators do not span and no discrete lattice applies",
+            [], None, None, (), gmin)
 
-        if gmin > -dtol:
-            ground = vac = float(q.offset + 0.5 * sum(p.lambda_plus for p in pairs))
-            gens = tuple(p.lambda_plus for p in pairs)
-            if 0.0 in gens:
-                # a zero-frequency pair is critical whatever gmin reads
-                cls = Classification.CRITICAL_INFINITE_MULTIPLICITY
-                note = (
-                    "zero-frequency ladder pair on the semidefinite boundary: "
-                    "every lattice level carries infinite multiplicity"
-                )
-            elif gmin > dtol:
-                cls = Classification.BOUNDED_BELOW_DISCRETE
-                note = (
-                    "form matrix positive definite; spectrum is the discrete "
-                    "lattice ground + n . generators with finite degeneracies"
-                )
-            else:
-                cls = Classification.BOUNDED_BELOW_DISCRETE
-                note = (
-                    "form matrix semidefinite but all frequencies nonzero; "
-                    "treated as bounded below"
-                )
-        else:
-            # indefinite with all-real frequencies
-            gens = tuple(sorted((p.raising_frequency for p in pairs), reverse=True))
-            cls = Classification.UNBOUNDED_LATTICE
+    grams = _grams(e)
+    dtol = tol.definiteness_tol(max(-gmin, gevals[-1]))  # largest |eigenvalue|
+    if gmin > -dtol:
+        gens = tuple(g.frequency for g in grams for _ in g.keep)
+        ground = float(q.offset + 0.5 * sum(gens))
+        if 0.0 in gens:
+            # a zero-frequency pair is critical whatever gmin reads
+            cls = Classification.CRITICAL_INFINITE_MULTIPLICITY
             note = (
-                "form matrix indefinite with real frequencies: the Gaussian-vacuum "
-                "lattice extends without a lower bound (signed generators)"
+                "zero-frequency ladder pair on the semidefinite boundary: "
+                "every lattice level carries infinite multiplicity"
             )
-            if any(_misses_vacuum(p) for p in pairs):
-                note += (
-                    "; warning: some pair had no member annihilating the standard "
-                    "Gaussian vacuum, sign taken from the commutator orientation"
-                )
-            vac = float(q.offset + 0.5 * sum(gens))
+        elif gmin > dtol:
+            cls = Classification.BOUNDED_BELOW_DISCRETE
+            note = (
+                "form matrix positive definite; spectrum is the discrete "
+                "lattice ground + n . generators with finite degeneracies"
+            )
+        else:
+            cls = Classification.BOUNDED_BELOW_DISCRETE
+            note = (
+                "form matrix semidefinite but all frequencies nonzero; "
+                "treated as bounded below"
+            )
+        return _Verdict(cls, note, grams, ground, ground, gens, gmin)
 
+    # indefinite with all-real frequencies: the signed raising frequencies
+    gens = tuple(sorted((g.frequency if g.mu[k] > 0 else -g.frequency
+                         for g in grams for k in g.keep), reverse=True))
+    return _Verdict(
+        Classification.UNBOUNDED_LATTICE,
+        "form matrix indefinite with real frequencies: the Gaussian-vacuum "
+        "lattice extends without a lower bound (signed generators)",
+        grams, None, float(q.offset + 0.5 * sum(gens)), gens, gmin)
+
+
+def classify_spectrum(q: QuadraticForm) -> SpectrumReport:
+    """Decision tree over frequency reality, defectiveness and definiteness.
+
+    `_verdict` takes every decision; the ladder pairs are then built from its
+    Gram data.  Their vacuum residuals only flag, in an indefinite form's
+    note, a pair whose lowering member misses the vacuum.
+    """
+    v = _verdict(q)
+    pairs = tuple(_ladders(v.grams, q.basis))
+    note = v.note
+    if (v.classification is Classification.UNBOUNDED_LATTICE
+            and any(_misses_vacuum(p) for p in pairs)):
+        note += (
+            "; warning: some pair had no member annihilating the standard "
+            "Gaussian vacuum, sign taken from the commutator orientation"
+        )
     return SpectrumReport(
-        classification=cls,
+        classification=v.classification,
         pairs=pairs,
-        ground_energy=ground,
-        lattice_generators=gens,
+        ground_energy=v.ground_energy,
+        lattice_generators=v.generators,
         multiplicity_note=note,
-        vacuum_energy=vac,
-        gamma_min=gmin,
+        vacuum_energy=v.vacuum_energy,
+        gamma_min=v.gamma_min,
     )
 
 
@@ -497,20 +534,39 @@ def spectrum_lattice(r: SpectrumReport, max_quanta: int) -> list[LatticeLevel]:
     t = tol.lattice_merge_tol(max(map(abs, energies)))
 
     # unbounded lattices merge only within a total-quanta shell
-    blocks = [range(len(quanta))]
+    shells = [(energies, quanta)]
     if unbounded:
-        blocks = [[] for _ in range(max_quanta + 1)]
-        for i, n in enumerate(quanta):
-            blocks[sum(n)].append(i)
+        shells = [([], []) for _ in range(max_quanta + 1)]
+        for e, n in zip(energies, quanta):
+            shell_energies, shell_quanta = shells[sum(n)]
+            shell_energies.append(e)
+            shell_quanta.append(n)
     levels = []
-    for block in blocks:
-        for g in _cluster([energies[i] for i in block], t):
-            states = [quanta[block[i]] for i in g]
-            if not unbounded:
-                states.sort()
-            levels.append(LatticeLevel(energies[block[g[0]]], tuple(states),
-                                       len(states), infinite))
+    for shell_energies, shell_quanta in shells:
+        for g in _cluster(shell_energies, t):
+            if len(g) == 1:
+                states = (shell_quanta[g[0]],)
+            else:
+                states = [shell_quanta[i] for i in g]
+                if not unbounded:
+                    states.sort()
+                states = tuple(states)
+            levels.append(_level(shell_energies[g[0]], states, infinite))
     return levels
+
+
+def _level(energy: float, states: tuple, infinite: bool) -> LatticeLevel:
+    """LatticeLevel(energy, states, len(states), infinite) without the
+    frozen-dataclass __init__, which costs more than the rest of building a
+    one-state level.  The fields are set as that __init__ sets them, not
+    through __dict__, so the instance keeps its compact attribute layout."""
+    level = object.__new__(LatticeLevel)
+    set_field = object.__setattr__
+    set_field(level, "energy", energy)
+    set_field(level, "states", states)
+    set_field(level, "degeneracy", len(states))
+    set_field(level, "infinite", infinite)
+    return level
 
 
 def _multi_indices(r: int, max_total: int) -> list[tuple[int, ...]]:

@@ -41,6 +41,12 @@ Equal lines mean the outputs are byte-identical.  The families are:
   ComplexRational, a Fraction, a float, a complex and 0 (a linear-form
   output's `evaluate` sums its terms in their dict order, which the exact
   output does not fix, so it is not hashed);
+- scan: `phase_scan` samples and transitions (or the error raised) at
+  tolerance scale 1, 1e6 and 1e8 on the sweeps of tests/test_models.py,
+  which land on b = +-2 and on the Jordan-block boundary points of mu = 4
+  and k = 2 and cross the non-real band of mu = 2, on the 101-sample sweep
+  of the `analysis_sweep` benchmark workload, and on NaN and infinite
+  endpoints, mu <= 0, k < 0 and zero steps;
 - cli: stdout, stderr and exit code of every subcommand in JSON and CSV,
   timestamp removed, on preset, explicit and invalid configurations;
 - critical-no-shells: the comparisons, library and `verify`, of critical
@@ -73,6 +79,7 @@ sys.path.insert(0, str(HERE))
 from conftest import scaled_tolerances  # noqa: E402
 from make_goldens import golden_form  # noqa: E402
 from test_fock_oracle import random_forms  # noqa: E402
+from test_models import SWEEPS  # noqa: E402
 
 SCALES = ("1", "1e6", "1e8")
 EXACT_PAIRS = ((0, 0), (1, 0), (0, 2), (2, 1), (1, 3), (3, 2), (2, 4), (4, 3),
@@ -207,6 +214,22 @@ def boundary_line() -> str:
     with scaled_tolerances(2e7):
         add_report(d, explicit(2, g))
     return d.line("boundary")
+
+
+def scan_line() -> str:
+    d = Digest()
+    sweeps = SWEEPS + [((-3.5058, 3.5058, 101), {}),
+                       ((np.nan, 1.0, 3), {}), ((0.0, np.inf, 3), {}),
+                       ((0.0, 1.0, 3), {"mu": 0.0}), ((0.0, 1.0, 3), {"mu": -1.0}),
+                       ((0.0, 1.0, 3), {"k": -1.0}), ((0.0, 1.0, 0), {})]
+    for scale in SCALES:
+        with scaled_tolerances(scale), np.errstate(invalid="ignore"):
+            for bounds, model in sweeps:
+                try:
+                    d.add(scale, bounds, model, qh.phase_scan(*bounds, **model))
+                except (ValueError, qh.QuadhamError) as exc:
+                    d.add(scale, bounds, model, type(exc).__name__, str(exc))
+    return d.line("scan")
 
 
 def oracle_corpus():
@@ -414,6 +437,7 @@ def main() -> None:
         print(line, flush=True)
     print(lattice_line(), flush=True)
     print(boundary_line(), flush=True)
+    print(scan_line(), flush=True)
     print(oracle_line(critical), flush=True)
     print(exact_line(), flush=True)
     print(cli_line(critical), flush=True)

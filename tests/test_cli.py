@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -446,6 +447,37 @@ class TestConfigErrorTexts:
     def test_message(self, payload, message, tmp_path, capsys):
         code = cli.main(["analyze", "--config", write_config(tmp_path, payload)])
         assert code == 2
+        assert capsys.readouterr().err == f"quadham: config error: {message}\n"
+
+
+BIG = 10**400  # a JSON int beyond the float range
+
+
+class TestNumbersBeyondTheFloatRange:
+    @pytest.mark.parametrize("payload, message", [
+        ({"preset": "oscillator-b", "b": BIG}, "config key 'b' must be finite"),
+        ({"preset": "oscillator-b", "b": 1.0, "mu": -BIG},
+         "config key 'mu' must be finite"),
+        ({"preset": "oscillator-b", "b": 1.0, "tol_scale": BIG},
+         "config key 'tol_scale' must be a positive number"),
+        ({"preset": "physical", "m1": 1, "m2": 1, "k1": 1, "k2": 1, "omega": BIG},
+         "config key 'omega' must be finite"),
+        ({"preset": "sb", "B": -BIG}, "config key 'B' must be finite"),
+        ({"preset": "random-pd", "K": 1, "seed": 1, "spread": [0.5, BIG]},
+         "config key 'spread' must be [lo, hi]"),
+        ({"preset": "random-pd", "K": 1, "seed": 1, "spread": [0.5, math.inf]},
+         "config key 'spread' must be [lo, hi]"),
+        ({"K": 1, "gamma": [[1.0, 0.0], [0.0, 1.0]], "offset": BIG},
+         "config key 'offset' must be finite"),
+        ({"K": 1, "gamma": [[BIG, 0.0], [0.0, 1.0]]},
+         "'gamma' must be a numeric matrix: int too large to convert to float"),
+    ], ids=["b", "mu", "tol_scale", "omega", "B", "spread", "spread-inf", "offset",
+            "gamma"])
+    @pytest.mark.parametrize("command", ["analyze", "spectrum"])
+    def test_config_error(self, payload, message, command, tmp_path, capsys):
+        code, text = run_cli([command, "--config", write_config(tmp_path, payload)],
+                             tmp_path)
+        assert code == 2 and text is None
         assert capsys.readouterr().err == f"quadham: config error: {message}\n"
 
 

@@ -23,6 +23,8 @@ from quadham import (
     symmetric_ladders,
     symmetric_raising_pair,
 )
+from quadham import spectral
+from conftest import scaled_tolerances
 
 
 class TestReduction:
@@ -290,3 +292,61 @@ class TestPhaseScanBisection:
             assert abs(t.b_star - root) <= 1e-10
             assert t.bracket_lo <= root <= t.bracket_hi
             assert t.bracket_hi - t.bracket_lo <= 1e-10
+
+
+# sweeps landing on b = +-2, covering the non-real band of mu = 2, and
+# landing on the Jordan-block boundary points of mu = 4 and k = 2
+SWEEPS = [((-3.0, 3.0, 7), {}), ((0.0, 3.0, 31), {"mu": 2.0, "k": 1.0}),
+          ((0.0, 2.0, 5), {"mu": 4.0, "k": 1.0}), ((0.0, 4.0, 5), {"mu": 1.0, "k": 2.0})]
+SCALES = ("1", "1e6", "1e8")
+
+
+class TestPhaseScanVerdicts:
+    """Each sample carries classify_spectrum's verdict bit for bit, though the
+    scan builds no ladder operators."""
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("bounds, model", SWEEPS,
+                             ids=["b=+-2", "non-real band", "mu=4", "k=2"])
+    def test_samples_match_classify_spectrum(self, bounds, model, scale):
+        with scaled_tolerances(scale):
+            res = phase_scan(*bounds, **model)
+            assert len(res.samples) == bounds[2]
+            for s in res.samples:
+                r = classify_spectrum(build_model(DimensionlessModel(b=s.b, **{
+                    "mu": 1.0, "k": 1.0, **model})))
+                assert s.classification is r.classification
+                assert repr(s.margin) == repr(r.gamma_min)
+                assert repr(s.ground_energy) == repr(r.ground_energy)
+                assert repr(s.generators) == repr(r.lattice_generators)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_no_ladder_is_built(self, scale, monkeypatch):
+        calls = []
+        commutator = spectral.linear_commutator
+        monkeypatch.setattr(spectral, "linear_commutator",
+                            lambda *args: calls.append(args) or commutator(*args))
+        with scaled_tolerances(scale):
+            for bounds, model in SWEEPS:
+                phase_scan(*bounds, **model)
+            assert calls == []
+            classify_spectrum(build_model(DimensionlessModel(1.0, 1.0, 1.3)))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("args, kwargs, message", [
+        ((math.nan, 1.0, 3), {}, "b must be finite"),
+        ((0.0, math.nan, 3), {}, "b must be finite"),
+        ((0.0, math.inf, 3), {}, "b must be finite"),
+        ((-math.inf, 1.0, 3), {}, "b must be finite"),
+        ((0.0, 1.0, 3), {"mu": 0.0}, "mu must be positive and finite"),
+        ((0.0, 1.0, 3), {"mu": -1.0}, "mu must be positive and finite"),
+        ((0.0, 1.0, 3), {"k": -1.0}, "k must be positive and finite"),
+        ((0.0, 1.0, 0), {}, "steps must be at least 1"),
+    ], ids=["nan-from", "nan-to", "inf-to", "-inf-from", "mu=0", "mu<0", "k<0",
+            "steps=0"])
+    def test_invalid_input(self, args, kwargs, message, scale):
+        with scaled_tolerances(scale), np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError) as info:
+                phase_scan(*args, **kwargs)
+        assert str(info.value) == message
