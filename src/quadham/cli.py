@@ -43,8 +43,8 @@ from . import tolerances as tol
 # largest m + n the wavefunction command builds; (60, 60) takes 46-77 ms on
 # 2 vCPUs of a shared host (best of 5)
 MAX_WAVEFUNCTION_QUANTA = 120
-# most samples a scan takes; phase_scan(-3, 3, 1001) costs 0.16-0.23 ms a
-# sample on 2 vCPUs of a shared host (best of 5), so 10**4 take about 2 s
+# most samples a scan takes; phase_scan(-3, 3, 1001) costs 0.07-0.13 ms a
+# sample on 2 vCPUs of a shared host (best of 5), so 10**4 take about 1 s
 MAX_SCAN_STEPS = 10**4
 
 

@@ -11,6 +11,7 @@ loses definiteness.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from .phase_space import (
     QuadraticForm,
     make_quadratic_form,
 )
-from .spectral import Classification, _cluster, _verdict
+from .spectral import Classification, _cluster, _verdicts
 from . import tolerances as tol
 
 # 1-based operator indices for two modes, as make_quadratic_form expects
@@ -229,10 +230,11 @@ class PhaseScanResult:
     transitions: tuple[Transition, ...]
 
 
-def _margin(b: float, mu: float, k: float) -> float:
-    d = DimensionlessModel(mu=mu, k=k, b=b)
-    gamma = build_model(d).gamma
-    return float(np.linalg.eigvalsh(gamma)[0])
+def _margins(bs: list[float], mu: float, k: float) -> list[float]:
+    """gamma's smallest eigenvalue at each coupling of bs, one eigvalsh call."""
+    gammas = np.array([build_model(DimensionlessModel(mu=mu, k=k, b=b)).gamma
+                       for b in bs])
+    return np.linalg.eigvalsh(gammas)[:, 0].tolist()
 
 
 def phase_scan(
@@ -244,39 +246,43 @@ def phase_scan(
 ) -> PhaseScanResult:
     """Classify along a sweep of the coupling and locate boundary crossings.
 
-    steps is the sample count (endpoints included).  Each sample takes
-    `classify_spectrum`'s verdict without building its ladder pairs.
+    steps is the sample count (endpoints included), an integer.  Each sample
+    takes `classify_spectrum`'s verdict without building its ladder pairs;
+    `spectral._verdicts` makes one stacked LAPACK call per stage for them all.
     Transitions are read from gamma's smallest eigenvalue alone, never from
     the classes: a sample sitting on the definiteness boundary is itself a
     transition; between samples off it whose smallest eigenvalue changes
-    strict sign, the crossing is bisected down to a bracket of width 1e-10.
+    strict sign, the crossing is bisected down to a bracket of width 1e-10,
+    all brackets in lockstep with one stacked eigvalsh a step.
     """
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+        raise ValueError("steps must be an integer")
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    samples = []
-    for b in np.linspace(b_from, b_to, steps).tolist():
-        v = _verdict(build_model(DimensionlessModel(mu=mu, k=k, b=b)))
-        samples.append(ScanSample(b=b, classification=v.classification,
-                                  margin=v.gamma_min, ground_energy=v.ground_energy,
-                                  generators=v.generators))
+    for b in (b_from, b_to):
+        DimensionlessModel(mu=mu, k=k, b=b)  # its errors, before any sampling
+    bs = np.linspace(b_from, b_to, steps).tolist()
+    forms = [build_model(DimensionlessModel(mu=mu, k=k, b=b)) for b in bs]
+    samples = [ScanSample(b=b, classification=v.classification, margin=v.gamma_min,
+                          ground_energy=v.ground_energy, generators=v.generators)
+               for b, v in zip(bs, _verdicts(forms))]
 
     dead = tol.definiteness_tol(max(abs(s.margin) for s in samples) + 1.0)
     transitions = [Transition(s.b, s.b, s.b) for s in samples if abs(s.margin) <= dead]
-    for a, c in zip(samples, samples[1:]):
-        if a.margin * c.margin < 0 and min(abs(a.margin), abs(c.margin)) > dead:
-            lo, hi = a.b, c.b
-            flo = a.margin
-            while abs(hi - lo) > 1e-10:
-                mid = 0.5 * (lo + hi)
-                fmid = _margin(mid, mu, k)
-                if fmid == 0.0:
-                    lo = hi = mid
-                    break
-                if (flo < 0) == (fmid < 0):
-                    lo, flo = mid, fmid
-                else:
-                    hi = mid
-            transitions.append(Transition(0.5 * (lo + hi), lo, hi))
+    # [lo, hi, margin at lo] of each strict sign change
+    brackets = [[a.b, c.b, a.margin] for a, c in zip(samples, samples[1:])
+                if a.margin * c.margin < 0 and min(abs(a.margin), abs(c.margin)) > dead]
+    active = brackets
+    while active := [br for br in active if abs(br[1] - br[0]) > 1e-10]:
+        mids = [0.5 * (lo + hi) for lo, hi, _ in active]
+        for br, mid, fmid in zip(active, mids, _margins(mids, mu, k)):
+            if fmid == 0.0:
+                br[0] = br[1] = mid
+            elif (br[2] < 0) == (fmid < 0):
+                br[0], br[2] = mid, fmid
+            else:
+                br[1] = mid
+    transitions += [Transition(0.5 * (lo + hi), lo, hi) for lo, hi, _ in brackets]
 
     deduped = tuple(
         transitions[g[0]] for g in _cluster([t.b_star for t in transitions], 1e-9)

@@ -13,6 +13,7 @@ import dataclasses
 import datetime
 import enum
 import json
+import math
 import numbers
 
 import numpy as np
@@ -25,9 +26,9 @@ _CSV_FLOAT = "%.9e"
 
 
 def _float_token(value: float, fmt: str) -> str:
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NonFiniteResultError(f"cannot serialise non-finite float {value!r}")
-    return fmt % float(value)
+    return fmt % value
 
 
 def _emit(obj, fmt: str) -> str:

@@ -16,7 +16,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -133,18 +133,32 @@ def eigen_decompose(m: AdjointMatrix) -> EigenData:
     eigenspace takes its eigenvectors from the null space of that SVD,
     because the general eigensolver can return parallel vectors for it.
     """
-    entries = m.entries
+    R, w, V = _eig(m.entries)
+    return _decomposition(m, w, V, float(np.linalg.svd(R, compute_uv=False)[0]))
+
+
+def _eig(entries: np.ndarray):
+    """R with entries = i R and np.linalg.eig(R), of one adjoint matrix or a
+    stack.  Real gamma gives purely imaginary entries; any other matrix
+    raises ValueError, and non-convergence EigensolverError."""
     R = np.real(-1j * entries)
-    # entries are purely imaginary for real gamma; guard against misuse
-    resid = float(abs(entries - 1j * R).max()) if entries.size else 0.0
-    if resid > tol.machine_zero_tol(float(abs(entries).max())):
-        raise ValueError("adjoint matrix is not i times a real matrix")
+    if entries.size:
+        resid = abs(entries - 1j * R).max(axis=(-2, -1))
+        if (resid > tol.machine_zero_tol(abs(entries).max(axis=(-2, -1)))).any():
+            raise ValueError("adjoint matrix is not i times a real matrix")
     try:
         w, V = np.linalg.eig(R)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
+    return R, w, V
+
+
+def _decomposition(m: AdjointMatrix, w: np.ndarray, V: np.ndarray,
+                   norm: float) -> EigenData:
+    """`eigen_decompose` after its LAPACK calls: w, V as np.linalg.eig of R
+    alone returns them, norm R's largest singular value."""
+    entries = m.entries
     eigenvalues = 1j * w
-    norm = float(np.linalg.svd(R, compute_uv=False)[0])
     values = eigenvalues.tolist()
     n = len(values)
     t = tol.pairing_tol(norm)
@@ -413,8 +427,32 @@ def _verdict(q: QuadraticForm) -> _Verdict:
     generators: a definite form's are its cluster frequencies, an indefinite
     form's its raising frequencies.
     """
-    e = eigen_decompose(adjoint_representation(q))
-    gevals = np.linalg.eigvalsh(q.gamma).tolist()  # ascending
+    return _judge(q, eigen_decompose(adjoint_representation(q)),
+                  np.linalg.eigvalsh(q.gamma).tolist())
+
+
+def _verdicts(forms: Sequence[QuadraticForm]) -> Iterator[_Verdict]:
+    """`_verdict` of each form (all on one basis), bit for bit, with one
+    stacked eig, norm SVD and eigvalsh; a slice of a stacked LAPACK call
+    holds the bits of a call on that matrix alone."""
+    gammas = np.array([q.gamma for q in forms])
+    # adjoint_representation's 2 i gamma J: J is a signed permutation, so
+    # each entry is one exact product whichever way the stack is multiplied
+    entries = 2j * (gammas @ _symplectic(forms[0].basis.K))
+    R, w, V = _eig(entries)
+    # a stacked eig returns complex arrays for every matrix once one has a
+    # non-real eigenvalue; a call on one matrix alone returns real arrays
+    # when all of its eigenvalues are real
+    real = (~w.imag.any(axis=-1)).tolist()
+    norms = np.linalg.svd(R, compute_uv=False)[:, 0].tolist()
+    gevals = np.linalg.eigvalsh(gammas)
+    return (_judge(q, _decomposition(AdjointMatrix(M, q), wq.real if r else wq,
+                                     Vq.real if r else Vq, norm), g.tolist())
+            for q, M, wq, Vq, r, norm, g in zip(forms, entries, w, V, real, norms, gevals))
+
+
+def _judge(q: QuadraticForm, e: EigenData, gevals: list[float]) -> _Verdict:
+    """`_verdict` from q's decomposition e and gamma's eigenvalues, ascending."""
     gmin = gevals[0]
 
     if _nonreal_frequency(e, tol.pairing_tol(e.matrix_norm)) is not None:

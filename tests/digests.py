@@ -44,7 +44,9 @@ Equal lines mean the outputs are byte-identical.  The families are:
 - scan: `phase_scan` samples and transitions (or the error raised) at
   tolerance scale 1, 1e6 and 1e8 on the sweeps of tests/test_models.py,
   which land on b = +-2 and on the Jordan-block boundary points of mu = 4
-  and k = 2 and cross the non-real band of mu = 2, on the 101-sample sweep
+  and k = 2, cross the non-real band of mu = 2, stack 1001 samples of the
+  anisotropic model mu = 2, k = 0.5, take a single sample and land on b = 0,
+  where the double eigenvalues take the rank-SVD path; on the 101-sample sweep
   of the `analysis_sweep` benchmark workload, and on NaN and infinite
   endpoints, mu <= 0, k < 0 and zero steps;
 - cli: stdout, stderr and exit code of every subcommand in JSON and CSV,

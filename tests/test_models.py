@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from quadham import (
     Classification,
     DimensionlessModel,
     PhysicalParameters,
+    adjoint_representation,
     angular_momentum_form,
     build_model,
     classify_spectrum,
@@ -281,11 +283,12 @@ class TestPhaseScanBisection:
                                  monkeypatch):
         from quadham import models
         calls = []
-        margin = models._margin
-        monkeypatch.setattr(models, "_margin",
-                            lambda *args: calls.append(args) or margin(*args))
+        margins = models._margins
+        monkeypatch.setattr(models, "_margins",
+                            lambda *args: calls.append(args) or margins(*args))
         res = phase_scan(b_from, b_to, steps=steps, mu=mu, k=k)
-        assert len(calls) >= 30 * len(roots)
+        # each call takes one midpoint per open bracket
+        assert sum(len(mids) for mids, _, _ in calls) >= 30 * len(roots)
         assert len(res.transitions) == len(roots)
         for t, root in zip(sorted(res.transitions, key=lambda t: t.b_star),
                            roots):
@@ -295,9 +298,15 @@ class TestPhaseScanBisection:
 
 
 # sweeps landing on b = +-2, covering the non-real band of mu = 2, and
-# landing on the Jordan-block boundary points of mu = 4 and k = 2
+# landing on the Jordan-block boundary points of mu = 4 and k = 2; then one
+# large anisotropic stack, a single sample, and a sweep through b = 0, whose
+# double eigenvalues take the rank-SVD path
 SWEEPS = [((-3.0, 3.0, 7), {}), ((0.0, 3.0, 31), {"mu": 2.0, "k": 1.0}),
-          ((0.0, 2.0, 5), {"mu": 4.0, "k": 1.0}), ((0.0, 4.0, 5), {"mu": 1.0, "k": 2.0})]
+          ((0.0, 2.0, 5), {"mu": 4.0, "k": 1.0}), ((0.0, 4.0, 5), {"mu": 1.0, "k": 2.0}),
+          ((-5.0, 5.0, 1001), {"mu": 2.0, "k": 0.5}), ((0.7, 3.0, 1), {}),
+          ((-1.0, 1.0, 5), {})]
+SWEEP_IDS = ["b=+-2", "non-real band", "mu=4", "k=2", "1001 anisotropic",
+             "one sample", "b=0"]
 SCALES = ("1", "1e6", "1e8")
 
 
@@ -306,8 +315,7 @@ class TestPhaseScanVerdicts:
     scan builds no ladder operators."""
 
     @pytest.mark.parametrize("scale", SCALES)
-    @pytest.mark.parametrize("bounds, model", SWEEPS,
-                             ids=["b=+-2", "non-real band", "mu=4", "k=2"])
+    @pytest.mark.parametrize("bounds, model", SWEEPS, ids=SWEEP_IDS)
     def test_samples_match_classify_spectrum(self, bounds, model, scale):
         with scaled_tolerances(scale):
             res = phase_scan(*bounds, **model)
@@ -350,3 +358,48 @@ class TestPhaseScanVerdicts:
             with pytest.raises(ValueError) as info:
                 phase_scan(*args, **kwargs)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("args, message", [
+        ((0.0, math.inf, 3), "b must be finite"),
+        ((-math.inf, 1.0, 3), "b must be finite"),
+        ((0.0, math.inf, 1), "b must be finite"),
+        ((0.0, 1.0, True), "steps must be an integer"),
+        ((0.0, 1.0, 2.5), "steps must be an integer"),
+        ((0.0, 1.0, 3.0), "steps must be an integer"),
+    ], ids=["inf-to", "-inf-from", "inf-to-one-step", "steps=True", "steps=2.5",
+            "steps=3.0"])
+    def test_invalid_input_fails_before_sampling(self, args, message):
+        # no warning either: an endpoint is checked before np.linspace sees it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                phase_scan(*args)
+        assert str(info.value) == message
+
+    def test_numpy_integer_steps(self):
+        res = phase_scan(0.0, 1.0, np.int64(3))
+        assert [s.b for s in res.samples] == [0.0, 0.5, 1.0]
+
+
+class TestPhaseScanStacked:
+    def test_one_lapack_call_per_stage(self, monkeypatch):
+        bounds = (-3.5058, 3.5058, 101)
+        bs = np.linspace(*bounds).tolist()
+        # every multi-member cluster takes its own rank SVD
+        multi = sum(c.algebraic > 1 for b in bs for c in spectral.eigen_decompose(
+            adjoint_representation(build_model(DimensionlessModel(1.0, 1.0, b)))).clusters)
+        assert multi == 2  # the double eigenvalues of b = 0
+        shapes = {"eig": [], "svd": [], "eigvalsh": []}
+        for name, seen in shapes.items():
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, *args, _solver=solver,
+                                _seen=seen, **kw: _seen.append(a.shape)
+                                or _solver(a, *args, **kw))
+        res = phase_scan(*bounds)
+        assert shapes["eig"] == [(101, 4, 4)]
+        assert shapes["svd"] == [(101, 4, 4)] + [(4, 4)] * multi
+        # both brackets of b = +-2 start one sample spacing wide and halve
+        # together, one stacked eigvalsh a step, down to 1e-10
+        halvings = math.ceil(math.log2((bs[1] - bs[0]) / 1e-10))
+        assert shapes["eigvalsh"] == [(101, 4, 4)] + [(2, 4, 4)] * halvings
+        assert len(res.transitions) == 2

@@ -17,6 +17,7 @@ from quadham import (
     build_model,
     classify_spectrum,
     DimensionlessModel,
+    EigensolverError,
     eigen_decompose,
     ladder_check,
     linear_commutator,
@@ -27,6 +28,7 @@ from quadham import (
     sb_operator,
     SpectrumReport,
 )
+from quadham import spectral
 from quadham.spectral import _cluster
 
 
@@ -94,6 +96,54 @@ class TestEigenDecompose:
         assert zero[0].algebraic == 2
         assert zero[0].geometric == 2
         assert not e.defective
+
+
+
+class TestStackedDecomposition:
+    """`spectral._verdicts` makes one LAPACK call per stage over a stack of
+    forms; each slice must decompose and judge as a call on it alone."""
+
+    FORMS = [model_form(1.3), model_form(3.0), model_form(0.0),
+             # R's eigenvalues are all real for these two (distinct, then
+             # double) and not for the model forms, so the stacked eig
+             # returns complex arrays for them too
+             QuadraticForm(PhaseSpaceBasis(2), np.diag([1.0, 2.0, -1.0, -3.0]), 0.0),
+             QuadraticForm(PhaseSpaceBasis(2), np.diag([1.0, 1.0, -1.0, -1.0]), 0.5)]
+
+    def test_slices_match_single_calls(self, monkeypatch):
+        seen = []
+        decomposition = spectral._decomposition
+        monkeypatch.setattr(spectral, "_decomposition",
+                            lambda *args: seen.append(decomposition(*args)) or seen[-1])
+        verdicts = list(spectral._verdicts(self.FORMS))
+        monkeypatch.undo()
+        assert len(seen) == len(self.FORMS)
+        for q, e, v in zip(self.FORMS, seen, verdicts):
+            ref = eigen_decompose(adjoint_representation(q))
+            for got, want in ((e.eigenvalues, ref.eigenvalues),
+                              (e.eigenvectors, ref.eigenvectors)):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            assert repr(e.matrix_norm) == repr(ref.matrix_norm)
+            assert ([(repr(c.value), c.algebraic, c.geometric, c.indices) for c in e.clusters]
+                    == [(repr(c.value), c.algebraic, c.geometric, c.indices)
+                        for c in ref.clusters])
+            single = spectral._verdict(q)
+            for field in ("classification", "note", "ground_energy", "vacuum_energy",
+                          "generators", "gamma_min"):
+                assert repr(getattr(v, field)) == repr(getattr(single, field))
+        assert seen[3].eigenvectors.dtype == np.float64
+
+    def test_residual_check_per_matrix(self):
+        good = adjoint_representation(model_form(1.3)).entries
+        R, _, _ = spectral._eig(np.array([good, good]))
+        assert R.tobytes() == np.array([np.real(-1j * good)] * 2).tobytes()
+        with pytest.raises(ValueError, match="not i times a real matrix"):
+            spectral._eig(np.array([good, good + 1e-6]))
+
+    def test_stacked_eig_failure_is_an_eigensolver_error(self):
+        with pytest.raises(EigensolverError, match="^eigensolver did not converge: "):
+            spectral._eig(np.full((2, 4, 4), np.nan * 1j))
 
 
 class TestPairFrequencies:
