@@ -320,6 +320,8 @@ def _cmd_scan(model, b_from, b_to, steps):
         )
     if not (math.isfinite(b_from) and math.isfinite(b_to)):
         raise ConfigError("--from and --to must be finite")
+    if not math.isfinite(b_to - b_from):
+        raise ConfigError("--to minus --from must be finite")
     if steps < 1:
         raise ConfigError("--steps must be at least 1")
     if steps > MAX_SCAN_STEPS:

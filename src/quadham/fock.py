@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigensolverError, FockCapError, HermiticityError
-from .phase_space import QuadraticForm
+from .phase_space import QuadraticForm, _count
 from .spectral import Classification, LatticeLevel, _cluster
 from . import tolerances as tol
 
@@ -52,10 +52,9 @@ class FockTruncation:
     K: int
 
     def __post_init__(self):
-        if not isinstance(self.n_max, int) or self.n_max < 0:
-            raise ValueError("n_max must be a non-negative integer")
-        if not isinstance(self.K, int) or self.K < 1:
-            raise ValueError("K must be a positive integer")
+        object.__setattr__(self, "n_max", _count(
+            self.n_max, 0, "n_max must be a non-negative integer"))
+        object.__setattr__(self, "K", _count(self.K, 1, "K must be a positive integer"))
         if self.dim > FOCK_STATE_CAP:
             raise FockCapError(
                 f"truncated dimension {(self.n_max + 1)}^{self.K} = {self.dim} "
@@ -65,10 +64,6 @@ class FockTruncation:
     @property
     def dim(self) -> int:
         return (self.n_max + 1) ** self.K
-
-    def _grid(self) -> np.ndarray:
-        """Occupancies as a (K, dim) array, columns in basis order."""
-        return np.indices((self.n_max + 1,) * self.K).reshape(self.K, -1)
 
 
 def _single_mode_ops(levels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -81,50 +76,18 @@ def _single_mode_ops(levels: int) -> tuple[np.ndarray, np.ndarray]:
     return x.astype(complex), p
 
 
-def _shift(K: int, moves: dict[int, int]) -> tuple[int, ...]:
-    """Offset vector with the given per-mode moves and 0 elsewhere."""
-    return tuple(moves.get(j, 0) for j in range(K))
-
-
 def _band(op: np.ndarray, d: int, mode: int, K: int) -> np.ndarray:
     """Entries op[i, i + d], laid along axis `mode` of the occupancy grid."""
     v = np.diagonal(op, d)
     return v.reshape([len(v) if j == mode else 1 for j in range(K)])
 
 
-def _positions(t: FockTruncation, d: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Flat (row, column) indices of the entries <o| . |o + d> kept by t."""
-    n = t.n_max + 1
-    box = tuple(slice(max(0, -x), n - max(0, x)) for x in d)
-    rows = np.arange(t.dim).reshape((n,) * t.K)[box].ravel()
-    return rows, rows + sum(x * n ** (t.K - 1 - j) for j, x in enumerate(d))
-
-
-def _band_sums(t: FockTruncation, terms) -> dict[tuple[int, ...], np.ndarray]:
-    """Per-offset sums of (offset, values) terms, added in the order given.
-
-    `values` broadcasts over the grid of rows o whose column o + offset is
-    retained.  Each entry starts at 0 and receives the terms one by one, as
-    a sum of dense per-term matrices would, so the result is the same.
-    """
-    n = t.n_max + 1
-    sums: dict[tuple[int, ...], np.ndarray] = {}
-    for d, values in terms:
-        acc = sums.get(d)
-        if acc is None:
-            acc = sums[d] = np.zeros([max(n - abs(x), 0) for x in d], dtype=complex)
-        acc += values
-    return sums
-
-
-def _entries(t: FockTruncation, bands) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat (rows, cols, values) of (offset d, band sum) pairs: the sum of
-    d lies at the entries <o| . |o + d>, which no other offset fills."""
-    bands = list(bands)
-    positions = [_positions(t, d) for d, _ in bands]
-    return (np.concatenate([np.empty(0, dtype=np.intp)] + [r for r, _ in positions]),
-            np.concatenate([np.empty(0, dtype=np.intp)] + [c for _, c in positions]),
-            np.concatenate([np.empty(0, dtype=complex)] + [acc.ravel() for _, acc in bands]))
+def _entries(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat (rows, cols, values) of band records, concatenated in order."""
+    records = list(records)
+    return (np.concatenate([np.empty(0, dtype=np.intp)] + [r.ravel() for r, _, _ in records]),
+            np.concatenate([np.empty(0, dtype=np.intp)] + [c.ravel() for _, c, _ in records]),
+            np.concatenate([np.empty(0, dtype=complex)] + [v.ravel() for _, _, v in records]))
 
 
 def _zero_filled(size: int, rows: np.ndarray, cols: np.ndarray,
@@ -137,11 +100,15 @@ def _zero_filled(size: int, rows: np.ndarray, cols: np.ndarray,
 
 def _checked_band_sums(
     q: QuadraticForm, t: FockTruncation
-) -> tuple[dict[tuple[int, ...], np.ndarray], float]:
-    """Band sums of the form on the retained basis and their largest |entry|.
+) -> tuple[dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]], float]:
+    """Band records of the form on the retained basis and their largest |entry|.
 
-    Raises HermiticityError when the sums are not those of a Hermitian
-    matrix.
+    The record of offset d holds the rows o, the columns o + d and the sums
+    of the retained entries <o| . |o + d>, on the grid of rows o.  Rows and
+    columns are views of one array of basis indices, so the band of -d has
+    the columns of the band of d as its rows.  Each sum receives the terms in
+    order, as a sum of dense per-term matrices would.  Raises
+    HermiticityError when the sums are not those of a Hermitian matrix.
     """
     K = q.basis.K
     if K != t.K:
@@ -162,22 +129,32 @@ def _checked_band_sums(
                 if mode_a == mode_b:
                     prod = (padded[kind_a] @ padded[kind_b])[:n, :n]
                     for d in (-2, 0, 2):
-                        yield _shift(K, {mode_a: d}), g * _band(prod, d, mode_a, K)
+                        yield (tuple(d * (j == mode_a) for j in range(K)),
+                               g * _band(prod, d, mode_a, K))
                     continue
                 for da in (-1, 1):
                     for db in (-1, 1):
-                        yield _shift(K, {mode_a: da, mode_b: db}), g * (
-                            _band(singles[kind_a], da, mode_a, K)
-                            * _band(singles[kind_b], db, mode_b, K))
+                        yield (tuple(da * (j == mode_a) + db * (j == mode_b) for j in range(K)),
+                               g * (_band(singles[kind_a], da, mode_a, K)
+                                    * _band(singles[kind_b], db, mode_b, K)))
         if q.offset:
-            yield _shift(K, {}), q.offset
+            yield (0,) * K, q.offset
 
-    sums = _band_sums(t, terms())
-    # the band of -d lists the rows o + d in the order the band of d lists
-    # the rows o, so max |h - h^H| is max |band[d] - conj(band[-d])| and no
-    # dense matrix is needed; entries outside every band are 0, and a band
-    # is empty when its offset exceeds the cutoff
-    bands = [(acc, sums[tuple(-x for x in d)]) for d, acc in sums.items() if acc.size]
+    index = np.arange(t.dim).reshape((n,) * K)
+    records = {}
+    for d, values in terms():
+        if d not in records:
+            rows = index[tuple(slice(max(0, -x), n - max(0, x)) for x in d)]
+            cols = index[tuple(slice(max(0, x), n - max(0, -x)) for x in d)]
+            records[d] = (rows, cols, np.zeros(rows.shape, dtype=complex))
+        acc = records[d][2]
+        acc += values
+    # the rows of -d are the columns of d, so max |h - h^H| is
+    # max |sums[d] - conj(sums[-d])| and no dense matrix is needed; entries
+    # outside every band are 0, and a band is empty when its offset exceeds
+    # the cutoff
+    bands = [(acc, records[tuple(-x for x in d)][2])
+             for d, (_, _, acc) in records.items() if acc.size]
     dev = float(np.max([np.max(np.abs(acc - np.conj(mirror))) for acc, mirror in bands],
                        initial=0.0))
     scale = float(np.max([np.max(np.abs(acc)) for acc, _ in bands], initial=0.0))
@@ -185,12 +162,12 @@ def _checked_band_sums(
         raise HermiticityError(
             f"assembled matrix deviates from Hermitian by {dev:.3e}"
         )
-    return sums, scale
+    return records, scale
 
 
 def build_fock_matrix(q: QuadraticForm, t: FockTruncation) -> np.ndarray:
     """Matrix of the form on the retained basis; exact entries, then checked."""
-    return _zero_filled(t.dim, *_entries(t, _checked_band_sums(q, t)[0].items()))
+    return _zero_filled(t.dim, *_entries(_checked_band_sums(q, t)[0].values()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,7 +187,7 @@ def _block_layout(t: FockTruncation, conserves: bool):
     them, else the two parities of the total; a block lists its states in
     basis order.
     """
-    block = t._grid().sum(axis=0)
+    block = np.indices((t.n_max + 1,) * t.K).reshape(t.K, -1).sum(axis=0)
     if not conserves:
         block %= 2
     sizes = np.bincount(block)
@@ -229,15 +206,15 @@ def oracle_spectrum(q: QuadraticForm, t: FockTruncation) -> OracleSpectrum:
     Each block is written from the band sums just before its eigensolve, so
     the dense matrix of build_fock_matrix is never formed.
     """
-    sums, scale = _checked_band_sums(q, t)
+    records, scale = _checked_band_sums(q, t)
     mz = tol.machine_zero_tol(scale)
-    conserves = all(np.all(np.abs(acc) <= mz) for d, acc in sums.items() if sum(d))
+    conserves = all(np.all(np.abs(acc) <= mz) for d, (_, _, acc) in records.items() if sum(d))
 
     block, local, sizes = _block_layout(t, conserves)
     # a conserving form's shells leave out the entries that change the total,
     # as every block leaves out the entries outside it
-    rows, cols, values = _entries(t, ((d, acc) for d, acc in sums.items()
-                                      if acc.size and not (conserves and sum(d))))
+    rows, cols, values = _entries(record for d, record in records.items()
+                                  if record[2].size and not (conserves and sum(d)))
     keys = block[rows]
     counts = np.bincount(keys, minlength=len(sizes))
     ends = np.cumsum(counts)
@@ -334,17 +311,19 @@ def compare_with_lattice(
             "cannot resolve the levels above the bottom level"
         )
 
+    cap = math.inf if max_levels is None else max_levels
     if shell:
         pooled = np.sort(np.concatenate(
             [o.shell_eigenvalues[s] for s in sorted(o.shell_eigenvalues)]
         ))
         # index groups for now: only the clusters compared are averaged
         groups = _value_clusters(pooled)
-    window = None
+        threshold = tol.oracle_shell_tol()
     if critical:
         mode = "critical"
         expected = [(e, None) for e in sorted({lv.energy for lv in levels})]
-        threshold = tol.oracle_shell_tol()
+        n = min(len(expected), len(groups), cap)
+        observed = [(float(np.mean(pooled[g])), None) for g in groups[:n]]
         notes = (
             "distinct energies only; multiplicities grow with the truncation "
             "and are not compared"
@@ -352,31 +331,24 @@ def compare_with_lattice(
     elif shell:
         mode = "shell"
         expected = sorted((lv.energy, lv.degeneracy) for lv in levels)
-        threshold = tol.oracle_shell_tol()
+        n = min(len(expected), len(groups), cap)
+        observed = [(float(np.mean(pooled[g])), len(g)) for g in groups[:n]]
         notes = f"pooled shells s <= {o.shell_exact_upto}; threshold {threshold:.1e}"
         if len(expected) != len(groups) and max_levels is None:
             notes += (
                 f"; level counts differ (lattice {len(expected)}, "
-                f"oracle {len(groups)}), compared the lowest {{n}}"
+                f"oracle {len(groups)}), compared the lowest {n}"
             )
     else:
         mode = "variational"
         expected = [(e, None) for e in sorted(
             lv.energy for lv in levels for _ in range(lv.degeneracy)
         )]
-        window = max(1, o.dim // 4)
-        threshold = tol.oracle_variational_tol()
-        notes = f"lowest {{n}} of {o.dim} truncated eigenvalues; threshold {threshold:.1e}"
-
-    n = min(len(expected), len(groups) if shell else len(o.eigenvalues))
-    for limit in (window, max_levels):
-        if limit is not None:
-            n = min(n, limit)
-    if shell:
-        observed = [(float(np.mean(pooled[g])), len(g) if mode == "shell" else None)
-                    for g in groups[:n]]
-    else:
+        n = min(len(expected), len(o.eigenvalues), max(1, o.dim // 4), cap)
         observed = [(e, None) for e in o.eigenvalues[:n].tolist()]
+        threshold = tol.oracle_variational_tol()
+        notes = f"lowest {n} of {o.dim} truncated eigenvalues; threshold {threshold:.1e}"
+
     rows = tuple(
         ComparisonRow(ee, oe, abs(ee - oe), ed, od)
         for (ee, ed), (oe, od) in zip(expected, observed)
@@ -387,6 +359,5 @@ def compare_with_lattice(
     status = "PASS" if max_diff <= threshold and agree is not False else "FAIL"
     return ComparisonReport(
         mode=mode, n_compared=n, max_abs_diff=max_diff,
-        degeneracies_agree=agree, rows=rows, status=status,
-        notes=notes.format(n=n),
+        degeneracies_agree=agree, rows=rows, status=status, notes=notes,
     )

@@ -261,6 +261,9 @@ def phase_scan(
         raise ValueError("steps must be at least 1")
     for b in (b_from, b_to):
         DimensionlessModel(mu=mu, k=k, b=b)  # its errors, before any sampling
+    # as Python floats, which overflow to inf without a numpy warning
+    if not math.isfinite(float(b_to) - float(b_from)):
+        raise ValueError("b_to - b_from must be finite")
     bs = np.linspace(b_from, b_to, steps).tolist()
     forms = [build_model(DimensionlessModel(mu=mu, k=k, b=b)) for b in bs]
     samples = [ScanSample(b=b, classification=v.classification, margin=v.gamma_min,

@@ -12,12 +12,21 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BasisMismatchError, NonHermitianFormError, QuadhamError
 from .tolerances import machine_zero_tol, offset_imag_tol
+
+
+def _count(value, least: int, message: str) -> int:
+    """value as a plain int; ValueError(message) for a bool, a non-integer or
+    a value below least.  numpy integers are accepted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(message)
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -27,8 +36,7 @@ class PhaseSpaceBasis:
     K: int
 
     def __post_init__(self):
-        if not isinstance(self.K, int) or self.K < 1:
-            raise ValueError("K must be a positive integer")
+        object.__setattr__(self, "K", _count(self.K, 1, "K must be a positive integer"))
 
     @property
     def dim(self) -> int:

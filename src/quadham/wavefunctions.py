@@ -48,7 +48,7 @@ from types import MappingProxyType
 import numpy as np
 
 from ._exact import ComplexRational, PiScale, _ratio_str, _rational_sqrt
-from .phase_space import LinearForm, PhaseSpaceBasis, QuadraticForm
+from .phase_space import LinearForm, PhaseSpaceBasis, QuadraticForm, _count
 
 @dataclass(frozen=True, eq=False)
 class ExactAmount:
@@ -95,8 +95,7 @@ class PolyGaussian:
     __slots__ = ("K", "scale", "_terms", "_den", "_poly")
 
     def __init__(self, K: int, poly, scale: PiScale):
-        if not isinstance(K, int) or K < 1:
-            raise ValueError("K must be a positive integer")
+        K = _count(K, 1, "K must be a positive integer")
         terms, den = _poly_ints(K, poly)
         if not isinstance(scale, PiScale):
             raise TypeError("scale must be a PiScale")
@@ -348,7 +347,7 @@ def _render_poly(terms: dict, den: int, labels: list[str]) -> str:
 
 def vacuum(K: int) -> PolyGaussian:
     """Normalised Gaussian ground state of K modes."""
-    return PolyGaussian(K, {(0,) * K: ComplexRational(1)}, PiScale(1, -K))
+    return PolyGaussian(K, {(0,) * K: ComplexRational(1)}, PiScale(1, -int(K)))
 
 
 def _linear_table(coeffs: list) -> tuple:

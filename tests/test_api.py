@@ -4,6 +4,7 @@ import inspect
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -60,6 +61,26 @@ def test_import_and_oracle_stay_numpy_only():
                           text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_digest_tool_runs():
+    # tests/digests.py is the bit-for-bit check between two checkouts and
+    # imports helpers from the test modules, so a change to those must not
+    # break it; its hashes follow the platform's LAPACK bits, so only the
+    # shape of its output is checked
+    tool = ROOT / "tests" / "digests.py"
+    families = re.findall(r"^- ([\w-]+):", ast.get_docstring(ast.parse(
+        tool.read_text(encoding="utf-8"))), flags=re.MULTILINE)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(tool)], cwd=ROOT, capture_output=True,
+                          text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert len(lines) == 10
+    assert {name.split("[")[0] for name, _, _ in lines} == set(families)
+    assert all(int(count) > 0 and re.fullmatch(r"[0-9a-f]{64}", digest)
+               for _, count, digest in lines)
 
 
 def test_no_module_reads_the_process_environment():

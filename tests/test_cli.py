@@ -406,7 +406,8 @@ class TestRequestLimits:
         (("-inf", "1"), "--from and --to must be finite"),
         (("0", "1", "--steps", "10001"),
          "--steps 10001 exceeds the limit of 10000 samples"),
-    ], ids=["nan", "inf", "-inf", "steps"])
+        (("-1e308", "1e308"), "--to minus --from must be finite"),
+    ], ids=["nan", "inf", "-inf", "steps", "overflowing-span"])
     def test_bad_scan_fails_before_any_sample(self, bounds, message, tmp_path,
                                               capsys, monkeypatch, recwarn):
         calls = []

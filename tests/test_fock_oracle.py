@@ -187,6 +187,21 @@ class TestBuildMatrix:
             parity = np.array([sum(o) % 2 for o in occupancies(t)])
             assert np.all(h[parity[:, None] != parity[None, :]] == 0)
 
+    def test_band_records_pair_each_offset_with_its_negative(self):
+        # the Hermiticity check compares the sums of d and -d entry by entry,
+        # so the rows of -d must be the columns of d, in the same order
+        for q, n_max in random_forms(14):
+            t = FockTruncation(n_max, q.basis.K)
+            occ = np.array(occupancies(t))
+            records, _ = fock._checked_band_sums(q, t)
+            for d, (rows, cols, sums) in records.items():
+                assert rows.shape == cols.shape == sums.shape
+                assert np.array_equal(records[tuple(-x for x in d)][0], cols)
+                # every entry <o| . |o + d> with o and o + d in the box, once
+                inside = np.all((occ + d >= 0) & (occ + d <= n_max), axis=1)
+                assert np.array_equal(np.sort(rows.ravel()), np.flatnonzero(inside))
+                assert np.all(occ[cols.ravel()] - occ[rows.ravel()] == d)
+
     def test_basis_size_mismatch_rejected(self):
         q = model_form(1.0)
         with pytest.raises(ValueError):

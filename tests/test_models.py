@@ -366,8 +366,9 @@ class TestPhaseScanVerdicts:
         ((0.0, 1.0, True), "steps must be an integer"),
         ((0.0, 1.0, 2.5), "steps must be an integer"),
         ((0.0, 1.0, 3.0), "steps must be an integer"),
+        ((-1e308, 1e308, 3), "b_to - b_from must be finite"),
     ], ids=["inf-to", "-inf-from", "inf-to-one-step", "steps=True", "steps=2.5",
-            "steps=3.0"])
+            "steps=3.0", "overflowing-span"])
     def test_invalid_input_fails_before_sampling(self, args, message):
         # no warning either: an endpoint is checked before np.linspace sees it
         with warnings.catch_warnings():

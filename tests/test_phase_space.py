@@ -4,6 +4,7 @@ import pytest
 from conftest import adjoint_by_expansion, random_symmetric
 from quadham import (
     BasisMismatchError,
+    FockTruncation,
     LinearForm,
     NonHermitianFormError,
     PhaseSpaceBasis,
@@ -12,8 +13,17 @@ from quadham import (
     linear_commutator,
     make_quadratic_form,
     quadratic_commutator,
+    vacuum,
 )
 from quadham.phase_space import _symplectic
+
+# each mode or level count, read back from its constructor
+COUNTS = {
+    "PhaseSpaceBasis.K": lambda v: PhaseSpaceBasis(v).K,
+    "FockTruncation.n_max": lambda v: FockTruncation(v, 2).n_max,
+    "FockTruncation.K": lambda v: FockTruncation(3, v).K,
+    "PolyGaussian.K": lambda v: vacuum(v).K,
+}
 
 
 class TestBasis:
@@ -44,6 +54,26 @@ class TestBasis:
             PhaseSpaceBasis(2.5)
         with pytest.raises(TypeError):
             PhaseSpaceBasis(1, hbar=2.0)
+
+
+class TestCounts:
+    """A count takes any integer, numpy's included, but not a bool."""
+
+    @pytest.mark.parametrize("name", sorted(COUNTS))
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_rejected(self, name, value):
+        with pytest.raises(ValueError, match=r"must be a (positive|non-negative) integer"):
+            COUNTS[name](value)
+
+    @pytest.mark.parametrize("name", sorted(COUNTS))
+    @pytest.mark.parametrize("value", [np.int64(2), np.int32(2), np.uint8(2)])
+    def test_numpy_integer_stored_as_int(self, name, value):
+        count = COUNTS[name](value)
+        assert type(count) is int and count == 2
+
+    def test_unsigned_count_does_not_wrap(self):
+        # vacuum's scale holds pi^(-K/4); -np.uint8(2) would read 254
+        assert vacuum(np.uint8(2)).render() == vacuum(2).render()
 
 
 class TestMakeQuadraticForm:
