@@ -84,7 +84,6 @@ from .wavefunctions import (
     build_eigenfunction,
     inner,
     is_scalar_multiple_exact,
-    norm_scale,
     normalized_copy,
     squared_norm,
     vacuum,
@@ -110,8 +109,7 @@ __all__ = [
     # wavefunctions
     "ComplexRational", "PiScale", "ExactAmount", "PolyGaussian", "vacuum",
     "apply_linear_form", "apply_quadratic_form", "inner", "squared_norm",
-    "norm_scale", "normalized_copy", "build_eigenfunction",
-    "is_scalar_multiple_exact",
+    "normalized_copy", "build_eigenfunction", "is_scalar_multiple_exact",
     # fock
     "FockTruncation", "OracleSpectrum", "ComparisonReport", "ComparisonRow",
     "build_fock_matrix", "oracle_spectrum",

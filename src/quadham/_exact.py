@@ -108,9 +108,6 @@ class ComplexRational:
     def __hash__(self):
         return hash((self.re, self.im))
 
-    def __bool__(self):
-        return not self.is_zero
-
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 
@@ -161,10 +158,7 @@ class PiScale:
     def __truediv__(self, other):
         if isinstance(other, PiScale):
             return PiScale(self.q / other.q, self.quarter - other.quarter)
-        t = _to_fraction(other)
-        if t <= 0:
-            raise ValueError("can only scale by a positive rational")
-        return PiScale(self.q / (t * t), self.quarter)
+        return NotImplemented
 
     @property
     def is_one(self) -> bool:

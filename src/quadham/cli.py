@@ -46,6 +46,10 @@ MAX_WAVEFUNCTION_QUANTA = 120
 # most samples a scan takes; phase_scan(-3, 3, 1001) costs 0.07-0.13 ms a
 # sample on 2 vCPUs of a shared host (best of 5), so 10**4 take about 1 s
 MAX_SCAN_STEPS = 10**4
+# most modes a random-pd config asks for; `analyze` takes 0.036, 0.15 and
+# 0.56 s at K = 32, 64 and 128 and 12.9 s with a 337 MB peak RSS at K = 600
+# (best of 3, 2 vCPUs, one BLAS thread)
+MAX_RANDOM_MODES = 64
 
 
 @functools.cache
@@ -155,6 +159,9 @@ def _random_pd(cfg: dict):
     k_modes, seed = cfg["K"], cfg["seed"]
     if isinstance(k_modes, bool) or not isinstance(k_modes, int):
         raise ConfigError("config key 'K' must be an integer")
+    if k_modes > MAX_RANDOM_MODES:
+        raise ConfigError(f"config key 'K' = {k_modes} exceeds the limit of "
+                          f"{MAX_RANDOM_MODES} modes")
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError("config key 'seed' must be an integer")
     spread = cfg.get("spread", [0.6, 1.8])

@@ -294,8 +294,9 @@ def compare_with_lattice(
     truncation does not approximate from below, nor to an infinite
     multiplicity without shells, whose higher levels it cannot resolve.
     """
-    if max_levels is not None and max_levels < 1:
-        raise ValueError(f"max_levels must be at least 1, got {max_levels}")
+    if max_levels is not None:
+        max_levels = _count(max_levels, 1, f"max_levels must be an integer of at "
+                            f"least 1, got {max_levels!r}")
     if classification is Classification.UNBOUNDED_LATTICE:
         return ComparisonReport.not_applicable(
             "spectrum is unbounded below; a truncated matrix has no "

@@ -103,29 +103,6 @@ class QuadraticForm:
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "offset", float(self.offset))
 
-    def _check_basis(self, other: "QuadraticForm") -> None:
-        if self.basis != other.basis:
-            raise BasisMismatchError("forms live on different bases")
-
-    def __add__(self, other: "QuadraticForm") -> "QuadraticForm":
-        self._check_basis(other)
-        return QuadraticForm(self.basis, self.gamma + other.gamma,
-                             self.offset + other.offset)
-
-    def __sub__(self, other: "QuadraticForm") -> "QuadraticForm":
-        self._check_basis(other)
-        return QuadraticForm(self.basis, self.gamma - other.gamma,
-                             self.offset - other.offset)
-
-    def __mul__(self, scalar) -> "QuadraticForm":
-        s = float(scalar)
-        return QuadraticForm(self.basis, self.gamma * s, self.offset * s)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "QuadraticForm":
-        return self * -1.0
-
 
 @dataclass(frozen=True, eq=False)
 class AdjointMatrix:

@@ -32,6 +32,7 @@ from .phase_space import (
     AdjointMatrix,
     LinearForm,
     QuadraticForm,
+    _count,
     _symplectic,
     adjoint_representation,
     linear_commutator,
@@ -550,8 +551,8 @@ def spectrum_lattice(r: SpectrumReport, max_quanta: int) -> list[LatticeLevel]:
         raise LatticeUnavailableError(
             f"no energy lattice for classification {r.classification.value}"
         )
-    if max_quanta < 0:
-        raise ValueError("max_quanta must be non-negative")
+    max_quanta = _count(max_quanta, 0,
+                        "max_quanta must be a non-negative integer")
     anchor = r.ground_energy if r.ground_energy is not None else r.vacuum_energy
     if anchor is None:
         raise LatticeUnavailableError("report carries no anchor energy")

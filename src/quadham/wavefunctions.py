@@ -10,7 +10,7 @@ A state holds its polynomial as numerator pairs (re, im) of Python ints by
 exponent tuple over one shared positive denominator (a power of two for the
 dyadic coefficients the models produce, any positive integer for general
 Fraction coefficients).  Every operation runs on those pairs: the linear
-structure, ``evaluate``, ``render``, ``inner``, ``canonical``,
+structure, ``evaluate``, ``render``, ``inner``,
 ``is_scalar_multiple_exact`` and ``build_eigenfunction``.  The constructor
 is the one place a caller's coefficients convert to pairs, and
 ``PolyGaussian.poly``, a read-only ComplexRational view built on first use,
@@ -75,9 +75,6 @@ class ExactAmount:
         if (c.re > 0) != (r > 0):
             return False
         return c.re * c.re * self.factor.q == r * r
-
-    def to_complex(self) -> complex:
-        return self.coeff.to_complex() * float(self.factor)
 
     def __repr__(self):
         return f"ExactAmount({self.coeff!r}, {self.factor!r})"
@@ -162,28 +159,6 @@ class PolyGaussian:
         if not isinstance(other, PolyGaussian):
             return NotImplemented
         return self + other.scalar_mul(-1)
-
-    def __neg__(self) -> "PolyGaussian":
-        return self.scalar_mul(-1)
-
-    # ---- canonical form and equality --------------------------------------
-
-    def canonical(self) -> "PolyGaussian":
-        """Unique representative: polynomial content moved into the scale.
-
-        After this, equal states compare equal field by field.  The sign and
-        phase stay in the polynomial; only positive rational content moves.
-        """
-        if not self._terms:
-            return PolyGaussian._from_kernel(self.K, {}, 1, PiScale.one())
-        return _canonical(self.K, self._terms, self._den, self.scale)
-
-    def equals_exact(self, other: "PolyGaussian") -> bool:
-        if self.K != other.K:
-            return False
-        a = self.canonical()
-        b = other.canonical()
-        return a.scale == b.scale and a._terms == b._terms
 
     # ---- numerics ----------------------------------------------------------
 
@@ -285,7 +260,8 @@ def _from_ints(terms: dict, den: int) -> dict:
 
 
 def _canonical(K: int, terms: dict, den: int, scale: PiScale) -> "PolyGaussian":
-    """canonical() of scale * (terms / den) * G for nonzero terms."""
+    """scale * (terms / den) * G for nonzero terms, the positive rational
+    content of the polynomial moved into the scale; sign and phase stay."""
     g = math.gcd(*(part for pair in terms.values() for part in pair))
     return PolyGaussian._from_kernel(
         K, {k: (re // g, im // g) for k, (re, im) in terms.items()}, 1,
@@ -508,8 +484,8 @@ def squared_norm(s: PolyGaussian) -> ExactAmount:
     return inner(s, s)
 
 
-def norm_scale(s: PolyGaussian) -> PiScale:
-    """The exact norm of a nonzero state as a PiScale."""
+def normalized_copy(s: PolyGaussian) -> PolyGaussian:
+    """s divided by its exact norm, a PiScale, in ``_canonical`` form."""
     sq = squared_norm(s)
     if sq.is_zero:
         raise ValueError("zero state has no normalisation")
@@ -519,12 +495,8 @@ def norm_scale(s: PolyGaussian) -> PiScale:
     root = _rational_sqrt(radicand)
     if root is None or sq.factor.quarter % 2:
         raise ValueError("norm is not representable as sqrt(q) * pi^(k/4)")
-    return PiScale(root, sq.factor.quarter // 2)
-
-
-def normalized_copy(s: PolyGaussian) -> PolyGaussian:
-    n = norm_scale(s)
-    return _canonical(s.K, s._terms, s._den, s.scale / n)
+    return _canonical(s.K, s._terms, s._den,
+                      s.scale / PiScale(root, sq.factor.quarter // 2))
 
 
 def is_scalar_multiple_exact(a: PolyGaussian, b: PolyGaussian) -> ExactAmount | None:
@@ -636,11 +608,10 @@ def build_eigenfunction(z_first: LinearForm, z_second: LinearForm,
     after m + n ladder passes.  Exponent tuples are packed into one int in
     base m + n + 1 while summing and unpacked once at the end.
     """
-    if m < 0 or n < 0 or m != int(m) or n != int(n):
-        raise ValueError("quantum numbers must be non-negative integers")
+    m, n = (_count(q, 0, "quantum numbers must be non-negative integers")
+            for q in (m, n))
     if z_first.basis != z_second.basis:
         raise ValueError("ladder forms live on different bases")
-    m, n = int(m), int(n)
     first, first_den = _ints(complex(c) for c in z_first.coeffs)
     second, second_den = _ints(complex(c) for c in z_second.coeffs)
     K = z_first.basis.K

@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import inspect
 import json
@@ -18,6 +19,17 @@ TEST_ONLY_EXPORTS = {
                             "tests/test_acceptance.py",
     "build_fock_matrix": "dense reference the oracle's blocks are checked "
                          "against, and a per-layer name in BENCHMARK.json",
+}
+
+# public methods of exported classes that only the tests call, each kept as
+# the arithmetic or numerics of a reference check
+TEST_ONLY_METHODS = {
+    "ComplexRational.conjugate": "arithmetic of the ref_* kernel of "
+                                 "tests/test_exact_kernel.py",
+    "ComplexRational.to_complex": "arithmetic of the ref_* kernel of "
+                                  "tests/test_exact_kernel.py",
+    "PolyGaussian.evaluate": "the quadrature cross-check and the exact "
+                             "family of tests/digests.py",
 }
 
 
@@ -113,11 +125,36 @@ def _used_names(files) -> set[str]:
     return used
 
 
-def test_every_export_has_a_caller_outside_the_tests():
+def _used_outside_the_tests() -> set[str]:
+    """_used_names of the package's modules but __init__.py, bench and demos."""
     package = ROOT / "src" / "quadham"
     files = [f for f in package.glob("*.py") if f.name != "__init__.py"]
     for tree in ("bench", "demos"):
         files += sorted((ROOT / tree).rglob("*.py"))
-    used = _used_names(files)
+    return _used_names(files)
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    used = _used_outside_the_tests()
     unused = {name for name in quadham.__all__ if name not in used}
     assert unused == set(TEST_ONLY_EXPORTS)
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    # goes by name, as the export check does: a method whose name is used
+    # anywhere else in src, bench or demos passes, so such a name hides a
+    # dead method (as "frequency" and "canonical" hid LadderSpec.frequency
+    # and PolyGaussian.canonical before they were deleted), and operators
+    # (dunder methods) are not seen at all
+    used = _used_outside_the_tests()
+    kinds = (property, classmethod, staticmethod, functools.cached_property)
+    unused = set()
+    for name in quadham.__all__:
+        cls = getattr(quadham, name)
+        if not inspect.isclass(cls):
+            continue
+        for attr, value in vars(cls).items():
+            if (not attr.startswith("_") and attr not in used
+                    and (inspect.isfunction(value) or isinstance(value, kinds))):
+                unused.add(f"{name}.{attr}")
+    assert unused == set(TEST_ONLY_METHODS)

@@ -425,6 +425,24 @@ class TestRequestLimits:
                         "--steps", "3"], tmp_path)[0] == 0
         assert len(calls) == 1
 
+    def test_too_many_random_modes_fails_before_any_form(self, tmp_path, capsys,
+                                                         monkeypatch):
+        calls = []
+        build = models.random_positive_definite_form
+        monkeypatch.setattr(models, "random_positive_definite_form",
+                            lambda *args: calls.append(args) or build(*args))
+        too_many = write_config(tmp_path, {"preset": "random-pd", "K": 65, "seed": 0})
+        code, text = run_cli(["analyze", "--config", too_many], tmp_path)
+        assert code == 2 and text is None
+        assert capsys.readouterr().err == ("quadham: config error: config key "
+                                           "'K' = 65 exceeds the limit of 64 modes\n")
+        assert calls == []
+        assert cli.MAX_RANDOM_MODES == 64
+        small = write_config(tmp_path, {"preset": "random-pd", "K": 3, "seed": 0},
+                             "small.json")
+        assert run_cli(["analyze", "--config", small], tmp_path)[0] == 0
+        assert len(calls) == 1
+
 
 class TestConfigErrorTexts:
     @pytest.mark.parametrize("payload, message", [

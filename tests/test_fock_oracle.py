@@ -502,10 +502,11 @@ class TestComparison:
         assert r.n_compared <= sum(
             lv.degeneracy for lv in levels[:3]) + len(levels)
 
-    @pytest.mark.parametrize("max_levels", [0, -1])
+    @pytest.mark.parametrize("max_levels", [0, -1, True, math.nan, 2.5, 2.0, "3"])
     def test_max_levels_below_one_rejected(self, max_levels):
         # a window of no levels compares nothing, and a negative one would
-        # slice from the end of the level list
+        # slice from the end of the level list; a count is an integer, not
+        # a bool, a float or a string
         q = model_form(1.0)
         rep = classify_spectrum(q)
         o = oracle_spectrum(q, FockTruncation(6, 2))

@@ -61,6 +61,14 @@ class TestReduction:
         with pytest.raises(ValueError):
             PhysicalParameters(m1=1.0, m2=1.0, k1=1.0, k2=1.0,
                                omega=math.inf)
+        # a bool is not a number here, as nowhere else in the package
+        for name in ("m1", "m2", "k1", "k2", "hbar"):
+            kwargs = {"m1": 1.0, "m2": 1.0, "k1": 1.0, "k2": 1.0, "omega": 0.0,
+                      name: True}
+            with pytest.raises(ValueError, match=f"{name} must be a positive"):
+                PhysicalParameters(**kwargs)
+        with pytest.raises(ValueError, match="omega must be a finite number"):
+            PhysicalParameters(m1=1.0, m2=1.0, k1=1.0, k2=1.0, omega=True)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -71,6 +79,25 @@ class TestReduction:
             DimensionlessModel(mu=1.0, k=1.0, b=math.nan)
         with pytest.raises(ValueError):
             DimensionlessModel(mu=1.0, k=1.0, b=1.0, energy_scale=0.0)
+        for kwargs, message in [
+            ({"mu": True}, "mu must be a real number, got True"),
+            ({"k": True}, "k must be a real number, got True"),
+            ({"b": False}, "b must be a real number, got False"),
+            ({"energy_scale": True}, "energy_scale must be a real number, got True"),
+            ({"b": "1"}, "b must be a real number, got '1'"),
+            ({"k": 1j}, "k must be a real number, got 1j"),
+            ({"mu": np.bool_(True)}, f"mu must be a real number, got {np.bool_(True)!r}"),
+            ({"mu": 5e-324}, "1/mu must be finite"),
+            # the existing checks keep their order: mu before k
+            ({"mu": -1.0, "k": True}, "mu must be positive and finite"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                DimensionlessModel(**{"mu": 1.0, "k": 1.0, "b": 1.0, **kwargs})
+            assert str(info.value) == message
+        # numpy and rational reals stay accepted
+        d = DimensionlessModel(mu=np.float64(2.0), k=np.int64(1), b=Fraction(1, 2))
+        assert np.array_equal(build_model(d).gamma,
+                              build_model(DimensionlessModel(2.0, 1.0, 0.5)).gamma)
 
 
 class TestBuildModel:
@@ -89,8 +116,8 @@ class TestBuildModel:
 
     def test_decomposes_into_named_parts(self):
         d = DimensionlessModel(mu=1.0, k=1.0, b=2.5)
-        combined = isotropic_form() + 2.5 * angular_momentum_form()
-        assert np.array_equal(build_model(d).gamma, combined.gamma)
+        combined = isotropic_form().gamma + 2.5 * angular_momentum_form().gamma
+        assert np.array_equal(build_model(d).gamma, combined)
 
 
 class TestSbOperator:
@@ -128,15 +155,16 @@ class TestSymmetricLadders:
         ladders = symmetric_ladders()
         assert len(ladders) == 4
         for b in (0.0, 1.3, -2.7):
-            freqs = sorted(ladder.frequency(b) for ladder in ladders)
-            assert freqs == sorted([-2 - b, 2 - b, -2 + b, 2 + b])
+            freqs = [ladder.isotropic_shift + ladder.rotation_weight * b
+                     for ladder in ladders]
+            assert freqs == [-2 - b, 2 - b, -2 + b, 2 + b]
 
     def test_ladder_relation_all_couplings(self):
         for b in (0.0, 1.3, -2.7, 5.0):
             h = build_model(DimensionlessModel(mu=1.0, k=1.0, b=b))
-            for ladder in symmetric_ladders():
-                assert abs(ladder_check(h, ladder.form) - ladder.frequency(b)) \
-                    < 1e-12
+            for ladder, freq in zip(symmetric_ladders(),
+                                    (-2 - b, 2 - b, -2 + b, 2 + b)):
+                assert abs(ladder_check(h, ladder.form) - freq) < 1e-12
 
     def test_commutator_table(self):
         # the only nonvanishing brackets pair each lowering member with its
@@ -155,8 +183,11 @@ class TestSymmetricLadders:
 
     def test_raising_pair_selection(self):
         zp, zm = symmetric_raising_pair()
-        assert zp.frequency(0.7) == pytest.approx(2.7)
-        assert zm.frequency(0.7) == pytest.approx(1.3)
+        h = build_model(DimensionlessModel(mu=1.0, k=1.0, b=0.7))
+        assert ladder_check(h, zp.form) == pytest.approx(2 + 0.7)
+        assert ladder_check(h, zm.form) == pytest.approx(2 - 0.7)
+        assert (zp.isotropic_shift, zp.rotation_weight) == (2.0, 1.0)
+        assert (zm.isotropic_shift, zm.rotation_weight) == (2.0, -1.0)
 
     def test_forms_are_b_independent(self):
         # same coefficient vectors whatever the coupling: frequencies move,
@@ -367,8 +398,13 @@ class TestPhaseScanVerdicts:
         ((0.0, 1.0, 2.5), "steps must be an integer"),
         ((0.0, 1.0, 3.0), "steps must be an integer"),
         ((-1e308, 1e308, 3), "b_to - b_from must be finite"),
+        ((0.0, 1.0, 3, 5e-324), "1/mu must be finite"),
+        ((0.0, 1.0, 3, True), "mu must be a real number, got True"),
+        ((0.0, 1.0, 3, 1.0, True), "k must be a real number, got True"),
+        ((0.0, "1", 3), "b must be a real number, got '1'"),
     ], ids=["inf-to", "-inf-from", "inf-to-one-step", "steps=True", "steps=2.5",
-            "steps=3.0", "overflowing-span"])
+            "steps=3.0", "overflowing-span", "subnormal-mu", "mu=True", "k=True",
+            "string-to"])
     def test_invalid_input_fails_before_sampling(self, args, message):
         # no warning either: an endpoint is checked before np.linspace sees it
         with warnings.catch_warnings():

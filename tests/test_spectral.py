@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -216,9 +217,10 @@ class TestLadderCheck:
         from quadham import symmetric_ladders
         for b in (0.0, 1.3, -2.7, 4.0):
             q = model_form(b)
-            for ladder in symmetric_ladders():
+            for ladder, freq in zip(symmetric_ladders(),
+                                    (-2 - b, 2 - b, -2 + b, 2 + b)):
                 lam = ladder_check(q, ladder.form)
-                assert abs(lam - ladder.frequency(b)) < 1e-12
+                assert abs(lam - freq) < 1e-12
 
     def test_zero_vector_rejected(self):
         q = model_form(1.0)
@@ -312,8 +314,7 @@ class TestClassification:
         assert rep.lattice_generators[1] == 0.0
 
     def test_offset_shifts_energies(self):
-        q = model_form(1.0) + QuadraticForm(PhaseSpaceBasis(2),
-                                            np.zeros((4, 4)), 1.5)
+        q = QuadraticForm(PhaseSpaceBasis(2), model_form(1.0).gamma, 1.5)
         rep = classify_spectrum(q)
         assert abs(rep.ground_energy - 3.5) < 1e-12
 
@@ -373,8 +374,12 @@ class TestSpectrumLattice:
 
     def test_max_quanta_validation(self):
         rep = classify_spectrum(model_form(1.0))
-        with pytest.raises(ValueError):
-            spectrum_lattice(rep, -1)
+        for max_quanta in (-1, 2.5, 2.0, True, math.nan, math.inf, "3"):
+            with pytest.raises(ValueError, match="max_quanta must be a "
+                                                 "non-negative integer"):
+                spectrum_lattice(rep, max_quanta)
+        levels = [(lv.energy, lv.states) for lv in spectrum_lattice(rep, np.int64(2))]
+        assert levels == [(lv.energy, lv.states) for lv in spectrum_lattice(rep, 2)]
 
     def test_degenerate_merge(self):
         # b = 0: E = 2 + 2(m + n), level s has s + 1 states
