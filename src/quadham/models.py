@@ -68,11 +68,19 @@ class DimensionlessModel:
             # float first: the numbers.Real check alone costs 0.5 us a value
             if isinstance(v, bool) or not isinstance(v, (float, numbers.Real)):
                 raise ValueError(f"{name} must be a real number, got {v!r}")
-            if name == "b" and not math.isfinite(v):
+            try:
+                finite = math.isfinite(v)
+            except OverflowError:  # an int or Fraction beyond the float range
+                raise ValueError(f"{name} is beyond the float range") from None
+            if name == "b" and not finite:
                 raise ValueError("b must be finite")
-            if name != "b" and not (math.isfinite(v) and v > 0):
+            if name != "b" and not (finite and v > 0):
                 raise ValueError(f"{name} must be positive and finite")
-        if not math.isfinite(1.0 / self.mu):
+        try:
+            inverse = 1.0 / self.mu
+        except ZeroDivisionError:  # a positive mu whose float is 0.0
+            inverse = math.inf
+        if not math.isfinite(inverse):
             raise ValueError("1/mu must be finite")
 
     @property
@@ -246,7 +254,13 @@ def phase_scan(
 
     steps is the sample count (endpoints included), an integer.  Each sample
     takes `classify_spectrum`'s verdict without building its ladder pairs;
-    `spectral._verdicts` makes one stacked LAPACK call per stage for them all.
+    `spectral._verdicts` makes one stacked LAPACK call per stage for them all,
+    then decides by array code every sample whose eigenvalues are simple,
+    real and 10x clear of each tolerance that could merge or reject them,
+    or that has a frequency 10x beyond the non-real threshold; those
+    verdicts carry no Gram data, which only ladders need.  The other samples
+    (a double frequency as at b = 0, a zero or near-zero frequency near a
+    boundary) cluster one by one, unchanged, as `classify_spectrum` does.
     Transitions are read from gamma's smallest eigenvalue alone, never from
     the classes: a sample sitting on the definiteness boundary is itself a
     transition; between samples off it whose smallest eigenvalue changes

@@ -16,7 +16,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -407,7 +407,9 @@ def _misses_vacuum(p: FrequencyPair) -> bool:
 
 
 class _Verdict(NamedTuple):
-    """What `_verdict` decides; grams is empty unless the class has a lattice."""
+    """What `_verdict` decides; grams is empty unless the class has a lattice
+    and the verdict took `_judge`'s path (the fast path of `_verdicts` keeps
+    no Gram data)."""
 
     classification: Classification
     note: str
@@ -432,24 +434,91 @@ def _verdict(q: QuadraticForm) -> _Verdict:
                   np.linalg.eigvalsh(q.gamma).tolist())
 
 
-def _verdicts(forms: Sequence[QuadraticForm]) -> Iterator[_Verdict]:
+def _verdicts(forms: Sequence[QuadraticForm]) -> list[_Verdict]:
     """`_verdict` of each form (all on one basis), bit for bit, with one
     stacked eig, norm SVD and eigvalsh; a slice of a stacked LAPACK call
-    holds the bits of a call on that matrix alone."""
+    holds the bits of a call on that matrix alone.
+
+    Array code over the whole stack decides each sample that `_fast_path`
+    admits: a non-real one, or a real one whose eigenvalues are all their
+    own clusters, each 10x clear of every threshold that could merge or
+    reject it.  Every other sample goes through `_decomposition` and
+    `_judge` as `_verdict` does.  A fast verdict carries no Gram data.
+    """
     gammas = np.array([q.gamma for q in forms])
+    J = _symplectic(forms[0].basis.K)
     # adjoint_representation's 2 i gamma J: J is a signed permutation, so
     # each entry is one exact product whichever way the stack is multiplied
-    entries = 2j * (gammas @ _symplectic(forms[0].basis.K))
+    entries = 2j * (gammas @ J)
     R, w, V = _eig(entries)
-    # a stacked eig returns complex arrays for every matrix once one has a
-    # non-real eigenvalue; a call on one matrix alone returns real arrays
-    # when all of its eigenvalues are real
-    real = (~w.imag.any(axis=-1)).tolist()
-    norms = np.linalg.svd(R, compute_uv=False)[:, 0].tolist()
-    gevals = np.linalg.eigvalsh(gammas)
-    return (_judge(q, _decomposition(AdjointMatrix(M, q), wq.real if r else wq,
-                                     Vq.real if r else Vq, norm), g.tolist())
-            for q, M, wq, Vq, r, norm, g in zip(forms, entries, w, V, real, norms, gevals))
+    norms = np.linalg.svd(R, compute_uv=False)[:, 0]
+    gevals = np.linalg.eigvalsh(gammas).tolist()
+    nonreal, fast, freqs, raising = _fast_path(w, V, J, norms)
+    out = []
+    for i, q in enumerate(forms):
+        if nonreal[i]:
+            out.append(_non_real(gevals[i][0]))
+        elif fast[i]:
+            out.append(_lattice_verdict(q, gevals[i], [], freqs[i], raising[i]))
+        else:
+            wq, Vq = w[i], V[i]
+            # a stacked eig returns complex arrays for every matrix once one
+            # has a non-real eigenvalue; a call on one matrix alone returns
+            # real arrays when all of its eigenvalues are real
+            if not wq.imag.any():
+                wq, Vq = wq.real, Vq.real
+            e = _decomposition(AdjointMatrix(entries[i], q), wq, Vq, float(norms[i]))
+            out.append(_judge(q, e, gevals[i]))
+    return out
+
+
+def _fast_path(w: np.ndarray, V: np.ndarray, J: np.ndarray, norms: np.ndarray):
+    """Which samples of a stacked eig `_verdicts` decides by array code.
+
+    values = i w are the adjoint eigenvalues, t and t_zero each sample's
+    pairing and zero-frequency tolerances.  Only a sample whose eig row is
+    complex (some w not real) is fast; a real row, which a scan meets
+    rarely, keeps `_decomposition`'s real-array path.  Such a sample is
+    non-real when some |Im value| > 10 (t / 2): that member's sign part
+    holds only members with |Im| > t / 2 of one sign, so its cluster value
+    is beyond t / 2 and `_judge` returns `_non_real`.  A sample is fast and
+    real when every |Im value| <= t / 20, min |Re| > 10 t and the positive
+    frequencies lie more than 10 t apart.  The eig of a real R returns each
+    complex pair as exact conjugates, so the real parts are then exactly
+    +-omega_j, `_cluster` puts each pair in one folded group whose sign
+    parts are single members, no cluster is at zero, and
+    `_grams` reads one Gram entry mu_j = Re(i v_j^dag J v_j) per positive
+    member, which must also be > 10 t_zero (and 1e-12, far above the
+    rounding this batched product may add) in magnitude.  Returns per
+    sample, as lists: nonreal, fast, the positive frequencies highest first
+    (each `(1j * w).real` of its member, as `_grams` reads it) and whether
+    each one's mu is positive.
+    """
+    K = J.shape[0] // 2
+    t = tol.pairing_tol(norms)[:, None]
+    t_zero = tol.zero_frequency_tol(norms)[:, None]
+    values = 1j * w
+    imag = abs(values.imag)
+    nonreal = w.imag.any(axis=-1) & (imag > 5.0 * t).any(axis=-1)
+    order = np.argsort(values.real, axis=-1)
+    re = np.take_along_axis(values.real, order, axis=-1)
+    high = re[:, K:]
+    mu = -(V.conj() * (J @ V)).sum(axis=-2).imag
+    mu_high = np.take_along_axis(mu, order[:, K:], axis=-1)
+    fast = ((imag <= t / 20.0).all(axis=-1)
+            & (abs(re).min(axis=-1) > 10.0 * t[:, 0])
+            & (np.diff(high, axis=-1) > 10.0 * t).all(axis=-1)
+            & (abs(mu_high) > np.maximum(10.0 * t_zero, 1e-12)).all(axis=-1))
+    return (nonreal.tolist(), fast.tolist(), high[:, ::-1].tolist(),
+            (mu_high[:, ::-1] > 0).tolist())
+
+
+def _non_real(gmin: float) -> _Verdict:
+    return _Verdict(
+        Classification.NON_REAL_FREQUENCIES,
+        "adjoint eigenvalues include non-real frequencies; no real "
+        "ladder structure or energy lattice exists",
+        [], None, None, (), gmin)
 
 
 def _judge(q: QuadraticForm, e: EigenData, gevals: list[float]) -> _Verdict:
@@ -457,11 +526,7 @@ def _judge(q: QuadraticForm, e: EigenData, gevals: list[float]) -> _Verdict:
     gmin = gevals[0]
 
     if _nonreal_frequency(e, tol.pairing_tol(e.matrix_norm)) is not None:
-        return _Verdict(
-            Classification.NON_REAL_FREQUENCIES,
-            "adjoint eigenvalues include non-real frequencies; no real "
-            "ladder structure or energy lattice exists",
-            [], None, None, (), gmin)
+        return _non_real(gmin)
     if e.defective:
         bad = [c for c in e.clusters if c.geometric < c.algebraic]
         desc = ", ".join(
@@ -475,9 +540,20 @@ def _judge(q: QuadraticForm, e: EigenData, gevals: list[float]) -> _Verdict:
             [], None, None, (), gmin)
 
     grams = _grams(e)
+    return _lattice_verdict(q, gevals, grams,
+                            [g.frequency for g in grams for _ in g.keep],
+                            [g.mu[k] > 0 for g in grams for k in g.keep])
+
+
+def _lattice_verdict(q: QuadraticForm, gevals: list[float], grams: list[_Gram],
+                     freqs: list[float], raising: list[bool]) -> _Verdict:
+    """`_judge`'s verdict on a real, non-defective form: freqs holds one
+    frequency per ladder pair in `_grams`' order, raising whether the pair's
+    Gram entry is positive."""
+    gmin = gevals[0]
     dtol = tol.definiteness_tol(max(-gmin, gevals[-1]))  # largest |eigenvalue|
     if gmin > -dtol:
-        gens = tuple(g.frequency for g in grams for _ in g.keep)
+        gens = tuple(freqs)
         ground = float(q.offset + 0.5 * sum(gens))
         if 0.0 in gens:
             # a zero-frequency pair is critical whatever gmin reads
@@ -501,8 +577,7 @@ def _judge(q: QuadraticForm, e: EigenData, gevals: list[float]) -> _Verdict:
         return _Verdict(cls, note, grams, ground, ground, gens, gmin)
 
     # indefinite with all-real frequencies: the signed raising frequencies
-    gens = tuple(sorted((g.frequency if g.mu[k] > 0 else -g.frequency
-                         for g in grams for k in g.keep), reverse=True))
+    gens = tuple(sorted((f if r else -f for f, r in zip(freqs, raising)), reverse=True))
     return _Verdict(
         Classification.UNBOUNDED_LATTICE,
         "form matrix indefinite with real frequencies: the Gaussian-vacuum "

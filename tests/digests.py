@@ -47,8 +47,10 @@ Equal lines mean the outputs are byte-identical.  The families are:
   and k = 2, cross the non-real band of mu = 2, stack 1001 samples of the
   anisotropic model mu = 2, k = 0.5, take a single sample and land on b = 0,
   where the double eigenvalues take the rank-SVD path; on the 101-sample sweep
-  of the `analysis_sweep` benchmark workload, and on NaN and infinite
-  endpoints, mu <= 0, k < 0 and zero steps;
+  of the `analysis_sweep` benchmark workload, on 10001 samples of
+  mu = 0.7, k = 1.3 over [-3.5, 3.5], which cross its bounded, non-real and
+  unbounded regions, and on NaN and infinite endpoints, mu <= 0, k < 0 and
+  zero steps;
 - cli: stdout, stderr and exit code of every subcommand in JSON and CSV,
   timestamp removed, on preset, explicit and invalid configurations;
 - critical-no-shells: the comparisons, library and `verify`, of critical
@@ -221,6 +223,7 @@ def boundary_line() -> str:
 def scan_line() -> str:
     d = Digest()
     sweeps = SWEEPS + [((-3.5058, 3.5058, 101), {}),
+                       ((-3.5, 3.5, 10001), {"mu": 0.7, "k": 1.3}),
                        ((np.nan, 1.0, 3), {}), ((0.0, np.inf, 3), {}),
                        ((0.0, 1.0, 3), {"mu": 0.0}), ((0.0, 1.0, 3), {"mu": -1.0}),
                        ((0.0, 1.0, 3), {"k": -1.0}), ((0.0, 1.0, 0), {})]

@@ -88,6 +88,15 @@ class TestReduction:
             ({"k": 1j}, "k must be a real number, got 1j"),
             ({"mu": np.bool_(True)}, f"mu must be a real number, got {np.bool_(True)!r}"),
             ({"mu": 5e-324}, "1/mu must be finite"),
+            # reals without a finite float: an error of the model, not of float()
+            ({"mu": 10 ** 400}, "mu is beyond the float range"),
+            ({"k": 10 ** 400}, "k is beyond the float range"),
+            ({"b": 10 ** 400}, "b is beyond the float range"),
+            ({"b": -10 ** 400}, "b is beyond the float range"),
+            ({"b": Fraction(10 ** 400, 3)}, "b is beyond the float range"),
+            ({"energy_scale": 10 ** 400}, "energy_scale is beyond the float range"),
+            ({"mu": Fraction(1, 10 ** 400)}, "1/mu must be finite"),
+            ({"mu": -10 ** 400}, "mu is beyond the float range"),
             # the existing checks keep their order: mu before k
             ({"mu": -1.0, "k": True}, "mu must be positive and finite"),
         ]:
@@ -98,6 +107,9 @@ class TestReduction:
         d = DimensionlessModel(mu=np.float64(2.0), k=np.int64(1), b=Fraction(1, 2))
         assert np.array_equal(build_model(d).gamma,
                               build_model(DimensionlessModel(2.0, 1.0, 0.5)).gamma)
+        # a tiny rational mu is accepted while its 1/mu has a float
+        d = DimensionlessModel(mu=Fraction(1, 10 ** 300), k=10 ** 300, b=-(10 ** 300))
+        assert build_model(d).gamma[3, 3] == 1.0 / 1e-300
 
 
 class TestBuildModel:
@@ -402,9 +414,14 @@ class TestPhaseScanVerdicts:
         ((0.0, 1.0, 3, True), "mu must be a real number, got True"),
         ((0.0, 1.0, 3, 1.0, True), "k must be a real number, got True"),
         ((0.0, "1", 3), "b must be a real number, got '1'"),
+        ((0, 10 ** 400, 3), "b is beyond the float range"),
+        ((-(10 ** 400), 0, 3), "b is beyond the float range"),
+        ((0.0, 1.0, 3, Fraction(1, 10 ** 400)), "1/mu must be finite"),
+        ((0.0, 1.0, 3, 1.0, 10 ** 400), "k is beyond the float range"),
     ], ids=["inf-to", "-inf-from", "inf-to-one-step", "steps=True", "steps=2.5",
             "steps=3.0", "overflowing-span", "subnormal-mu", "mu=True", "k=True",
-            "string-to"])
+            "string-to", "huge-int-to", "huge-int-from", "tiny-fraction-mu",
+            "huge-int-k"])
     def test_invalid_input_fails_before_sampling(self, args, message):
         # no warning either: an endpoint is checked before np.linspace sees it
         with warnings.catch_warnings():

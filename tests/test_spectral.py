@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import random_symmetric
+from conftest import random_symmetric, scaled_tolerances
 from quadham import (
     Classification,
     LadderCheckError,
@@ -13,6 +13,7 @@ from quadham import (
     LinearForm,
     NonRealFrequencyError,
     PhaseSpaceBasis,
+    QuadhamError,
     QuadraticForm,
     adjoint_representation,
     build_model,
@@ -110,6 +111,9 @@ class TestStackedDecomposition:
              # returns complex arrays for them too
              QuadraticForm(PhaseSpaceBasis(2), np.diag([1.0, 2.0, -1.0, -3.0]), 0.0),
              QuadraticForm(PhaseSpaceBasis(2), np.diag([1.0, 1.0, -1.0, -1.0]), 0.5)]
+    # the samples the fast path leaves to `_decomposition`: the double
+    # frequency of b = 0 and the two real eig rows
+    FALLBACK = [2, 3, 4]
 
     def test_slices_match_single_calls(self, monkeypatch):
         seen = []
@@ -118,9 +122,9 @@ class TestStackedDecomposition:
                             lambda *args: seen.append(decomposition(*args)) or seen[-1])
         verdicts = list(spectral._verdicts(self.FORMS))
         monkeypatch.undo()
-        assert len(seen) == len(self.FORMS)
-        for q, e, v in zip(self.FORMS, seen, verdicts):
-            ref = eigen_decompose(adjoint_representation(q))
+        assert [e.source.source for e in seen] == [self.FORMS[i] for i in self.FALLBACK]
+        for i, e in zip(self.FALLBACK, seen):
+            ref = eigen_decompose(adjoint_representation(self.FORMS[i]))
             for got, want in ((e.eigenvalues, ref.eigenvalues),
                               (e.eigenvectors, ref.eigenvectors)):
                 assert got.dtype == want.dtype
@@ -129,11 +133,12 @@ class TestStackedDecomposition:
             assert ([(repr(c.value), c.algebraic, c.geometric, c.indices) for c in e.clusters]
                     == [(repr(c.value), c.algebraic, c.geometric, c.indices)
                         for c in ref.clusters])
+        for q, v in zip(self.FORMS, verdicts):
             single = spectral._verdict(q)
             for field in ("classification", "note", "ground_energy", "vacuum_energy",
                           "generators", "gamma_min"):
                 assert repr(getattr(v, field)) == repr(getattr(single, field))
-        assert seen[3].eigenvectors.dtype == np.float64
+        assert seen[1].eigenvectors.dtype == np.float64
 
     def test_residual_check_per_matrix(self):
         good = adjoint_representation(model_form(1.3)).entries
@@ -145,6 +150,147 @@ class TestStackedDecomposition:
     def test_stacked_eig_failure_is_an_eigensolver_error(self):
         with pytest.raises(EigensolverError, match="^eigensolver did not converge: "):
             spectral._eig(np.full((2, 4, 4), np.nan * 1j))
+
+
+def mode_form(modes, rng):
+    """A direct sum of one-mode normal forms a x_j^2 + c p_j^2, one per kind."""
+    coeffs = {
+        "osc+": lambda: (rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)),
+        "osc-": lambda: (-rng.uniform(0.5, 2.0), -rng.uniform(0.5, 2.0)),
+        "zero": lambda: (0.0, 0.0),
+        "free": lambda: (rng.uniform(0.5, 2.0), 0.0),
+        "hyper": lambda: (rng.uniform(0.5, 2.0), -rng.uniform(0.5, 2.0)),
+    }
+    a, c = zip(*(coeffs[m]() for m in modes))
+    return QuadraticForm(PhaseSpaceBasis(len(modes)), np.diag(a + c), float(rng.uniform(-1, 1)))
+
+
+def symplectic_copy(q, rng):
+    """q under the congruence S = diag(A, A^-T) [[I, B], [0, I]], B symmetric."""
+    K = q.basis.K
+    A = np.eye(K) + 0.3 * rng.standard_normal((K, K))
+    B = random_symmetric(rng, K, 0.3)
+    S = np.block([[A, np.zeros((K, K))], [np.zeros((K, K)), np.linalg.inv(A).T]])
+    S = S @ np.block([[np.eye(K), B], [np.zeros((K, K)), np.eye(K)]])
+    g = S.T @ q.gamma @ S
+    return QuadraticForm(q.basis, (g + g.T) / 2.0, q.offset)
+
+
+class TestFastVerdicts:
+    """`spectral._verdicts` decides most samples by array code; every verdict
+    must still equal `_verdict` of that form alone, bit for bit."""
+
+    FIELDS = ("classification", "note", "ground_energy", "vacuum_energy",
+              "generators", "gamma_min")
+    # the double frequency of b = 0 and the sliver where +-delta merge
+    FALLBACK_EDGES = [model_form(0.0), model_form(2.0 - 1e-9), model_form(2.0 + 1e-9),
+                      model_form(-2.0 - 1e-9), model_form(-2.0 + 1e-9)]
+    # gamma has a 1-dimensional kernel at each: a split Jordan block
+    JORDAN_POINTS = [model_form(2.0, 0.5, 1.0), model_form(2.0, 1.0, 2.0),
+                     model_form(1.0, 4.0, 1.0), model_form(math.sqrt(2.0), 2.0, 1.0),
+                     model_form(2.0, 2.0, 1.0)]
+
+    @staticmethod
+    def squeezed(s, K):
+        """s x^2 + p^2 / s beside K - 1 oscillators of other frequencies:
+        frequency 2 and a Gram entry of about 2 / s, near 10 t_zero = 2e-9 s
+        at s ~ 3e4."""
+        d = [s] + [1.0] * (K - 1) + [1.0 / s] + [1.5, 2.5][:K - 1]
+        return QuadraticForm(PhaseSpaceBasis(K), np.diag(d), 0.0)
+
+    @staticmethod
+    def split(delta, K):
+        """x^2 + p^2 beside a mode (1 + delta)(y^2 + p_y^2) and, at K = 3, a
+        third of frequency 3."""
+        d = [1.0, 1.0 + delta, 1.5][:K]
+        return QuadraticForm(PhaseSpaceBasis(K), np.diag(d + d), 0.0)
+
+    def corpus(self, K, rng):
+        forms = []
+        for kinds in (["osc+"] * K, ["osc-"] * K, ["osc-"] + ["osc+"] * (K - 1),
+                      ["zero"] + ["osc+"] * (K - 1), ["free"] + ["osc+"] * (K - 1),
+                      ["hyper"] + ["osc+"] * (K - 1)):
+            q = mode_form(kinds, rng)
+            forms += [q, symplectic_copy(q, rng)]
+        for _ in range(12):
+            kinds = rng.choice(["osc+", "osc-", "zero", "free", "hyper"], size=K)
+            forms.append(symplectic_copy(mode_form(list(kinds), rng), rng))
+        forms += [QuadraticForm(PhaseSpaceBasis(K), random_symmetric(rng, 2 * K), 0.25)
+                  for _ in range(12)]
+        forms += [random_positive_definite_form(K, int(seed))
+                  for seed in rng.integers(0, 1000, size=4)]
+        forms += [self.squeezed(3.16e4 * 2.0 ** j, K) for j in range(-3, 3)]
+        if K > 1:
+            # frequencies 2 and 2 + 2 delta, merged by the clusters up to
+            # delta ~ t and sent back up to ~ 5 t
+            forms += [self.split(delta, K) for delta in (3e-10, 3e-9, 1e-8, 3e-8, 1e-6)]
+        if K == 2:
+            forms += self.FALLBACK_EDGES + self.JORDAN_POINTS
+            forms += [model_form(b, mu, k) for b, mu, k in rng.uniform(
+                [-4.0, 0.25, 0.25], [4.0, 4.0, 4.0], size=(12, 3)).tolist()]
+        return [forms[i] for i in rng.permutation(len(forms))]
+
+    @staticmethod
+    def run(forms, monkeypatch):
+        """_verdicts of forms and the forms it sent to `_decomposition`."""
+        seen = []
+        decomposition = spectral._decomposition
+        monkeypatch.setattr(spectral, "_decomposition",
+                            lambda m, *args: seen.append(m.source) or decomposition(m, *args))
+        try:
+            return spectral._verdicts(forms), seen
+        finally:
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("scale", ("1", "1e6", "1e8"))
+    @pytest.mark.parametrize("K", (1, 2, 3))
+    def test_mixed_stacks_match_single_verdicts(self, K, scale, monkeypatch):
+        forms = self.corpus(K, np.random.default_rng(100 * K + len(scale)))
+        with scaled_tolerances(scale):
+            singles, kept = [], []
+            for q in forms:
+                try:
+                    singles.append(spectral._verdict(q))
+                    kept.append(q)
+                except QuadhamError as exc:
+                    # a form without a verdict fails its stack the same way
+                    with pytest.raises(type(exc)) as info:
+                        spectral._verdicts([q])
+                    assert str(info.value) == str(exc)
+            verdicts, fallback = self.run(kept, monkeypatch)
+        assert len(kept) >= len(forms) // 2
+        for v, single in zip(verdicts, singles):
+            for field in self.FIELDS:
+                assert repr(getattr(v, field)) == repr(getattr(single, field))
+        for q in self.FALLBACK_EDGES:
+            assert all(f is not q for f in kept) or any(f is q for f in fallback)
+        if scale == "1":
+            assert {v.classification for v in verdicts} == set(Classification)
+            fast = [v for q, v in zip(kept, verdicts) if not any(f is q for f in fallback)]
+            assert any(v.classification is Classification.NON_REAL_FREQUENCIES
+                       for v in fast) == (K > 1)
+            assert any(v.classification is Classification.BOUNDED_BELOW_DISCRETE
+                       for v in fast)
+            assert any(v.classification is Classification.UNBOUNDED_LATTICE
+                       for v in fast)
+            # the Gram-entry guard decides within the squeezed family
+            squeezed = [q for q in kept if q.gamma[0, 0] > 1e3]
+            sent_back = sum(any(f is q for f in fallback) for q in squeezed)
+            assert 0 < sent_back < len(squeezed)
+
+    def test_benchmark_sweep_coverage(self, monkeypatch):
+        forms = [model_form(b) for b in np.linspace(-3.5058, 3.5058, 101).tolist()]
+        _, fallback = self.run(forms, monkeypatch)
+        assert fallback == [forms[50]]  # b = 0 exactly
+
+    def test_anisotropic_stack_coverage(self, monkeypatch):
+        # bounded, non-real (2.28 < |b| < 2.39) and unbounded samples
+        forms = [model_form(b, 0.7, 1.3) for b in np.linspace(-3.5, 3.5, 10001).tolist()]
+        verdicts, fallback = self.run(forms, monkeypatch)
+        assert len(fallback) <= 500
+        assert {v.classification for v in verdicts} == {
+            Classification.BOUNDED_BELOW_DISCRETE, Classification.NON_REAL_FREQUENCIES,
+            Classification.UNBOUNDED_LATTICE}
 
 
 class TestPairFrequencies:
