@@ -43,8 +43,8 @@ from . import tolerances as tol
 # largest m + n the wavefunction command builds; (60, 60) takes 46-77 ms on
 # 2 vCPUs of a shared host (best of 5)
 MAX_WAVEFUNCTION_QUANTA = 120
-# most samples a scan takes; phase_scan(-3, 3, 1001) costs 0.07-0.13 ms a
-# sample on 2 vCPUs of a shared host (best of 5), so 10**4 take about 1 s
+# most samples a scan takes; phase_scan(-3, 3, 1001) costs 13-24 us a
+# sample, 10**4 samples 0.13-0.22 s (2 vCPUs of a shared host, best of 5)
 MAX_SCAN_STEPS = 10**4
 # most modes a random-pd config asks for; `analyze` takes 0.036, 0.15 and
 # 0.56 s at K = 32, 64 and 128 and 12.9 s with a 337 MB peak RSS at K = 600

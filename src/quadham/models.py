@@ -104,28 +104,25 @@ def reduce_to_dimensionless(p: PhysicalParameters) -> DimensionlessModel:
 
 
 def build_model(d: DimensionlessModel) -> QuadraticForm:
-    """x^2 + k y^2 + px^2 + py^2/mu + b (x py - y px) on two modes.
+    """x^2 + k y^2 + px^2 + py^2/mu + b (x py - y px) on two modes, gamma as
+    `_gammas` writes it."""
+    return QuadraticForm(_TWO_MODES, _gammas([d.b], d.mu, d.k)[0], 0.0)
 
-    gamma is written directly, each entry with the bits `make_quadratic_form`
-    sums for these monomials: 0.0 + c/2 + c/2 on the diagonal and 0.0 + c/2
-    off it, so b = 0 gives +0.0.
+
+def _gammas(bs, mu: float, k: float) -> np.ndarray:
+    """gamma of `build_model` at each coupling of bs, an (n, 4, 4) stack.
+    Each entry has the bits `make_quadratic_form` sums for its monomials:
+    0.0 + c/2 + c/2 on the diagonal, 0.0 + c/2 off it (b = +-0.0 gives +0.0).
     """
-    k, inv_mu, b = float(d.k), float(1.0 / d.mu), float(d.b)
-    h, g = 0.0 + b / 2.0, 0.0 + -b / 2.0
-    gamma = np.array([
-        [1.0, 0.0, 0.0, h],
-        [0.0, 0.0 + k / 2.0 + k / 2.0, g, 0.0],
-        [0.0, g, 1.0, 0.0],
-        [h, 0.0, 0.0, 0.0 + inv_mu / 2.0 + inv_mu / 2.0],
-    ])
-    # DimensionlessModel keeps k, b and 1/mu real and finite, so gamma is
-    # finite and symmetric by construction: skip QuadraticForm's checks,
-    # which cost more than the rest of build_model
-    form = object.__new__(QuadraticForm)
-    object.__setattr__(form, "basis", _TWO_MODES)
-    object.__setattr__(form, "gamma", gamma)
-    object.__setattr__(form, "offset", 0.0)
-    return form
+    k, inv_mu = float(k), float(1.0 / mu)
+    half_b = 0.0 + np.asarray(bs, dtype=float) / 2.0
+    gammas = np.zeros((len(half_b), 4, 4))
+    gammas[:, 0, 0] = gammas[:, 2, 2] = 1.0
+    gammas[:, 1, 1] = 0.0 + k / 2.0 + k / 2.0
+    gammas[:, 3, 3] = 0.0 + inv_mu / 2.0 + inv_mu / 2.0
+    gammas[:, 0, 3] = gammas[:, 3, 0] = half_b
+    gammas[:, 1, 2] = gammas[:, 2, 1] = 0.0 - half_b
+    return gammas
 
 
 def isotropic_form() -> QuadraticForm:
@@ -236,11 +233,9 @@ class PhaseScanResult:
     transitions: tuple[Transition, ...]
 
 
-def _margins(bs: list[float], mu: float, k: float) -> list[float]:
+def _margins(bs, mu: float, k: float) -> list[float]:
     """gamma's smallest eigenvalue at each coupling of bs, one eigvalsh call."""
-    gammas = np.array([build_model(DimensionlessModel(mu=mu, k=k, b=b)).gamma
-                       for b in bs])
-    return np.linalg.eigvalsh(gammas)[:, 0].tolist()
+    return np.linalg.eigvalsh(_gammas(bs, mu, k))[:, 0].tolist()
 
 
 def phase_scan(
@@ -252,20 +247,20 @@ def phase_scan(
 ) -> PhaseScanResult:
     """Classify along a sweep of the coupling and locate boundary crossings.
 
-    steps is the sample count (endpoints included), an integer.  Each sample
-    takes `classify_spectrum`'s verdict without building its ladder pairs;
-    `spectral._verdicts` makes one stacked LAPACK call per stage for them all,
-    then decides by array code every sample whose eigenvalues are simple,
-    real and 10x clear of each tolerance that could merge or reject them,
-    or that has a frequency 10x beyond the non-real threshold; those
-    verdicts carry no Gram data, which only ladders need.  The other samples
-    (a double frequency as at b = 0, a zero or near-zero frequency near a
-    boundary) cluster one by one, unchanged, as `classify_spectrum` does.
+    steps is the sample count (endpoints included), an integer.  Only the
+    endpoints become models; each sample is a slice of one `_gammas` stack
+    and takes `classify_spectrum`'s verdict from `spectral._verdicts`, with
+    one stacked LAPACK call per stage and no ladder pairs.  Array code
+    decides every sample whose eigenvalues are simple, real and 10x clear
+    of each tolerance that could merge or reject them, or that has a
+    frequency 10x beyond the non-real threshold.  The other samples (a
+    double frequency as at b = 0, a near-zero frequency near a boundary)
+    become forms and cluster one by one, as `classify_spectrum` does.
     Transitions are read from gamma's smallest eigenvalue alone, never from
     the classes: a sample sitting on the definiteness boundary is itself a
     transition; between samples off it whose smallest eigenvalue changes
     strict sign, the crossing is bisected down to a bracket of width 1e-10,
-    all brackets in lockstep with one stacked eigvalsh a step.
+    all brackets in lockstep with one `_gammas` stack and eigvalsh a step.
     """
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
         raise ValueError("steps must be an integer")
@@ -277,10 +272,9 @@ def phase_scan(
     if not math.isfinite(float(b_to) - float(b_from)):
         raise ValueError("b_to - b_from must be finite")
     bs = np.linspace(b_from, b_to, steps).tolist()
-    forms = [build_model(DimensionlessModel(mu=mu, k=k, b=b)) for b in bs]
     samples = [ScanSample(b=b, classification=v.classification, margin=v.gamma_min,
                           ground_energy=v.ground_energy, generators=v.generators)
-               for b, v in zip(bs, _verdicts(forms))]
+               for b, v in zip(bs, _verdicts(_gammas(bs, mu, k)))]
 
     dead = tol.definiteness_tol(max(abs(s.margin) for s in samples) + 1.0)
     transitions = [Transition(s.b, s.b, s.b) for s in samples if abs(s.margin) <= dead]

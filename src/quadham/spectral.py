@@ -31,6 +31,7 @@ from .errors import (
 from .phase_space import (
     AdjointMatrix,
     LinearForm,
+    PhaseSpaceBasis,
     QuadraticForm,
     _count,
     _symplectic,
@@ -434,19 +435,19 @@ def _verdict(q: QuadraticForm) -> _Verdict:
                   np.linalg.eigvalsh(q.gamma).tolist())
 
 
-def _verdicts(forms: Sequence[QuadraticForm]) -> list[_Verdict]:
-    """`_verdict` of each form (all on one basis), bit for bit, with one
-    stacked eig, norm SVD and eigvalsh; a slice of a stacked LAPACK call
-    holds the bits of a call on that matrix alone.
+def _verdicts(gammas: np.ndarray) -> list[_Verdict]:
+    """`_verdict` of the offset-0.0 form of each gamma of an (n, 2K, 2K)
+    stack, bit for bit, with one stacked eig, norm SVD and eigvalsh; a slice
+    of a stacked LAPACK call holds the bits of a call on that matrix alone.
 
     Array code over the whole stack decides each sample that `_fast_path`
     admits: a non-real one, or a real one whose eigenvalues are all their
     own clusters, each 10x clear of every threshold that could merge or
-    reject it.  Every other sample goes through `_decomposition` and
-    `_judge` as `_verdict` does.  A fast verdict carries no Gram data.
+    reject it.  Only the rest become `QuadraticForm`s, for `_decomposition`
+    and `_judge`.  A fast verdict carries no Gram data.
     """
-    gammas = np.array([q.gamma for q in forms])
-    J = _symplectic(forms[0].basis.K)
+    basis = PhaseSpaceBasis(gammas.shape[-1] // 2)
+    J = _symplectic(basis.K)
     # adjoint_representation's 2 i gamma J: J is a signed permutation, so
     # each entry is one exact product whichever way the stack is multiplied
     entries = 2j * (gammas @ J)
@@ -455,11 +456,11 @@ def _verdicts(forms: Sequence[QuadraticForm]) -> list[_Verdict]:
     gevals = np.linalg.eigvalsh(gammas).tolist()
     nonreal, fast, freqs, raising = _fast_path(w, V, J, norms)
     out = []
-    for i, q in enumerate(forms):
+    for i, gi in enumerate(gevals):
         if nonreal[i]:
-            out.append(_non_real(gevals[i][0]))
+            out.append(_non_real(gi[0]))
         elif fast[i]:
-            out.append(_lattice_verdict(q, gevals[i], [], freqs[i], raising[i]))
+            out.append(_lattice_verdict(0.0, gi, [], freqs[i], raising[i]))
         else:
             wq, Vq = w[i], V[i]
             # a stacked eig returns complex arrays for every matrix once one
@@ -467,8 +468,9 @@ def _verdicts(forms: Sequence[QuadraticForm]) -> list[_Verdict]:
             # real arrays when all of its eigenvalues are real
             if not wq.imag.any():
                 wq, Vq = wq.real, Vq.real
+            q = QuadraticForm(basis, gammas[i], 0.0)
             e = _decomposition(AdjointMatrix(entries[i], q), wq, Vq, float(norms[i]))
-            out.append(_judge(q, e, gevals[i]))
+            out.append(_judge(q, e, gi))
     return out
 
 
@@ -540,21 +542,21 @@ def _judge(q: QuadraticForm, e: EigenData, gevals: list[float]) -> _Verdict:
             [], None, None, (), gmin)
 
     grams = _grams(e)
-    return _lattice_verdict(q, gevals, grams,
+    return _lattice_verdict(q.offset, gevals, grams,
                             [g.frequency for g in grams for _ in g.keep],
                             [g.mu[k] > 0 for g in grams for k in g.keep])
 
 
-def _lattice_verdict(q: QuadraticForm, gevals: list[float], grams: list[_Gram],
+def _lattice_verdict(offset: float, gevals: list[float], grams: list[_Gram],
                      freqs: list[float], raising: list[bool]) -> _Verdict:
-    """`_judge`'s verdict on a real, non-defective form: freqs holds one
-    frequency per ladder pair in `_grams`' order, raising whether the pair's
-    Gram entry is positive."""
+    """`_judge`'s verdict on a real, non-defective form with that offset:
+    freqs holds one frequency per ladder pair in `_grams`' order, raising
+    whether the pair's Gram entry is positive."""
     gmin = gevals[0]
     dtol = tol.definiteness_tol(max(-gmin, gevals[-1]))  # largest |eigenvalue|
     if gmin > -dtol:
         gens = tuple(freqs)
-        ground = float(q.offset + 0.5 * sum(gens))
+        ground = float(offset + 0.5 * sum(gens))
         if 0.0 in gens:
             # a zero-frequency pair is critical whatever gmin reads
             cls = Classification.CRITICAL_INFINITE_MULTIPLICITY
@@ -582,7 +584,7 @@ def _lattice_verdict(q: QuadraticForm, gevals: list[float], grams: list[_Gram],
         Classification.UNBOUNDED_LATTICE,
         "form matrix indefinite with real frequencies: the Gaussian-vacuum "
         "lattice extends without a lower bound (signed generators)",
-        grams, None, float(q.offset + 0.5 * sum(gens)), gens, gmin)
+        grams, None, float(offset + 0.5 * sum(gens)), gens, gmin)
 
 
 def classify_spectrum(q: QuadraticForm) -> SpectrumReport:

@@ -5,10 +5,10 @@ sets another (the CLI sets its config file's `tol_scale`).  The scale is a
 context variable: it holds for the calling thread or task only, and the CLI
 restores its caller's value when a run ends.
 
-A few fixed thresholds live beside their one use and ignore the scale:
-`spectral._canonical_phase`'s 1e-12 pivot floor, `models.phase_scan`'s 1e-10
-bisection width and 1e-9 transition merge, and `spectral.ladder_check`'s
-1e-300 floor on the non-real part.
+Fixed thresholds live beside their one use and ignore the scale: the 1e-12
+floors of `spectral._canonical_phase`'s pivot and `spectral._fast_path`'s
+Gram entries, `models.phase_scan`'s 1e-10 bisection width and 1e-9
+transition merge, and `spectral.ladder_check`'s 1e-300 non-real floor.
 """
 
 from __future__ import annotations

@@ -32,6 +32,17 @@ TEST_ONLY_METHODS = {
                              "family of tests/digests.py",
 }
 
+# the sites in src/quadham that build an instance through object.__new__,
+# past its class's checks, each kept for the cost it saves
+UNCHECKED_CONSTRUCTORS = {
+    "wavefunctions.PolyGaussian._from_kernel": "the exact kernel already holds "
+                                               "integer pairs over a positive "
+                                               "denominator, which __init__ "
+                                               "would rebuild from a polynomial",
+    "spectral._level": "the frozen-dataclass __init__ made spectrum_lattice "
+                       "over K = 1-6 forms 7.6% slower",
+}
+
 
 def test_every_exported_name_resolves():
     missing = [name for name in quadham.__all__ if not hasattr(quadham, name)]
@@ -158,3 +169,20 @@ def test_every_public_method_has_a_caller_outside_the_tests():
                     and (inspect.isfunction(value) or isinstance(value, kinds))):
                 unused.add(f"{name}.{attr}")
     assert unused == set(TEST_ONLY_METHODS)
+
+
+def _object_new_sites(node, scope):
+    """Dotted scope of each object.__new__ under node, in source order."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Attribute) and child.attr == "__new__"
+                and isinstance(child.value, ast.Name) and child.value.id == "object"):
+            yield scope
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _object_new_sites(child, f"{scope}.{child.name}" if named else scope)
+
+
+def test_object_new_only_at_allowlisted_sites():
+    found = []
+    for path in sorted((ROOT / "src" / "quadham").rglob("*.py")):
+        found += _object_new_sites(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert sorted(found) == sorted(UNCHECKED_CONSTRUCTORS)

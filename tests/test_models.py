@@ -16,6 +16,7 @@ from quadham import (
     isotropic_form,
     ladder_check,
     linear_commutator,
+    make_quadratic_form,
     phase_scan,
     random_positive_definite_form,
     reduce_to_dimensionless,
@@ -25,7 +26,8 @@ from quadham import (
     symmetric_ladders,
     symmetric_raising_pair,
 )
-from quadham import spectral
+from quadham import models, spectral
+from quadham.models import PX, PY, X, Y
 from conftest import scaled_tolerances
 
 
@@ -125,6 +127,24 @@ class TestBuildModel:
         expected[1, 2] = expected[2, 1] = -0.85
         assert np.array_equal(g, expected)
         assert build_model(d).offset == 0.0
+
+    @staticmethod
+    def summed(mu, k, b):
+        return make_quadratic_form(2, [(X, X, 1.0), (Y, Y, k), (PX, PX, 1.0),
+                                       (PY, PY, 1 / mu), (X, PY, b), (Y, PX, -b)])
+
+    def test_gamma_bits_match_make_quadratic_form(self):
+        # array_equal cannot see the sign of a zero; the bytes can
+        rng = np.random.default_rng(24)
+        cases = list(zip(np.exp(rng.uniform(-6.0, 6.0, 250)).tolist(),
+                         np.exp(rng.uniform(-6.0, 6.0, 250)).tolist(),
+                         rng.uniform(-6.0, 6.0, 250).tolist()))
+        cases += [(mu, k, b) for mu, k, _ in cases[:125] for b in (0.0, -0.0)]
+        # b/2 and k/2 round to zero here
+        cases += [(1.0, 1.0, 5e-324), (1.0, 1.0, -5e-324), (2.0, 5e-324, 1.5)]
+        for mu, k, b in cases:
+            got = build_model(DimensionlessModel(mu=mu, k=k, b=b)).gamma
+            assert got.tobytes() == self.summed(mu, k, b).gamma.tobytes(), (mu, k, b)
 
     def test_decomposes_into_named_parts(self):
         d = DimensionlessModel(mu=1.0, k=1.0, b=2.5)
@@ -457,3 +477,22 @@ class TestPhaseScanStacked:
         halvings = math.ceil(math.log2((bs[1] - bs[0]) / 1e-10))
         assert shapes["eigvalsh"] == [(101, 4, 4)] + [(2, 4, 4)] * halvings
         assert len(res.transitions) == 2
+
+    def test_no_model_or_form_per_sample(self, monkeypatch):
+        # the endpoints are checked as models; every sample and midpoint is
+        # a slice of a gamma stack, and only the b = 0 fallback a form
+        calls = {}
+        for module, name in ((models, "build_model"), (models, "DimensionlessModel"),
+                             (spectral, "QuadraticForm")):
+            key = f"{module.__name__.split('.')[-1]}.{name}"
+            calls[key] = 0
+            original = getattr(module, name)
+
+            def counted(*args, _key=key, _original=original, **kwargs):
+                calls[_key] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        res = phase_scan(-3.5058, 3.5058, 101)
+        assert len(res.samples) == 101 and len(res.transitions) == 2
+        assert calls == {"models.build_model": 0, "models.DimensionlessModel": 2,
+                         "spectral.QuadraticForm": 1}

@@ -38,6 +38,16 @@ def model_form(b, mu=1.0, k=1.0):
     return build_model(DimensionlessModel(mu=mu, k=k, b=b))
 
 
+def gamma_stack(forms):
+    """The (n, 2K, 2K) gamma stack that `spectral._verdicts` takes."""
+    return np.array([q.gamma for q in forms])
+
+
+def zero_offset(q):
+    """q with offset 0.0, the offset `spectral._verdicts` judges at."""
+    return QuadraticForm(q.basis, q.gamma, 0.0)
+
+
 class TestCluster:
     T = 1e-9
 
@@ -103,7 +113,7 @@ class TestEigenDecompose:
 
 class TestStackedDecomposition:
     """`spectral._verdicts` makes one LAPACK call per stage over a stack of
-    forms; each slice must decompose and judge as a call on it alone."""
+    gammas; each slice must decompose and judge as a call on its form alone."""
 
     FORMS = [model_form(1.3), model_form(3.0), model_form(0.0),
              # R's eigenvalues are all real for these two (distinct, then
@@ -120,9 +130,11 @@ class TestStackedDecomposition:
         decomposition = spectral._decomposition
         monkeypatch.setattr(spectral, "_decomposition",
                             lambda *args: seen.append(decomposition(*args)) or seen[-1])
-        verdicts = list(spectral._verdicts(self.FORMS))
+        verdicts = list(spectral._verdicts(gamma_stack(self.FORMS)))
         monkeypatch.undo()
-        assert [e.source.source for e in seen] == [self.FORMS[i] for i in self.FALLBACK]
+        # a fallback sample is made a form of its own, so it is matched by gamma
+        assert ([e.source.source.gamma.tobytes() for e in seen]
+                == [self.FORMS[i].gamma.tobytes() for i in self.FALLBACK])
         for i, e in zip(self.FALLBACK, seen):
             ref = eigen_decompose(adjoint_representation(self.FORMS[i]))
             for got, want in ((e.eigenvalues, ref.eigenvalues),
@@ -134,7 +146,7 @@ class TestStackedDecomposition:
                     == [(repr(c.value), c.algebraic, c.geometric, c.indices)
                         for c in ref.clusters])
         for q, v in zip(self.FORMS, verdicts):
-            single = spectral._verdict(q)
+            single = spectral._verdict(zero_offset(q))
             for field in ("classification", "note", "ground_energy", "vacuum_energy",
                           "generators", "gamma_min"):
                 assert repr(getattr(v, field)) == repr(getattr(single, field))
@@ -232,13 +244,15 @@ class TestFastVerdicts:
 
     @staticmethod
     def run(forms, monkeypatch):
-        """_verdicts of forms and the forms it sent to `_decomposition`."""
+        """_verdicts of the forms' gammas and the gamma bytes of the samples
+        it sent to `_decomposition`."""
         seen = []
         decomposition = spectral._decomposition
         monkeypatch.setattr(spectral, "_decomposition",
-                            lambda m, *args: seen.append(m.source) or decomposition(m, *args))
+                            lambda m, *args: seen.append(m.source.gamma.tobytes())
+                            or decomposition(m, *args))
         try:
-            return spectral._verdicts(forms), seen
+            return spectral._verdicts(gamma_stack(forms)), seen
         finally:
             monkeypatch.undo()
 
@@ -250,12 +264,12 @@ class TestFastVerdicts:
             singles, kept = [], []
             for q in forms:
                 try:
-                    singles.append(spectral._verdict(q))
+                    singles.append(spectral._verdict(zero_offset(q)))
                     kept.append(q)
                 except QuadhamError as exc:
                     # a form without a verdict fails its stack the same way
                     with pytest.raises(type(exc)) as info:
-                        spectral._verdicts([q])
+                        spectral._verdicts(gamma_stack([q]))
                     assert str(info.value) == str(exc)
             verdicts, fallback = self.run(kept, monkeypatch)
         assert len(kept) >= len(forms) // 2
@@ -263,10 +277,10 @@ class TestFastVerdicts:
             for field in self.FIELDS:
                 assert repr(getattr(v, field)) == repr(getattr(single, field))
         for q in self.FALLBACK_EDGES:
-            assert all(f is not q for f in kept) or any(f is q for f in fallback)
+            assert all(f is not q for f in kept) or q.gamma.tobytes() in fallback
         if scale == "1":
             assert {v.classification for v in verdicts} == set(Classification)
-            fast = [v for q, v in zip(kept, verdicts) if not any(f is q for f in fallback)]
+            fast = [v for q, v in zip(kept, verdicts) if q.gamma.tobytes() not in fallback]
             assert any(v.classification is Classification.NON_REAL_FREQUENCIES
                        for v in fast) == (K > 1)
             assert any(v.classification is Classification.BOUNDED_BELOW_DISCRETE
@@ -275,13 +289,13 @@ class TestFastVerdicts:
                        for v in fast)
             # the Gram-entry guard decides within the squeezed family
             squeezed = [q for q in kept if q.gamma[0, 0] > 1e3]
-            sent_back = sum(any(f is q for f in fallback) for q in squeezed)
+            sent_back = sum(q.gamma.tobytes() in fallback for q in squeezed)
             assert 0 < sent_back < len(squeezed)
 
     def test_benchmark_sweep_coverage(self, monkeypatch):
         forms = [model_form(b) for b in np.linspace(-3.5058, 3.5058, 101).tolist()]
         _, fallback = self.run(forms, monkeypatch)
-        assert fallback == [forms[50]]  # b = 0 exactly
+        assert fallback == [forms[50].gamma.tobytes()]  # b = 0 exactly
 
     def test_anisotropic_stack_coverage(self, monkeypatch):
         # bounded, non-real (2.28 < |b| < 2.39) and unbounded samples
