@@ -142,17 +142,15 @@ def _number(cfg: dict, key: str, default: float | None = None) -> float | None:
 
 
 def _oscillator_b(cfg: dict):
-    d = models.DimensionlessModel(mu=_number(cfg, "mu", 1.0),
-                                  k=_number(cfg, "k", 1.0), b=_number(cfg, "b"))
-    return models.build_model(d), d
+    return None, models.DimensionlessModel(
+        mu=_number(cfg, "mu", 1.0), k=_number(cfg, "k", 1.0), b=_number(cfg, "b"))
 
 
 def _physical(cfg: dict):
-    d = models.reduce_to_dimensionless(models.PhysicalParameters(
+    return None, models.reduce_to_dimensionless(models.PhysicalParameters(
         *(_number(cfg, key) for key in ("m1", "m2", "k1", "k2", "omega")),
         hbar=_number(cfg, "hbar", 1.0),
     ))
-    return models.build_model(d), d
 
 
 def _random_pd(cfg: dict):
@@ -174,7 +172,8 @@ def _random_pd(cfg: dict):
         k_modes, seed, (float(spread[0]), float(spread[1]))), None
 
 
-# preset -> (required keys, optional keys, builder of (form, model-or-None))
+# preset -> (required keys, optional keys, builder of (form, None) or, for an
+# oscillator model, (None, model))
 _PRESETS = {
     "oscillator-b": ({"b"}, {"mu", "k"}, _oscillator_b),
     "physical": ({"m1", "m2", "k1", "k2", "omega"}, {"hbar"}, _physical),
@@ -183,8 +182,9 @@ _PRESETS = {
 }
 
 
-def _build_form(cfg: dict, seed_override: int | None):
-    """Returns (form, effective config, model-or-None)."""
+def _build_form(cfg: dict, seed_override: int | None, with_form: bool):
+    """Returns (form, effective config, model-or-None); without with_form an
+    oscillator model's form is left unbuilt (None)."""
     has_preset = "preset" in cfg
     has_explicit = "gamma" in cfg or "offset" in cfg
     if has_preset and has_explicit:
@@ -213,6 +213,8 @@ def _build_form(cfg: dict, seed_override: int | None):
             eff["seed"] = seed_override
         try:
             form, model = build(eff)
+            if form is None and with_form:
+                form = models.build_model(model)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return form, eff, model
@@ -440,7 +442,9 @@ def _dispatch(args) -> tuple[dict, dict, tuple]:
     except ValueError as exc:
         raise ConfigError(bad_scale) from exc
 
-    form, eff_cfg, model = _build_form(cfg, args.seed)
+    # scan reads only the model, so its form is not built
+    form, eff_cfg, model = _build_form(cfg, args.seed,
+                                       with_form=args.command != "scan")
     if args.command == "analyze":
         results, table = _cmd_analyze(form, model)
     elif args.command == "spectrum":

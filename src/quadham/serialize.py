@@ -3,6 +3,10 @@
 Floats are rendered with fixed formats (%.12e in JSON, %.9e in CSV) so byte
 output is reproducible across runs and platforms; keys are emitted sorted.
 A dataclass record is emitted as the JSON object of its fields.
+JSON values and CSV cells share one dispatch: a value of exact type float,
+int, str, list, tuple, dict, None or bool goes straight to its token; any
+other type (subclass, enum, numpy scalar or array, complex, record) takes an
+ordered chain of isinstance checks.
 The JSON encoder is hand-rolled because the stdlib encoder does not let a
 caller pin the float format.
 """
@@ -23,6 +27,7 @@ from .errors import NonFiniteResultError
 
 _JSON_FLOAT = "%.12e"
 _CSV_FLOAT = "%.9e"
+_quote = json.encoder.encode_basestring_ascii  # what json.dumps(str) calls
 
 
 def _float_token(value: float, fmt: str) -> str:
@@ -31,73 +36,68 @@ def _float_token(value: float, fmt: str) -> str:
     return fmt % value
 
 
-def _emit(obj, fmt: str) -> str:
+def _text(s: str, csv: bool) -> str:
+    if not csv:
+        return _quote(s)
+    bare = "," not in s and "\n" not in s and '"' not in s
+    return s if bare else '"' + s.replace('"', '""') + '"'
+
+
+def _emit(obj, fmt: str, csv: bool) -> str:
+    """JSON text of obj, or its CSV cell when csv is set."""
+    t = type(obj)
+    if t is float and math.isfinite(obj):  # else the chain raises
+        return fmt % obj
+    if t is int:
+        return str(obj)
+    if t is str:
+        return _text(obj, csv)
     if obj is None:
-        return "null"
-    if isinstance(obj, bool):
+        return "" if csv else "null"
+    if t is bool:
         return "true" if obj else "false"
-    if isinstance(obj, enum.Enum):
-        return _emit(obj.value, fmt)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, numbers.Integral):
-        return str(int(obj))
-    if isinstance(obj, numbers.Real):
-        return _float_token(float(obj), fmt)
-    if isinstance(obj, numbers.Complex):
-        z = complex(obj)
-        return ('{"im": %s, "re": %s}'
-                % (_float_token(z.imag, fmt), _float_token(z.real, fmt)))
-    if isinstance(obj, np.ndarray):
-        return _emit(obj.tolist(), fmt)
-    if isinstance(obj, dict):
-        items = []
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            items.append(f"{json.dumps(key)}: {_emit(obj[key], fmt)}")
-        return "{" + ", ".join(items) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_emit(v, fmt) for v in obj) + "]"
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _emit({f.name: getattr(obj, f.name)
-                      for f in dataclasses.fields(obj)}, fmt)
-    raise TypeError(f"cannot serialise {type(obj).__name__} to JSON")
+    if csv or (t is not list and t is not tuple and t is not dict):
+        if isinstance(obj, enum.Enum):
+            return _emit(obj.value, fmt, csv)
+        if isinstance(obj, str):
+            return _text(obj, csv)
+        if isinstance(obj, numbers.Integral):
+            return str(int(obj))
+        if isinstance(obj, numbers.Real):
+            return _float_token(float(obj), fmt)
+        if isinstance(obj, numbers.Complex):
+            z = complex(obj)
+            im, re = _float_token(z.imag, fmt), _float_token(z.real, fmt)
+            if csv:
+                return f"{re}{'' if im.startswith('-') else '+'}{im}j"
+            return '{"im": %s, "re": %s}' % (im, re)
+        if csv:
+            raise TypeError(f"cannot serialise {t.__name__} to CSV")
+        if isinstance(obj, np.ndarray):
+            return _emit(obj.tolist(), fmt, False)
+        if not isinstance(obj, (dict, list, tuple)):
+            if not dataclasses.is_dataclass(obj) or isinstance(obj, type):
+                raise TypeError(f"cannot serialise {t.__name__} to JSON")
+            obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if not isinstance(obj, dict):
+        return "[" + ", ".join([_emit(v, fmt, False) for v in obj]) + "]"
+    items = []
+    for key in sorted(obj):
+        if not isinstance(key, str):
+            raise TypeError(f"JSON object keys must be strings, got {key!r}")
+        items.append(f"{_quote(key)}: {_emit(obj[key], fmt, False)}")
+    return "{" + ", ".join(items) + "}"
 
 
 def dumps_json(obj) -> str:
     """Deterministic JSON text with a trailing newline."""
-    return _emit(obj, _JSON_FLOAT) + "\n"
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, enum.Enum):
-        return _csv_cell(value.value)
-    if isinstance(value, str):
-        if "," in value or "\n" in value or '"' in value:
-            escaped = value.replace('"', '""')
-            return f'"{escaped}"'
-        return value
-    if isinstance(value, numbers.Integral):
-        return str(int(value))
-    if isinstance(value, numbers.Real):
-        return _float_token(float(value), _CSV_FLOAT)
-    if isinstance(value, numbers.Complex):
-        z = complex(value)
-        im = _float_token(z.imag, _CSV_FLOAT)
-        sign = "" if im.startswith("-") else "+"
-        return f"{_float_token(z.real, _CSV_FLOAT)}{sign}{im}j"
-    raise TypeError(f"cannot serialise {type(value).__name__} to CSV")
+    return _emit(obj, _JSON_FLOAT, False) + "\n"
 
 
 def dumps_csv(header: list[str], rows) -> str:
     lines = [",".join(header)]
     for row in rows:
-        cells = [_csv_cell(v) for v in row]
+        cells = [_emit(v, _CSV_FLOAT, True) for v in row]
         if len(cells) != len(header):
             raise ValueError("row width does not match header")
         lines.append(",".join(cells))

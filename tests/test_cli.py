@@ -518,3 +518,42 @@ class TestWavefunctionUsesTheBuiltForm:
         b = res["b"]
         assert res["energy"] == float(quadham.symmetric_energy(Fraction(b), 2, 1))
         assert res["eigen_check"] == "exact"
+
+
+class TestScanBuildsNoForm:
+    PHYSICAL = {"preset": "physical", "m1": 1.0, "m2": 1.5, "k1": 1.0, "k2": 0.8,
+                "omega": 0.2}
+
+    @pytest.mark.parametrize("payload, bounds", [
+        ({"preset": "oscillator-b", "b": 1.0}, ("-3", "3")),
+        (PHYSICAL, ("-0.9", "0.9"))], ids=["oscillator-b", "physical"])
+    def test_scan_reads_only_the_model(self, payload, bounds, tmp_path, monkeypatch):
+        calls = []
+        build = models.build_model
+        monkeypatch.setattr(models, "build_model",
+                            lambda d: calls.append(d) or build(d))
+        code, text = run_cli(["scan", "--config", write_config(tmp_path, payload),
+                              "--from", bounds[0], "--to", bounds[1], "--steps", "7"],
+                             tmp_path)
+        assert code == 0
+        assert calls == []
+        assert len(json.loads(text)["results"]["samples"]) == 7
+        assert run_cli(["analyze", "--config", write_config(tmp_path, payload)],
+                       tmp_path)[0] == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"preset": "sb", "B": 1.0},
+         "scan sweeps the coupling of an oscillator model; use the "
+         "'oscillator-b' or 'physical' preset"),
+        ({"preset": "oscillator-b", "b": 1, "mu": 1e-320}, "1/mu must be finite"),
+    ], ids=["sb", "tiny-mu"])
+    def test_rejections_keep_their_messages(self, payload, message, tmp_path,
+                                            capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(models, "build_model", calls.append)
+        code, text = run_cli(["scan", "--config", write_config(tmp_path, payload),
+                              "--from", "0", "--to", "1"], tmp_path)
+        assert code == 2 and text is None
+        assert capsys.readouterr().err == f"quadham: config error: {message}\n"
+        assert calls == []
