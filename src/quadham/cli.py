@@ -157,11 +157,15 @@ def _random_pd(cfg: dict):
     k_modes, seed = cfg["K"], cfg["seed"]
     if isinstance(k_modes, bool) or not isinstance(k_modes, int):
         raise ConfigError("config key 'K' must be an integer")
+    if k_modes < 1:
+        raise ConfigError("config key 'K' must be a positive integer")
     if k_modes > MAX_RANDOM_MODES:
         raise ConfigError(f"config key 'K' = {k_modes} exceeds the limit of "
                           f"{MAX_RANDOM_MODES} modes")
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError("config key 'seed' must be an integer")
+    if seed < 0:
+        raise ConfigError("config key 'seed' must be a non-negative integer")
     spread = cfg.get("spread", [0.6, 1.8])
     if (not isinstance(spread, (list, tuple)) or len(spread) != 2
             or any(isinstance(s, bool) or not isinstance(s, (int, float))
@@ -357,7 +361,7 @@ def _cmd_verify(form, n_max, max_quanta, max_levels):
         max_quanta = n_max
     if max_quanta < 0:
         raise ConfigError("--max-quanta must be non-negative")
-    if max_levels is not None and max_levels < 1:
+    if max_levels < 1:
         raise ConfigError("--max-levels must be at least 1")
     report = classify_spectrum(form)
     if not report.classification.has_lattice:
@@ -454,10 +458,8 @@ def _dispatch(args) -> tuple[dict, dict, tuple]:
     elif args.command == "verify":
         results, table = _cmd_verify(form, args.n_max, args.max_quanta,
                                      args.max_levels)
-    elif args.command == "wavefunction":
+    else:  # wavefunction: the subparsers admit only these five commands
         results, table = _cmd_wavefunction(form, eff_cfg, model, args.m, args.n)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ConfigError(f"unknown command {args.command!r}")
     return eff_cfg, results, table
 
 

@@ -21,6 +21,7 @@ from .phase_space import (
     LinearForm,
     PhaseSpaceBasis,
     QuadraticForm,
+    _count,
     make_quadratic_form,
 )
 from .spectral import Classification, _cluster, _verdicts
@@ -140,10 +141,8 @@ def sb_operator(B: float) -> QuadraticForm:
     if not math.isfinite(B):
         raise ValueError("B must be finite")
     c = B * B / 4.0
-    terms = [(PX, PX, 1.0), (PY, PY, 1.0)]
-    if B != 0.0:
-        terms += [(X, X, c), (Y, Y, c), (X, PY, B), (Y, PX, -B)]
-    return make_quadratic_form(2, terms)
+    return make_quadratic_form(2, [(PX, PX, 1.0), (PY, PY, 1.0), (X, X, c),
+                                   (Y, Y, c), (X, PY, B), (Y, PX, -B)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,6 +198,7 @@ def random_positive_definite_form(
     K: int, seed: int, spread: tuple[float, float] = (0.6, 1.8)
 ) -> QuadraticForm:
     """Random gamma with eigenvalues uniform in [spread); reproducible."""
+    K = _count(K, 1, "K must be a positive integer")
     lo, hi = spread
     if not (0 < lo < hi):
         raise ValueError("spread must satisfy 0 < lo < hi")

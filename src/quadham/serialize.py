@@ -4,9 +4,9 @@ Floats are rendered with fixed formats (%.12e in JSON, %.9e in CSV) so byte
 output is reproducible across runs and platforms; keys are emitted sorted.
 A dataclass record is emitted as the JSON object of its fields.
 JSON values and CSV cells share one dispatch: a value of exact type float,
-int, str, list, tuple, dict, None or bool goes straight to its token; any
-other type (subclass, enum, numpy scalar or array, complex, record) takes an
-ordered chain of isinstance checks.
+int, str, list, tuple, dict, None or bool goes straight to its token, a JSON
+record to its fields; any other type (subclass, enum, numpy scalar or array,
+complex, a CSV record) takes an ordered chain of isinstance checks.
 The JSON encoder is hand-rolled because the stdlib encoder does not let a
 caller pin the float format.
 """
@@ -56,7 +56,9 @@ def _emit(obj, fmt: str, csv: bool) -> str:
         return "" if csv else "null"
     if t is bool:
         return "true" if obj else "false"
-    if csv or (t is not list and t is not tuple and t is not dict):
+    if not csv and dataclasses.is_dataclass(t):  # a record, before the ABCs
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    elif csv or (t is not list and t is not tuple and t is not dict):
         if isinstance(obj, enum.Enum):
             return _emit(obj.value, fmt, csv)
         if isinstance(obj, str):
@@ -76,9 +78,7 @@ def _emit(obj, fmt: str, csv: bool) -> str:
         if isinstance(obj, np.ndarray):
             return _emit(obj.tolist(), fmt, False)
         if not isinstance(obj, (dict, list, tuple)):
-            if not dataclasses.is_dataclass(obj) or isinstance(obj, type):
-                raise TypeError(f"cannot serialise {t.__name__} to JSON")
-            obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+            raise TypeError(f"cannot serialise {t.__name__} to JSON")
     if not isinstance(obj, dict):
         return "[" + ", ".join([_emit(v, fmt, False) for v in obj]) + "]"
     items = []

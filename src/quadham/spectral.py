@@ -110,7 +110,7 @@ class SpectrumReport:
     gamma_min: float | None = None   # smallest eigenvalue of gamma
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class LatticeLevel:
     energy: float
     states: tuple[tuple[int, ...], ...]
@@ -254,8 +254,6 @@ def _canonical_phase(vec: np.ndarray) -> np.ndarray:
     """Rotate so the first significant coefficient is positive real."""
     mags = abs(vec).tolist()
     m = max(mags)
-    if m == 0.0:
-        return vec
     pivot = vec[next(i for i, x in enumerate(mags) if x > 1e-12 * m)]
     return vec * (abs(pivot) / pivot)
 
@@ -667,22 +665,9 @@ def spectrum_lattice(r: SpectrumReport, max_quanta: int) -> list[LatticeLevel]:
                 if not unbounded:
                     states.sort()
                 states = tuple(states)
-            levels.append(_level(shell_energies[g[0]], states, infinite))
+            levels.append(LatticeLevel(shell_energies[g[0]], states,
+                                       len(states), infinite))
     return levels
-
-
-def _level(energy: float, states: tuple, infinite: bool) -> LatticeLevel:
-    """LatticeLevel(energy, states, len(states), infinite) without the
-    frozen-dataclass __init__, which costs more than the rest of building a
-    one-state level.  The fields are set as that __init__ sets them, not
-    through __dict__, so the instance keeps its compact attribute layout."""
-    level = object.__new__(LatticeLevel)
-    set_field = object.__setattr__
-    set_field(level, "energy", energy)
-    set_field(level, "states", states)
-    set_field(level, "degeneracy", len(states))
-    set_field(level, "infinite", infinite)
-    return level
 
 
 def _multi_indices(r: int, max_total: int) -> list[tuple[int, ...]]:

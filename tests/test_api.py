@@ -39,8 +39,6 @@ UNCHECKED_CONSTRUCTORS = {
                                                "integer pairs over a positive "
                                                "denominator, which __init__ "
                                                "would rebuild from a polynomial",
-    "spectral._level": "the frozen-dataclass __init__ made spectrum_lattice "
-                       "over K = 1-6 forms 7.6% slower",
 }
 
 

@@ -445,6 +445,8 @@ class TestRequestLimits:
 
 
 class TestConfigErrorTexts:
+    OSC_B = {"preset": "oscillator-b", "b": 1.0}
+
     @pytest.mark.parametrize("payload, message", [
         ({"preset": "mystery", "b": 1.0},
          "unknown preset 'mystery'; expected one of oscillator-b, physical, "
@@ -462,10 +464,51 @@ class TestConfigErrorTexts:
          "config key 'm1' must be a number"),
         ({"preset": "oscillator-b", "b": 1.0, "mu": -1},
          "mu must be positive and finite"),
-    ], ids=["preset", "missing", "unknown", "K", "spread", "m1", "mu"])
+        ({"preset": "random-pd", "K": 0, "seed": 1},
+         "config key 'K' must be a positive integer"),
+        ({"preset": "random-pd", "K": -1, "seed": 1},
+         "config key 'K' must be a positive integer"),
+        ({"preset": "random-pd", "K": 2, "seed": -5},
+         "config key 'seed' must be a non-negative integer"),
+        ([1, 2], "config must be a JSON object"),
+        ({"K": 1, "offset": 0.0},
+         "config needs either 'preset' or an explicit 'gamma'"),
+        ({"K": 1, "gamma": [[1.0, 0.0], [0.0, 1.0]], "tilt": 1},
+         "unknown key(s) in explicit config: tilt"),
+        ({"gamma": [[1.0, 0.0], [0.0, 1.0]]},
+         "explicit config needs the mode count 'K'"),
+        ({"K": 0, "gamma": []}, "config key 'K' must be a positive integer"),
+    ], ids=["preset", "missing", "unknown", "K", "spread", "m1", "mu",
+            "random-K-0", "random-K-negative", "random-seed-negative", "not-object",
+            "explicit-no-gamma", "explicit-unknown", "explicit-no-K",
+            "explicit-K-0"])
     def test_message(self, payload, message, tmp_path, capsys):
         code = cli.main(["analyze", "--config", write_config(tmp_path, payload)])
         assert code == 2
+        assert capsys.readouterr().err == f"quadham: config error: {message}\n"
+
+    @pytest.mark.parametrize("argv, payload, message", [
+        (["analyze", "--seed", "-5"], {"preset": "random-pd", "K": 2, "seed": 1},
+         "config key 'seed' must be a non-negative integer"),
+        (["scan", "--from", "0", "--to", "1", "--steps", "0"], OSC_B,
+         "--steps must be at least 1"),
+        (["verify", "--n-max", "-1"], OSC_B, "--n-max must be non-negative"),
+        (["verify", "--max-quanta", "-1"], OSC_B, "--max-quanta must be non-negative"),
+        (["verify", "--max-levels", "0"], OSC_B, "--max-levels must be at least 1"),
+        (["spectrum", "--max-quanta", "-1"], OSC_B,
+         "--max-quanta must be non-negative"),
+        (["wavefunction", "-1", "0"], OSC_B,
+         "quantum numbers m and n must be non-negative"),
+        (["wavefunction", "0", "0"], {"preset": "sb", "B": 1.0},
+         "exact eigenfunctions for the 'sb' preset need |B| = 2, where the form "
+         "coincides with the symmetric model"),
+    ], ids=["seed-option", "scan-steps", "verify-n-max", "verify-max-quanta",
+            "verify-max-levels", "spectrum-max-quanta", "wavefunction-m",
+            "wavefunction-sb"])
+    def test_command_message(self, argv, payload, message, tmp_path, capsys):
+        code, text = run_cli(argv + ["--config", write_config(tmp_path, payload)],
+                             tmp_path)
+        assert code == 2 and text is None
         assert capsys.readouterr().err == f"quadham: config error: {message}\n"
 
 

@@ -181,6 +181,15 @@ class TestSbOperator:
         with pytest.raises(ValueError):
             sb_operator(math.inf)
 
+    @pytest.mark.parametrize("B", [0.0, -0.0])
+    def test_zero_field_bits(self, B):
+        # the four field terms at B = +-0.0 add nothing to gamma or offset
+        q = sb_operator(B)
+        ref = make_quadratic_form(2, [(PX, PX, 1.0), (PY, PY, 1.0)])
+        assert q.gamma.tobytes() == ref.gamma.tobytes()
+        assert math.copysign(1.0, q.offset) == math.copysign(1.0, ref.offset)
+        assert q.offset == ref.offset
+
 
 class TestSymmetricLadders:
     def test_frequencies(self):
@@ -254,6 +263,15 @@ class TestRandomForms:
             random_positive_definite_form(1, seed=0, spread=(0.0, 1.0))
         with pytest.raises(ValueError):
             random_positive_definite_form(1, seed=0, spread=(2.0, 1.0))
+
+    @pytest.mark.parametrize("K", [0, -1, True, 1.0])
+    def test_mode_count_checked_before_any_draw(self, K, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match="^K must be a positive integer$"):
+            random_positive_definite_form(K, seed=0)
+        assert drawn == []
 
 
 class TestSymmetricEnergy:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -126,11 +128,31 @@ class TestQuadraticForm:
         with pytest.raises(ValueError):
             QuadraticForm(basis, g, 0.0)
 
+    @pytest.mark.parametrize("gamma, offset, message", [
+        (np.eye(3), 0.0, "gamma must be 2x2, got (3, 3)"),
+        ([[1.0, np.nan], [np.nan, 1.0]], 0.0, "gamma entries must be finite"),
+        ([[1.0, 0.1], [0.100000001, 1.0]], 0.0, "gamma must be exactly symmetric"),
+        (np.eye(2), np.inf, "offset must be finite"),
+    ], ids=["shape", "non-finite", "asymmetric", "offset"])
+    def test_invalid_input(self, gamma, offset, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            QuadraticForm(PhaseSpaceBasis(1), gamma, offset)
+
     def test_basis_mismatch(self):
         a = make_quadratic_form(1, [(1, 1, 1.0)])
         b = make_quadratic_form(2, [(1, 1, 1.0)])
         with pytest.raises(BasisMismatchError):
             quadratic_commutator(a, b)
+
+
+class TestLinearForm:
+    @pytest.mark.parametrize("coeffs, message", [
+        ([1.0, 0.0, 0.0], "coefficient vector must have length 2, got shape (3,)"),
+        ([1.0, complex(0.0, np.inf)], "coefficients must be finite"),
+    ], ids=["length", "non-finite"])
+    def test_invalid_input(self, coeffs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LinearForm(PhaseSpaceBasis(1), coeffs)
 
 
 class TestAdjointRepresentation:

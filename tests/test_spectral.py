@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -9,6 +12,7 @@ from quadham import (
     Classification,
     LadderCheckError,
     LatticeCapError,
+    LatticeLevel,
     LatticeUnavailableError,
     LinearForm,
     NonRealFrequencyError,
@@ -575,6 +579,21 @@ class TestSpectrumLattice:
         merged = [lv for lv in spectrum_lattice(rep, 2) if set(lv.states) == set(states)]
         assert len(merged) == 1
         assert merged[0].states == states
+
+
+    @pytest.mark.parametrize("b", [0.0, 2.0, 3.0], ids=["merged", "critical",
+                                                      "unbounded"])
+    def test_level_record(self, b):
+        # a frozen slotted record: no __dict__, fields survive copy and pickle
+        for lv in spectrum_lattice(classify_spectrum(model_form(b)), 3):
+            assert not hasattr(lv, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                lv.energy = 0.0
+            assert lv.degeneracy == len(lv.states)
+            fields = dataclasses.astuple(lv)
+            for twin in (copy.copy(lv), pickle.loads(pickle.dumps(lv))):
+                assert type(twin) is LatticeLevel and twin is not lv
+                assert dataclasses.astuple(twin) == fields
 
 
 class TestLatticeCap:

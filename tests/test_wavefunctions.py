@@ -318,6 +318,46 @@ class TestAlgebra:
         assert s.render() == "x^2 * exp(-(x^2 + y^2)/2)"
 
 
+ZERO_1 = PolyGaussian(1, {}, PiScale.one())
+
+
+class TestInputChecks:
+    def test_inner_needs_equal_mode_counts(self):
+        with pytest.raises(ValueError, match="^states have different mode counts$"):
+            inner(vacuum(1), vacuum(2))
+
+    def test_eigenfunction_forms_share_a_basis(self):
+        with pytest.raises(ValueError, match="^ladder forms live on different bases$"):
+            build_eigenfunction(unit_form(1, 0), unit_form(2, 0), 1, 1)
+
+    @pytest.mark.parametrize("a, b, want", [
+        (vacuum(1), vacuum(2), None),
+        (ZERO_1, ZERO_1, 1),
+        (vacuum(1), ZERO_1, None),
+        (ZERO_1, vacuum(1), 0),
+        (apply_linear_form(unit_form(1, 0), vacuum(1)), vacuum(1), None),
+    ], ids=["mode-counts", "zero-over-zero", "state-over-zero", "zero-over-state",
+            "supports"])
+    def test_scalar_multiple_edges(self, a, b, want):
+        amount = is_scalar_multiple_exact(a, b)
+        if want is None:
+            assert amount is None
+        else:
+            assert amount.equals_rational(want) and amount.factor.is_one
+
+    @pytest.mark.parametrize("coeff, factor, value, want", [
+        (ComplexRational(1, 1), PiScale.one(), 1, False),
+        (ComplexRational(1), PiScale(1, 2), 1, False),
+        (ComplexRational(-1), PiScale.one(), 1, False),
+        (ComplexRational(1), PiScale.one(), -1, False),
+        (ComplexRational(-1), PiScale.one(), -1, True),
+        (ComplexRational(1), PiScale(4), 2, True),
+    ], ids=["imaginary", "pi", "negative-coeff", "negative-value", "minus-one",
+            "radicand"])
+    def test_equals_rational(self, coeff, factor, value, want):
+        assert wf.ExactAmount(coeff, factor).equals_rational(value) is want
+
+
 def _reference_quadratic_action(q, s):
     """sum_ab gamma_ab O_a(O_b s) + offset * s, one double application each."""
     K = s.K
