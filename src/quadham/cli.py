@@ -40,8 +40,8 @@ from .wavefunctions import (
 )
 from . import tolerances as tol
 
-# largest m + n the wavefunction command builds; (60, 60) takes 46-77 ms on
-# 2 vCPUs of a shared host (best of 5)
+# largest m + n the wavefunction command builds; (60, 60) takes 31-54 ms on
+# 2 vCPUs of a shared host (best of 5, seven runs)
 MAX_WAVEFUNCTION_QUANTA = 120
 # most samples a scan takes; phase_scan(-3, 3, 1001) costs 13-24 us a
 # sample, 10**4 samples 0.13-0.22 s (2 vCPUs of a shared host, best of 5)

@@ -159,23 +159,28 @@ class LadderSpec:
     rotation_weight: float
 
 
+# the rows of `symmetric_ladders`: (coefficients, isotropic shift, rotation weight)
+_LADDER_ROWS = (
+    ((-1j, -1.0, 1.0, -1j), -2.0, -1.0),
+    ((1j, 1.0, 1.0, -1j), 2.0, -1.0),
+    ((-1j, 1.0, 1.0, 1j), -2.0, 1.0),
+    ((1j, -1.0, 1.0, 1j), 2.0, 1.0),
+)
+
+
+def _ladder(row: int) -> LadderSpec:
+    coeffs, shift, weight = _LADDER_ROWS[row]
+    return LadderSpec(LinearForm(_TWO_MODES, np.array(coeffs, dtype=complex)),
+                      shift, weight)
+
+
 def symmetric_ladders() -> tuple[LadderSpec, ...]:
     """The four b-independent ladder operators of the mu = k = 1 model.
 
     Coefficient rows are over (x, y, px, py); shifts/weights give frequencies
     (-2 - b, 2 - b, -2 + b, 2 + b).
     """
-    basis = PhaseSpaceBasis(2)
-    rows = [
-        ((-1j, -1.0, 1.0, -1j), -2.0, -1.0),
-        ((1j, 1.0, 1.0, -1j), 2.0, -1.0),
-        ((-1j, 1.0, 1.0, 1j), -2.0, 1.0),
-        ((1j, -1.0, 1.0, 1j), 2.0, 1.0),
-    ]
-    return tuple(
-        LadderSpec(LinearForm(basis, np.array(c, dtype=complex)), shift, weight)
-        for c, shift, weight in rows
-    )
+    return tuple(_ladder(row) for row in range(4))
 
 
 def symmetric_raising_pair() -> tuple[LadderSpec, ...]:
@@ -184,8 +189,7 @@ def symmetric_raising_pair() -> tuple[LadderSpec, ...]:
     Applied to the Gaussian ground state they generate the whole lattice;
     the first raises angular momentum by one, the second lowers it.
     """
-    ladders = symmetric_ladders()
-    return ladders[3], ladders[1]
+    return _ladder(3), _ladder(1)
 
 
 def symmetric_energy(b: float | Fraction, m: int, n: int) -> float | Fraction:
@@ -197,11 +201,18 @@ def symmetric_energy(b: float | Fraction, m: int, n: int) -> float | Fraction:
 def random_positive_definite_form(
     K: int, seed: int, spread: tuple[float, float] = (0.6, 1.8)
 ) -> QuadraticForm:
-    """Random gamma with eigenvalues uniform in [spread); reproducible."""
+    """Random gamma with eigenvalues uniform in [spread); reproducible.
+
+    seed is a non-negative integer and spread a finite (lo, hi), both
+    checked before anything is drawn.
+    """
     K = _count(K, 1, "K must be a positive integer")
+    seed = _count(seed, 0, "seed must be a non-negative integer")
     lo, hi = spread
     if not (0 < lo < hi):
         raise ValueError("spread must satisfy 0 < lo < hi")
+    if not math.isfinite(hi):
+        raise ValueError("spread must be finite")
     rng = np.random.default_rng(seed)
     n = 2 * K
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))

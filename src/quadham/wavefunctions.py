@@ -259,13 +259,17 @@ def _from_ints(terms: dict, den: int) -> dict:
             for k, (re, im) in terms.items()}
 
 
+def _content(terms: dict) -> tuple[int, dict]:
+    """(g, terms / g) for nonzero terms, g the gcd of every numerator."""
+    g = math.gcd(*(part for pair in terms.values() for part in pair))
+    return g, {k: (re // g, im // g) for k, (re, im) in terms.items()}
+
+
 def _canonical(K: int, terms: dict, den: int, scale: PiScale) -> "PolyGaussian":
     """scale * (terms / den) * G for nonzero terms, the positive rational
     content of the polynomial moved into the scale; sign and phase stay."""
-    g = math.gcd(*(part for pair in terms.values() for part in pair))
-    return PolyGaussian._from_kernel(
-        K, {k: (re // g, im // g) for k, (re, im) in terms.items()}, 1,
-        scale * Fraction(g, den))
+    g, primitive = _content(terms)
+    return PolyGaussian._from_kernel(K, primitive, 1, scale * Fraction(g, den))
 
 
 def _render_gaussian(labels: list[str]) -> str:
@@ -307,7 +311,8 @@ def _term_pieces(re: int, im: int, den: int, mono: str) -> tuple[bool, str]:
 
 
 def _render_poly(terms: dict, den: int, labels: list[str]) -> str:
-    keys = sorted(terms, key=lambda k: (sum(k), tuple(-e for e in k)))
+    # ascending total degree, then descending exponents; the keys are unique
+    keys = sorted(terms, key=lambda k: (-sum(k), k), reverse=True)
     out = []
     for key in keys:
         neg, body = _term_pieces(*terms[key], den, _mono_str(key, labels))
@@ -348,7 +353,7 @@ def apply_linear_form(z: LinearForm, s: PolyGaussian) -> PolyGaussian:
     """Act with sum_j (cx_j x_j + cp_j p_j); coefficients convert exactly."""
     if z.basis.K != s.K:
         raise ValueError("linear form and state have different mode counts")
-    coeffs, den = _ints(complex(c) for c in z.coeffs)
+    coeffs, den = _ints(z.coeffs.tolist())
     return _applied(s, _linear_table(coeffs), den)
 
 
@@ -370,11 +375,12 @@ def _quadratic_table(q: QuadraticForm) -> tuple[tuple, int]:
     (j, dj, k, dk, coefficient) for A_jk + A_kj (j <= k, the j = k entry
     once) with dj = dk = +1, for B_jk (j != k) with dj = +1, dk = -1, and for
     C_jk + C_kj (j <= k) with dj = dk = -1.  Entries that cancel to zero
-    are dropped; gamma and offset are real.
+    are dropped; gamma and offset are real floats, exact over one denominator.
     """
     K = q.basis.K
-    pairs, den = _ints([*q.gamma.ravel().tolist(), q.offset])
-    *g, offset = (re for re, _ in pairs)
+    ratios = [v.as_integer_ratio() for v in (*q.gamma.ravel().tolist(), q.offset)]
+    den = math.lcm(*(d for _, d in ratios))
+    *g, offset = (n * (den // d) for n, d in ratios)
     G = [g[r * 2 * K:(r + 1) * 2 * K] for r in range(2 * K)]
 
     def a(j, k):
@@ -519,8 +525,10 @@ def is_scalar_multiple_exact(a: PolyGaussian, b: PolyGaussian) -> ExactAmount | 
         if (ar * qr - ai * qi != pr * br - pi * bi
                 or ar * qi + ai * qr != pr * bi + pi * br):
             return None
-    ratio = ComplexRational(Fraction(pr * db), Fraction(pi * db)) \
-        / ComplexRational(qr * da, qi * da)
+    # (p / da) / (q / db) = p conj(q) db / (|q|^2 da)
+    den = (qr * qr + qi * qi) * da
+    ratio = ComplexRational(Fraction((pr * qr + pi * qi) * db, den),
+                            Fraction((pi * qr - pr * qi) * db, den))
     return ExactAmount(ratio, a.scale / b.scale)
 
 
@@ -612,8 +620,8 @@ def build_eigenfunction(z_first: LinearForm, z_second: LinearForm,
             for q in (m, n))
     if z_first.basis != z_second.basis:
         raise ValueError("ladder forms live on different bases")
-    first, first_den = _ints(complex(c) for c in z_first.coeffs)
-    second, second_den = _ints(complex(c) for c in z_second.coeffs)
+    first, first_den = _ints(z_first.coeffs.tolist())
+    second, second_den = _ints(z_second.coeffs.tolist())
     K = z_first.basis.K
     base = m + n + 1
     shifts = [base ** j for j in range(K)]
@@ -648,11 +656,13 @@ def build_eigenfunction(z_first: LinearForm, z_second: LinearForm,
             terms[tuple(exps)] = pair
     if not terms:
         raise ValueError("ladder application annihilated the state")
-    den = first_den ** m * second_den ** n
     c = _creation_norms(first, second)
     if c is None:  # the vacuum's scale is pi^(-K/4)
-        return normalized_copy(PolyGaussian._from_kernel(K, terms, den,
-                                                         PiScale(1, -K)))
-    sq = Fraction(math.factorial(m) * math.factorial(n) * c[0] ** m * c[1] ** n,
-                  den * den)
-    return _canonical(K, terms, den, PiScale(1 / sq, -K))
+        return normalized_copy(PolyGaussian._from_kernel(
+            K, terms, first_den ** m * second_den ** n, PiScale(1, -K)))
+    # terms over den have squared norm N / den^2, N = m! n! c_Z^m c_W^n, so
+    # with their content g moved out the scale's radicand is g^2 / N
+    g, primitive = _content(terms)
+    norm = math.factorial(m) * math.factorial(n) * c[0] ** m * c[1] ** n
+    return PolyGaussian._from_kernel(K, primitive, 1,
+                                     PiScale(Fraction(g * g, norm), -K))

@@ -6,9 +6,11 @@ of gamma), inner product, canonical form, scalar-multiple test, number
 conversion, rendering, evaluation and linear structure that
 quadham.wavefunctions computed over the ``.poly`` view before it moved to
 Gaussian integers and to one operator-table kernel; the integer code must
-reproduce them exactly.  ``build_eigenfunction``, which sums its
-closed-form recurrence instead of applying the ladder forms, must equal
-m + n ``apply_linear_form`` passes from the vacuum (``_raw_state``).
+reproduce them exactly, as ``_quadratic_table`` must reproduce
+``ref_quadratic_table``, which converts gamma through ``_ints``.
+``build_eigenfunction``, which sums its closed-form recurrence instead of
+applying the ladder forms, must equal m + n ``apply_linear_form`` passes
+from the vacuum (``_raw_state``).
 """
 
 import copy
@@ -17,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import unit_form
 from quadham import (
@@ -647,3 +650,139 @@ class TestPreconditionFailuresUseInner:
         lowering = symmetric_ladders()[2].form
         with pytest.raises(ValueError, match="annihilated"):
             build_eigenfunction(lowering, symmetric_raising_pair()[1].form, 1, 0)
+
+
+# ---- integer paths against their Fraction routes ----------------------------
+
+def ref_quadratic_table(q):
+    """_quadratic_table with gamma and offset converted through ``_ints``."""
+    K = q.basis.K
+    pairs, den = wf._ints([*q.gamma.ravel().tolist(), q.offset])
+    *g, offset = (re for re, _ in pairs)
+    G = [g[r * 2 * K:(r + 1) * 2 * K] for r in range(2 * K)]
+
+    def a(j, k):
+        return G[j][k] - G[K + j][K + k], G[j][K + k] + G[K + j][k]
+
+    def b(j, k):
+        return G[K + j][K + k] + G[K + k][K + j], -(G[j][K + k] + G[K + k][j])
+
+    def c(j, k):
+        return -G[K + j][K + k], 0
+
+    def sym(f, j, k):
+        (ur, ui), (vr, vi) = f(j, k), f(k, j)
+        return (ur, ui) if j == k else (ur + vr, ui + vi)
+
+    c0 = (offset + sum(G[K + j][K + j] for j in range(K)),
+          -sum(G[K + j][j] for j in range(K)))
+    modes = range(K)
+    diag = [(j, b(j, j)) for j in modes]
+    moves = [(j, 1, k, 1, sym(a, j, k)) for j in modes for k in modes if j <= k]
+    moves += [(j, 1, k, -1, b(j, k)) for j in modes for k in modes if j != k]
+    moves += [(j, -1, k, -1, sym(c, j, k)) for j in modes for k in modes if j <= k]
+    return (c0, [d for d in diag if d[1] != (0, 0)],
+            [mv for mv in moves if mv[4] != (0, 0)]), den
+
+
+_SPECIAL_ENTRIES = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308)
+_entries = st.one_of(st.sampled_from(_SPECIAL_ENTRIES),
+                     st.integers(-64, 64).map(lambda n: n / 16.0))
+
+
+@st.composite
+def dyadic_forms(draw):
+    """A symmetric dyadic gamma, K = 1-4, possibly with zero rows, and an offset."""
+    K = draw(st.integers(1, 4))
+    n = 2 * K
+    g = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            g[i, j] = g[j, i] = draw(_entries)
+    for row in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        g[row, :] = 0.0
+        g[:, row] = 0.0
+    return QuadraticForm(PhaseSpaceBasis(K), g, draw(_entries))
+
+
+def _single_term(K, pair, den):
+    return PolyGaussian._from_kernel(K, {(1,) * K: pair}, den, PiScale(1, -K))
+
+
+_gaussian = st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+
+
+class TestIntegerPathsMatchFractionRoute:
+    def test_scalar_multiple_with_complex_ratio_and_unequal_denominators(self):
+        for K, seed in CASES:
+            rng = np.random.default_rng(seed)
+            b = random_state(rng, K)
+            r = ComplexRational(Fraction(-7, 12), Fraction(5, 9))
+            a = b.scalar_mul(r)
+            assert a._den != b._den
+            got = is_scalar_multiple_exact(a, b)
+            key = next(iter(b._terms))
+            (pr, pi), (qr, qi) = a._terms[key], b._terms[key]
+            want = ComplexRational(Fraction(pr * b._den), Fraction(pi * b._den)) \
+                / ComplexRational(qr * a._den, qi * a._den)
+            assert got.coeff == want == ref_scalar_multiple(a, b) == r
+            assert got.coeff.re.imag == got.coeff.im.imag == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=_gaussian, q=_gaussian, da=st.integers(1, 10**4),
+           db=st.integers(1, 10**4), K=st.integers(1, 3))
+    def test_ratio_equals_complex_rational_division(self, p, q, da, db, K):
+        assume(p != (0, 0) and q != (0, 0))
+        got = is_scalar_multiple_exact(_single_term(K, p, da),
+                                       _single_term(K, q, db))
+        want = ComplexRational(Fraction(p[0], da), Fraction(p[1], da)) \
+            / ComplexRational(Fraction(q[0], db), Fraction(q[1], db))
+        assert got.coeff == want and got.factor == PiScale.one()
+        for part, ref in ((got.coeff.re, want.re), (got.coeff.im, want.im)):
+            assert (part.numerator, part.denominator) == (ref.numerator,
+                                                          ref.denominator)
+
+    @settings(max_examples=300, deadline=None)
+    @given(q=dyadic_forms())
+    @example(q=_model(0.375))
+    @example(q=angular_momentum_form())
+    @example(q=_cross_form(np.random.default_rng(0), 3))
+    def test_quadratic_table_equals_ints_route(self, q):
+        got, den = wf._quadratic_table(q)
+        want, want_den = ref_quadratic_table(q)
+        assert den == want_den
+        assert got[0] == want[0]
+        assert list(got[1]) == list(want[1]) and list(got[2]) == list(want[2])
+        assert all(type(x) is int for x in (*got[0], den))
+
+    def test_closed_form_scale_equals_normalized_copy(self, monkeypatch):
+        z, w = (spec.form for spec in symmetric_raising_pair())
+        closed = {(m, n): build_eigenfunction(z, w, m, n)
+                  for m in range(9) for n in range(9 - m)}
+        # without the closed form, the same sum is normalised through inner
+        monkeypatch.setattr(wf, "_creation_norms", lambda first, second: None)
+        calls = _counting_inner(monkeypatch)
+        for (m, n), psi in closed.items():
+            calls.clear()
+            want = build_eigenfunction(z, w, m, n)
+            assert calls, (m, n)
+            assert psi.scale == want.scale, (m, n)
+            assert (psi.scale.q.numerator, psi.scale.q.denominator) == (
+                want.scale.q.numerator, want.scale.q.denominator)
+            assert psi._terms == want._terms and psi._den == want._den == 1
+            assert psi.scale == normalized_copy(_raw_state(z, w, m, n)).scale
+
+    def test_raising_pair_is_two_of_the_ladders(self):
+        ladders = symmetric_ladders()
+        pair = symmetric_raising_pair()
+        assert len(pair) == 2
+        for spec, want in zip(pair, (ladders[3], ladders[1])):
+            assert spec.form.coeffs.dtype == want.form.coeffs.dtype
+            assert spec.form.coeffs.tobytes() == want.form.coeffs.tobytes()
+            assert spec.form.basis == want.form.basis
+            assert (spec.isotropic_shift, spec.rotation_weight) == (
+                want.isotropic_shift, want.rotation_weight)
+        # each call builds its own arrays
+        pair[0].form.coeffs[:] = 0
+        assert symmetric_raising_pair()[0].form.coeffs.tobytes() \
+            == ladders[3].form.coeffs.tobytes()

@@ -273,6 +273,30 @@ class TestRandomForms:
             random_positive_definite_form(K, seed=0)
         assert drawn == []
 
+    @pytest.mark.parametrize("seed", [-5, 1.5, True, None, "3", np.float64(2.0)])
+    def test_seed_checked_before_any_draw(self, seed, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *args: drawn.append(args))
+        with pytest.raises(ValueError,
+                           match="^seed must be a non-negative integer$"):
+            random_positive_definite_form(2, seed=seed)
+        assert drawn == []
+
+    @pytest.mark.parametrize("spread", [(0.5, math.inf), (0.5, np.float64("inf"))])
+    def test_spread_checked_finite_before_any_draw(self, spread, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match="^spread must be finite$"):
+            random_positive_definite_form(2, seed=0, spread=spread)
+        assert drawn == []
+
+    def test_numpy_integer_seed_accepted(self):
+        a = random_positive_definite_form(2, seed=np.int64(11))
+        assert np.array_equal(a.gamma, random_positive_definite_form(2, seed=11).gamma)
+        assert random_positive_definite_form(1, seed=0).gamma.shape == (2, 2)
+
 
 class TestSymmetricEnergy:
     def test_formula(self):
