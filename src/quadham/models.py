@@ -10,6 +10,7 @@ loses definiteness.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -131,18 +132,37 @@ def isotropic_form() -> QuadraticForm:
     return build_model(DimensionlessModel(1.0, 1.0, 0.0))
 
 
+@functools.cache
 def angular_momentum_form() -> QuadraticForm:
-    """x py - y px (the generator the coupling term is proportional to)."""
+    """x py - y px (the generator the coupling term is proportional to).
+
+    Built on the first call; every call returns that one read-only form.
+    """
     return make_quadratic_form(2, [(X, PY, 1.0), (Y, PX, -1.0)])
 
 
 def sb_operator(B: float) -> QuadraticForm:
-    """(px - (B/2) y)^2 + (py + (B/2) x)^2, expanded into basis terms."""
+    """(px - (B/2) y)^2 + (py + (B/2) x)^2, gamma written directly.
+
+    Each entry has the bits `make_quadratic_form` sums for the monomials
+    px^2 + py^2 + c x^2 + c y^2 + B x py - B y px, c = B^2/4: 0.0 + c/2 + c/2
+    on the diagonal and 0.0 + B/2, 0.0 + (-B)/2 off it, with its errors for
+    a c that overflows and for a bool B.
+    """
     if not math.isfinite(B):
         raise ValueError("B must be finite")
     c = B * B / 4.0
-    return make_quadratic_form(2, [(PX, PX, 1.0), (PY, PY, 1.0), (X, X, c),
-                                   (Y, Y, c), (X, PY, B), (Y, PX, -B)])
+    if not math.isfinite(c):
+        raise ValueError(f"non-finite coefficient in term {(X, X, c)!r}")
+    if isinstance(B, bool):
+        raise ValueError(f"coefficient must be a real number, got {B!r}")
+    half_c = float(c) / 2.0
+    gamma = np.zeros((4, 4))
+    gamma[0, 0] = gamma[1, 1] = 0.0 + half_c + half_c
+    gamma[2, 2] = gamma[3, 3] = 1.0
+    gamma[0, 3] = gamma[3, 0] = 0.0 + float(B) / 2.0
+    gamma[1, 2] = gamma[2, 1] = 0.0 + float(-B) / 2.0
+    return QuadraticForm(_TWO_MODES, gamma, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,37 +179,33 @@ class LadderSpec:
     rotation_weight: float
 
 
-# the rows of `symmetric_ladders`: (coefficients, isotropic shift, rotation weight)
-_LADDER_ROWS = (
-    ((-1j, -1.0, 1.0, -1j), -2.0, -1.0),
-    ((1j, 1.0, 1.0, -1j), 2.0, -1.0),
-    ((-1j, 1.0, 1.0, 1j), -2.0, 1.0),
-    ((1j, -1.0, 1.0, 1j), 2.0, 1.0),
-)
-
-
-def _ladder(row: int) -> LadderSpec:
-    coeffs, shift, weight = _LADDER_ROWS[row]
-    return LadderSpec(LinearForm(_TWO_MODES, np.array(coeffs, dtype=complex)),
-                      shift, weight)
-
-
+@functools.cache
 def symmetric_ladders() -> tuple[LadderSpec, ...]:
     """The four b-independent ladder operators of the mu = k = 1 model.
 
     Coefficient rows are over (x, y, px, py); shifts/weights give frequencies
-    (-2 - b, 2 - b, -2 + b, 2 + b).
+    (-2 - b, 2 - b, -2 + b, 2 + b).  Built on the first call; every call
+    returns the same read-only ladders.
     """
-    return tuple(_ladder(row) for row in range(4))
+    rows = (  # (coefficients, isotropic shift, rotation weight)
+        ((-1j, -1.0, 1.0, -1j), -2.0, -1.0),
+        ((1j, 1.0, 1.0, -1j), 2.0, -1.0),
+        ((-1j, 1.0, 1.0, 1j), -2.0, 1.0),
+        ((1j, -1.0, 1.0, 1j), 2.0, 1.0),
+    )
+    return tuple(LadderSpec(LinearForm(_TWO_MODES, coeffs), shift, weight)
+                 for coeffs, shift, weight in rows)
 
 
 def symmetric_raising_pair() -> tuple[LadderSpec, ...]:
     """The two raising operators: frequencies 2 + b and 2 - b.
 
     Applied to the Gaussian ground state they generate the whole lattice;
-    the first raises angular momentum by one, the second lowers it.
+    the first raises angular momentum by one, the second lowers it.  They
+    are the shared ladders 3 and 1 of `symmetric_ladders`.
     """
-    return _ladder(3), _ladder(1)
+    ladders = symmetric_ladders()
+    return ladders[3], ladders[1]
 
 
 def symmetric_energy(b: float | Fraction, m: int, n: int) -> float | Fraction:

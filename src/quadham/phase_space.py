@@ -62,15 +62,36 @@ def _symplectic(K: int) -> np.ndarray:
     return J
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A view of a that no caller can write through or make writable: numpy
+    refuses to set WRITEABLE on a view of a read-only array."""
+    a.flags.writeable = False
+    return a.view()
+
+
+def _derived(form, make):
+    """make(form), computed on the form's first request and kept on it.
+
+    A form is a value: its arrays are read-only copies, so anything derived
+    from them holds for the form's lifetime.  make is a module-level
+    function of the form alone; nothing is keyed by the form's content.
+    """
+    kept = form._kept
+    try:
+        return kept[make]
+    except KeyError:  # setdefault: racing first calls all return one value
+        return kept.setdefault(make, make(form))
+
+
 @dataclass(frozen=True, eq=False)
 class LinearForm:
-    """First-order operator sum_i coeffs[i] O_i."""
+    """First-order operator sum_i coeffs[i] O_i; coeffs is a read-only copy."""
 
     basis: PhaseSpaceBasis
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
+        c = _read_only(np.array(self.coeffs, dtype=complex))
         if c.shape != (self.basis.dim,):
             raise ValueError(
                 f"coefficient vector must have length {self.basis.dim}, "
@@ -79,18 +100,26 @@ class LinearForm:
         if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "_kept", {})  # for `_derived`; not a field
+
+    def __reduce__(self):  # copies and pickles rebuild through the checks
+        return LinearForm, (self.basis, self.coeffs)
 
 
 @dataclass(frozen=True, eq=False)
 class QuadraticForm:
-    """H = sum_ij gamma_ij O_i O_j + offset, with gamma real symmetric."""
+    """H = sum_ij gamma_ij O_i O_j + offset, with gamma real symmetric.
+
+    gamma is a read-only copy of the caller's array, so a form cannot change
+    after its checks; data derived from it is computed once per form.
+    """
 
     basis: PhaseSpaceBasis
     gamma: np.ndarray
     offset: float = 0.0
 
     def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=float)
+        g = _read_only(np.array(self.gamma, dtype=float))
         d = self.basis.dim
         if g.shape != (d, d):
             raise ValueError(f"gamma must be {d}x{d}, got {g.shape}")
@@ -102,6 +131,10 @@ class QuadraticForm:
             raise ValueError("offset must be finite")
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "_kept", {})  # for `_derived`; not a field
+
+    def __reduce__(self):  # copies and pickles rebuild through the checks
+        return QuadraticForm, (self.basis, self.gamma, self.offset)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,10 +198,23 @@ def make_quadratic_form(K: int, terms) -> QuadraticForm:
     return QuadraticForm(basis, np.array(gamma), 0.0)
 
 
+def _adjoint_entries(q: QuadraticForm) -> np.ndarray:
+    """q's adjoint matrix 2 i gamma J, read-only."""
+    return _read_only(2j * (q.gamma @ _symplectic(q.basis.K)))
+
+
+def _adjoint_norm(q: QuadraticForm) -> float:
+    """The largest singular value of q's adjoint matrix."""
+    return float(np.linalg.svd(_derived(q, _adjoint_entries), compute_uv=False)[0])
+
+
 def adjoint_representation(q: QuadraticForm) -> AdjointMatrix:
-    """Closed-form adjoint matrix 2 i gamma J (gamma stored symmetric)."""
-    entries = 2j * (q.gamma @ _symplectic(q.basis.K))
-    return AdjointMatrix(entries=entries, source=q)
+    """Closed-form adjoint matrix 2 i gamma J (gamma stored symmetric).
+
+    The read-only entries are derived once per form; each call wraps them in
+    a new record, so no form holds a record that points back at it.
+    """
+    return AdjointMatrix(entries=_derived(q, _adjoint_entries), source=q)
 
 
 def linear_commutator(a: LinearForm, b: LinearForm) -> complex:

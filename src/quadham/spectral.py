@@ -33,7 +33,10 @@ from .phase_space import (
     LinearForm,
     PhaseSpaceBasis,
     QuadraticForm,
+    _adjoint_entries,
+    _adjoint_norm,
     _count,
+    _derived,
     _symplectic,
     adjoint_representation,
     linear_commutator,
@@ -359,15 +362,19 @@ def _ladders(grams: list[_Gram], basis) -> list[FrequencyPair]:
 
 
 def ladder_check(q: QuadraticForm, z: LinearForm) -> float:
-    """Verify [H, Z] = lambda Z through the adjoint matrix; return lambda."""
+    """Verify [H, Z] = lambda Z through the adjoint matrix; return lambda.
+
+    The adjoint entries and their norm are derived once per form, so every
+    candidate checked against one form shares them.
+    """
     if q.basis != z.basis:
         raise ValueError("form and candidate live on different bases")
     c = z.coeffs
     cn = float(np.linalg.norm(c))
     if cn == 0.0:
         raise ValueError("zero vector is not a ladder operator candidate")
-    M = adjoint_representation(q).entries
-    hnorm = float(np.linalg.svd(M, compute_uv=False)[0])
+    M = _derived(q, _adjoint_entries)
+    hnorm = _derived(q, _adjoint_norm)
     lam = complex((np.conj(c) @ (M @ c)) / (np.conj(c) @ c))
     residual = float(np.linalg.norm(M @ c - lam * c)) / cn
     t = tol.ladder_residual_tol(hnorm)

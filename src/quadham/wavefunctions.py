@@ -22,9 +22,10 @@ part as u.x - d.grad with u_j = cx_j + i cp_j and d_j = i cp_j, a
 first-order table.  A quadratic form sum_ab gamma_ab O_a O_b + offset acts
 as one second-order operator: sum_jk (A_jk x_j x_k + B_jk x_j d_k +
 C_jk d_j d_k) + c0.  Its table follows from p_j (f G) = (-i d_j f + i x_j f) G
-and is derived once per call, in Gaussian integers, with exact cancellations
+and is derived once per form, in Gaussian integers, with exact cancellations
 dropped: for gamma = identity the x_j^2 terms cancel and p_j^2 + x_j^2 leaves
--d_j^2 + 2 x_j d_j + 1.
+-d_j^2 + 2 x_j d_j + 1.  A linear form's numerators and its u, d split are
+likewise derived once per form; a form is a value, so they stay valid.
 
 ``build_eigenfunction`` builds Z^m W^n |0> from its generating function
 e^(sZ) e^(tW) |0>, a Gaussian because [Z, W] is a scalar: a finite sum of
@@ -48,7 +49,7 @@ from types import MappingProxyType
 import numpy as np
 
 from ._exact import ComplexRational, PiScale, _ratio_str, _rational_sqrt
-from .phase_space import LinearForm, PhaseSpaceBasis, QuadraticForm, _count
+from .phase_space import LinearForm, PhaseSpaceBasis, QuadraticForm, _count, _derived
 
 @dataclass(frozen=True, eq=False)
 class ExactAmount:
@@ -340,7 +341,7 @@ def _linear_table(coeffs: list) -> tuple:
     u, d = _split(coeffs)
     moves = [(j, 1, j, 0, uj) for j, uj in enumerate(u) if uj != (0, 0)]
     moves += [(j, -1, j, 0, (-dr, -di)) for j, (dr, di) in enumerate(d) if dr or di]
-    return (0, 0), [], moves
+    return (0, 0), (), tuple(moves)
 
 
 def _applied(s: PolyGaussian, table: tuple, den: int) -> PolyGaussian:
@@ -349,12 +350,25 @@ def _applied(s: PolyGaussian, table: tuple, den: int) -> PolyGaussian:
                                      s._den * den, s.scale)
 
 
+def _linear_parts(z: LinearForm) -> tuple:
+    """(numerators, denominator, u, d) of z: its Gaussian-integer
+    coefficients and their ``_split``, derived once per form."""
+    coeffs, den = _ints(z.coeffs.tolist())
+    u, d = _split(coeffs)
+    return tuple(coeffs), den, tuple(u), tuple(d)
+
+
+def _linear_operator(z: LinearForm) -> tuple[tuple, int]:
+    """z's first-order table over its denominator, derived once per form."""
+    coeffs, den, _, _ = _derived(z, _linear_parts)
+    return _linear_table(coeffs), den
+
+
 def apply_linear_form(z: LinearForm, s: PolyGaussian) -> PolyGaussian:
     """Act with sum_j (cx_j x_j + cp_j p_j); coefficients convert exactly."""
     if z.basis.K != s.K:
         raise ValueError("linear form and state have different mode counts")
-    coeffs, den = _ints(z.coeffs.tolist())
-    return _applied(s, _linear_table(coeffs), den)
+    return _applied(s, *_derived(z, _linear_operator))
 
 
 def _quadratic_table(q: QuadraticForm) -> tuple[tuple, int]:
@@ -403,8 +417,8 @@ def _quadratic_table(q: QuadraticForm) -> tuple[tuple, int]:
     moves = [(j, 1, k, 1, sym(a, j, k)) for j in modes for k in modes if j <= k]
     moves += [(j, 1, k, -1, b(j, k)) for j in modes for k in modes if j != k]
     moves += [(j, -1, k, -1, sym(c, j, k)) for j in modes for k in modes if j <= k]
-    return (c0, [d for d in diag if d[1] != (0, 0)],
-            [mv for mv in moves if mv[4] != (0, 0)]), den
+    return (c0, tuple(d for d in diag if d[1] != (0, 0)),
+            tuple(mv for mv in moves if mv[4] != (0, 0))), den
 
 
 def _act_table(terms: dict, table: tuple) -> dict:
@@ -451,7 +465,7 @@ def apply_quadratic_form(q: QuadraticForm, s: PolyGaussian) -> PolyGaussian:
     """Act with sum_ab gamma_ab O_a O_b + offset, exactly, in one pass."""
     if q.basis.K != s.K:
         raise ValueError("quadratic form and state have different mode counts")
-    return _applied(s, *_quadratic_table(q))
+    return _applied(s, *_derived(q, _quadratic_table))
 
 
 def inner(a: PolyGaussian, b: PolyGaussian) -> ExactAmount:
@@ -620,12 +634,11 @@ def build_eigenfunction(z_first: LinearForm, z_second: LinearForm,
             for q in (m, n))
     if z_first.basis != z_second.basis:
         raise ValueError("ladder forms live on different bases")
-    first, first_den = _ints(z_first.coeffs.tolist())
-    second, second_den = _ints(z_second.coeffs.tolist())
+    first, first_den, u_z, d_z = _derived(z_first, _linear_parts)
+    second, second_den, u_w, d_w = _derived(z_second, _linear_parts)
     K = z_first.basis.K
     base = m + n + 1
     shifts = [base ** j for j in range(K)]
-    (u_z, d_z), (u_w, d_w) = _split(first), _split(second)
     us = _hermite(u_z, _dot(u_z, d_z), m, shifts)
     vs = _hermite(u_w, _dot(u_w, d_w), n, shifts)
     kr, ki = _dot(u_w, d_z)

@@ -782,7 +782,9 @@ class TestIntegerPathsMatchFractionRoute:
             assert spec.form.basis == want.form.basis
             assert (spec.isotropic_shift, spec.rotation_weight) == (
                 want.isotropic_shift, want.rotation_weight)
-        # each call builds its own arrays
-        pair[0].form.coeffs[:] = 0
-        assert symmetric_raising_pair()[0].form.coeffs.tobytes() \
-            == ladders[3].form.coeffs.tobytes()
+        # the ladders are shared and read-only, so no caller can change what
+        # a later call returns
+        want = ladders[3].form.coeffs.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            pair[0].form.coeffs[:] = 0
+        assert symmetric_raising_pair()[0].form.coeffs.tobytes() == want

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -189,6 +190,37 @@ class TestSbOperator:
         assert q.gamma.tobytes() == ref.gamma.tobytes()
         assert math.copysign(1.0, q.offset) == math.copysign(1.0, ref.offset)
         assert q.offset == ref.offset
+
+    @staticmethod
+    def _by_monomials(B):
+        """sb_operator through make_quadratic_form's per-monomial sums."""
+        if not math.isfinite(B):
+            raise ValueError("B must be finite")
+        c = B * B / 4.0
+        return make_quadratic_form(2, [(PX, PX, 1.0), (PY, PY, 1.0), (X, X, c),
+                                       (Y, Y, c), (X, PY, B), (Y, PX, -B)])
+
+    @pytest.mark.parametrize("B", [0.0, -0.0, 5e-324, -5e-324, 0.38, -0.38,
+                                   2.0, -2.0, 1e154, -1e154, 1e200,
+                                   math.inf, -math.inf, math.nan])
+    def test_gamma_and_errors_match_the_monomial_route(self, B):
+        try:
+            ref = self._by_monomials(B)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                sb_operator(B)
+            assert B == 1e200 or not math.isfinite(B)
+            return
+        q = sb_operator(B)
+        assert q.gamma.tobytes() == ref.gamma.tobytes()
+        assert math.copysign(1.0, q.offset) == math.copysign(1.0, ref.offset)
+        assert q.offset == ref.offset == 0.0
+
+    def test_bool_field_rejected_as_the_monomial_route_rejects_it(self):
+        with pytest.raises(ValueError) as ref:
+            self._by_monomials(True)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(ref.value))}$"):
+            sb_operator(True)
 
 
 class TestSymmetricLadders:

@@ -1,20 +1,36 @@
+import copy
+import gc
+import pickle
 import re
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import adjoint_by_expansion, random_symmetric
 from quadham import (
     BasisMismatchError,
+    Classification,
     FockTruncation,
     LinearForm,
     NonHermitianFormError,
     PhaseSpaceBasis,
+    PiScale,
+    PolyGaussian,
+    QuadhamError,
     QuadraticForm,
     adjoint_representation,
+    angular_momentum_form,
+    apply_linear_form,
+    apply_quadratic_form,
+    classify_spectrum,
+    ladder_check,
     linear_commutator,
     make_quadratic_form,
     quadratic_commutator,
+    symmetric_ladders,
+    symmetric_raising_pair,
     vacuum,
 )
 from quadham.phase_space import _symplectic
@@ -121,6 +137,20 @@ class TestMakeQuadraticForm:
             make_quadratic_form(1, [(1, 1, float("nan"))])
 
 
+# (gamma, offset, message) of each QuadraticForm constructor error on K = 1
+QUADRATIC_ERRORS = [
+    (np.eye(3), 0.0, "gamma must be 2x2, got (3, 3)"),
+    ([[1.0, np.nan], [np.nan, 1.0]], 0.0, "gamma entries must be finite"),
+    ([[1.0, 0.1], [0.100000001, 1.0]], 0.0, "gamma must be exactly symmetric"),
+    (np.eye(2), np.inf, "offset must be finite"),
+]
+# (coeffs, message) of each LinearForm constructor error on K = 1
+LINEAR_ERRORS = [
+    ([1.0, 0.0, 0.0], "coefficient vector must have length 2, got shape (3,)"),
+    ([1.0, complex(0.0, np.inf)], "coefficients must be finite"),
+]
+
+
 class TestQuadraticForm:
     def test_requires_exact_symmetry(self):
         basis = PhaseSpaceBasis(1)
@@ -128,12 +158,8 @@ class TestQuadraticForm:
         with pytest.raises(ValueError):
             QuadraticForm(basis, g, 0.0)
 
-    @pytest.mark.parametrize("gamma, offset, message", [
-        (np.eye(3), 0.0, "gamma must be 2x2, got (3, 3)"),
-        ([[1.0, np.nan], [np.nan, 1.0]], 0.0, "gamma entries must be finite"),
-        ([[1.0, 0.1], [0.100000001, 1.0]], 0.0, "gamma must be exactly symmetric"),
-        (np.eye(2), np.inf, "offset must be finite"),
-    ], ids=["shape", "non-finite", "asymmetric", "offset"])
+    @pytest.mark.parametrize("gamma, offset, message", QUADRATIC_ERRORS,
+                             ids=["shape", "non-finite", "asymmetric", "offset"])
     def test_invalid_input(self, gamma, offset, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             QuadraticForm(PhaseSpaceBasis(1), gamma, offset)
@@ -146,10 +172,8 @@ class TestQuadraticForm:
 
 
 class TestLinearForm:
-    @pytest.mark.parametrize("coeffs, message", [
-        ([1.0, 0.0, 0.0], "coefficient vector must have length 2, got shape (3,)"),
-        ([1.0, complex(0.0, np.inf)], "coefficients must be finite"),
-    ], ids=["length", "non-finite"])
+    @pytest.mark.parametrize("coeffs, message", LINEAR_ERRORS,
+                             ids=["length", "non-finite"])
     def test_invalid_input(self, coeffs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             LinearForm(PhaseSpaceBasis(1), coeffs)
@@ -231,3 +255,181 @@ class TestQuadraticCommutator:
             mc = adjoint_representation(c).entries
             assert np.allclose(ma @ mb - mb @ ma, 1j * mc,
                                rtol=0.0, atol=1e-12)
+
+
+def _read_only_array(values, dtype) -> np.ndarray:
+    a = np.array(values, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
+class TestFormsAreValues:
+    """A form copies its array and marks the copy read-only, so nothing a
+    caller does after construction reaches the form or gets past its checks."""
+
+    def test_caller_array_changes_do_not_reach_the_form(self):
+        basis = PhaseSpaceBasis(2)
+        g = np.eye(4)
+        q = QuadraticForm(basis, g, 0.0)
+        before = classify_spectrum(q).classification
+        g[0, 0] = -5.0
+        assert q.gamma.tobytes() == np.eye(4).tobytes()
+        assert before is Classification.BOUNDED_BELOW_DISCRETE
+        assert classify_spectrum(q).classification is before
+        # the changed array is another spectrum class, so the copy matters
+        assert classify_spectrum(QuadraticForm(basis, g, 0.0)).classification \
+            is Classification.NON_REAL_FREQUENCIES
+        c = np.array([1.0, 0.5j])
+        z = LinearForm(PhaseSpaceBasis(1), c)
+        c[:] = 0.0
+        assert z.coeffs.tolist() == [1.0, 0.5j]
+
+    def test_arrays_cannot_be_written(self):
+        q = make_quadratic_form(1, [(1, 1, 1.0), (2, 2, 1.0)])
+        z = LinearForm(PhaseSpaceBasis(1), [1.0, 1j])
+        with pytest.raises(ValueError, match="read-only"):
+            q.gamma[1, 1] = np.nan
+        with pytest.raises(ValueError, match="read-only"):
+            z.coeffs[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            adjoint_representation(q).entries[0, 1] = 0.0
+        # nor made writable again
+        for a in (q.gamma, z.coeffs, adjoint_representation(q).entries):
+            with pytest.raises(ValueError):
+                a.flags.writeable = True
+        assert q.gamma.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_read_only_input(self):
+        g = _read_only_array(np.eye(2), float)
+        q = QuadraticForm(PhaseSpaceBasis(1), g, 0.5)
+        assert q.gamma.tobytes() == g.tobytes() and q.offset == 0.5
+        c = _read_only_array([1.0, 1j], complex)
+        z = LinearForm(PhaseSpaceBasis(1), c)
+        assert z.coeffs.tobytes() == c.tobytes()
+        # a form's own arrays are valid input too
+        assert QuadraticForm(q.basis, q.gamma, q.offset).gamma.tobytes() == g.tobytes()
+        assert LinearForm(z.basis, z.coeffs).coeffs.tobytes() == c.tobytes()
+
+    @pytest.mark.parametrize("gamma, offset, message", QUADRATIC_ERRORS,
+                             ids=["shape", "non-finite", "asymmetric", "offset"])
+    def test_quadratic_errors_unchanged_for_read_only_input(self, gamma, offset,
+                                                            message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            QuadraticForm(PhaseSpaceBasis(1), _read_only_array(gamma, float), offset)
+
+    @pytest.mark.parametrize("coeffs, message", LINEAR_ERRORS,
+                             ids=["length", "non-finite"])
+    def test_linear_errors_unchanged_for_read_only_input(self, coeffs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LinearForm(PhaseSpaceBasis(1), _read_only_array(coeffs, complex))
+
+    def test_copies_and_pickles_are_read_only_forms(self):
+        q = make_quadratic_form(2, [(1, 4, 1.5), (4, 1, 1.5), (2, 2, 0.25)])
+        z = LinearForm(PhaseSpaceBasis(2), [1.0, 1j, -0.5, 2.0])
+        adjoint_representation(q)
+        for twin in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+            assert type(twin) is QuadraticForm and twin.offset == q.offset
+            assert twin.gamma.tobytes() == q.gamma.tobytes()
+            assert not twin.gamma.flags.writeable
+        for twin in (copy.copy(z), copy.deepcopy(z), pickle.loads(pickle.dumps(z))):
+            assert type(twin) is LinearForm
+            assert twin.coeffs.tobytes() == z.coeffs.tobytes()
+            assert not twin.coeffs.flags.writeable
+
+    def test_derived_data_is_kept_per_form_not_per_content(self):
+        g = np.diag([1.0, 2.0, 3.0, 4.0])
+        a = QuadraticForm(PhaseSpaceBasis(2), g, 0.0)
+        b = QuadraticForm(PhaseSpaceBasis(2), g, 0.0)
+        assert adjoint_representation(a).entries is adjoint_representation(a).entries
+        assert adjoint_representation(a) is not adjoint_representation(a)
+        assert adjoint_representation(b).entries is not adjoint_representation(a).entries
+
+    def test_a_form_holds_no_reference_cycle(self):
+        # a form whose kept data pointed back at it would outlive its job
+        # until the cyclic collector ran
+        gc.disable()
+        try:
+            q = QuadraticForm(PhaseSpaceBasis(2), np.eye(4), 0.0)
+            z = symmetric_raising_pair()[0].form
+            z = LinearForm(z.basis, z.coeffs)
+            s = vacuum(2)
+            adjoint_representation(q)
+            ladder_check(q, z)
+            apply_quadratic_form(q, s)
+            apply_linear_form(z, s)
+            refs = weakref.ref(q), weakref.ref(z)
+            del q, z
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_constant_operators_are_shared_and_read_only(self):
+        lz = angular_momentum_form()
+        assert angular_momentum_form() is lz
+        assert not lz.gamma.flags.writeable
+        ladders = symmetric_ladders()
+        assert symmetric_ladders() is ladders
+        pair = symmetric_raising_pair()
+        assert pair[0] is ladders[3] and pair[1] is ladders[1]
+        assert all(a is b for a, b in zip(symmetric_raising_pair(), pair))
+        assert not any(spec.form.coeffs.flags.writeable for spec in ladders)
+
+
+_dyadic = st.integers(-64, 64).map(lambda n: n / 16.0)
+
+
+@st.composite
+def dyadic_cases(draw):
+    """A dyadic quadratic form on K = 1-3 modes (diagonally dominant, so
+    definite with ladder pairs, half the time), a dyadic linear form and a
+    small state on the same modes."""
+    K = draw(st.integers(1, 3))
+    n = 2 * K
+    g = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            g[i, j] = g[j, i] = draw(_dyadic)
+    if draw(st.booleans()):
+        g += np.diag(np.abs(g).sum(axis=1) + 1.0)
+    basis = PhaseSpaceBasis(K)
+    q = QuadraticForm(basis, g, draw(_dyadic))
+    z = LinearForm(basis, [complex(draw(_dyadic), draw(_dyadic)) for _ in range(n)])
+    poly = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * K),
+                                st.integers(-9, 9), min_size=1, max_size=4))
+    return q, z, PolyGaussian(K, poly, PiScale(1, -K))
+
+
+def _ladder_outcome(q, z):
+    try:
+        return ladder_check(q, z).hex()
+    except (QuadhamError, ValueError) as exc:  # no ladder, or a zero candidate
+        return type(exc).__name__, str(exc)
+
+
+def _outcomes(q, z, s, pairs) -> list:
+    """Every result that a form's kept data feeds, exactly comparable; q and
+    z are called for the form of each use."""
+    out = [adjoint_representation(q()).entries.tobytes(), _ladder_outcome(q(), z())]
+    out += [_ladder_outcome(q(), member) for pair in pairs
+            for member in (pair.raising, pair.lowering)]
+    for state in (apply_quadratic_form(q(), s), apply_linear_form(z(), s)):
+        out.append((state._terms, state._den, state.scale.q, state.scale.quarter))
+    return out
+
+
+class TestKeptDataEqualsFreshData:
+    @settings(max_examples=150, deadline=None)
+    @given(case=dyadic_cases())
+    def test_second_call_equals_first_and_fresh_forms(self, case):
+        q, z, s = case
+        # a new form for every use derives everything afresh
+        fresh = (lambda: QuadraticForm(q.basis, q.gamma, q.offset),
+                 lambda: LinearForm(z.basis, z.coeffs))
+        try:
+            pairs = classify_spectrum(fresh[0]()).pairs
+        except QuadhamError:
+            pairs = ()
+        kept = (lambda: q, lambda: z)
+        first = _outcomes(*kept, s, pairs)
+        assert _outcomes(*kept, s, pairs) == first
+        assert _outcomes(*fresh, s, pairs) == first
