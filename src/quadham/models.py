@@ -111,15 +111,17 @@ def build_model(d: DimensionlessModel) -> QuadraticForm:
     return QuadraticForm(_TWO_MODES, _gammas([d.b], d.mu, d.k)[0], 0.0)
 
 
-def _gammas(bs, mu: float, k: float) -> np.ndarray:
-    """gamma of `build_model` at each coupling of bs, an (n, 4, 4) stack.
-    Each entry has the bits `make_quadratic_form` sums for its monomials:
-    0.0 + c/2 + c/2 on the diagonal, 0.0 + c/2 off it (b = +-0.0 gives +0.0).
+def _gammas(bs, mu: float, k: float, c: float = 1.0) -> np.ndarray:
+    """gamma of `build_model` at each coupling of bs, an (n, 4, 4) stack,
+    x^2 weighted by c (`sb_operator` takes c = k = B^2/4).  Each entry has
+    the bits `make_quadratic_form` sums for its monomials: 0.0 + w/2 + w/2
+    for a diagonal weight w, 0.0 + b/2 off it (b = +-0.0 gives +0.0).
     """
     k, inv_mu = float(k), float(1.0 / mu)
     half_b = 0.0 + np.asarray(bs, dtype=float) / 2.0
     gammas = np.zeros((len(half_b), 4, 4))
-    gammas[:, 0, 0] = gammas[:, 2, 2] = 1.0
+    gammas[:, 0, 0] = 0.0 + c / 2.0 + c / 2.0
+    gammas[:, 2, 2] = 1.0
     gammas[:, 1, 1] = 0.0 + k / 2.0 + k / 2.0
     gammas[:, 3, 3] = 0.0 + inv_mu / 2.0 + inv_mu / 2.0
     gammas[:, 0, 3] = gammas[:, 3, 0] = half_b
@@ -142,13 +144,9 @@ def angular_momentum_form() -> QuadraticForm:
 
 
 def sb_operator(B: float) -> QuadraticForm:
-    """(px - (B/2) y)^2 + (py + (B/2) x)^2, gamma written directly.
-
-    Each entry has the bits `make_quadratic_form` sums for the monomials
-    px^2 + py^2 + c x^2 + c y^2 + B x py - B y px, c = B^2/4: 0.0 + c/2 + c/2
-    on the diagonal and 0.0 + B/2, 0.0 + (-B)/2 off it, with its errors for
-    a c that overflows and for a bool B.
-    """
+    """(px - (B/2) y)^2 + (py + (B/2) x)^2, the model with x^2 and y^2
+    weighted by c = B^2/4, gamma as `_gammas` writes it; the errors are
+    `make_quadratic_form`'s for a c that overflows and for a bool B."""
     if not math.isfinite(B):
         raise ValueError("B must be finite")
     c = B * B / 4.0
@@ -156,13 +154,7 @@ def sb_operator(B: float) -> QuadraticForm:
         raise ValueError(f"non-finite coefficient in term {(X, X, c)!r}")
     if isinstance(B, bool):
         raise ValueError(f"coefficient must be a real number, got {B!r}")
-    half_c = float(c) / 2.0
-    gamma = np.zeros((4, 4))
-    gamma[0, 0] = gamma[1, 1] = 0.0 + half_c + half_c
-    gamma[2, 2] = gamma[3, 3] = 1.0
-    gamma[0, 3] = gamma[3, 0] = 0.0 + float(B) / 2.0
-    gamma[1, 2] = gamma[2, 1] = 0.0 + float(-B) / 2.0
-    return QuadraticForm(_TWO_MODES, gamma, 0.0)
+    return QuadraticForm(_TWO_MODES, _gammas([B], 1.0, c, c)[0], 0.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,7 +139,8 @@ def eigen_decompose(m: AdjointMatrix) -> EigenData:
     because the general eigensolver can return parallel vectors for it.
     """
     R, w, V = _eig(m.entries)
-    return _decomposition(m, w, V, float(np.linalg.svd(R, compute_uv=False)[0]))
+    norm = _lapack(np.linalg.svd, R, compute_uv=False)[0]
+    return _decomposition(m, w, V, float(norm))
 
 
 def _eig(entries: np.ndarray):
@@ -151,11 +152,17 @@ def _eig(entries: np.ndarray):
         resid = abs(entries - 1j * R).max(axis=(-2, -1))
         if (resid > tol.machine_zero_tol(abs(entries).max(axis=(-2, -1)))).any():
             raise ValueError("adjoint matrix is not i times a real matrix")
+    w, V = _lapack(np.linalg.eig, R)
+    return R, w, V
+
+
+def _lapack(solver, *args, **kwargs):
+    """solver(*args, **kwargs), a numpy.linalg call whose LinAlgError is
+    raised as EigensolverError."""
     try:
-        w, V = np.linalg.eig(R)
+        return solver(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
-    return R, w, V
 
 
 def _decomposition(m: AdjointMatrix, w: np.ndarray, V: np.ndarray,
@@ -184,7 +191,7 @@ def _decomposition(m: AdjointMatrix, w: np.ndarray, V: np.ndarray,
                 continue
             g.sort(key=lambda i: (values[i].real, values[i].imag, i))
             value = complex(np.mean(eigenvalues.real[g]), np.mean(eigenvalues.imag[g]))
-            _, svals, vh = np.linalg.svd(entries - value * np.eye(n))
+            _, svals, vh = _lapack(np.linalg.svd, entries - value * np.eye(n))
             rank = int((svals > t).sum())
             geom = n - rank
             if geom == len(g):
@@ -286,29 +293,19 @@ def pair_frequencies(e: EigenData) -> list[FrequencyPair]:
     return _ladders(_grams(e), e.source.source.basis)
 
 
-class _Gram(NamedTuple):
-    """One pairing cluster's symplectic Gram data.
+def _grams(e: EigenData) -> list[tuple]:
+    """One (frequency, mu, u) per ladder pair of a real decomposition's
+    clusters, highest frequency first.
 
-    vecs are the cluster's eigenvectors, members in (real part, index)
-    order; mu and U the eigenvalues and eigenvectors of G = i vecs^dag J
-    vecs; keep the directions that give pairs, each raising where mu > 0.
-    """
-
-    frequency: float                 # >= 0, exactly 0.0 for the zero cluster
-    vecs: np.ndarray
-    mu: list[float]
-    U: np.ndarray
-    keep: Sequence[int]
-
-
-def _grams(e: EigenData) -> list[_Gram]:
-    """Gram data of a real decomposition's clusters, highest frequency first.
-
-    At frequency != 0 every direction of G gives a pair, an h-negative one
-    the conjugate of a raising member at -frequency; at 0 only the
-    h-positive half raises and must be half the eigenspace.  A one-member
-    cluster skips eigh: of a 1 x 1 matrix it returns the real part and the
-    unit vector.
+    Per cluster, with vecs its eigenvectors (members in (real part, index)
+    order), mu and U are the eigenvalues and eigenvectors of the symplectic
+    Gram matrix G = i vecs^dag J vecs, and u = vecs @ U[:, k] is the
+    direction of a kept k, raising where mu > 0.  The frequency is >= 0,
+    exactly 0.0 for the zero cluster.  At frequency != 0 every direction of
+    G gives a pair, an h-negative one the conjugate of a raising member at
+    -frequency; at 0 only the h-positive half raises and must be half the
+    eigenspace.  A one-member cluster skips eigh: of a 1 x 1 matrix it
+    returns the real part and the unit vector.
     """
     freqs = e.eigenvalues.real.tolist()
     t_zero = tol.zero_frequency_tol(e.matrix_norm)
@@ -325,7 +322,7 @@ def _grams(e: EigenData) -> list[_Gram]:
         if len(idxs) == 1:
             mu, U = [float(G[0, 0].real)], _UNIT
         else:
-            mu, U = np.linalg.eigh((G + G.conj().T) / 2.0)
+            mu, U = _lapack(np.linalg.eigh, (G + G.conj().T) / 2.0)
             mu = mu.tolist()
         if val == 0.0:
             keep = [k for k in range(len(mu)) if mu[k] > t_zero]
@@ -337,27 +334,25 @@ def _grams(e: EigenData) -> list[_Gram]:
             )
         else:
             keep = range(len(mu))
-        grams.append(_Gram(val, vecs, mu, U, keep))
+        grams += [(val, mu[k], vecs @ U[:, k]) for k in keep]
     return grams
 
 
-def _ladders(grams: list[_Gram], basis) -> list[FrequencyPair]:
-    """The ladder pairs of `_grams`, in its order: each kept direction u of
-    G, scaled to [lowering, raising] = 1 and conjugated where h(u, u) < 0,
-    with its first significant coefficient made positive real."""
+def _ladders(grams: list[tuple], basis) -> list[FrequencyPair]:
+    """The ladder pairs of `_grams`, in its order: each direction u, scaled
+    to [lowering, raising] = 1 and conjugated where h(u, u) < 0, with its
+    first significant coefficient made positive real."""
     out = []
-    for g in grams:
-        for k in g.keep:
-            m = g.mu[k]
-            w = (g.vecs @ g.U[:, k]) / math.sqrt(abs(m))
-            w, freq = (w, g.frequency) if m > 0 else (np.conj(w), -g.frequency)
-            w = _canonical_phase(w)
-            raising = LinearForm(basis, w)
-            lowering = LinearForm(basis, np.conj(w))
-            nc = linear_commutator(lowering, raising)
-            out.append(FrequencyPair(lambda_plus=g.frequency, raising=raising,
-                                     lowering=lowering, norm_constant=float(nc.real),
-                                     raising_frequency=freq))
+    for frequency, m, u in grams:
+        w = u / math.sqrt(abs(m))
+        w, freq = (w, frequency) if m > 0 else (np.conj(w), -frequency)
+        w = _canonical_phase(w)
+        raising = LinearForm(basis, w)
+        lowering = LinearForm(basis, np.conj(w))
+        nc = linear_commutator(lowering, raising)
+        out.append(FrequencyPair(lambda_plus=frequency, raising=raising,
+                                 lowering=lowering, norm_constant=float(nc.real),
+                                 raising_frequency=freq))
     return out
 
 
@@ -378,11 +373,11 @@ def ladder_check(q: QuadraticForm, z: LinearForm) -> float:
     lam = complex((np.conj(c) @ (M @ c)) / (np.conj(c) @ c))
     residual = float(np.linalg.norm(M @ c - lam * c)) / cn
     t = tol.ladder_residual_tol(hnorm)
-    if residual > t:
+    if not residual <= t:  # a NaN residual fails too
         raise LadderCheckError(
             f"residual {residual:.3e} exceeds tolerance {t:.3e}", residual
         )
-    if abs(lam.imag) > max(t, 1e-300):
+    if not abs(lam.imag) <= max(t, 1e-300):
         raise LadderCheckError(
             f"eigenvalue {lam} has non-real part beyond tolerance", residual
         )
@@ -413,13 +408,13 @@ def _misses_vacuum(p: FrequencyPair) -> bool:
 
 
 class _Verdict(NamedTuple):
-    """What `_verdict` decides; grams is empty unless the class has a lattice
-    and the verdict took `_judge`'s path (the fast path of `_verdicts` keeps
-    no Gram data)."""
+    """What `_verdict` decides; grams, `_grams`' records, is empty unless the
+    class has a lattice and the verdict took `_judge`'s path (the fast path
+    of `_verdicts` keeps no Gram data)."""
 
     classification: Classification
     note: str
-    grams: list[_Gram]
+    grams: list[tuple]
     ground_energy: float | None
     vacuum_energy: float | None
     generators: tuple[float, ...]
@@ -437,7 +432,7 @@ def _verdict(q: QuadraticForm) -> _Verdict:
     form's its raising frequencies.
     """
     return _judge(q, eigen_decompose(adjoint_representation(q)),
-                  np.linalg.eigvalsh(q.gamma).tolist())
+                  _lapack(np.linalg.eigvalsh, q.gamma).tolist())
 
 
 def _verdicts(gammas: np.ndarray) -> list[_Verdict]:
@@ -457,8 +452,8 @@ def _verdicts(gammas: np.ndarray) -> list[_Verdict]:
     # each entry is one exact product whichever way the stack is multiplied
     entries = 2j * (gammas @ J)
     R, w, V = _eig(entries)
-    norms = np.linalg.svd(R, compute_uv=False)[:, 0]
-    gevals = np.linalg.eigvalsh(gammas).tolist()
+    norms = _lapack(np.linalg.svd, R, compute_uv=False)[:, 0]
+    gevals = _lapack(np.linalg.eigvalsh, gammas).tolist()
     nonreal, fast, freqs, raising = _fast_path(w, V, J, norms)
     out = []
     for i, gi in enumerate(gevals):
@@ -547,12 +542,11 @@ def _judge(q: QuadraticForm, e: EigenData, gevals: list[float]) -> _Verdict:
             [], None, None, (), gmin)
 
     grams = _grams(e)
-    return _lattice_verdict(q.offset, gevals, grams,
-                            [g.frequency for g in grams for _ in g.keep],
-                            [g.mu[k] > 0 for g in grams for k in g.keep])
+    return _lattice_verdict(q.offset, gevals, grams, [g[0] for g in grams],
+                            [g[1] > 0 for g in grams])
 
 
-def _lattice_verdict(offset: float, gevals: list[float], grams: list[_Gram],
+def _lattice_verdict(offset: float, gevals: list[float], grams: list[tuple],
                      freqs: list[float], raising: list[bool]) -> _Verdict:
     """`_judge`'s verdict on a real, non-defective form with that offset:
     freqs holds one frequency per ladder pair in `_grams`' order, raising

@@ -332,13 +332,12 @@ def vacuum(K: int) -> PolyGaussian:
     return PolyGaussian(K, {(0,) * K: ComplexRational(1)}, PiScale(1, -int(K)))
 
 
-def _linear_table(coeffs: list) -> tuple:
-    """sum_j (cx_j x_j + cp_j p_j), numerators coeffs, as a first-order table.
+def _linear_table(u: list, d: list) -> tuple:
+    """The first-order table of a linear form whose ``_split`` is (u, d).
 
-    On the polynomial part the form is u.x - d.grad (``_split``): a raise of
-    e_j with coefficient u_j and a lowering of e_j with coefficient -d_j.
+    On the polynomial part the form is u.x - d.grad: a raise of e_j with
+    coefficient u_j and a lowering of e_j with coefficient -d_j.
     """
-    u, d = _split(coeffs)
     moves = [(j, 1, j, 0, uj) for j, uj in enumerate(u) if uj != (0, 0)]
     moves += [(j, -1, j, 0, (-dr, -di)) for j, (dr, di) in enumerate(d) if dr or di]
     return (0, 0), (), tuple(moves)
@@ -351,24 +350,20 @@ def _applied(s: PolyGaussian, table: tuple, den: int) -> PolyGaussian:
 
 
 def _linear_parts(z: LinearForm) -> tuple:
-    """(numerators, denominator, u, d) of z: its Gaussian-integer
-    coefficients and their ``_split``, derived once per form."""
+    """(numerators, denominator, u, d, table) of z: its Gaussian-integer
+    coefficients, their ``_split`` and its first-order table, derived once
+    per form."""
     coeffs, den = _ints(z.coeffs.tolist())
     u, d = _split(coeffs)
-    return tuple(coeffs), den, tuple(u), tuple(d)
-
-
-def _linear_operator(z: LinearForm) -> tuple[tuple, int]:
-    """z's first-order table over its denominator, derived once per form."""
-    coeffs, den, _, _ = _derived(z, _linear_parts)
-    return _linear_table(coeffs), den
+    return tuple(coeffs), den, tuple(u), tuple(d), _linear_table(u, d)
 
 
 def apply_linear_form(z: LinearForm, s: PolyGaussian) -> PolyGaussian:
     """Act with sum_j (cx_j x_j + cp_j p_j); coefficients convert exactly."""
     if z.basis.K != s.K:
         raise ValueError("linear form and state have different mode counts")
-    return _applied(s, *_derived(z, _linear_operator))
+    _, den, _, _, table = _derived(z, _linear_parts)
+    return _applied(s, table, den)
 
 
 def _quadratic_table(q: QuadraticForm) -> tuple[tuple, int]:
@@ -634,8 +629,8 @@ def build_eigenfunction(z_first: LinearForm, z_second: LinearForm,
             for q in (m, n))
     if z_first.basis != z_second.basis:
         raise ValueError("ladder forms live on different bases")
-    first, first_den, u_z, d_z = _derived(z_first, _linear_parts)
-    second, second_den, u_w, d_w = _derived(z_second, _linear_parts)
+    first, first_den, u_z, d_z, _ = _derived(z_first, _linear_parts)
+    second, second_den, u_w, d_w, _ = _derived(z_second, _linear_parts)
     K = z_first.basis.K
     base = m + n + 1
     shifts = [base ** j for j in range(K)]

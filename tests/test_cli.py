@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import quadham
-from quadham import cli, models, serialize
+from quadham import cli, models, serialize, spectral
 from make_goldens import CASES, DATA, GOLDEN, golden_form, stable_text
 
 OSC_B1 = str(DATA / "osc_b1.json")
@@ -197,6 +197,15 @@ class TestExitCodes:
         assert code == 3
         assert "quadham: error" in capsys.readouterr().err
 
+    def test_lapack_failure_is_three(self, tmp_path, capsys):
+        # the b = 1e308 model's cluster SVD does not converge
+        cfg = write_config(tmp_path, {"preset": "oscillator-b", "b": 1e308})
+        with np.errstate(all="ignore"):
+            code, text = run_cli(["analyze", "--config", cfg], tmp_path)
+        assert code == 3 and text is None
+        assert capsys.readouterr().err == (
+            "quadham: error: eigensolver did not converge: SVD did not converge\n")
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_result_is_its_own_error(self, fmt, tmp_path, monkeypatch,
                                                 capsys):
@@ -352,6 +361,22 @@ class TestPhysicalPreset:
             ["b", "classification", "margin", "ground_energy"], rows)
 
 
+class TestAnalyzeCallCounts:
+    def test_two_decompositions_and_two_adjoints(self, tmp_path, monkeypatch):
+        # bench/test_smoke.py pins both counts at 2 per analyze job, counted
+        # at the module attributes bench/spans.py rebinds; ROADMAP items 4
+        # and 6 change both counts together, with a single-pass analyze
+        calls = {"eigen_decompose": 0, "adjoint_representation": 0}
+        for mod in (spectral, cli):
+            for name in calls:
+                def counted(*args, _fn=getattr(mod, name), _name=name):
+                    calls[_name] += 1
+                    return _fn(*args)
+                monkeypatch.setattr(mod, name, counted)
+        assert run_cli(["analyze", "--config", OSC_B1], tmp_path)[0] == 0
+        assert calls == {"eigen_decompose": 2, "adjoint_representation": 2}
+
+
 class TestParserBuiltOnce:
     def test_two_calls_build_one_parser(self, tmp_path):
         cli._build_parser.cache_clear()
@@ -478,10 +503,15 @@ class TestConfigErrorTexts:
         ({"gamma": [[1.0, 0.0], [0.0, 1.0]]},
          "explicit config needs the mode count 'K'"),
         ({"K": 0, "gamma": []}, "config key 'K' must be a positive integer"),
+        ({"preset": "random-pd", "K": 2, "seed": 1.5},
+         "config key 'seed' must be an integer"),
+        # json writes and reads the NaN literal
+        ({"K": 1, "gamma": [[math.nan, 0.0], [0.0, 1.0]]},
+         "'gamma' contains non-finite entries"),
     ], ids=["preset", "missing", "unknown", "K", "spread", "m1", "mu",
             "random-K-0", "random-K-negative", "random-seed-negative", "not-object",
             "explicit-no-gamma", "explicit-unknown", "explicit-no-K",
-            "explicit-K-0"])
+            "explicit-K-0", "random-seed-fraction", "explicit-gamma-nan"])
     def test_message(self, payload, message, tmp_path, capsys):
         code = cli.main(["analyze", "--config", write_config(tmp_path, payload)])
         assert code == 2
@@ -502,9 +532,12 @@ class TestConfigErrorTexts:
         (["wavefunction", "0", "0"], {"preset": "sb", "B": 1.0},
          "exact eigenfunctions for the 'sb' preset need |B| = 2, where the form "
          "coincides with the symmetric model"),
+        (["wavefunction", "0", "0"], {"preset": "random-pd", "K": 2, "seed": 1},
+         "the wavefunction command supports the 'oscillator-b' preset with "
+         "mu = k = 1, or the 'sb' preset with |B| = 2"),
     ], ids=["seed-option", "scan-steps", "verify-n-max", "verify-max-quanta",
             "verify-max-levels", "spectrum-max-quanta", "wavefunction-m",
-            "wavefunction-sb"])
+            "wavefunction-sb", "wavefunction-random-pd"])
     def test_command_message(self, argv, payload, message, tmp_path, capsys):
         code, text = run_cli(argv + ["--config", write_config(tmp_path, payload)],
                              tmp_path)

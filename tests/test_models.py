@@ -154,11 +154,13 @@ class TestBuildModel:
 
 
 class TestSbOperator:
-    def test_matches_model_at_two(self):
-        # completing the square: B = 2 reproduces the b = 2 coupled model
-        lhs = sb_operator(2.0)
-        rhs = build_model(DimensionlessModel(mu=1.0, k=1.0, b=2.0))
-        assert np.array_equal(lhs.gamma, rhs.gamma)
+    @pytest.mark.parametrize("B", [2.0, -2.0])
+    def test_matches_model_at_two(self, B):
+        # completing the square: B = +-2 reproduces the b = +-2 coupled model,
+        # bit for bit, which the CLI's wavefunction command relies on
+        lhs = sb_operator(B)
+        rhs = build_model(DimensionlessModel(mu=1.0, k=1.0, b=B))
+        assert lhs.gamma.tobytes() == rhs.gamma.tobytes()
         assert lhs.offset == rhs.offset == 0.0
 
     def test_zero_field_defective(self):

@@ -167,6 +167,23 @@ class TestStackedDecomposition:
         with pytest.raises(EigensolverError, match="^eigensolver did not converge: "):
             spectral._eig(np.full((2, 4, 4), np.nan * 1j))
 
+    @pytest.mark.parametrize("solver", [np.linalg.svd, np.linalg.eigh,
+                                        np.linalg.eigvalsh])
+    def test_every_lapack_failure_is_an_eigensolver_error(self, solver):
+        with pytest.raises(EigensolverError, match="^eigensolver did not converge: "):
+            spectral._lapack(solver, np.full((4, 4), np.nan))
+
+    @pytest.mark.parametrize("run", [
+        classify_spectrum, lambda q: eigen_decompose(adjoint_representation(q))],
+        ids=["classify", "decompose"])
+    def test_overflowing_cluster_svd_is_an_eigensolver_error(self, run):
+        # the b = 1e308 model's cluster mean overflows to inf, and the SVD of
+        # M - inf I fails to converge
+        with np.errstate(all="ignore"), pytest.raises(
+                EigensolverError,
+                match="^eigensolver did not converge: SVD did not converge$"):
+            run(model_form(1e308))
+
 
 def mode_form(modes, rng):
     """A direct sum of one-mode normal forms a x_j^2 + c p_j^2, one per kind."""
@@ -399,6 +416,22 @@ class TestLadderCheck:
             ladder_check(q, z)
         assert info.value.residual > 0.0
 
+    def test_different_bases_rejected(self):
+        z = LinearForm(PhaseSpaceBasis(1), [1.0, 1j])
+        with pytest.raises(ValueError,
+                           match="^form and candidate live on different bases$"):
+            ladder_check(model_form(1.0), z)
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_overflowing_form_fails(self, index):
+        # the Rayleigh quotient overflows, so the residual and Im lambda are
+        # NaN; NaN must fail both tolerance tests instead of passing them
+        from quadham import symmetric_ladders
+        q = model_form(1e308)
+        with np.errstate(all="ignore"), pytest.raises(LadderCheckError) as info:
+            ladder_check(q, symmetric_ladders()[index].form)
+        assert math.isnan(info.value.residual)
+
 
 class TestClassification:
     def test_model_grid(self):
@@ -534,6 +567,13 @@ class TestSpectrumLattice:
     def test_unavailable(self):
         rep = classify_spectrum(sb_operator(0.0))
         with pytest.raises(LatticeUnavailableError):
+            spectrum_lattice(rep, 3)
+
+    def test_report_without_an_anchor(self):
+        rep = SpectrumReport(Classification.BOUNDED_BELOW_DISCRETE, (), None, (1.0,),
+                             "")
+        with pytest.raises(LatticeUnavailableError,
+                           match="^report carries no anchor energy$"):
             spectrum_lattice(rep, 3)
 
     def test_max_quanta_validation(self):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -311,6 +312,16 @@ class TestAlgebra:
         # int() would truncate 1.5 to 1 and read True as 1
         with pytest.raises(ValueError, match="exponents must be integers"):
             PolyGaussian(1, poly, PiScale())
+
+    @pytest.mark.parametrize("K, poly, scale, error, message", [
+        (1, {(0,): 1}, 1.0, TypeError, "scale must be a PiScale"),
+        (2, {(1,): 1}, PiScale(), ValueError,
+         "exponent tuple (1,) does not have length 2"),
+        (2, {(1, -1): 1}, PiScale(), ValueError, "negative exponent in (1, -1)"),
+    ], ids=["scale", "length", "negative"])
+    def test_constructor_checks(self, K, poly, scale, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            PolyGaussian(K, poly, scale)
 
     def test_numpy_integer_exponents_accepted(self):
         s = PolyGaussian(2, {(np.int64(2), np.int32(0)): 1}, PiScale())
