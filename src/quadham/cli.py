@@ -475,7 +475,10 @@ def main(argv=None) -> int:
     # scale comes back through the token when the run ends
     token = tol._CONFIG_SCALE.set(1.0)
     try:
-        eff_cfg, results, (header, rows) = _dispatch(args)
+        # a numpy warning would print its source line; failures surface as
+        # EigensolverError or NonFiniteResultError instead
+        with np.errstate(all="ignore"):
+            eff_cfg, results, (header, rows) = _dispatch(args)
         if args.format == "json":
             text = serialize.dumps_json(serialize.envelope(eff_cfg, results))
         else:

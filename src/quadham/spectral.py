@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -43,8 +42,9 @@ from .phase_space import (
 )
 from . import tolerances as tol
 
-# most lattice states spectrum_lattice enumerates: 6e5 states (K=6, 24
-# quanta) take 6 s and 330 MB, 7.5e4 take 0.6 s and 74 MB
+# most lattice states spectrum_lattice enumerates: K=6 at 16 quanta, 74 613
+# states on as many levels, takes about 0.2 s and a 66 MB peak in a fresh
+# process (2 vCPUs, Python 3.11)
 LATTICE_STATE_CAP = 10**5
 
 # eigh's eigenvectors of a 1 x 1 Hermitian matrix
@@ -370,8 +370,9 @@ def ladder_check(q: QuadraticForm, z: LinearForm) -> float:
         raise ValueError("zero vector is not a ladder operator candidate")
     M = _derived(q, _adjoint_entries)
     hnorm = _derived(q, _adjoint_norm)
-    lam = complex((np.conj(c) @ (M @ c)) / (np.conj(c) @ c))
-    residual = float(np.linalg.norm(M @ c - lam * c)) / cn
+    Mc = M @ c
+    lam = complex((np.conj(c) @ Mc) / (np.conj(c) @ c))
+    residual = float(np.linalg.norm(Mc - lam * c)) / cn
     t = tol.ladder_residual_tol(hnorm)
     if not residual <= t:  # a NaN residual fails too
         raise LadderCheckError(
@@ -643,17 +644,17 @@ def spectrum_lattice(r: SpectrumReport, max_quanta: int) -> list[LatticeLevel]:
         )
     unbounded = r.classification is Classification.UNBOUNDED_LATTICE
 
-    # lexicographic order, which `_cluster` keeps among equal energies
-    quanta = _multi_indices(len(active), max_quanta)
-    energies = [float(anchor + sum(map(operator.mul, n, active))) for n in quanta]
+    # lexicographic order, which `_cluster` keeps among equal energies; with
+    # a float anchor, anchor + s has the bits of float(anchor + s)
+    quanta, energies, left = _multi_indices(active, max_quanta, float(anchor))
     t = tol.lattice_merge_tol(max(map(abs, energies)))
 
     # unbounded lattices merge only within a total-quanta shell
     shells = [(energies, quanta)]
     if unbounded:
         shells = [([], []) for _ in range(max_quanta + 1)]
-        for e, n in zip(energies, quanta):
-            shell_energies, shell_quanta = shells[sum(n)]
+        for e, n, b in zip(energies, quanta, left):
+            shell_energies, shell_quanta = shells[max_quanta - b]
             shell_energies.append(e)
             shell_quanta.append(n)
     levels = []
@@ -671,9 +672,29 @@ def spectrum_lattice(r: SpectrumReport, max_quanta: int) -> list[LatticeLevel]:
     return levels
 
 
-def _multi_indices(r: int, max_total: int) -> list[tuple[int, ...]]:
-    """All tuples n in N^r with sum(n) <= max_total, lexicographic order."""
-    out = [()]
-    for _ in range(r):
-        out = [t + (h,) for t in out for h in range(max_total + 1 - sum(t))]
-    return out
+def _multi_indices(weights, max_total: int,
+                   start: float) -> tuple[list, list, Iterator[int]]:
+    """All n in N^k with sum(n) <= max_total, k = len(weights), in
+    lexicographic order, as three parallel sequences: the n, the values
+    start + s of their weighted sums s = 0 + n_1 w_1 + ... + n_k w_k, and an
+    iterator over the budgets max_total - sum(n) left.
+
+    Each n extends its prefix by one entry, so s adds one term to its
+    prefix's sum, exactly the additions `sum(map(operator.mul, n, weights))`
+    makes, and start comes last.  Prefixes are (n, s, budget) records; the
+    last coordinate writes the lists directly, so no record is held per
+    state, and the budgets are counted out only when read.
+    """
+    if not weights:
+        return [()], [start + 0], iter([max_total])
+    ones = list(zip(range(max_total + 1)))
+    prefixes = [((), 0, max_total)]
+    for w in weights[:-1]:
+        steps = [(t, h * w, h) for h, t in enumerate(ones)]
+        prefixes = [(n + t, s + x, b - h) for n, s, b in prefixes
+                    for t, x, h in steps[:b + 1]]
+    w = weights[-1]
+    quanta = [n + t for n, _, b in prefixes for t in ones[:b + 1]]
+    values = [start + (s + h * w) for _, s, b in prefixes for h in range(b + 1)]
+    budgets = [b for _, _, b in prefixes]
+    return quanta, values, (c for b in budgets for c in range(b, -1, -1))

@@ -3,6 +3,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -198,13 +199,17 @@ class TestExitCodes:
         assert "quadham: error" in capsys.readouterr().err
 
     def test_lapack_failure_is_three(self, tmp_path, capsys):
-        # the b = 1e308 model's cluster SVD does not converge
+        # the b = 1e308 model's cluster SVD does not converge; the overflow on
+        # the way there must not reach stderr as a numpy warning
         cfg = write_config(tmp_path, {"preset": "oscillator-b", "b": 1e308})
-        with np.errstate(all="ignore"):
-            code, text = run_cli(["analyze", "--config", cfg], tmp_path)
-        assert code == 3 and text is None
-        assert capsys.readouterr().err == (
-            "quadham: error: eigensolver did not converge: SVD did not converge\n")
+        for command in ("analyze", "spectrum", "verify"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, text = run_cli([command, "--config", cfg], tmp_path)
+            assert code == 3 and text is None, command
+            assert capsys.readouterr().err == (
+                "quadham: error: eigensolver did not converge: "
+                "SVD did not converge\n"), command
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_result_is_its_own_error(self, fmt, tmp_path, monkeypatch,

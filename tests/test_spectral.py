@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import operator
 import pickle
 import struct
 
@@ -35,6 +36,7 @@ from quadham import (
     SpectrumReport,
 )
 from quadham import spectral
+from quadham import tolerances as tol
 from quadham.spectral import _cluster
 
 
@@ -634,6 +636,58 @@ class TestSpectrumLattice:
             for twin in (copy.copy(lv), pickle.loads(pickle.dumps(lv))):
                 assert type(twin) is LatticeLevel and twin is not lv
                 assert dataclasses.astuple(twin) == fields
+
+    @pytest.mark.parametrize("form", [
+        *(random_positive_definite_form(K, 40 + K) for K in range(1, 7)),
+        *(model_form(b) for b in (0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0)),
+        sb_operator(2.0),
+    ], ids=[*(f"random-K{K}" for K in range(1, 7)),
+            *(f"model-b{b:+g}" for b in (0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0)),
+            "sb-B2"])
+    def test_matches_per_state_enumeration(self, form):
+        rep = classify_spectrum(form)
+        for max_quanta in [*range(9), np.int64(5)]:
+            assert lattice_bits(rep, max_quanta) == reference_lattice_bits(
+                rep, max_quanta), max_quanta
+
+    def test_zero_generators_match_per_state_enumeration(self):
+        # no generator to enumerate: one state, and -0.0 + 0 is +0.0
+        rep = SpectrumReport(Classification.CRITICAL_INFINITE_MULTIPLICITY, (), None,
+                             (0.0, 0.0), "", vacuum_energy=-0.0)
+        for max_quanta in (0, 3):
+            assert lattice_bits(rep, max_quanta) == reference_lattice_bits(
+                rep, max_quanta) == [((0.0).hex(), ((),), 1, True)]
+
+
+def lattice_bits(rep, max_quanta):
+    return [(lv.energy.hex(), lv.states, lv.degeneracy, lv.infinite)
+            for lv in spectrum_lattice(rep, max_quanta)]
+
+
+def reference_lattice_bits(rep, max_quanta):
+    """`lattice_bits` from each state's energy summed on its own and its shell
+    counted from its quanta, then the same `_cluster` merge."""
+    anchor = rep.ground_energy if rep.ground_energy is not None else rep.vacuum_energy
+    active = [g for g in rep.lattice_generators if g != 0.0]
+    infinite = len(active) < len(rep.lattice_generators)
+    unbounded = rep.classification is Classification.UNBOUNDED_LATTICE
+    quanta = [()]
+    for _ in active:
+        quanta = [n + (h,) for n in quanta for h in range(max_quanta + 1 - sum(n))]
+    energies = [float(anchor + sum(map(operator.mul, n, active))) for n in quanta]
+    t = tol.lattice_merge_tol(max(map(abs, energies)))
+    shells = ([[i for i, n in enumerate(quanta) if sum(n) == s]
+               for s in range(max_quanta + 1)] if unbounded
+              else [range(len(quanta))])
+    out = []
+    for shell in shells:
+        for g in _cluster([energies[i] for i in shell], t):
+            states = [quanta[shell[i]] for i in g]
+            if not unbounded:
+                states.sort()
+            out.append((energies[shell[g[0]]].hex(), tuple(states), len(states),
+                        infinite))
+    return out
 
 
 class TestLatticeCap:
