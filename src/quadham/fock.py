@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigensolverError, FockCapError, HermiticityError
-from .phase_space import QuadraticForm, _count
+from .errors import FockCapError, HermiticityError
+from .phase_space import QuadraticForm, _count, _lapack
 from .spectral import Classification, LatticeLevel, _cluster
 from . import tolerances as tol
 
@@ -226,11 +226,9 @@ def oracle_spectrum(q: QuadraticForm, t: FockTruncation) -> OracleSpectrum:
     for key, (size, start, end) in enumerate(
             zip(sizes.tolist(), (ends - counts).tolist(), ends.tolist())):
         seg = slice(start, end)
-        try:
-            # the block is a temporary, freed when eigvalsh returns
-            w = np.linalg.eigvalsh(_zero_filled(size, rows[seg], cols[seg], values[seg]))
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
+        # the block is a temporary, freed when eigvalsh returns
+        w = _lapack(np.linalg.eigvalsh,
+                    _zero_filled(size, rows[seg], cols[seg], values[seg]))
         parts.append(w)
         # only shells with total <= n_max retain every state of that total;
         # higher shells are cut and their eigenvalues are not exact
@@ -245,9 +243,8 @@ def oracle_spectrum(q: QuadraticForm, t: FockTruncation) -> OracleSpectrum:
 
 
 def _value_clusters(values: np.ndarray) -> list[np.ndarray]:
-    """Index groups of the clusters of sorted eigenvalues."""
-    if len(values) == 0:
-        return []
+    """Index groups of the clusters of sorted eigenvalues; never empty, as
+    the pooled shells always hold shell 0."""
     return _cluster(values, tol.cluster_tol(float(np.max(np.abs(values)))))
 
 

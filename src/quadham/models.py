@@ -23,6 +23,7 @@ from .phase_space import (
     PhaseSpaceBasis,
     QuadraticForm,
     _count,
+    _lapack,
     make_quadratic_form,
 )
 from .spectral import Classification, _cluster, _verdicts
@@ -223,7 +224,7 @@ def random_positive_definite_form(
         raise ValueError("spread must be finite")
     rng = np.random.default_rng(seed)
     n = 2 * K
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q, _ = _lapack(np.linalg.qr, rng.standard_normal((n, n)))
     d = rng.uniform(lo, hi, size=n)
     g = (q * d) @ q.T
     g = (g + g.T) / 2.0
@@ -254,7 +255,7 @@ class PhaseScanResult:
 
 def _margins(bs, mu: float, k: float) -> list[float]:
     """gamma's smallest eigenvalue at each coupling of bs, one eigvalsh call."""
-    return np.linalg.eigvalsh(_gammas(bs, mu, k))[:, 0].tolist()
+    return _lapack(np.linalg.eigvalsh, _gammas(bs, mu, k))[:, 0].tolist()
 
 
 def phase_scan(

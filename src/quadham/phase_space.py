@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatchError, NonHermitianFormError, QuadhamError
+from .errors import BasisMismatchError, EigensolverError, NonHermitianFormError, QuadhamError
 from .tolerances import machine_zero_tol, offset_imag_tol
 
 
@@ -139,13 +139,17 @@ class QuadraticForm:
 
 @dataclass(frozen=True, eq=False)
 class AdjointMatrix:
-    """Matrix of the commutator action of a quadratic form on the basis.
+    """Matrix of the commutator action of a quadratic form on the basis, as a
+    view of that form: its entries are derived once per form.
 
     Column convention: [H, O_i] = sum_j entries[j, i] O_j.
     """
 
-    entries: np.ndarray
     source: QuadraticForm
+
+    @property
+    def entries(self) -> np.ndarray:
+        return _derived(self.source, _adjoint_entries)
 
     @property
     def K(self) -> int:
@@ -203,18 +207,32 @@ def _adjoint_entries(q: QuadraticForm) -> np.ndarray:
     return _read_only(2j * (q.gamma @ _symplectic(q.basis.K)))
 
 
+def _generator(q: QuadraticForm) -> np.ndarray:
+    """The real R with q's adjoint matrix i R, read-only."""
+    return _read_only(np.real(-1j * _derived(q, _adjoint_entries)))
+
+
 def _adjoint_norm(q: QuadraticForm) -> float:
-    """The largest singular value of q's adjoint matrix."""
-    return float(np.linalg.svd(_derived(q, _adjoint_entries), compute_uv=False)[0])
+    """The largest singular value of R, the norm of q's adjoint matrix."""
+    return float(_lapack(np.linalg.svd, _derived(q, _generator), compute_uv=False)[0])
+
+
+def _lapack(solver, *args, **kwargs):
+    """solver(*args, **kwargs), a numpy.linalg call whose LinAlgError is
+    raised as EigensolverError."""
+    try:
+        return solver(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
 
 
 def adjoint_representation(q: QuadraticForm) -> AdjointMatrix:
     """Closed-form adjoint matrix 2 i gamma J (gamma stored symmetric).
 
-    The read-only entries are derived once per form; each call wraps them in
-    a new record, so no form holds a record that points back at it.
+    Each call returns a new view of q, so no form holds a record that
+    points back at it.
     """
-    return AdjointMatrix(entries=_derived(q, _adjoint_entries), source=q)
+    return AdjointMatrix(q)
 
 
 def linear_commutator(a: LinearForm, b: LinearForm) -> complex:

@@ -2,7 +2,8 @@
 
 The adjoint matrix is i R with R = (gamma + gamma^T) J real, so eigenvalues
 are computed as i times the eigenvalues of R and no general complex
-eigensolver is needed.  They come in sets lambda, -lambda, conj(lambda)
+eigensolver is needed; R and its norm are derived once per form, in
+`phase_space`.  They come in sets lambda, -lambda, conj(lambda)
 (Van Loan, Linear Algebra Appl. 61 (1984) 233), and the eigenvalue clusters
 are built symmetric under both maps, so each real cluster above zero and its
 mirror at -lambda give ladder pairs normalised so that [lowering, raising] =
@@ -20,7 +21,6 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import (
-    EigensolverError,
     LadderCheckError,
     LatticeCapError,
     LatticeUnavailableError,
@@ -36,6 +36,8 @@ from .phase_space import (
     _adjoint_norm,
     _count,
     _derived,
+    _generator,
+    _lapack,
     _symplectic,
     adjoint_representation,
     linear_commutator,
@@ -133,36 +135,14 @@ def eigen_decompose(m: AdjointMatrix) -> EigenData:
     symmetric under lambda -> -lambda and lambda -> conj(lambda); their
     members are in (real, imag, index) order.  A cluster's geometric
     multiplicity counts the singular values of (M - lambda I) at most t; a
-    simple eigenvalue is its own cluster value and skips the SVD.  The norm
-    of R is its largest singular value.  A repeated eigenvalue with a full
-    eigenspace takes its eigenvectors from the null space of that SVD,
-    because the general eigensolver can return parallel vectors for it.
+    simple eigenvalue is its own cluster value and skips the SVD.  R and its
+    norm are derived once per form and shared with `ladder_check`.  A
+    repeated eigenvalue with a full eigenspace takes its eigenvectors from
+    the null space of that SVD, because the general eigensolver can return
+    parallel vectors for it.
     """
-    R, w, V = _eig(m.entries)
-    norm = _lapack(np.linalg.svd, R, compute_uv=False)[0]
-    return _decomposition(m, w, V, float(norm))
-
-
-def _eig(entries: np.ndarray):
-    """R with entries = i R and np.linalg.eig(R), of one adjoint matrix or a
-    stack.  Real gamma gives purely imaginary entries; any other matrix
-    raises ValueError, and non-convergence EigensolverError."""
-    R = np.real(-1j * entries)
-    if entries.size:
-        resid = abs(entries - 1j * R).max(axis=(-2, -1))
-        if (resid > tol.machine_zero_tol(abs(entries).max(axis=(-2, -1)))).any():
-            raise ValueError("adjoint matrix is not i times a real matrix")
-    w, V = _lapack(np.linalg.eig, R)
-    return R, w, V
-
-
-def _lapack(solver, *args, **kwargs):
-    """solver(*args, **kwargs), a numpy.linalg call whose LinAlgError is
-    raised as EigensolverError."""
-    try:
-        return solver(*args, **kwargs)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
+    w, V = _lapack(np.linalg.eig, _derived(m.source, _generator))
+    return _decomposition(m, w, V, _derived(m.source, _adjoint_norm))
 
 
 def _decomposition(m: AdjointMatrix, w: np.ndarray, V: np.ndarray,
@@ -359,8 +339,8 @@ def _ladders(grams: list[tuple], basis) -> list[FrequencyPair]:
 def ladder_check(q: QuadraticForm, z: LinearForm) -> float:
     """Verify [H, Z] = lambda Z through the adjoint matrix; return lambda.
 
-    The adjoint entries and their norm are derived once per form, so every
-    candidate checked against one form shares them.
+    The adjoint entries and the norm of R are derived once per form, so every
+    candidate checked against one form shares them with its decomposition.
     """
     if q.basis != z.basis:
         raise ValueError("form and candidate live on different bases")
@@ -449,10 +429,11 @@ def _verdicts(gammas: np.ndarray) -> list[_Verdict]:
     """
     basis = PhaseSpaceBasis(gammas.shape[-1] // 2)
     J = _symplectic(basis.K)
-    # adjoint_representation's 2 i gamma J: J is a signed permutation, so
-    # each entry is one exact product whichever way the stack is multiplied
-    entries = 2j * (gammas @ J)
-    R, w, V = _eig(entries)
+    # `_generator`'s R of adjoint_representation's 2 i gamma J: J is a signed
+    # permutation, so each entry is one exact product whichever way the
+    # stack is multiplied
+    R = np.real(-1j * (2j * (gammas @ J)))
+    w, V = _lapack(np.linalg.eig, R)
     norms = _lapack(np.linalg.svd, R, compute_uv=False)[:, 0]
     gevals = _lapack(np.linalg.eigvalsh, gammas).tolist()
     nonreal, fast, freqs, raising = _fast_path(w, V, J, norms)
@@ -470,7 +451,7 @@ def _verdicts(gammas: np.ndarray) -> list[_Verdict]:
             if not wq.imag.any():
                 wq, Vq = wq.real, Vq.real
             q = QuadraticForm(basis, gammas[i], 0.0)
-            e = _decomposition(AdjointMatrix(entries[i], q), wq, Vq, float(norms[i]))
+            e = _decomposition(AdjointMatrix(q), wq, Vq, float(norms[i]))
             out.append(_judge(q, e, gi))
     return out
 

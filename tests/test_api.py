@@ -120,6 +120,21 @@ def test_no_module_reads_the_process_environment():
     assert found == []
 
 
+def test_every_lapack_call_goes_through_one_boundary():
+    # a numpy.linalg call raises LinAlgError; phase_space._lapack turns it
+    # into EigensolverError (CLI exit code 3), so every other call is passed
+    # to it instead of made in place
+    found = []
+    for path in sorted((ROOT / "src" / "quadham").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            f = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(f, ast.Attribute) and f.attr != "norm"
+                    and isinstance(f.value, ast.Attribute) and f.value.attr == "linalg"
+                    and isinstance(f.value.value, ast.Name) and f.value.value.id == "np"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def _used_names(files) -> set[str]:
     """Names, attributes and imported names that the files' code refers to."""
     used = set()

@@ -7,6 +7,7 @@ import pytest
 from quadham import (
     Classification,
     DimensionlessModel,
+    EigensolverError,
     FockCapError,
     FockTruncation,
     HermiticityError,
@@ -384,6 +385,15 @@ class TestBlockStreaming:
 
         monkeypatch.setattr(fock, "_single_mode_ops", upper_p)
         with pytest.raises(HermiticityError, match="deviates from Hermitian"):
+            oracle_spectrum(model_form(1.3), FockTruncation(4, 2))
+
+    def test_block_eigensolver_failure(self, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        with pytest.raises(EigensolverError,
+                           match="^eigensolver did not converge: Eigenvalues did not"):
             oracle_spectrum(model_form(1.3), FockTruncation(4, 2))
 
     @pytest.mark.parametrize("K, n_max", [(1, 0), (2, 0), (2, 1), (2, 3), (3, 2)])

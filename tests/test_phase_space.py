@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import adjoint_by_expansion, random_symmetric
 from quadham import (
+    AdjointMatrix,
     BasisMismatchError,
     Classification,
     FockTruncation,
@@ -190,6 +191,12 @@ class TestAdjointRepresentation:
             expected = adjoint_by_expansion(g, _symplectic(K))
             got = adjoint_representation(q).entries
             assert np.array_equal(got, expected)
+
+    def test_a_view_of_its_form(self):
+        q = make_quadratic_form(1, [(1, 1, 1.0), (2, 2, 1.0)])
+        with pytest.raises(TypeError):
+            AdjointMatrix(adjoint_representation(q).entries, q)
+        assert AdjointMatrix(q).entries is adjoint_representation(q).entries
 
     def test_purely_imaginary_entries(self, rng):
         K = 2

@@ -158,22 +158,25 @@ class TestStackedDecomposition:
                 assert repr(getattr(v, field)) == repr(getattr(single, field))
         assert seen[1].eigenvectors.dtype == np.float64
 
-    def test_residual_check_per_matrix(self):
-        good = adjoint_representation(model_form(1.3)).entries
-        R, _, _ = spectral._eig(np.array([good, good]))
-        assert R.tobytes() == np.array([np.real(-1j * good)] * 2).tobytes()
-        with pytest.raises(ValueError, match="not i times a real matrix"):
-            spectral._eig(np.array([good, good + 1e-6]))
+    def test_residual_check_per_matrix(self, monkeypatch):
+        # a form's R and each slice of the stacked R are the one expression
+        q = model_form(1.3)
+        want = np.real(-1j * adjoint_representation(q).entries).tobytes()
+        assert spectral._generator(q).tobytes() == want
+        seen = []
+        lapack = spectral._lapack
+        monkeypatch.setattr(spectral, "_lapack",
+                            lambda solver, a, **kw: seen.append(a) or lapack(solver, a, **kw))
+        spectral._verdicts(gamma_stack([q, q]))
+        assert [R.tobytes() for R in seen[0]] == [want, want]
 
-    def test_stacked_eig_failure_is_an_eigensolver_error(self):
+    @pytest.mark.parametrize("solver, shape", [
+        (np.linalg.svd, (4, 4)), (np.linalg.eigh, (4, 4)), (np.linalg.eigvalsh, (4, 4)),
+        # `_verdicts`' stacked eig
+        (np.linalg.eig, (2, 4, 4))], ids=["svd", "eigh", "eigvalsh", "eig"])
+    def test_every_lapack_failure_is_an_eigensolver_error(self, solver, shape):
         with pytest.raises(EigensolverError, match="^eigensolver did not converge: "):
-            spectral._eig(np.full((2, 4, 4), np.nan * 1j))
-
-    @pytest.mark.parametrize("solver", [np.linalg.svd, np.linalg.eigh,
-                                        np.linalg.eigvalsh])
-    def test_every_lapack_failure_is_an_eigensolver_error(self, solver):
-        with pytest.raises(EigensolverError, match="^eigensolver did not converge: "):
-            spectral._lapack(solver, np.full((4, 4), np.nan))
+            spectral._lapack(solver, np.full(shape, np.nan))
 
     @pytest.mark.parametrize("run", [
         classify_spectrum, lambda q: eigen_decompose(adjoint_representation(q))],
@@ -423,6 +426,27 @@ class TestLadderCheck:
         with pytest.raises(ValueError,
                            match="^form and candidate live on different bases$"):
             ladder_check(model_form(1.0), z)
+
+    def test_imaginary_eigenvalue_rejected(self):
+        # H = xp + px has M = 2i diag(-1, 1): x is an exact eigenvector at -2i
+        q = make_quadratic_form(1, [(1, 2, 1.0), (2, 1, 1.0)])
+        with pytest.raises(LadderCheckError, match="non-real part") as info:
+            ladder_check(q, LinearForm(PhaseSpaceBasis(1), [1.0, 0.0]))
+        assert info.value.residual == 0.0
+
+    def test_shares_the_decomposition_norm(self, monkeypatch):
+        # one SVD gives the norm of R to the verdict and to every check
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *args, **kw: calls.append(kw) or svd(*args, **kw))
+        q = model_form(1.3)
+        for p in classify_spectrum(q).pairs:
+            ladder_check(q, p.raising)
+            ladder_check(q, p.lowering)
+        assert calls == [{"compute_uv": False}]
+        assert (spectral._derived(q, spectral._adjoint_norm)
+                == eigen_decompose(adjoint_representation(q)).matrix_norm)
 
     @pytest.mark.parametrize("index", range(4))
     def test_overflowing_form_fails(self, index):
