@@ -315,7 +315,7 @@ def _cmd_spectrum(form, max_quanta: int):
         "lattice_generators": list(report.lattice_generators),
         "levels": levels,
     }
-    width = len(levels[0].states[0]) if levels else 0
+    width = len(levels[0].states[0])  # every lattice has its anchor level
     header = [f"n{j + 1}" for j in range(width)] + \
         ["energy", "degeneracy", "infinite"]
     rows = []

@@ -233,7 +233,7 @@ def oracle_spectrum(q: QuadraticForm, t: FockTruncation) -> OracleSpectrum:
         # only shells with total <= n_max retain every state of that total;
         # higher shells are cut and their eigenvalues are not exact
         if conserves and key <= t.n_max:
-            shell_evals[key] = np.sort(w.real)
+            shell_evals[key] = w  # eigvalsh's values are real and ascending
     return OracleSpectrum(
         eigenvalues=np.sort(np.concatenate(parts)),
         shell_exact_upto=t.n_max if conserves else 0,

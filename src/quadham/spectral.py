@@ -285,10 +285,12 @@ def _grams(e: EigenData) -> list[tuple]:
     G gives a pair, an h-negative one the conjugate of a raising member at
     -frequency; at 0 only the h-positive half raises and must be half the
     eigenspace.  A one-member cluster skips eigh: of a 1 x 1 matrix it
-    returns the real part and the unit vector.
+    returns the real part and the unit vector.  Frequencies compare with the
+    zero-frequency tolerance and the dimensionless mu with `tol.gram_tol`.
     """
     freqs = e.eigenvalues.real.tolist()
     t_zero = tol.zero_frequency_tol(e.matrix_norm)
+    t_gram = tol.gram_tol()
     J = _symplectic(e.source.K)
     grams = []
     for c in reversed(e.clusters):
@@ -305,10 +307,10 @@ def _grams(e: EigenData) -> list[tuple]:
             mu, U = _lapack(np.linalg.eigh, (G + G.conj().T) / 2.0)
             mu = mu.tolist()
         if val == 0.0:
-            keep = [k for k in range(len(mu)) if mu[k] > t_zero]
+            keep = [k for k in range(len(mu)) if mu[k] > t_gram]
             if len(keep) != len(idxs) // 2:
                 raise PairingError("zero eigenspace does not split into ladder pairs")
-        elif any(abs(m) <= t_zero for m in mu):
+        elif any(abs(m) <= t_gram for m in mu):
             raise PairingError(
                 f"symplectically null eigenvector at frequency {val:.6g}"
             )
@@ -389,9 +391,10 @@ def _misses_vacuum(p: FrequencyPair) -> bool:
 
 
 class _Verdict(NamedTuple):
-    """What `_verdict` decides; grams, `_grams`' records, is empty unless the
-    class has a lattice and the verdict took `_judge`'s path (the fast path
-    of `_verdicts` keeps no Gram data)."""
+    """What `_verdict` decides; grams, one record per ladder pair, is empty
+    unless the class has a lattice.  On `_judge`'s path they are `_grams`'
+    (frequency, mu, u) records; a fast verdict of `_verdicts` holds
+    `_fast_path`'s (frequency, mu) records, with no direction."""
 
     classification: Classification
     note: str
@@ -425,7 +428,7 @@ def _verdicts(gammas: np.ndarray) -> list[_Verdict]:
     admits: a non-real one, or a real one whose eigenvalues are all their
     own clusters, each 10x clear of every threshold that could merge or
     reject it.  Only the rest become `QuadraticForm`s, for `_decomposition`
-    and `_judge`.  A fast verdict carries no Gram data.
+    and `_judge`.  A fast verdict carries no ladder directions.
     """
     basis = PhaseSpaceBasis(gammas.shape[-1] // 2)
     J = _symplectic(basis.K)
@@ -436,13 +439,13 @@ def _verdicts(gammas: np.ndarray) -> list[_Verdict]:
     w, V = _lapack(np.linalg.eig, R)
     norms = _lapack(np.linalg.svd, R, compute_uv=False)[:, 0]
     gevals = _lapack(np.linalg.eigvalsh, gammas).tolist()
-    nonreal, fast, freqs, raising = _fast_path(w, V, J, norms)
+    nonreal, fast, grams = _fast_path(w, V, J, norms)
     out = []
     for i, gi in enumerate(gevals):
         if nonreal[i]:
             out.append(_non_real(gi[0]))
         elif fast[i]:
-            out.append(_lattice_verdict(0.0, gi, [], freqs[i], raising[i]))
+            out.append(_lattice_verdict(0.0, gi, grams[i]))
         else:
             wq, Vq = w[i], V[i]
             # a stacked eig returns complex arrays for every matrix once one
@@ -459,28 +462,27 @@ def _verdicts(gammas: np.ndarray) -> list[_Verdict]:
 def _fast_path(w: np.ndarray, V: np.ndarray, J: np.ndarray, norms: np.ndarray):
     """Which samples of a stacked eig `_verdicts` decides by array code.
 
-    values = i w are the adjoint eigenvalues, t and t_zero each sample's
-    pairing and zero-frequency tolerances.  Only a sample whose eig row is
-    complex (some w not real) is fast; a real row, which a scan meets
-    rarely, keeps `_decomposition`'s real-array path.  Such a sample is
-    non-real when some |Im value| > 10 (t / 2): that member's sign part
-    holds only members with |Im| > t / 2 of one sign, so its cluster value
-    is beyond t / 2 and `_judge` returns `_non_real`.  A sample is fast and
-    real when every |Im value| <= t / 20, min |Re| > 10 t and the positive
-    frequencies lie more than 10 t apart.  The eig of a real R returns each
-    complex pair as exact conjugates, so the real parts are then exactly
-    +-omega_j, `_cluster` puts each pair in one folded group whose sign
-    parts are single members, no cluster is at zero, and
-    `_grams` reads one Gram entry mu_j = Re(i v_j^dag J v_j) per positive
-    member, which must also be > 10 t_zero (and 1e-12, far above the
-    rounding this batched product may add) in magnitude.  Returns per
-    sample, as lists: nonreal, fast, the positive frequencies highest first
-    (each `(1j * w).real` of its member, as `_grams` reads it) and whether
-    each one's mu is positive.
+    values = i w are the adjoint eigenvalues, t each sample's pairing
+    tolerance.  Only a sample whose eig row is complex (some w not real) is
+    fast; a real row, which a scan meets rarely, keeps `_decomposition`'s
+    real-array path.  Such a sample is non-real when some |Im value| >
+    10 (t / 2): that member's sign part holds only members with |Im| > t / 2
+    of one sign, so its cluster value is beyond t / 2 and `_judge` returns
+    `_non_real`.  A sample is fast and real when every |Im value| <= t / 20,
+    min |Re| > 10 t and the positive frequencies lie more than 10 t apart.
+    The eig of a real R returns each complex pair as exact conjugates, so
+    the real parts are then exactly +-omega_j, `_cluster` puts each pair in
+    one folded group whose sign parts are single members, no cluster is at
+    zero, and `_grams` reads one Gram entry mu_j = Re(i v_j^dag J v_j) per
+    positive member, which must also be > 10 `tol.gram_tol()` (and 1e-12,
+    far above the rounding this batched product may add) in magnitude.
+    Returns per sample, as lists: nonreal, fast, and one (frequency, mu)
+    record per positive member, highest frequency first (each
+    `(1j * w).real` of its member, as `_grams` reads it; mu only for its
+    sign).
     """
     K = J.shape[0] // 2
     t = tol.pairing_tol(norms)[:, None]
-    t_zero = tol.zero_frequency_tol(norms)[:, None]
     values = 1j * w
     imag = abs(values.imag)
     nonreal = w.imag.any(axis=-1) & (imag > 5.0 * t).any(axis=-1)
@@ -492,9 +494,10 @@ def _fast_path(w: np.ndarray, V: np.ndarray, J: np.ndarray, norms: np.ndarray):
     fast = ((imag <= t / 20.0).all(axis=-1)
             & (abs(re).min(axis=-1) > 10.0 * t[:, 0])
             & (np.diff(high, axis=-1) > 10.0 * t).all(axis=-1)
-            & (abs(mu_high) > np.maximum(10.0 * t_zero, 1e-12)).all(axis=-1))
-    return (nonreal.tolist(), fast.tolist(), high[:, ::-1].tolist(),
-            (mu_high[:, ::-1] > 0).tolist())
+            & (abs(mu_high) > max(10.0 * tol.gram_tol(), 1e-12)).all(axis=-1))
+    return (nonreal.tolist(), fast.tolist(),
+            [list(zip(f, m)) for f, m in zip(high[:, ::-1].tolist(),
+                                             mu_high[:, ::-1].tolist())])
 
 
 def _non_real(gmin: float) -> _Verdict:
@@ -523,20 +526,18 @@ def _judge(q: QuadraticForm, e: EigenData, gevals: list[float]) -> _Verdict:
             "ladder operators do not span and no discrete lattice applies",
             [], None, None, (), gmin)
 
-    grams = _grams(e)
-    return _lattice_verdict(q.offset, gevals, grams, [g[0] for g in grams],
-                            [g[1] > 0 for g in grams])
+    return _lattice_verdict(q.offset, gevals, _grams(e))
 
 
-def _lattice_verdict(offset: float, gevals: list[float], grams: list[tuple],
-                     freqs: list[float], raising: list[bool]) -> _Verdict:
+def _lattice_verdict(offset: float, gevals: list[float],
+                     grams: list[tuple]) -> _Verdict:
     """`_judge`'s verdict on a real, non-defective form with that offset:
-    freqs holds one frequency per ladder pair in `_grams`' order, raising
-    whether the pair's Gram entry is positive."""
+    grams holds one record per ladder pair in `_grams`' order, its frequency
+    first and its Gram entry second, the pair raising where that is > 0."""
     gmin = gevals[0]
     dtol = tol.definiteness_tol(max(-gmin, gevals[-1]))  # largest |eigenvalue|
     if gmin > -dtol:
-        gens = tuple(freqs)
+        gens = tuple(g[0] for g in grams)
         ground = float(offset + 0.5 * sum(gens))
         if 0.0 in gens:
             # a zero-frequency pair is critical whatever gmin reads
@@ -560,7 +561,7 @@ def _lattice_verdict(offset: float, gevals: list[float], grams: list[tuple],
         return _Verdict(cls, note, grams, ground, ground, gens, gmin)
 
     # indefinite with all-real frequencies: the signed raising frequencies
-    gens = tuple(sorted((f if r else -f for f, r in zip(freqs, raising)), reverse=True))
+    gens = tuple(sorted((g[0] if g[1] > 0 else -g[0] for g in grams), reverse=True))
     return _Verdict(
         Classification.UNBOUNDED_LATTICE,
         "form matrix indefinite with real frequencies: the Gaussian-vacuum "

@@ -6,9 +6,10 @@ context variable: it holds for the calling thread or task only, and the CLI
 restores its caller's value when a run ends.
 
 Fixed thresholds live beside their one use and ignore the scale: the 1e-12
-floors of `spectral._canonical_phase`'s pivot and `spectral._fast_path`'s
-Gram entries, `models.phase_scan`'s 1e-10 bisection width and 1e-9
-transition merge, and `spectral.ladder_check`'s 1e-300 non-real floor.
+floors of `spectral._canonical_phase`'s pivot and of `spectral._fast_path`'s
+Gram entries (above 10 gram_tol() only at scales below 1e-3),
+`models.phase_scan`'s 1e-10 bisection width and 1e-9 transition merge, and
+`spectral.ladder_check`'s 1e-300 non-real floor.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ def pairing_tol(matrix_norm: float) -> float:
 
 def zero_frequency_tol(matrix_norm: float) -> float:
     return 1e-10 * (1.0 + matrix_norm) * tol_scale()
+
+
+def gram_tol() -> float:
+    """Symplectic Gram entries of unit eigenvectors, dimensionless (|mu| <= 1)."""
+    return 1e-10 * tol_scale()
 
 
 def definiteness_tol(gamma_norm: float) -> float:

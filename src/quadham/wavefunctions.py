@@ -35,7 +35,8 @@ normalises the state in closed form when both forms
 are pure creation combinations (cp_j = -i cx_j, so Z^dagger |0> = 0) with
 [Z^dagger, W] = 0.  Then [Z, W] = 0 and c = [Z^dagger, Z] > 0 follow, and
 ||Z^m W^n |0>||^2 = m! n! c_Z^m c_W^n (Colpa, Physica A 93 (1978) 327).  Any
-other pair of forms is normalised through ``inner``.
+other pair of forms is normalised through ``inner``; either way
+``_normalised`` sets the scale.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ._exact import ComplexRational, PiScale, _ratio_str, _rational_sqrt
+from ._exact import ComplexRational, PiScale, _ratio_str
 from .phase_space import LinearForm, PhaseSpaceBasis, QuadraticForm, _count, _derived
 
 @dataclass(frozen=True, eq=False)
@@ -260,17 +261,16 @@ def _from_ints(terms: dict, den: int) -> dict:
             for k, (re, im) in terms.items()}
 
 
-def _content(terms: dict) -> tuple[int, dict]:
-    """(g, terms / g) for nonzero terms, g the gcd of every numerator."""
+def _normalised(K: int, terms: dict, n2: int | Fraction) -> "PolyGaussian":
+    """The unit state along scale * (terms / den) * G, nonzero terms whose
+    squared norm over pi^(K/2) is n2: ``inner`` gives <s, s> = (n2 / den^2)
+    scale^2 pi^(K/2), so s / ||s|| is (terms / sqrt(n2)) pi^(-K/4) G for any
+    scale and den.  The terms' content g, the gcd of every numerator, moves
+    into that scale as sqrt(g^2 / n2); sign and phase stay in the terms."""
     g = math.gcd(*(part for pair in terms.values() for part in pair))
-    return g, {k: (re // g, im // g) for k, (re, im) in terms.items()}
-
-
-def _canonical(K: int, terms: dict, den: int, scale: PiScale) -> "PolyGaussian":
-    """scale * (terms / den) * G for nonzero terms, the positive rational
-    content of the polynomial moved into the scale; sign and phase stay."""
-    g, primitive = _content(terms)
-    return PolyGaussian._from_kernel(K, primitive, 1, scale * Fraction(g, den))
+    return PolyGaussian._from_kernel(
+        K, {k: (re // g, im // g) for k, (re, im) in terms.items()}, 1,
+        PiScale(Fraction(g * g, n2), -K))
 
 
 def _render_gaussian(labels: list[str]) -> str:
@@ -500,18 +500,13 @@ def squared_norm(s: PolyGaussian) -> ExactAmount:
 
 
 def normalized_copy(s: PolyGaussian) -> PolyGaussian:
-    """s divided by its exact norm, a PiScale, in ``_canonical`` form."""
-    sq = squared_norm(s)
-    if sq.is_zero:
+    """s divided by its exact norm by ``_normalised``.  <s, s> has a positive
+    rational coefficient for any nonzero s: ``inner``'s (a, b) and (b, a)
+    imaginary terms cancel in integers, and its real part is a
+    Gaussian-weighted L2 norm."""
+    if s.is_zero:
         raise ValueError("zero state has no normalisation")
-    if sq.coeff.im != 0 or sq.coeff.re <= 0:
-        raise ValueError("squared norm is not a positive rational multiple")
-    radicand = sq.coeff.re * sq.coeff.re * sq.factor.q
-    root = _rational_sqrt(radicand)
-    if root is None or sq.factor.quarter % 2:
-        raise ValueError("norm is not representable as sqrt(q) * pi^(k/4)")
-    return _canonical(s.K, s._terms, s._den,
-                      s.scale / PiScale(root, sq.factor.quarter // 2))
+    return _normalised(s.K, s._terms, squared_norm(s).coeff.re * s._den ** 2)
 
 
 def is_scalar_multiple_exact(a: PolyGaussian, b: PolyGaussian) -> ExactAmount | None:
@@ -668,9 +663,6 @@ def build_eigenfunction(z_first: LinearForm, z_second: LinearForm,
     if c is None:  # the vacuum's scale is pi^(-K/4)
         return normalized_copy(PolyGaussian._from_kernel(
             K, terms, first_den ** m * second_den ** n, PiScale(1, -K)))
-    # terms over den have squared norm N / den^2, N = m! n! c_Z^m c_W^n, so
-    # with their content g moved out the scale's radicand is g^2 / N
-    g, primitive = _content(terms)
-    norm = math.factorial(m) * math.factorial(n) * c[0] ** m * c[1] ** n
-    return PolyGaussian._from_kernel(K, primitive, 1,
-                                     PiScale(Fraction(g * g, norm), -K))
+    # the integer terms' squared norm is m! n! c_Z^m c_W^n
+    return _normalised(K, terms, math.factorial(m) * math.factorial(n)
+                       * c[0] ** m * c[1] ** n)

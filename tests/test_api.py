@@ -164,6 +164,34 @@ def test_every_export_has_a_caller_outside_the_tests():
     assert unused == set(TEST_ONLY_EXPORTS)
 
 
+def _private_helpers(trees):
+    """(module, name, node) of each module-level function or class whose
+    name starts with one underscore."""
+    for path, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                yield path.name, node.name, node
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    # a helper that only the tests call is dead code its tests keep alive;
+    # a reference inside the helper itself (recursion) does not count
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "quadham").glob("*.py"))}
+    refs = {}  # name -> ids of the names, attributes and imports naming it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            refs.setdefault(name, set()).add(id(node))
+    helpers = list(_private_helpers(trees))
+    unused = [f"{module}:{name}" for module, name, definition in helpers
+              if not refs.get(name, set()) - set(map(id, ast.walk(definition)))]
+    assert len(helpers) > 50 and unused == []
+
+
 def test_every_public_method_has_a_caller_outside_the_tests():
     # goes by name, as the export check does: a method whose name is used
     # anywhere else in src, bench or demos passes, so such a name hides a

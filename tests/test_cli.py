@@ -211,6 +211,37 @@ class TestExitCodes:
                 "quadham: error: eigensolver did not converge: "
                 "SVD did not converge\n"), command
 
+    def test_failed_exact_checks_are_three(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, {"preset": "oscillator-b", "b": 1.0})
+        lz = models.angular_momentum_form()
+        for name, fake, message in (
+                ("symmetric_energy", lambda b, m, n: Fraction(-1),
+                 "exact eigen-relation check failed"),
+                # twice L_z reads 2 (m - n) on Z W^0 |0>, not m - n = 1
+                ("angular_momentum_form",
+                 lambda: quadham.QuadraticForm(lz.basis, 2.0 * lz.gamma, 0.0),
+                 "exact rotation-generator check failed")):
+            with monkeypatch.context() as patch:
+                patch.setattr(models, name, fake)
+                code, text = run_cli(["wavefunction", "--config", cfg, "1", "0"],
+                                     tmp_path)
+            assert code == 3 and text is None, name
+            assert capsys.readouterr().err == f"quadham: error: {message}\n", name
+
+    def test_unexpected_exception_is_three(self, monkeypatch, capsys):
+        def failing_analyze(form, model):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_analyze", failing_analyze)
+        assert cli.main(["analyze", "--config", OSC_B1]) == 3
+        assert capsys.readouterr().err == "quadham: error: RuntimeError: boom\n"
+
+    def test_strong_field_analyzes(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"preset": "oscillator-b", "b": 1e10})
+        code, text = run_cli(["analyze", "--config", cfg], tmp_path)
+        assert code == 0 and capsys.readouterr().err == ""
+        assert json.loads(text)["results"]["classification"] == "UnboundedLattice"
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_result_is_its_own_error(self, fmt, tmp_path, monkeypatch,
                                                 capsys):

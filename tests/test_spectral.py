@@ -30,6 +30,7 @@ from quadham import (
     linear_commutator,
     make_quadratic_form,
     pair_frequencies,
+    phase_scan,
     random_positive_definite_form,
     spectrum_lattice,
     sb_operator,
@@ -231,8 +232,7 @@ class TestFastVerdicts:
     @staticmethod
     def squeezed(s, K):
         """s x^2 + p^2 / s beside K - 1 oscillators of other frequencies:
-        frequency 2 and a Gram entry of about 2 / s, near 10 t_zero = 2e-9 s
-        at s ~ 3e4."""
+        frequency 2 and a Gram entry of about 2 / s."""
         d = [s] + [1.0] * (K - 1) + [1.0 / s] + [1.5, 2.5][:K - 1]
         return QuadraticForm(PhaseSpaceBasis(K), np.diag(d), 0.0)
 
@@ -313,10 +313,17 @@ class TestFastVerdicts:
                        for v in fast)
             assert any(v.classification is Classification.UNBOUNDED_LATTICE
                        for v in fast)
-            # the Gram-entry guard decides within the squeezed family
-            squeezed = [q for q in kept if q.gamma[0, 0] > 1e3]
-            sent_back = sum(q.gamma.tobytes() in fallback for q in squeezed)
-            assert 0 < sent_back < len(squeezed)
+            # the Gram-entry guard: a positive member's mu scales by c^2
+            # with its eigenvector column
+            J = spectral._symplectic(K)
+            R = np.real(-1j * (2j * (gamma_stack([self.split(1.0, K)]) @ J)))
+            w, V = np.linalg.eig(R)
+            norms = np.linalg.svd(R, compute_uv=False)[:, 0]
+            positive = int(np.argmax((1j * w).real[0]))
+            for c, admitted in ((1.0, True), (1e-3, True), (3e-5, False)):
+                Vc = V.copy()
+                Vc[0, :, positive] *= c
+                assert spectral._fast_path(w, Vc, J, norms)[1] == [admitted], c
 
     def test_benchmark_sweep_coverage(self, monkeypatch):
         forms = [model_form(b) for b in np.linspace(-3.5058, 3.5058, 101).tolist()]
@@ -331,6 +338,26 @@ class TestFastVerdicts:
         assert {v.classification for v in verdicts} == {
             Classification.BOUNDED_BELOW_DISCRETE, Classification.NON_REAL_FREQUENCIES,
             Classification.UNBOUNDED_LATTICE}
+
+
+class TestGramScale:
+    """mu of a unit eigenvector is dimensionless (|mu| <= 1), so the Gram
+    guards hold at any scale of the form, where the frequency tolerance
+    grows with the adjoint norm past 1."""
+
+    def test_scaled_form_stays_bounded(self):
+        q = model_form(1.0)
+        for k in range(31, 61):
+            r = classify_spectrum(QuadraticForm(q.basis, q.gamma * 2.0 ** k, 0.0))
+            assert r.classification is Classification.BOUNDED_BELOW_DISCRETE, k
+            assert r.lattice_generators == pytest.approx(
+                (3.0 * 2.0 ** k, 2.0 ** k), rel=1e-12, abs=0.0), k
+
+    @pytest.mark.parametrize("b", (1e10, -1e10, 1e12, -1e12))
+    def test_strong_field_is_unbounded(self, b):
+        unbounded = Classification.UNBOUNDED_LATTICE
+        assert classify_spectrum(model_form(b)).classification is unbounded
+        assert [s.classification for s in phase_scan(b, b, 1).samples] == [unbounded]
 
 
 class TestPairFrequencies:

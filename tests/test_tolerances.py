@@ -57,7 +57,7 @@ _TOLERANCE_ARGS = {
     "definiteness_tol": (3.0,), "ladder_residual_tol": (3.0,),
     "offset_imag_tol": (), "machine_zero_tol": (3.0,), "cluster_tol": (3.0,),
     "lattice_merge_tol": (3.0,), "annihilation_tol": (3.0,),
-    "oracle_shell_tol": (), "oracle_variational_tol": (),
+    "oracle_shell_tol": (), "oracle_variational_tol": (), "gram_tol": (),
 }
 
 

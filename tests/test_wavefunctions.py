@@ -62,6 +62,28 @@ class TestExactScalars:
         assert float(PiScale(1, 4)) == pytest.approx(math.pi, rel=1e-15)
         assert float(PiScale(9, 0)) == 3.0
 
+    def test_complex_rational_edges(self):
+        # np.complex64 is no complex subclass; it converts through complex()
+        s = PolyGaussian(1, {(0,): np.complex64(0.5 - 0.25j)}, PiScale())
+        assert s.poly == {(0,): ComplexRational(Fraction(1, 2), Fraction(-1, 4))}
+        assert 1 - ComplexRational(2) == ComplexRational(-1)
+        with pytest.raises(TypeError, match="^cannot convert str to Fraction$"):
+            ComplexRational("x")
+        with pytest.raises(ZeroDivisionError, match="^division by exact zero$"):
+            ComplexRational(1) / 0
+        with pytest.raises(AttributeError, match="^ComplexRational is immutable$"):
+            ComplexRational(1).re = Fraction(2)
+
+    def test_pi_scale_edges(self):
+        with pytest.raises(ValueError, match="^PiScale radicand must be positive$"):
+            PiScale(0)
+        with pytest.raises(ValueError, match="^can only scale by a positive rational$"):
+            PiScale(1) * 0
+        with pytest.raises(TypeError):
+            PiScale(1) / 2
+        with pytest.raises(AttributeError, match="^PiScale is immutable$"):
+            PiScale(1).q = Fraction(2)
+
     def test_pi_scale_display(self):
         assert PiScale(1, 0).display() == "1"
         assert PiScale(1, -2).display() == "1/sqrt(pi)"
@@ -274,16 +296,29 @@ class TestAlgebra:
     def test_canonical_moves_content(self):
         v = vacuum(1)
         s = v.scalar_mul(ComplexRational(Fraction(2, 3), 0))
-        c = wf._canonical(s.K, s._terms, s._den, s.scale)
-        # positive rational content lives in the scale after canonicalisation
-        assert c.scale == PiScale(Fraction(4, 9), -1)
+        c = normalized_copy(s)
+        # positive rational content lives in the scale after normalisation
+        assert c.scale == PiScale(1, -1)
         assert c.poly == {(0,): ComplexRational(1, 0)}
-        assert is_scalar_multiple_exact(c, s).is_one
+        assert is_scalar_multiple_exact(c, s).equals_rational(Fraction(3, 2))
         # the sign stays in the polynomial
         neg = s.scalar_mul(-1)
-        c = wf._canonical(neg.K, neg._terms, neg._den, neg.scale)
-        assert c.scale == PiScale(Fraction(4, 9), -1)
+        c = normalized_copy(neg)
+        assert c.scale == PiScale(1, -1)
         assert c.poly == {(0,): ComplexRational(-1, 0)}
+        assert is_scalar_multiple_exact(c, neg).equals_rational(Fraction(3, 2))
+
+    def test_operand_checks(self):
+        v = vacuum(1)
+        with pytest.raises(TypeError):
+            v + 1
+        with pytest.raises(TypeError):
+            v - 1
+        with pytest.raises(ValueError,
+                           match="^cannot add states with different mode counts$"):
+            v + vacuum(2)
+        with pytest.raises(AttributeError, match="^PolyGaussian is immutable$"):
+            v.K = 2
 
     def test_addition_collects_terms(self):
         x = apply_linear_form(unit_form(1, 0), vacuum(1))
