@@ -283,14 +283,14 @@ def _grams(e: EigenData) -> list[tuple]:
     direction of a kept k, raising where mu > 0.  The frequency is >= 0,
     exactly 0.0 for the zero cluster.  At frequency != 0 every direction of
     G gives a pair, an h-negative one the conjugate of a raising member at
-    -frequency; at 0 only the h-positive half raises and must be half the
-    eigenspace.  A one-member cluster skips eigh: of a 1 x 1 matrix it
-    returns the real part and the unit vector.  Frequencies compare with the
-    zero-frequency tolerance and the dimensionless mu with `tol.gram_tol`.
+    -frequency; at 0 only the half with mu > `tol.gram_tol` raises and must
+    be half the eigenspace.  A one-member cluster skips eigh: of a 1 x 1
+    matrix it returns the real part and the unit vector.  At val != 0 a
+    direction is null where t_zero / |mu|, its eigenvalue's error (1 / |mu|
+    the condition number), reaches 1 + val, as at a split Jordan block.
     """
     freqs = e.eigenvalues.real.tolist()
     t_zero = tol.zero_frequency_tol(e.matrix_norm)
-    t_gram = tol.gram_tol()
     J = _symplectic(e.source.K)
     grams = []
     for c in reversed(e.clusters):
@@ -307,10 +307,10 @@ def _grams(e: EigenData) -> list[tuple]:
             mu, U = _lapack(np.linalg.eigh, (G + G.conj().T) / 2.0)
             mu = mu.tolist()
         if val == 0.0:
-            keep = [k for k in range(len(mu)) if mu[k] > t_gram]
+            keep = [k for k in range(len(mu)) if mu[k] > tol.gram_tol()]
             if len(keep) != len(idxs) // 2:
                 raise PairingError("zero eigenspace does not split into ladder pairs")
-        elif any(abs(m) <= t_gram for m in mu):
+        elif any(abs(m) * (1.0 + val) <= t_zero for m in mu):
             raise PairingError(
                 f"symplectically null eigenvector at frequency {val:.6g}"
             )
@@ -391,10 +391,8 @@ def _misses_vacuum(p: FrequencyPair) -> bool:
 
 
 class _Verdict(NamedTuple):
-    """What `_verdict` decides; grams, one record per ladder pair, is empty
-    unless the class has a lattice.  On `_judge`'s path they are `_grams`'
-    (frequency, mu, u) records; a fast verdict of `_verdicts` holds
-    `_fast_path`'s (frequency, mu) records, with no direction."""
+    """What `_verdict` decides; grams, `_grams`' (frequency, mu, u) records,
+    is empty unless the class has a lattice, and on a fast `_verdicts` one."""
 
     classification: Classification
     note: str
@@ -428,7 +426,7 @@ def _verdicts(gammas: np.ndarray) -> list[_Verdict]:
     admits: a non-real one, or a real one whose eigenvalues are all their
     own clusters, each 10x clear of every threshold that could merge or
     reject it.  Only the rest become `QuadraticForm`s, for `_decomposition`
-    and `_judge`.  A fast verdict carries no ladder directions.
+    and `_judge`.  A fast verdict keeps no Gram records.
     """
     basis = PhaseSpaceBasis(gammas.shape[-1] // 2)
     J = _symplectic(basis.K)
@@ -445,7 +443,7 @@ def _verdicts(gammas: np.ndarray) -> list[_Verdict]:
         if nonreal[i]:
             out.append(_non_real(gi[0]))
         elif fast[i]:
-            out.append(_lattice_verdict(0.0, gi, grams[i]))
+            out.append(_lattice_verdict(0.0, gi, grams[i], []))
         else:
             wq, Vq = w[i], V[i]
             # a stacked eig returns complex arrays for every matrix once one
@@ -474,7 +472,7 @@ def _fast_path(w: np.ndarray, V: np.ndarray, J: np.ndarray, norms: np.ndarray):
     the real parts are then exactly +-omega_j, `_cluster` puts each pair in
     one folded group whose sign parts are single members, no cluster is at
     zero, and `_grams` reads one Gram entry mu_j = Re(i v_j^dag J v_j) per
-    positive member, which must also be > 10 `tol.gram_tol()` (and 1e-12,
+    positive member, which must clear `_grams`' null bar tenfold (and 1e-12,
     far above the rounding this batched product may add) in magnitude.
     Returns per sample, as lists: nonreal, fast, and one (frequency, mu)
     record per positive member, highest frequency first (each
@@ -483,6 +481,7 @@ def _fast_path(w: np.ndarray, V: np.ndarray, J: np.ndarray, norms: np.ndarray):
     """
     K = J.shape[0] // 2
     t = tol.pairing_tol(norms)[:, None]
+    t_zero = tol.zero_frequency_tol(norms)[:, None]
     values = 1j * w
     imag = abs(values.imag)
     nonreal = w.imag.any(axis=-1) & (imag > 5.0 * t).any(axis=-1)
@@ -494,7 +493,7 @@ def _fast_path(w: np.ndarray, V: np.ndarray, J: np.ndarray, norms: np.ndarray):
     fast = ((imag <= t / 20.0).all(axis=-1)
             & (abs(re).min(axis=-1) > 10.0 * t[:, 0])
             & (np.diff(high, axis=-1) > 10.0 * t).all(axis=-1)
-            & (abs(mu_high) > max(10.0 * tol.gram_tol(), 1e-12)).all(axis=-1))
+            & (abs(mu_high) > np.maximum(10.0 * t_zero / (1.0 + high), 1e-12)).all(axis=-1))
     return (nonreal.tolist(), fast.tolist(),
             [list(zip(f, m)) for f, m in zip(high[:, ::-1].tolist(),
                                              mu_high[:, ::-1].tolist())])
@@ -526,14 +525,15 @@ def _judge(q: QuadraticForm, e: EigenData, gevals: list[float]) -> _Verdict:
             "ladder operators do not span and no discrete lattice applies",
             [], None, None, (), gmin)
 
-    return _lattice_verdict(q.offset, gevals, _grams(e))
+    grams = _grams(e)
+    return _lattice_verdict(q.offset, gevals, grams, grams)
 
 
-def _lattice_verdict(offset: float, gevals: list[float],
-                     grams: list[tuple]) -> _Verdict:
-    """`_judge`'s verdict on a real, non-defective form with that offset:
-    grams holds one record per ladder pair in `_grams`' order, its frequency
-    first and its Gram entry second, the pair raising where that is > 0."""
+def _lattice_verdict(offset: float, gevals: list[float], grams: list[tuple],
+                     kept: list[tuple]) -> _Verdict:
+    """`_judge`'s verdict on a real, non-defective form with that offset, from
+    grams' first two fields per ladder pair (frequency, Gram entry, raising
+    where > 0); it stores kept, `_grams`' records or [] on the fast path."""
     gmin = gevals[0]
     dtol = tol.definiteness_tol(max(-gmin, gevals[-1]))  # largest |eigenvalue|
     if gmin > -dtol:
@@ -558,7 +558,7 @@ def _lattice_verdict(offset: float, gevals: list[float],
                 "form matrix semidefinite but all frequencies nonzero; "
                 "treated as bounded below"
             )
-        return _Verdict(cls, note, grams, ground, ground, gens, gmin)
+        return _Verdict(cls, note, kept, ground, ground, gens, gmin)
 
     # indefinite with all-real frequencies: the signed raising frequencies
     gens = tuple(sorted((g[0] if g[1] > 0 else -g[0] for g in grams), reverse=True))
@@ -566,7 +566,7 @@ def _lattice_verdict(offset: float, gevals: list[float],
         Classification.UNBOUNDED_LATTICE,
         "form matrix indefinite with real frequencies: the Gaussian-vacuum "
         "lattice extends without a lower bound (signed generators)",
-        grams, None, float(offset + 0.5 * sum(gens)), gens, gmin)
+        kept, None, float(offset + 0.5 * sum(gens)), gens, gmin)
 
 
 def classify_spectrum(q: QuadraticForm) -> SpectrumReport:

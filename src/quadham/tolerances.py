@@ -7,7 +7,7 @@ restores its caller's value when a run ends.
 
 Fixed thresholds live beside their one use and ignore the scale: the 1e-12
 floors of `spectral._canonical_phase`'s pivot and of `spectral._fast_path`'s
-Gram entries (above 10 gram_tol() only at scales below 1e-3),
+Gram entries (above its null bar only at scales below 1e-3),
 `models.phase_scan`'s 1e-10 bisection width and 1e-9 transition merge, and
 `spectral.ladder_check`'s 1e-300 non-real floor.
 """
@@ -42,7 +42,7 @@ def zero_frequency_tol(matrix_norm: float) -> float:
 
 
 def gram_tol() -> float:
-    """Symplectic Gram entries of unit eigenvectors, dimensionless (|mu| <= 1)."""
+    """Gram entries of a zero eigenspace's unit eigenvectors (|mu| <= 1)."""
     return 1e-10 * tol_scale()
 
 

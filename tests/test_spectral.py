@@ -17,6 +17,7 @@ from quadham import (
     LatticeUnavailableError,
     LinearForm,
     NonRealFrequencyError,
+    PairingError,
     PhaseSpaceBasis,
     QuadhamError,
     QuadraticForm,
@@ -353,11 +354,31 @@ class TestGramScale:
             assert r.lattice_generators == pytest.approx(
                 (3.0 * 2.0 ** k, 2.0 ** k), rel=1e-12, abs=0.0), k
 
-    @pytest.mark.parametrize("b", (1e10, -1e10, 1e12, -1e12))
+    @pytest.mark.parametrize("b", (1e10, -1e10, 1e12, -1e12, 5e307, -5e307))
     def test_strong_field_is_unbounded(self, b):
         unbounded = Classification.UNBOUNDED_LATTICE
         assert classify_spectrum(model_form(b)).classification is unbounded
         assert [s.classification for s in phase_scan(b, b, 1).samples] == [unbounded]
+
+    @pytest.mark.parametrize("k", (0, 30))
+    def test_no_shear_of_the_free_particle_reads_a_lattice(self, k):
+        # p^2 is one Jordan block at 0; rounding in a shear's eig can split
+        # it into +-omega with omega ~ 1e-7 and a Gram entry mu ~ omega / ||R||,
+        # which the null bar |mu| (1 + omega) <= t_zero must still reject
+        p2 = np.diag([0.0, 1.0]) * 2.0 ** k
+        shears = [np.array([[1.0, a], [0.0, 1.0]]) @ np.array([[1.0, 0.0], [b, 1.0]])
+                  @ np.array([[1.0, c], [0.0, 1.0]])
+                  for a in range(-3, 4) for b in range(-3, 4) for c in range(-3, 4)]
+        read = []
+        for S in shears:
+            try:
+                r = classify_spectrum(QuadraticForm(PhaseSpaceBasis(1), S.T @ p2 @ S, 0.0))
+                read.append(r.classification)
+            except PairingError:
+                read.append("PairingError")
+        assert len(read) == 343
+        assert set(read) <= {Classification.DEFECTIVE_EXCEPTIONAL,
+                             Classification.NON_REAL_FREQUENCIES, "PairingError"}
 
 
 class TestPairFrequencies:
