@@ -45,7 +45,7 @@ from .phase_space import (
 from . import tolerances as tol
 
 # most lattice states spectrum_lattice enumerates: K=6 at 16 quanta, 74 613
-# states on as many levels, takes about 0.2 s and a 66 MB peak in a fresh
+# states on as many levels, takes about 0.2 s and a 61 MB peak in a fresh
 # process (2 vCPUs, Python 3.11)
 LATTICE_STATE_CAP = 10**5
 
@@ -115,12 +115,22 @@ class SpectrumReport:
     gamma_min: float | None = None   # smallest eigenvalue of gamma
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class LatticeLevel:
     energy: float
     states: tuple[tuple[int, ...], ...]
     degeneracy: int
     infinite: bool = False
+
+    # the fields' own __init__: one bound object.__setattr__ sets every
+    # slot, where the generated frozen one looks it up once per field
+    def __init__(self, energy: float, states: tuple[tuple[int, ...], ...],
+                 degeneracy: int, infinite: bool = False, *,
+                 _set=object.__setattr__) -> None:
+        _set(self, "energy", energy)
+        _set(self, "states", states)
+        _set(self, "degeneracy", degeneracy)
+        _set(self, "infinite", infinite)
 
 
 def eigen_decompose(m: AdjointMatrix) -> EigenData:
@@ -193,11 +203,12 @@ def _decomposition(m: AdjointMatrix, w: np.ndarray, V: np.ndarray,
     )
 
 
-def _cluster(values, t: float) -> list[list[int]]:
+def _cluster(values, t: float, order=None) -> list[list[int]]:
     """Index groups of values that coincide within t.
 
     values is an array, or a list of floats or of complex numbers.  They are
-    visited in (real, imag) order, ties in input order.  Each one
+    visited in (real, imag) order, ties in input order; order, when given,
+    is that visiting order of the indices, already sorted.  Each one
     joins the last group when within t of that group's first member, else
     the first earlier group within t (complex values sorted by real part
     can interleave two clusters), else it starts a new group.  Sorted real
@@ -208,7 +219,7 @@ def _cluster(values, t: float) -> list[list[int]]:
     key = (lambda i: (vals[i].real, vals[i].imag)) if search_earlier else vals.__getitem__
     groups: list[list[int]] = []
     anchor = None  # first member of the last group
-    for i in sorted(range(len(vals)), key=key):
+    for i in sorted(range(len(vals)), key=key) if order is None else order:
         v = vals[i]
         if groups and abs(v - anchor) <= t:
             groups[-1].append(i)
@@ -284,28 +295,48 @@ def _grams(e: EigenData) -> list[tuple]:
     exactly 0.0 for the zero cluster.  At frequency != 0 every direction of
     G gives a pair, an h-negative one the conjugate of a raising member at
     -frequency; at 0 only the half with mu > `tol.gram_tol` raises and must
-    be half the eigenspace.  A one-member cluster skips eigh: of a 1 x 1
-    matrix it returns the real part and the unit vector.  At val != 0 a
-    direction is null where t_zero / |mu|, its eigenvalue's error (1 / |mu|
-    the condition number), reaches 1 + val, as at a split Jordan block.
+    be half the eigenspace.  At val != 0 a direction is null where
+    t_zero / |mu|, its eigenvalue's error (1 / |mu| the condition number),
+    reaches 1 + val, as at a split Jordan block.
+
+    The clusters of one size share one stacked Gram product and, from two
+    members up, one stacked eigh; a slice of a stacked call holds the bits
+    of the call on that cluster alone.  One-member clusters skip eigh: of a
+    1 x 1 matrix it returns the real part and the unit vector.  The
+    clusters are then judged in order, so the first refusal is the first
+    cluster's that fails.
     """
     freqs = e.eigenvalues.real.tolist()
     t_zero = tol.zero_frequency_tol(e.matrix_norm)
     J = _symplectic(e.source.K)
-    grams = []
+    clusters = []
     for c in reversed(e.clusters):
         val = c.value.real
         if val < -t_zero:
             break  # the rest mirror the clusters above
-        val = val if val > t_zero else 0.0
-        idxs = sorted(c.indices, key=lambda i: (freqs[i], i))
-        vecs = e.eigenvectors[:, idxs]
-        G = 1j * (vecs.conj().T @ J @ vecs)
-        if len(idxs) == 1:
-            mu, U = [float(G[0, 0].real)], _UNIT
-        else:
-            mu, U = _lapack(np.linalg.eigh, (G + G.conj().T) / 2.0)
-            mu = mu.tolist()
+        clusters.append((val if val > t_zero else 0.0,
+                         sorted(c.indices, key=lambda i: (freqs[i], i))))
+    by_size: dict[int, list[int]] = {}
+    for j, (_, idxs) in enumerate(clusters):
+        by_size.setdefault(len(idxs), []).append(j)
+    # per cluster: mu, and its directions as v @ U[:, k], or v itself for
+    # one member
+    gram = [None] * len(clusters)
+    for size, js in by_size.items():
+        # rows[j] is vecs^T of cluster j, so slice j of vecs has the layout
+        # of e.eigenvectors[:, idxs]: every product meets the same kernel
+        rows = e.eigenvectors.T.take([clusters[j][1] for j in js], axis=0)
+        vecs = rows.transpose(0, 2, 1)
+        G = 1j * (rows.conj() @ J @ vecs)
+        if size == 1:
+            for j, mu, u in zip(js, G[:, 0, 0].real.tolist(), (vecs @ _UNIT)[:, :, 0]):
+                gram[j] = ([mu], u, None)
+            continue
+        mus, Us = _lapack(np.linalg.eigh, (G + G.conj().transpose(0, 2, 1)) / 2.0)
+        for j, mu, U, v in zip(js, mus.tolist(), Us, vecs):
+            gram[j] = (mu, v, U)
+    grams = []
+    for (val, idxs), (mu, v, U) in zip(clusters, gram):
         if val == 0.0:
             keep = [k for k in range(len(mu)) if mu[k] > tol.gram_tol()]
             if len(keep) != len(idxs) // 2:
@@ -316,7 +347,7 @@ def _grams(e: EigenData) -> list[tuple]:
             )
         else:
             keep = range(len(mu))
-        grams += [(val, mu[k], vecs @ U[:, k]) for k in keep]
+        grams += [(val, mu[k], v if U is None else v @ U[:, k]) for k in keep]
     return grams
 
 
@@ -343,18 +374,29 @@ def ladder_check(q: QuadraticForm, z: LinearForm) -> float:
 
     The adjoint entries and the norm of R are derived once per form, so every
     candidate checked against one form shares them with its decomposition.
+    lambda does not depend on the scale of z: a candidate whose squared norm
+    is not between 2^-500 and 2^500 is first scaled by a power of two, which
+    keeps every product exact.
     """
     if q.basis != z.basis:
         raise ValueError("form and candidate live on different bases")
     c = z.coeffs
-    cn = float(np.linalg.norm(c))
-    if cn == 0.0:
-        raise ValueError("zero vector is not a ladder operator candidate")
+    sq = _squared_norm(c)
+    if not 2.0 ** -500 < sq < 2.0 ** 500:
+        # bring max |c_i| into [1/2, 1), where no product overflows or
+        # underflows
+        top = float(abs(c).max())
+        if top == 0.0:
+            raise ValueError("zero vector is not a ladder operator candidate")
+        c = np.ldexp(c.view(float), -math.frexp(top)[1]).view(complex)
+        sq = _squared_norm(c)
+    cn = math.sqrt(sq)
     M = _derived(q, _adjoint_entries)
     hnorm = _derived(q, _adjoint_norm)
     Mc = M @ c
-    lam = complex((np.conj(c) @ Mc) / (np.conj(c) @ c))
-    residual = float(np.linalg.norm(Mc - lam * c)) / cn
+    cc = np.conj(c)
+    lam = complex((cc @ Mc) / (cc @ c))
+    residual = math.sqrt(_squared_norm(Mc - lam * c)) / cn
     t = tol.ladder_residual_tol(hnorm)
     if not residual <= t:  # a NaN residual fails too
         raise LadderCheckError(
@@ -365,6 +407,14 @@ def ladder_check(q: QuadraticForm, z: LinearForm) -> float:
             f"eigenvalue {lam} has non-real part beyond tolerance", residual
         )
     return float(lam.real)
+
+
+def _squared_norm(v: np.ndarray) -> float:
+    """|v|^2 of a complex vector summed as np.linalg.norm sums it, re.re +
+    im.im, so math.sqrt of it has the bits of np.linalg.norm(v).  np.vdot
+    gives the dot's bits and, unlike it, warns of no overflow."""
+    re, im = v.real, v.imag
+    return float(np.vdot(re, re)) + float(np.vdot(im, im))
 
 
 def vacuum_annihilation_residual(z: LinearForm) -> float:
@@ -641,15 +691,20 @@ def spectrum_lattice(r: SpectrumReport, max_quanta: int) -> list[LatticeLevel]:
             shell_quanta.append(n)
     levels = []
     for shell_energies, shell_quanta in shells:
-        for g in _cluster(shell_energies, t):
-            if len(g) == 1:
-                states = (shell_quanta[g[0]],)
-            else:
-                states = [shell_quanta[i] for i in g]
-                if not unbounded:
-                    states.sort()
-                states = tuple(states)
-            levels.append(LatticeLevel(shell_energies[g[0]], states,
+        # `_cluster`'s order.  Where every sorted gap exceeds t, `_cluster`
+        # opens a group at each energy (its anchor is then the one before),
+        # so the shell's levels are its states in that order, one each
+        order = sorted(range(len(shell_energies)), key=shell_energies.__getitem__)
+        ordered = [shell_energies[i] for i in order]
+        if all(b - a > t for a, b in zip(ordered, ordered[1:])):
+            levels += [LatticeLevel(e, (shell_quanta[i],), 1, infinite)
+                       for e, i in zip(ordered, order)]
+            continue
+        for g in _cluster(shell_energies, t, order):
+            states = [shell_quanta[i] for i in g]
+            if not unbounded:
+                states.sort()
+            levels.append(LatticeLevel(shell_energies[g[0]], tuple(states),
                                        len(states), infinite))
     return levels
 

@@ -1,8 +1,10 @@
 import copy
 import dataclasses
+import inspect
 import math
 import operator
 import pickle
+import re
 import struct
 
 import numpy as np
@@ -27,6 +29,7 @@ from quadham import (
     DimensionlessModel,
     EigensolverError,
     eigen_decompose,
+    isotropic_form,
     ladder_check,
     linear_commutator,
     make_quadratic_form,
@@ -190,6 +193,120 @@ class TestStackedDecomposition:
                 EigensolverError,
                 match="^eigensolver did not converge: SVD did not converge$"):
             run(model_form(1e308))
+
+
+def reference_grams(e):
+    """`spectral._grams` one cluster at a time, each with its own Gram
+    product and eigh: the loop the stacked calls replaced."""
+    freqs = e.eigenvalues.real.tolist()
+    t_zero = tol.zero_frequency_tol(e.matrix_norm)
+    J = spectral._symplectic(e.source.K)
+    grams = []
+    for c in reversed(e.clusters):
+        val = c.value.real
+        if val < -t_zero:
+            break
+        val = val if val > t_zero else 0.0
+        idxs = sorted(c.indices, key=lambda i: (freqs[i], i))
+        vecs = e.eigenvectors[:, idxs]
+        G = 1j * (vecs.conj().T @ J @ vecs)
+        if len(idxs) == 1:
+            mu, U = [float(G[0, 0].real)], np.ones((1, 1), dtype=complex)
+        else:
+            mu, U = np.linalg.eigh((G + G.conj().T) / 2.0)
+            mu = mu.tolist()
+        if val == 0.0:
+            keep = [k for k in range(len(mu)) if mu[k] > tol.gram_tol()]
+            if len(keep) != len(idxs) // 2:
+                raise PairingError("zero eigenspace does not split into ladder pairs")
+        elif any(abs(m) * (1.0 + val) <= t_zero for m in mu):
+            raise PairingError(f"symplectically null eigenvector at frequency {val:.6g}")
+        else:
+            keep = range(len(mu))
+        grams += [(val, mu[k], vecs @ U[:, k]) for k in keep]
+    return grams
+
+
+def gram_bits(grams):
+    return [(val.hex(), mu.hex(), u.dtype, u.tobytes()) for val, mu, u in grams]
+
+
+class TestStackedGrams:
+    """`_verdicts` and `_grams` read each slice of a stacked numpy call as
+    the call on that matrix alone.  That holds bit for bit on the numpy and
+    BLAS these tests run on; an upgrade that breaks it fails here."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_stacked_product_matches_per_matrix_calls(self, size):
+        rng = np.random.default_rng(34 + size)
+        for K in range((size + 1) // 2, 7):
+            n = 2 * K
+            J = spectral._symplectic(K)
+            V = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            idx = [rng.choice(n, size, replace=False).tolist() for _ in range(5)]
+            # `_grams`' layout: (m, size, n) rows, their (m, n, size) columns
+            rows = V.T.take(idx, axis=0)
+            vecs = rows.transpose(0, 2, 1)
+            G = 1j * (rows.conj() @ J @ vecs)
+            U = np.linalg.eigh((G + G.conj().transpose(0, 2, 1)) / 2.0)[1]
+            for i, members in enumerate(idx):
+                single = V[:, members]
+                Gi = 1j * (single.conj().T @ J @ single)
+                assert G[i].tobytes() == Gi.tobytes(), (K, i)
+                for k in range(size):
+                    assert (vecs[i] @ U[i][:, k]).tobytes() == (single @ U[i][:, k]).tobytes()
+            if size == 1:
+                ones = np.ones((1, 1), dtype=complex)
+                for i, u in enumerate((vecs @ ones)[:, :, 0]):
+                    assert u.tobytes() == (V[:, idx[i]] @ ones[:, 0]).tobytes()
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_stacked_eigh_matches_per_matrix_calls(self, size):
+        rng = np.random.default_rng(340 + size)
+        A = rng.standard_normal((60, size, size)) + 1j * rng.standard_normal((60, size, size))
+        H = (A + A.conj().transpose(0, 2, 1)) / 2.0
+        w, U = np.linalg.eigh(H)
+        for i in range(len(H)):
+            wi, Ui = np.linalg.eigh(H[i])
+            assert w[i].tobytes() == wi.tobytes() and U[i].tobytes() == Ui.tobytes(), i
+
+    FORMS = {
+        **{f"model b={b:g}": model_form(b) for b in (0.0, 1.0, 2.0, 3.0)},
+        "isotropic": isotropic_form(),
+        "sb B=0.7": sb_operator(0.7),
+        **{f"random-pd K={K} seed={s}": random_positive_definite_form(K, s)
+           for K in range(1, 7) for s in (0, 1, 2)},
+        **{f"random K={K} seed={s}": QuadraticForm(
+            PhaseSpaceBasis(K), random_symmetric(np.random.default_rng(100 * K + s), 2 * K),
+            0.0) for K in range(1, 7) for s in (0, 1, 2)},
+    }
+
+    @pytest.mark.parametrize("name", FORMS)
+    def test_grams_match_per_cluster_calls(self, name):
+        e = eigen_decompose(adjoint_representation(self.FORMS[name]))
+        try:
+            want = gram_bits(reference_grams(e))
+        except PairingError as exc:
+            with pytest.raises(PairingError, match=f"^{re.escape(str(exc))}$"):
+                spectral._grams(e)
+            return
+        assert gram_bits(spectral._grams(e)) == want
+
+    def test_cluster_sizes_are_covered(self):
+        sizes = set()
+        for q in self.FORMS.values():
+            e = eigen_decompose(adjoint_representation(q))
+            t_zero = tol.zero_frequency_tol(e.matrix_norm)
+            sizes |= {(len(c.indices), abs(c.value.real) <= t_zero) for c in e.clusters}
+        # one- and two-member clusters, and a zero eigenspace
+        assert {(1, False), (2, False), (2, True)} <= sizes
+
+    def test_free_particle_shear_is_refused(self):
+        # H = (2x - 7p)^2: p^2's Jordan block, split by rounding
+        q = QuadraticForm(PhaseSpaceBasis(1), np.array([[4.0, -14.0], [-14.0, 49.0]]), 0.0)
+        with pytest.raises(PairingError, match=r"^symplectically null eigenvector "
+                                               r"at frequency 1\.19672e-07$"):
+            classify_spectrum(q)
 
 
 def mode_form(modes, rng):
@@ -506,6 +623,31 @@ class TestLadderCheck:
             ladder_check(q, symmetric_ladders()[index].form)
         assert math.isnan(info.value.residual)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-160, 1e160, 1e-200, 1e200,
+                                       2.0 ** -1000, 2.0 ** 1000],
+                             ids=["1e-160", "1e+160", "1e-200", "1e+200",
+                                  "2^-1000", "2^+1000"])
+    def test_candidate_scale_is_free(self, scale):
+        # [H, Z] = lambda Z does not depend on the scale of Z, but |z s|^2
+        # underflows or overflows a double at these scales
+        q = model_form(1.0)
+        for p in classify_spectrum(q).pairs:
+            z = LinearForm(q.basis, p.raising.coeffs * scale)
+            assert ladder_check(q, z) == pytest.approx(p.raising_frequency,
+                                                       rel=0.0, abs=1e-12)
+
+    def test_power_of_two_scale_keeps_the_bits(self):
+        # z 2^k and the candidate it is scaled back to differ from z by
+        # powers of two, which every product of the check keeps exact
+        q = model_form(1.3)
+        for p in classify_spectrum(q).pairs:
+            for z in (p.raising, p.lowering):
+                lam = ladder_check(q, z)
+                for k in (-700, -300, -100, 100, 300, 700):
+                    scaled = LinearForm(q.basis, z.coeffs * 2.0 ** k)
+                    assert ladder_check(q, scaled).hex() == lam.hex(), k
+
 
 class TestClassification:
     def test_model_grid(self):
@@ -722,6 +864,38 @@ class TestSpectrumLattice:
             assert lattice_bits(rep, max_quanta) == reference_lattice_bits(
                 rep, max_quanta), max_quanta
 
+    @pytest.mark.parametrize("cls, gens", [
+        (Classification.BOUNDED_BELOW_DISCRETE, (1.0, 1.0)),
+        (Classification.CRITICAL_INFINITE_MULTIPLICITY, (0.0, 1.0, 1.0)),
+        # shell 0 holds one state, so every report of this class takes the
+        # distinct-level path there
+        (Classification.UNBOUNDED_LATTICE, (1.0, 1.0, -1.0)),
+    ], ids=["bounded", "critical", "unbounded"])
+    @pytest.mark.parametrize("factor", [0.5, 2.0], ids=["inside", "outside"])
+    def test_neighbours_on_both_sides_of_the_merge_tolerance(self, cls, gens, factor,
+                                                            monkeypatch):
+        # the second 1.0 moves eps = factor * t off the first, so sorted
+        # neighbours lie eps apart: within t they go through `_cluster`,
+        # beyond it every shell is distinct
+        calls = []
+        cluster = spectral._cluster
+        monkeypatch.setattr(spectral, "_cluster",
+                            lambda *args: calls.append(args) or cluster(*args))
+        for max_quanta in (1, 2, 3, 5):
+            # max |energy| is the anchor plus max_quanta of the largest
+            # generator, 1 + eps; eps moves t by less than one part in 1e8
+            t = tol.lattice_merge_tol(0.5 + max_quanta)
+            g = (*gens[:-1], gens[-1] + factor * t) if gens[-1] > 0 else (
+                *gens[:-2], gens[-2] + factor * t, gens[-1])
+            rep = SpectrumReport(cls, (), 0.5 if cls is not Classification.UNBOUNDED_LATTICE
+                                 else None, g, "", vacuum_energy=0.5)
+            calls.clear()
+            bits = lattice_bits(rep, max_quanta)
+            assert bits == reference_lattice_bits(rep, max_quanta), max_quanta
+            merged = any(degeneracy > 1 for _, _, degeneracy, _ in bits)
+            assert merged == (factor < 1.0), max_quanta
+            assert bool(calls) == merged, max_quanta
+
     def test_zero_generators_match_per_state_enumeration(self):
         # no generator to enumerate: one state, and -0.0 + 0 is +0.0
         rep = SpectrumReport(Classification.CRITICAL_INFINITE_MULTIPLICITY, (), None,
@@ -729,6 +903,38 @@ class TestSpectrumLattice:
         for max_quanta in (0, 3):
             assert lattice_bits(rep, max_quanta) == reference_lattice_bits(
                 rep, max_quanta) == [((0.0).hex(), ((),), 1, True)]
+
+
+def test_level_constructor_is_the_dataclass_one():
+    # LatticeLevel writes its own __init__ (init=False); it must take the
+    # fields as the generated one would, and the record must stay frozen
+    fields = dataclasses.fields(LatticeLevel)
+    params = list(inspect.signature(LatticeLevel.__init__).parameters.values())[1:]
+    public = [p for p in params if not p.name.startswith("_")]
+    assert [(p.name, p.kind, p.default) for p in public] == [
+        (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+         inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+        for f in fields]
+    assert all(p.kind is inspect.Parameter.KEYWORD_ONLY
+               and p.default is not inspect.Parameter.empty
+               for p in params if p not in public)
+    with pytest.raises(TypeError):
+        LatticeLevel(1.5, ((1, 0),), 1, False, None)
+
+    lv = LatticeLevel(energy=1.5, states=((1, 0),), degeneracy=1)
+    assert dataclasses.astuple(lv) == (1.5, ((1, 0),), 1, False)
+    assert dataclasses.astuple(LatticeLevel(1.5, ((1, 0),), 1)) == dataclasses.astuple(lv)
+    twin = dataclasses.replace(lv, states=((1, 0), (0, 2)), degeneracy=2, infinite=True)
+    assert dataclasses.astuple(twin) == (1.5, ((1, 0), (0, 2)), 2, True)
+    copied = pickle.loads(pickle.dumps(twin))
+    assert type(copied) is LatticeLevel and dataclasses.astuple(copied) == dataclasses.astuple(twin)
+    assert not hasattr(lv, "__dict__")
+    for f in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(lv, f.name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(lv, f.name)
+    assert dataclasses.astuple(lv) == (1.5, ((1, 0),), 1, False)
 
 
 def lattice_bits(rep, max_quanta):
