@@ -115,6 +115,9 @@ class SpectrumReport:
     gamma_min: float | None = None   # smallest eigenvalue of gamma
 
 
+_SETATTR = object.__setattr__  # how a frozen record sets its own slots
+
+
 @dataclass(frozen=True, eq=False, slots=True, init=False)
 class LatticeLevel:
     energy: float
@@ -122,11 +125,11 @@ class LatticeLevel:
     degeneracy: int
     infinite: bool = False
 
-    # the fields' own __init__: one bound object.__setattr__ sets every
+    # the fields' own __init__: one local object.__setattr__ sets every
     # slot, where the generated frozen one looks it up once per field
     def __init__(self, energy: float, states: tuple[tuple[int, ...], ...],
-                 degeneracy: int, infinite: bool = False, *,
-                 _set=object.__setattr__) -> None:
+                 degeneracy: int, infinite: bool = False) -> None:
+        _set = _SETATTR
         _set(self, "energy", energy)
         _set(self, "states", states)
         _set(self, "degeneracy", degeneracy)
@@ -203,12 +206,11 @@ def _decomposition(m: AdjointMatrix, w: np.ndarray, V: np.ndarray,
     )
 
 
-def _cluster(values, t: float, order=None) -> list[list[int]]:
+def _cluster(values, t: float) -> list[list[int]]:
     """Index groups of values that coincide within t.
 
     values is an array, or a list of floats or of complex numbers.  They are
-    visited in (real, imag) order, ties in input order; order, when given,
-    is that visiting order of the indices, already sorted.  Each one
+    visited in (real, imag) order, ties in input order.  Each one
     joins the last group when within t of that group's first member, else
     the first earlier group within t (complex values sorted by real part
     can interleave two clusters), else it starts a new group.  Sorted real
@@ -219,7 +221,7 @@ def _cluster(values, t: float, order=None) -> list[list[int]]:
     key = (lambda i: (vals[i].real, vals[i].imag)) if search_earlier else vals.__getitem__
     groups: list[list[int]] = []
     anchor = None  # first member of the last group
-    for i in sorted(range(len(vals)), key=key) if order is None else order:
+    for i in sorted(range(len(vals)), key=key):
         v = vals[i]
         if groups and abs(v - anchor) <= t:
             groups[-1].append(i)
@@ -410,9 +412,9 @@ def ladder_check(q: QuadraticForm, z: LinearForm) -> float:
 
 
 def _squared_norm(v: np.ndarray) -> float:
-    """|v|^2 of a complex vector summed as np.linalg.norm sums it, re.re +
-    im.im, so math.sqrt of it has the bits of np.linalg.norm(v).  np.vdot
-    gives the dot's bits and, unlike it, warns of no overflow."""
+    """|v|^2 of a complex vector as re.re + im.im, the sum np.linalg.norm
+    takes, without its dispatch.  np.vdot, unlike dot, warns of no
+    overflow."""
     re, im = v.real, v.imag
     return float(np.vdot(re, re)) + float(np.vdot(im, im))
 
@@ -676,8 +678,9 @@ def spectrum_lattice(r: SpectrumReport, max_quanta: int) -> list[LatticeLevel]:
         )
     unbounded = r.classification is Classification.UNBOUNDED_LATTICE
 
-    # lexicographic order, which `_cluster` keeps among equal energies; with
-    # a float anchor, anchor + s has the bits of float(anchor + s)
+    # lexicographic order, which each shell's stable sort keeps among equal
+    # energies; with a float anchor, anchor + s has the bits of
+    # float(anchor + s)
     quanta, energies, left = _multi_indices(active, max_quanta, float(anchor))
     t = tol.lattice_merge_tol(max(map(abs, energies)))
 
@@ -691,21 +694,24 @@ def spectrum_lattice(r: SpectrumReport, max_quanta: int) -> list[LatticeLevel]:
             shell_quanta.append(n)
     levels = []
     for shell_energies, shell_quanta in shells:
-        # `_cluster`'s order.  Where every sorted gap exceeds t, `_cluster`
-        # opens a group at each energy (its anchor is then the one before),
-        # so the shell's levels are its states in that order, one each
+        # `_cluster`'s merge of sorted reals: a level opens at each energy
+        # more than t above the level's first, ties in lexicographic order
         order = sorted(range(len(shell_energies)), key=shell_energies.__getitem__)
         ordered = [shell_energies[i] for i in order]
         if all(b - a > t for a, b in zip(ordered, ordered[1:])):
+            # each level's first is the energy before, so each is one state
             levels += [LatticeLevel(e, (shell_quanta[i],), 1, infinite)
                        for e, i in zip(ordered, order)]
             continue
-        for g in _cluster(shell_energies, t, order):
-            states = [shell_quanta[i] for i in g]
-            if not unbounded:
-                states.sort()
-            levels.append(LatticeLevel(shell_energies[g[0]], tuple(states),
-                                       len(states), infinite))
+        # the level from order[first] opened at low; inf closes the last
+        first, low = 0, ordered[0]
+        for k, e in enumerate(ordered[1:] + [math.inf], 1):
+            if e - low > t:
+                states = [shell_quanta[i] for i in order[first:k]]
+                if not unbounded:
+                    states.sort()
+                levels.append(LatticeLevel(low, tuple(states), k - first, infinite))
+                first, low = k, e
     return levels
 
 

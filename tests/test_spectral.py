@@ -872,15 +872,10 @@ class TestSpectrumLattice:
         (Classification.UNBOUNDED_LATTICE, (1.0, 1.0, -1.0)),
     ], ids=["bounded", "critical", "unbounded"])
     @pytest.mark.parametrize("factor", [0.5, 2.0], ids=["inside", "outside"])
-    def test_neighbours_on_both_sides_of_the_merge_tolerance(self, cls, gens, factor,
-                                                            monkeypatch):
+    def test_neighbours_on_both_sides_of_the_merge_tolerance(self, cls, gens, factor):
         # the second 1.0 moves eps = factor * t off the first, so sorted
-        # neighbours lie eps apart: within t they go through `_cluster`,
-        # beyond it every shell is distinct
-        calls = []
-        cluster = spectral._cluster
-        monkeypatch.setattr(spectral, "_cluster",
-                            lambda *args: calls.append(args) or cluster(*args))
+        # neighbours lie eps apart: within t they merge into levels, beyond
+        # it every shell takes the distinct-level path
         for max_quanta in (1, 2, 3, 5):
             # max |energy| is the anchor plus max_quanta of the largest
             # generator, 1 + eps; eps moves t by less than one part in 1e8
@@ -889,12 +884,10 @@ class TestSpectrumLattice:
                 *gens[:-2], gens[-2] + factor * t, gens[-1])
             rep = SpectrumReport(cls, (), 0.5 if cls is not Classification.UNBOUNDED_LATTICE
                                  else None, g, "", vacuum_energy=0.5)
-            calls.clear()
             bits = lattice_bits(rep, max_quanta)
             assert bits == reference_lattice_bits(rep, max_quanta), max_quanta
             merged = any(degeneracy > 1 for _, _, degeneracy, _ in bits)
             assert merged == (factor < 1.0), max_quanta
-            assert bool(calls) == merged, max_quanta
 
     def test_zero_generators_match_per_state_enumeration(self):
         # no generator to enumerate: one state, and -0.0 + 0 is +0.0
@@ -906,18 +899,14 @@ class TestSpectrumLattice:
 
 
 def test_level_constructor_is_the_dataclass_one():
-    # LatticeLevel writes its own __init__ (init=False); it must take the
-    # fields as the generated one would, and the record must stay frozen
+    # LatticeLevel writes its own __init__ (init=False); it must take exactly
+    # the fields as the generated one would, and the record must stay frozen
     fields = dataclasses.fields(LatticeLevel)
     params = list(inspect.signature(LatticeLevel.__init__).parameters.values())[1:]
-    public = [p for p in params if not p.name.startswith("_")]
-    assert [(p.name, p.kind, p.default) for p in public] == [
+    assert [(p.name, p.kind, p.default) for p in params] == [
         (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
          inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
         for f in fields]
-    assert all(p.kind is inspect.Parameter.KEYWORD_ONLY
-               and p.default is not inspect.Parameter.empty
-               for p in params if p not in public)
     with pytest.raises(TypeError):
         LatticeLevel(1.5, ((1, 0),), 1, False, None)
 
