@@ -7,24 +7,36 @@ the entries <o| . |o + d> for a few offset vectors d, and assembly writes
 those entries and nothing else.  Same-mode products are computed at a
 padded cutoff and cropped so every retained entry equals its untruncated
 value; cross-mode products are elementwise in the mode factors and need
-no padding.  Hermiticity is checked on the band sums,
-before build_fock_matrix writes its one dense matrix.  Basis states are
-occupancy tuples in row-major order with mode 1 slowest.
+no padding.  The single-mode bands are kept as small tables per cutoff,
+and a plan kept per mode count lists, for each offset, the gamma entries
+that feed it.  So the cost of assembly grows with the number of offsets,
+not of terms: the terms of all offsets of one kind come from one gather,
+one outer product and one multiply by gamma, and each offset's sum adds
+its terms to zero in (a, b) order, which gives it the bits of a sum of
+dense per-term matrices.  Hermiticity is checked on the band sums, once
+per pair of offsets +-d, before build_fock_matrix writes its one dense
+matrix.  Basis states are occupancy tuples in row-major order with mode 1
+slowest.
 
 Every offset of a quadratic form changes the total occupancy by 0 or +-2,
 so the matrix is exactly block-diagonal over the parity of total quanta.
 When the entries that change the total are also (numerically) zero, the
 form conserves total occupancy and the matrix is block-diagonal over shells
-of equal total quanta.  The eigenvalues are those of the blocks: one per
-shell for a conserving form, one per parity otherwise.  The oracle writes
-each block from the band sums and never the dense matrix.  Shell blocks with
-total quanta s <= n_max retain every state of that total and reproduce
-untruncated eigenvalues; the other eigenvalues are variational
+of equal total quanta.  The eigenvalues are those of the blocks.  The
+oracle writes the blocks from the band sums and never the dense matrix:
+the two parity blocks one at a time, one eigensolve each, or every shell
+into one buffer, the shells of one size in one stacked eigensolve.  The
+box gives shell s and shell K n_max - s the same size, and a slice of a
+stacked eigensolve holds the bits of the call on its shell alone.  Shell
+blocks with total quanta s <= n_max retain every state of that total and
+reproduce untruncated eigenvalues; the other eigenvalues are variational
 approximations converging from above.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,11 +48,13 @@ from .spectral import Classification, LatticeLevel, _cluster
 from . import tolerances as tol
 
 # most states a FockTruncation retains; bounds build_fock_matrix: a dense
-# complex matrix of 4096 states is 256 MiB.  The oracle holds only its largest
-# block, plus LAPACK's copy of it during the eigensolve.  At 1681 states,
-# where one dense matrix is 45.2 MB, tracemalloc measures 45.6 MB for
-# build_fock_matrix and 12.4 MB for oracle_spectrum: the 841-state parity
-# block (LAPACK's copy is allocated outside Python's tracked heap)
+# complex matrix of 4096 states is 256 MiB.  The oracle holds one parity
+# block at a time, plus LAPACK's copy of it during the eigensolve, or the
+# buffer of all shells, whose sizes sum in squares to far less.  At 1681
+# states, where one dense matrix is 45.2 MB, tracemalloc measures 45.4 MB
+# for build_fock_matrix and 12.4 MB for oracle_spectrum: the 841-state
+# parity block (LAPACK's copy is allocated outside Python's tracked heap).
+# A conserving form's shells take 1.2 MB there and 3.9 MB at 4096 states
 FOCK_STATE_CAP = 4096
 
 
@@ -55,15 +69,36 @@ class FockTruncation:
         object.__setattr__(self, "n_max", _count(
             self.n_max, 0, "n_max must be a non-negative integer"))
         object.__setattr__(self, "K", _count(self.K, 1, "K must be a positive integer"))
-        if self.dim > FOCK_STATE_CAP:
-            raise FockCapError(
-                f"truncated dimension {(self.n_max + 1)}^{self.K} = {self.dim} "
-                f"exceeds cap {FOCK_STATE_CAP}"
-            )
+        base = self.n_max + 1
+        # a base of 2 or more exceeds the cap from K = cap.bit_length() on, so
+        # a power that large is never formed
+        if base > 1 and (self.K >= FOCK_STATE_CAP.bit_length()
+                         or base ** self.K > FOCK_STATE_CAP):
+            raise FockCapError(_cap_message(base, self.K))
 
     @property
     def dim(self) -> int:
         return (self.n_max + 1) ** self.K
+
+
+# str() refuses an int of more than 4300 digits (sys.get_int_max_str_digits)
+_PRINTED_DIGITS = 4000
+_UNPRINTED = f"over 10^{_PRINTED_DIGITS}"
+
+
+def _decimal(value: int) -> str:
+    return str(value) if math.log10(value) < _PRINTED_DIGITS else _UNPRINTED
+
+
+def _cap_message(base: int, K: int) -> str:
+    """The FockCapError text for base^K states, base >= 2.
+
+    A number of _PRINTED_DIGITS digits or more is written as _UNPRINTED, and
+    such a power of base is never formed.
+    """
+    printed = K < _PRINTED_DIGITS / math.log10(base)
+    return (f"truncated dimension {_decimal(base)}^{_decimal(K)} = "
+            f"{base ** K if printed else _UNPRINTED} exceeds cap {FOCK_STATE_CAP}")
 
 
 def _single_mode_ops(levels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -76,98 +111,216 @@ def _single_mode_ops(levels: int) -> tuple[np.ndarray, np.ndarray]:
     return x.astype(complex), p
 
 
-def _band(op: np.ndarray, d: int, mode: int, K: int) -> np.ndarray:
-    """Entries op[i, i + d], laid along axis `mode` of the occupancy grid."""
-    v = np.diagonal(op, d)
-    return v.reshape([len(v) if j == mode else 1 for j in range(K)])
+@functools.lru_cache(maxsize=8)
+def _mode_tables(ops, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only bands of one mode on occupancies 0..n-1, from ops(n + 2).
+
+    Row 2 kind + (d > 0) of the first table is x or p at offset d = -1, +1;
+    row 2 kind_a + kind_b of the other two is the product xx, xp, px or pp,
+    at offsets -2, +2 (columns) and at 0.  Products are taken at the padded
+    cutoff and cropped, so every retained entry equals its untruncated value.
+    The cache is keyed on ops too, so other single-mode matrices get tables
+    of their own.
+    """
+    padded = ops(n + 2)
+    single = np.array([np.diagonal(op[:n, :n], d) for op in padded for d in (-1, 1)])
+    products = [(pa @ pb)[:n, :n] for pa in padded for pb in padded]
+    two = np.array([[np.diagonal(m, d) for d in (-2, 2)] for m in products])
+    zero = np.array([np.diagonal(m) for m in products])
+    for table in (single, two, zero):
+        table.flags.writeable = False
+    return single, two, zero
 
 
-def _entries(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat (rows, cols, values) of band records, concatenated in order."""
-    records = list(records)
-    return (np.concatenate([np.empty(0, dtype=np.intp)] + [r.ravel() for r, _, _ in records]),
-            np.concatenate([np.empty(0, dtype=np.intp)] + [c.ravel() for _, c, _ in records]),
-            np.concatenate([np.empty(0, dtype=complex)] + [v.ravel() for _, _, v in records]))
+# sign pairs (d_i, d_j) of the four cross offsets of two modes i < j; the
+# offset at index s mirrors the one at 3 - s
+_SIGNS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
+# a cross offset's eight terms are stacked with those whose first factor lies
+# in mode i first; the tuple is its own inverse, so it also lists the stack
+# rows in (a, b) order
+_CROSS_ROWS = (0, 1, 4, 5, 2, 3, 6, 7)
 
 
-def _zero_filled(size: int, rows: np.ndarray, cols: np.ndarray,
-                 values: np.ndarray) -> np.ndarray:
-    """size x size zeros holding the values at (rows, cols)."""
-    out = np.zeros((size, size), dtype=complex)
-    out[rows, cols] = values
-    return out
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """The offsets of K modes and, per offset, the gamma entries feeding it.
+
+    Offsets come in a fixed order: the cross offsets +-1 in two modes i < j
+    (pairs in order, signs in _SIGNS order), the same-mode offsets -2 and +2
+    of each mode, then 0.  Each class holds, term by term in (a, b) order,
+    the flat gamma index a 2K + b of each of its offsets and the table rows
+    of the term's factors.
+    """
+
+    offsets: tuple[tuple[int, ...], ...]
+    cross_gamma: np.ndarray     # (8, cross offsets), stacked in _CROSS_ROWS order
+    cross_first: np.ndarray     # single-table row of the factor of a
+    cross_second: np.ndarray    # single-table row of the factor of b
+    two_gamma: np.ndarray       # (4, 2K); the term's product row is its index
+    two_cols: np.ndarray        # (2K,) product-table column of each offset
+    zero_gamma: np.ndarray      # (4K,)
+    zero_rows: np.ndarray       # product-table row of each term
+    zero_shapes: tuple[tuple[int, ...], ...]   # each term laid along its mode
+    changes: np.ndarray         # the offsets that change the total quanta
+    # per entry a 2K + b, the offsets its term feeds, in the order of a loop
+    # that yields the same-mode offsets -2, 0, +2 or the cross sign pairs
+    # (d_a, d_b) in _SIGNS order
+    feeds: tuple[tuple[int, ...], ...]
 
 
-def _checked_band_sums(
-    q: QuadraticForm, t: FockTruncation
-) -> tuple[dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]], float]:
-    """Band records of the form on the retained basis and their largest |entry|.
+@functools.lru_cache(maxsize=8)
+def _plan(K: int) -> _Plan:
+    two_k = 2 * K
+    offsets, cross = [], []
+    feeds = [{} for _ in range(two_k * two_k)]
+    for i, j in itertools.combinations(range(K), 2):
+        # the entries with one factor in each mode, in row-major order
+        entries = [(a, b) for a in (i, j, K + i, K + j)
+                   for b in ((j, K + j) if a % K == i else (i, K + i))]
+        for si, sj in _SIGNS:
+            terms = []
+            for a, b in entries:
+                sa, sb = (si, sj) if a % K == i else (sj, si)
+                feeds[a * two_k + b][sa, sb] = len(offsets)
+                terms.append((a * two_k + b, 2 * (a // K) + (sa > 0), 2 * (b // K) + (sb > 0)))
+            offsets.append(tuple(si * (ax == i) + sj * (ax == j) for ax in range(K)))
+            cross.append([terms[r] for r in _CROSS_ROWS])
+    # (3, 8, cross offsets): gamma index, first and second factor rows
+    cross = np.array(cross, dtype=np.intp).reshape(-1, 8, 3).T
 
-    The record of offset d holds the rows o, the columns o + d and the sums
-    of the retained entries <o| . |o + d>, on the grid of rows o.  Rows and
-    columns are views of one array of basis indices, so the band of -d has
-    the columns of the band of d as its rows.  Each sum receives the terms in
-    order, as a sum of dense per-term matrices would.  Raises
-    HermiticityError when the sums are not those of a Hermitian matrix.
+    # the same-mode entries of mode i in row-major order: xx, xp, px, pp
+    same = [[(ka * K + i) * two_k + kb * K + i for ka in (0, 1) for kb in (0, 1)]
+            for i in range(K)]
+    for i in range(K):
+        for s in (-2, 2):
+            for entry in same[i]:
+                feeds[entry][s] = len(offsets)
+            offsets.append(tuple(s * (ax == i) for ax in range(K)))
+    zero = [a * two_k + b for a in range(two_k) for b in (a % K, K + a % K)]
+    for entry in zero:
+        feeds[entry][0] = len(offsets)
+    offsets.append((0,) * K)
+
+    return _Plan(
+        offsets=tuple(offsets),
+        cross_gamma=cross[0], cross_first=cross[1], cross_second=cross[2],
+        two_gamma=np.repeat(same, 2, axis=0).T,
+        two_cols=np.tile((0, 1), K),
+        zero_gamma=np.array(zero, dtype=np.intp),
+        zero_rows=np.array([2 * (e // two_k // K) + e % two_k // K for e in zero],
+                           dtype=np.intp),
+        zero_shapes=tuple(tuple(-1 if ax == e % K else 1 for ax in range(K)) for e in zero),
+        changes=np.array([k for k, d in enumerate(offsets) if sum(d)], dtype=np.intp),
+        feeds=tuple(tuple(f[key] for key in sorted(f)) for f in feeds),
+    )
+
+
+@functools.lru_cache(maxsize=8)
+def _bands(K: int, n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Rows o and columns o + d of the band of each offset d of the plan.
+
+    Both are views of one array of basis indices on the occupancy grid, so
+    the rows of the band of -d are the columns of the band of d.
+    """
+    index = np.arange(n ** K).reshape((n,) * K)
+    return tuple((index[tuple(slice(max(0, -x), n - max(0, x)) for x in d)],
+                  index[tuple(slice(max(0, x), n - max(0, -x)) for x in d)])
+                 for d in _plan(K).offsets)
+
+
+def _band_sums(q: QuadraticForm, t: FockTruncation):
+    """Compact band sums of the form on the retained basis, checked Hermitian.
+
+    Returns the sums of the cross offsets (offset, o_i, o_j), of the
+    same-mode offsets (offset, o_i) and of offset 0 (the occupancy grid), in
+    plan order and on the rows o of each band, and whether every entry that
+    changes the total quanta is at most machine zero relative to the largest
+    |entry|.  Each sum adds its terms to zero in (a, b) order,
+    as a sum of dense per-term matrices would; a zero gamma entry adds
+    zeros, which leave every sum's bits alone.  Raises HermiticityError when
+    the sums are not those of a Hermitian matrix.
     """
     K = q.basis.K
     if K != t.K:
         raise ValueError("truncation mode count does not match the form")
     n = t.n_max + 1
-    padded = _single_mode_ops(n + 2)
-    singles = tuple(op[:n, :n] for op in padded)
+    single, two_table, zero_table = _mode_tables(_single_mode_ops, n)
+    plan = _plan(K)
+    gamma = q.gamma.ravel()
 
-    def terms():
-        gamma = q.gamma
-        for a in range(2 * K):
-            mode_a, kind_a = a % K, a // K
-            for b in range(2 * K):
-                g = gamma[a, b]
-                if g == 0.0:
-                    continue
-                mode_b, kind_b = b % K, b // K
-                if mode_a == mode_b:
-                    prod = (padded[kind_a] @ padded[kind_b])[:n, :n]
-                    for d in (-2, 0, 2):
-                        yield (tuple(d * (j == mode_a) for j in range(K)),
-                               g * _band(prod, d, mode_a, K))
-                    continue
-                for da in (-1, 1):
-                    for db in (-1, 1):
-                        yield (tuple(da * (j == mode_a) + db * (j == mode_b) for j in range(K)),
-                               g * (_band(singles[kind_a], da, mode_a, K)
-                                    * _band(singles[kind_b], db, mode_b, K)))
-        if q.offset:
-            yield (0,) * K, q.offset
+    # term stacks: one gather, one outer product, one multiply by gamma
+    first, second = single[plan.cross_first], single[plan.cross_second]
+    terms = np.empty(first.shape + first.shape[-1:], dtype=complex)
+    np.multiply(first[:4, :, :, None], second[:4, :, None, :], out=terms[:4])
+    np.multiply(first[4:, :, None, :], second[4:, :, :, None], out=terms[4:])
+    np.multiply(gamma[plan.cross_gamma][..., None, None], terms, out=terms)
+    cross = np.zeros(terms.shape[1:], dtype=complex)
+    for k in _CROSS_ROWS:
+        cross += terms[k]
+    terms = gamma[plan.two_gamma][..., None] * two_table[:, plan.two_cols]
+    two = np.zeros(terms.shape[1:], dtype=complex)
+    for term in terms:
+        two += term
+    terms = gamma[plan.zero_gamma][:, None] * zero_table[plan.zero_rows]
+    zero = np.zeros((n,) * K, dtype=complex)
+    for term, shape in zip(terms, plan.zero_shapes):
+        zero += term.reshape(shape)
+    if q.offset:
+        zero += q.offset
 
-    index = np.arange(t.dim).reshape((n,) * K)
-    records = {}
-    for d, values in terms():
-        if d not in records:
-            rows = index[tuple(slice(max(0, -x), n - max(0, x)) for x in d)]
-            cols = index[tuple(slice(max(0, x), n - max(0, -x)) for x in d)]
-            records[d] = (rows, cols, np.zeros(rows.shape, dtype=complex))
-        acc = records[d][2]
-        acc += values
-    # the rows of -d are the columns of d, so max |h - h^H| is
-    # max |sums[d] - conj(sums[-d])| and no dense matrix is needed; entries
-    # outside every band are 0, and a band is empty when its offset exceeds
-    # the cutoff
-    bands = [(acc, records[tuple(-x for x in d)][2])
-             for d, (_, _, acc) in records.items() if acc.size]
-    dev = float(np.max([np.max(np.abs(acc - np.conj(mirror))) for acc, mirror in bands],
-                       initial=0.0))
-    scale = float(np.max([np.max(np.abs(acc)) for acc, _ in bands], initial=0.0))
-    if dev > tol.machine_zero_tol(scale):
+    # each band's largest |entry|, in plan order, gives the scale and the
+    # conservation test; the rows of -d are the columns of d, so max |h - h^H|
+    # is max |sums[d] - conj(sums[-d])|, taken once per pair +-d
+    peaks = np.concatenate([np.abs(cross).max(axis=(1, 2), initial=0.0),
+                            np.abs(two).max(axis=1, initial=0.0),
+                            [np.abs(zero).max(initial=0.0)]])
+    scale = float(peaks.max())
+    mirrored = cross.reshape(len(cross) // 4, 4, *cross.shape[1:])
+    dev = float(np.max([
+        np.abs(mirrored[:, :2] - mirrored[:, :1:-1].conj()).max(initial=0.0),
+        np.abs(two[0::2] - two[1::2].conj()).max(initial=0.0),
+        np.abs(zero - zero.conj()).max(initial=0.0)]))
+    mz = tol.machine_zero_tol(scale)
+    if dev > mz:
         raise HermiticityError(
             f"assembled matrix deviates from Hermitian by {dev:.3e}"
         )
-    return records, scale
+    return cross, two, zero, bool(np.all(peaks[plan.changes] <= mz))
+
+
+def _checked_band_sums(
+    q: QuadraticForm, t: FockTruncation
+) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Band records of the form on the retained basis.
+
+    The record of offset d holds the rows o, the columns o + d and the
+    read-only sums of the retained entries <o| . |o + d>, on the grid of
+    rows o, for each offset some nonzero term feeds.  Records come in the
+    order in which a loop over the terms in (a, b) order first meets them.
+    """
+    cross, two, zero, _ = _band_sums(q, t)
+    K = q.basis.K
+    plan, bands = _plan(K), _bands(K, t.n_max + 1)
+    first = dict.fromkeys(k for entry in np.flatnonzero(q.gamma) for k in plan.feeds[entry])
+    if q.offset:
+        first.setdefault(len(plan.offsets) - 1)
+    sums = [*cross, *two, zero]
+    records = {}
+    for k in first:
+        d, (rows, cols) = plan.offsets[k], bands[k]
+        # a compact sum spans the modes its offset moves; offset 0's spans all
+        shape = [size if x or not any(d) else 1 for x, size in zip(d, rows.shape)]
+        records[d] = (rows, cols, np.broadcast_to(sums[k].reshape(shape), rows.shape))
+    return records
 
 
 def build_fock_matrix(q: QuadraticForm, t: FockTruncation) -> np.ndarray:
     """Matrix of the form on the retained basis; exact entries, then checked."""
-    return _zero_filled(t.dim, *_entries(_checked_band_sums(q, t)[0].values()))
+    records = _checked_band_sums(q, t)
+    h = np.zeros((t.dim, t.dim), dtype=complex)
+    for rows, cols, sums in records.values():
+        h[rows, cols] = sums
+    return h
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,21 +333,85 @@ class OracleSpectrum:
     dim: int
 
 
-def _block_layout(t: FockTruncation, conserves: bool):
-    """Block of each basis state, its index within the block, block sizes.
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """Where the oracle writes each band entry.
 
     Blocks are the shells of equal total quanta when the form conserves
     them, else the two parities of the total; a block lists its states in
-    basis order.
+    basis order.  Entry (r, c) goes to flat position base[r] + local[c]:
+    for shells, of one buffer holding the shells of each size stacked
+    (groups of (start, stop, size)), shell s at row shells[s] of its group;
+    for parities, of the block parity[r].  The offsets written are those of
+    the cross sums picked by `cross` (and all same-mode ones for parities),
+    then 0, each band listed with the modes its offset moves slowest.
     """
-    block = np.indices((t.n_max + 1,) * t.K).reshape(t.K, -1).sum(axis=0)
+
+    base: np.ndarray
+    local: np.ndarray
+    rows: tuple[np.ndarray, ...]
+    cols: tuple[np.ndarray, ...]
+    cross: np.ndarray
+    repeats: tuple[int, int]   # copies of each cross and same-mode sum
+    parity: np.ndarray | None   # odd total quanta, per state
+    sizes: tuple[int, ...]
+    groups: tuple[tuple[int, int, int], ...]
+    shells: tuple[tuple[int, int], ...]
+
+
+@functools.lru_cache(maxsize=8)
+def _layout(K: int, n: int, conserves: bool) -> _Layout:
+    block = np.indices((n,) * K).reshape(K, -1).sum(axis=0)
     if not conserves:
         block %= 2
     sizes = np.bincount(block)
-    local = np.empty(t.dim, dtype=np.intp)
+    local = np.empty(n ** K, dtype=np.intp)
     local[np.argsort(block, kind="stable")] = (
-        np.arange(t.dim) - np.repeat(np.cumsum(sizes) - sizes, sizes))
-    return block, local, sizes
+        np.arange(n ** K) - np.repeat(np.cumsum(sizes) - sizes, sizes))
+    plan, bands = _plan(K), _bands(K, n)
+    n_cross = len(plan.offsets) - 2 * K - 1
+    if conserves:
+        # the cross offsets (-1, +1) and (+1, -1) of each pair keep the total
+        cross = np.flatnonzero(np.isin(np.arange(n_cross) % 4, (1, 2)))
+        written = [*cross, len(plan.offsets) - 1]
+        by_size = {}
+        for s, m in enumerate(sizes.tolist()):
+            by_size.setdefault(m, []).append(s)
+        starts = np.empty(len(sizes), dtype=np.intp)
+        groups, shells, stop = [], [None] * len(sizes), 0
+        for g, (m, members) in enumerate(by_size.items()):
+            for row, s in enumerate(members):
+                starts[s] = stop + row * m * m
+                shells[s] = (g, row)
+            stop += len(members) * m * m
+            groups.append((stop - len(members) * m * m, stop, m))
+        base = starts[block] + local * sizes[block]
+        parity = None
+    else:
+        cross = np.arange(n_cross)
+        written = range(len(plan.offsets))
+        base = local * sizes[block]
+        parity, groups, shells = block.astype(bool), (), ()
+
+    def moving_first(k, view):
+        # the offset's moving modes slowest, the order np.repeat spreads its sums in
+        d = plan.offsets[k]
+        return view.transpose(sorted(range(K), key=lambda ax: not d[ax]))
+
+    return _Layout(
+        base=base, local=local,
+        rows=tuple(moving_first(k, bands[k][0]) for k in written),
+        cols=tuple(moving_first(k, bands[k][1]) for k in written),
+        cross=cross, repeats=(n ** max(K - 2, 0), n ** (K - 1)),
+        parity=parity, sizes=tuple(sizes.tolist()), groups=tuple(groups),
+        shells=tuple(shells))
+
+
+def _filled(size: int, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """size zeros holding the values at the flat positions."""
+    out = np.zeros(size, dtype=complex)
+    out[positions] = values
+    return out
 
 
 def oracle_spectrum(q: QuadraticForm, t: FockTruncation) -> OracleSpectrum:
@@ -202,42 +419,41 @@ def oracle_spectrum(q: QuadraticForm, t: FockTruncation) -> OracleSpectrum:
 
     The form conserves total quanta when every entry that changes the total
     is at most machine zero relative to the largest entry.  Conserving forms
-    are diagonalised shell by shell, others per parity of total quanta.
-    Each block is written from the band sums just before its eigensolve, so
+    are diagonalised shell by shell, the shells of one size in one stacked
+    eigensolve, others per parity of total quanta, one block at a time.
+    Blocks are written from the band sums just before their eigensolve, so
     the dense matrix of build_fock_matrix is never formed.
     """
-    records, scale = _checked_band_sums(q, t)
-    mz = tol.machine_zero_tol(scale)
-    conserves = all(np.all(np.abs(acc) <= mz) for d, (_, _, acc) in records.items() if sum(d))
-
-    block, local, sizes = _block_layout(t, conserves)
+    cross, two, zero, conserves = _band_sums(q, t)
+    lay = _layout(t.K, t.n_max + 1, conserves)
     # a conserving form's shells leave out the entries that change the total,
     # as every block leaves out the entries outside it
-    rows, cols, values = _entries(record for d, record in records.items()
-                                  if record[2].size and not (conserves and sum(d)))
-    keys = block[rows]
-    counts = np.bincount(keys, minlength=len(sizes))
-    ends = np.cumsum(counts)
-    order = np.argsort(keys, kind="stable")
-    rows, cols, values = local[rows[order]], local[cols[order]], values[order]
-
-    parts = []
-    shell_evals = {} if conserves else None
-    for key, (size, start, end) in enumerate(
-            zip(sizes.tolist(), (ends - counts).tolist(), ends.tolist())):
-        seg = slice(start, end)
-        # the block is a temporary, freed when eigvalsh returns
-        w = _lapack(np.linalg.eigvalsh,
-                    _zero_filled(size, rows[seg], cols[seg], values[seg]))
-        parts.append(w)
+    sums = [np.repeat(cross[lay.cross], lay.repeats[0])]
+    if not conserves:
+        sums.append(np.repeat(two, lay.repeats[1]))
+    values = np.concatenate(sums + [zero], axis=None)
+    rows = np.concatenate(lay.rows, axis=None)
+    positions = lay.base[rows] + lay.local[np.concatenate(lay.cols, axis=None)]
+    if conserves:
         # only shells with total <= n_max retain every state of that total;
-        # higher shells are cut and their eigenvalues are not exact
-        if conserves and key <= t.n_max:
-            shell_evals[key] = w  # eigvalsh's values are real and ascending
+        # higher shells are cut and their eigenvalues are not exact.  A slice
+        # of a stacked eigvalsh holds the bits of the call on its block alone
+        shells = _filled(lay.groups[-1][1], positions, values)
+        stacks = [_lapack(np.linalg.eigvalsh, shells[start:stop].reshape(-1, m, m))
+                  for start, stop, m in lay.groups]
+        parts = [stacks[g][row] for g, row in lay.shells]
+    else:
+        key, parts = lay.parity[rows], []
+        for p, m in enumerate(lay.sizes):
+            mine = key == p
+            # the block is a temporary, freed when eigvalsh returns
+            parts.append(_lapack(np.linalg.eigvalsh,
+                                 _filled(m * m, positions[mine], values[mine]).reshape(m, m)))
     return OracleSpectrum(
         eigenvalues=np.sort(np.concatenate(parts)),
         shell_exact_upto=t.n_max if conserves else 0,
-        shell_eigenvalues=shell_evals,
+        # eigvalsh's values are real and ascending
+        shell_eigenvalues=dict(enumerate(parts[:t.n_max + 1])) if conserves else None,
         dim=t.dim,
     )
 

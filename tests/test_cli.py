@@ -338,6 +338,16 @@ class TestVerifyCommand:
         assert "exceeds cap" in capsys.readouterr().err
         assert built == []
 
+    def test_oversized_request_past_printable_digits(self, tmp_path, capsys):
+        # (10^68 + 1)^64 has 4353 digits, more than str() prints
+        cfg = write_config(tmp_path, {"preset": "random-pd", "K": 64, "seed": 1})
+        n_max = 10 ** 68
+        code, text = run_cli(["verify", "--config", cfg, "--n-max", str(n_max)], tmp_path)
+        assert (code, text) == (3, None)
+        assert capsys.readouterr().err == (
+            f"quadham: error: truncated dimension {n_max + 1}^64 = over 10^4000 "
+            "exceeds cap 4096\n")
+
 
 class TestSubprocess:
     def test_module_entry_point(self, tmp_path):

@@ -127,6 +127,120 @@ def random_forms(seed):
                               offset=float(rng.uniform(-3.0, 3.0))), n_max
 
 
+def reference_band_sums(q, t):
+    """The per-term band loop the oracle replaced: one record per offset d in
+    the order the terms first reach it, each sum taking its terms one by one
+    in (a, b) order."""
+    K, n = t.K, t.n_max + 1
+    padded = fock._single_mode_ops(n + 2)
+    singles = tuple(op[:n, :n] for op in padded)
+
+    def band(op, d, mode):
+        v = np.diagonal(op, d)
+        return v.reshape([len(v) if j == mode else 1 for j in range(K)])
+
+    def terms():
+        for a in range(2 * K):
+            mode_a, kind_a = a % K, a // K
+            for b in range(2 * K):
+                g = q.gamma[a, b]
+                if g == 0.0:
+                    continue
+                mode_b, kind_b = b % K, b // K
+                if mode_a == mode_b:
+                    prod = (padded[kind_a] @ padded[kind_b])[:n, :n]
+                    for d in (-2, 0, 2):
+                        yield (tuple(d * (j == mode_a) for j in range(K)),
+                               g * band(prod, d, mode_a))
+                    continue
+                for da in (-1, 1):
+                    for db in (-1, 1):
+                        yield (tuple(da * (j == mode_a) + db * (j == mode_b)
+                                     for j in range(K)),
+                               g * (band(singles[kind_a], da, mode_a)
+                                    * band(singles[kind_b], db, mode_b)))
+        if q.offset:
+            yield (0,) * K, q.offset
+
+    index = np.arange(t.dim).reshape((n,) * K)
+    records = {}
+    for d, values in terms():
+        if d not in records:
+            rows = index[tuple(slice(max(0, -x), n - max(0, x)) for x in d)]
+            cols = index[tuple(slice(max(0, x), n - max(0, -x)) for x in d)]
+            records[d] = (rows, cols, np.zeros(rows.shape, dtype=complex))
+        acc = records[d][2]
+        acc += values
+    scale = float(np.max([np.max(np.abs(acc)) for _, _, acc in records.values()
+                          if acc.size], initial=0.0))
+    return records, scale
+
+
+def reference_oracle(q, t):
+    """The per-block eigensolve loop the oracle replaced: one eigvalsh per
+    shell or parity block, each block cut from the reference band sums.
+    Returns the eigenvalues and the shell eigenvalues (None without shells)."""
+    records, scale = reference_band_sums(q, t)
+    mz = tol.machine_zero_tol(scale)
+    conserves = all(np.all(np.abs(acc) <= mz) for d, (_, _, acc) in records.items() if sum(d))
+    block = np.indices((t.n_max + 1,) * t.K).reshape(t.K, -1).sum(axis=0)
+    if not conserves:
+        block %= 2
+    sizes = np.bincount(block)
+    local = np.empty(t.dim, dtype=np.intp)
+    local[np.argsort(block, kind="stable")] = (
+        np.arange(t.dim) - np.repeat(np.cumsum(sizes) - sizes, sizes))
+    kept = [r for d, r in records.items() if r[2].size and not (conserves and sum(d))]
+    rows = np.concatenate([np.empty(0, dtype=np.intp)] + [r.ravel() for r, _, _ in kept])
+    cols = np.concatenate([np.empty(0, dtype=np.intp)] + [c.ravel() for _, c, _ in kept])
+    values = np.concatenate([np.empty(0, dtype=complex)] + [v.ravel() for _, _, v in kept])
+    parts = []
+    for key, size in enumerate(sizes.tolist()):
+        mine = block[rows] == key
+        h = np.zeros((size, size), dtype=complex)
+        h[local[rows[mine]], local[cols[mine]]] = values[mine]
+        parts.append(np.linalg.eigvalsh(h))
+    shells = dict(enumerate(parts[:t.n_max + 1])) if conserves else None
+    return np.sort(np.concatenate(parts)), shells
+
+
+def perturbed_model(b, eps):
+    """The b model with eps added to its x1 x2 entry, which changes the total."""
+    base = model_form(b)
+    gamma = base.gamma.copy()
+    gamma[0, 1] += eps
+    gamma[1, 0] += eps
+    return QuadraticForm(base.basis, gamma, base.offset)
+
+
+def reference_cases():
+    """Random K = 1-3 forms at n_max 0-8, some with zero gamma entries or an
+    offset, and the named forms the oracle must keep bit for bit."""
+    rng = np.random.default_rng(35)
+    for K in (1, 2, 3):
+        for n_max in range(9):
+            for variant in ("dense", "zeros", "offset"):
+                g = rng.uniform(-1.0, 1.0, size=(2 * K, 2 * K))
+                g = (g + g.T) / 2.0
+                if variant == "zeros":
+                    cut = rng.random((2 * K, 2 * K)) < 0.4
+                    g[cut | cut.T] = 0.0
+                offset = float(rng.uniform(-3.0, 3.0)) if variant == "offset" else 0.0
+                yield f"K{K}-{variant}-{n_max}", QuadraticForm(PhaseSpaceBasis(K), g, offset), n_max
+    named = {"b=2": model_form(2.0), "b=-2": model_form(-2.0), "b=1.3": model_form(1.3),
+             "anisotropic": model_form(0.5, mu=2.0), "sb(2)": sb_operator(2.0),
+             "sb(-2)": sb_operator(-2.0), "eps 1e-14": perturbed_model(1.3, 1e-14),
+             "eps 1e-6": perturbed_model(1.3, 1e-6),
+             "zero K=2": QuadraticForm(PhaseSpaceBasis(2), np.zeros((4, 4))),
+             "zero K=3": QuadraticForm(PhaseSpaceBasis(3), np.zeros((6, 6)))}
+    for name, q in named.items():
+        for n_max in (0, 1, 2, 5, 8):
+            yield f"{name}-{n_max}", q, n_max
+
+
+REFERENCE_CASES = list(reference_cases())
+
+
 class TestTruncation:
     def test_dim(self):
         assert FockTruncation(5, 1).dim == 6
@@ -143,6 +257,17 @@ class TestTruncation:
         assert fock.FOCK_STATE_CAP == 4096
         with pytest.raises(FockCapError, match=r"41\^3 = 68921 exceeds cap 4096"):
             FockTruncation(40, 3)
+
+    @pytest.mark.parametrize("n_max, K, size", [
+        (10 ** 5, 1000, "100001^1000 = over 10^4000"),
+        (10 ** 68, 64, f"{10 ** 68 + 1}^64 = over 10^4000"),
+        (1, 64, "2^64 = 18446744073709551616")])
+    def test_cap_message_prints_no_overlong_number(self, n_max, K, size):
+        # str() refuses an int of more than 4300 digits; such a dimension is
+        # written as a power of ten, and the check never forms it
+        with pytest.raises(FockCapError) as err:
+            FockTruncation(n_max, K)
+        assert str(err.value) == f"truncated dimension {size} exceeds cap 4096"
 
     def test_default_cap_bounds_dense_memory(self):
         # 4096 states: a dense complex matrix of 256 MiB
@@ -194,7 +319,7 @@ class TestBuildMatrix:
         for q, n_max in random_forms(14):
             t = FockTruncation(n_max, q.basis.K)
             occ = np.array(occupancies(t))
-            records, _ = fock._checked_band_sums(q, t)
+            records = fock._checked_band_sums(q, t)
             for d, (rows, cols, sums) in records.items():
                 assert rows.shape == cols.shape == sums.shape
                 assert np.array_equal(records[tuple(-x for x in d)][0], cols)
@@ -318,38 +443,94 @@ class TestOracleSpectrum:
 
 
 def expected_blocks(h, t, conserves):
-    """Shell or parity blocks cut from the dense matrix, in eigensolve order."""
+    """Shell or parity blocks cut from the dense matrix, in eigensolve order,
+    grouped as the eigensolves stack them: the shells of one size together,
+    groups in the order of their first shell; each parity block alone."""
     shells = list(shell_indices(t).values())
     if not conserves:
-        shells = [np.sort(np.concatenate(shells[p::2])) for p in (0, 1)]
-    return [h[np.ix_(ix, ix)] for ix in shells]
+        return [[h[np.ix_(ix, ix)]] for ix in
+                [np.sort(np.concatenate(shells[p::2])) for p in (0, 1)] if len(ix)]
+    by_size = {}
+    for ix in shells:
+        by_size.setdefault(len(ix), []).append(h[np.ix_(ix, ix)])
+    return list(by_size.values())
+
+
+def recorded_eigvalsh(monkeypatch):
+    """A list that receives a copy of every matrix stack eigvalsh is given."""
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a):
+        seen.append(a.copy())
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return seen
 
 
 class TestBlockStreaming:
     """oracle_spectrum writes each block from the band sums, never h itself."""
 
     def test_blocks_equal_the_cut_dense_matrix(self, monkeypatch):
-        seen = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def recording(a):
-            seen.append(a.copy())
-            return eigvalsh(a)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        # a stacked call unstacks into the blocks it solves; the shells of a
+        # conserving form stack by size, and the box pairs shell s with shell
+        # K n_max - s, so every group but a K = 1 form's is one such pair
+        seen = recorded_eigvalsh(monkeypatch)
         forms = list(random_forms(13))
         forms += [(model_form(1.3), 6), (model_form(2.0), 5),
-                  (model_form(0.5, mu=2.0), 5)]
+                  (model_form(0.5, mu=2.0), 5), (model_form(1.3), 0)]
         for q, n_max in forms:
             t = FockTruncation(n_max, q.basis.K)
             seen.clear()
             o = oracle_spectrum(q, t)
-            want = expected_blocks(build_fock_matrix(q, t), t,
-                                   o.shell_eigenvalues is not None)
+            conserves = o.shell_eigenvalues is not None
+            want = expected_blocks(build_fock_matrix(q, t), t, conserves)
             assert len(seen) == len(want)
-            for got, block in zip(seen, want):
-                assert got.shape == block.shape
-                assert got.tobytes() == block.tobytes()
+            for got, group in zip(seen, want):
+                assert got.shape == ((len(group),) if conserves else ()) + group[0].shape
+                for block, cut in zip(got.reshape(-1, *got.shape[-2:]), group):
+                    assert block.tobytes() == cut.tobytes()
+            if conserves and t.K > 1:
+                sizes = [len(ix) for ix in shell_indices(t).values()]
+                assert [len(group) for group in want] == [
+                    1 + (s != t.K * n_max - s) for s in range(len(sizes))
+                    if s <= t.K * n_max - s]
+
+    def test_equal_parity_blocks_are_solved_one_at_a_time(self, monkeypatch):
+        # at n_max 21, K = 2 has two parity blocks of 242 states: one call
+        # each, so the oracle never holds both
+        t = FockTruncation(21, 2)
+        q = random_positive_definite_form(2, seed=3)
+        seen = recorded_eigvalsh(monkeypatch)
+        o = oracle_spectrum(q, t)
+        assert o.shell_eigenvalues is None
+        assert [a.shape for a in seen] == [(242, 242), (242, 242)]
+        monkeypatch.undo()
+        tracemalloc.start()
+        try:
+            oracle_spectrum(q, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * 16 * t.dim ** 2
+
+    @pytest.mark.parametrize("q", [random_positive_definite_form(2, seed=3), model_form(1.3)],
+                             ids=["parities", "shells"])
+    def test_caches_hold_no_basis_sized_arrays(self, q):
+        # what one call leaves cached (tables, plan, index grid, block
+        # layout) grows with the basis by a few ints a state, not by the
+        # band sums or term stacks
+        t = FockTruncation(40, 2)
+        for cached in (fock._mode_tables, fock._plan, fock._bands, fock._layout):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            oracle_spectrum(q, t)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * t.dim
 
     def test_never_builds_the_dense_matrix(self, monkeypatch):
         calls = []
@@ -421,6 +602,48 @@ class TestBlockStreaming:
         assert list(o.shell_eigenvalues) == [0]
         assert o.shell_eigenvalues[0].tolist() == [h00.real]
         assert o.dim == 1
+
+
+class TestBitsAgainstReference:
+    """Per-offset sums and stacked shell eigensolves keep the bits of the
+    per-term band loop and the per-block eigensolve loop."""
+
+    @pytest.mark.parametrize("name, q, n_max", REFERENCE_CASES,
+                             ids=[c[0] for c in REFERENCE_CASES])
+    def test_band_records(self, name, q, n_max):
+        t = FockTruncation(n_max, q.basis.K)
+        got = fock._checked_band_sums(q, t)
+        want = reference_band_sums(q, t)[0]
+        assert list(got) == list(want)
+        h = np.zeros((t.dim, t.dim), dtype=complex)
+        for d, (rows, cols, sums) in want.items():
+            assert np.array_equal(got[d][0], rows) and np.array_equal(got[d][1], cols)
+            assert got[d][2].shape == sums.shape
+            assert got[d][2].tobytes() == sums.tobytes()
+            h[rows, cols] = sums
+        assert build_fock_matrix(q, t).tobytes() == h.tobytes()
+
+    @pytest.mark.parametrize("name, q, n_max", REFERENCE_CASES,
+                             ids=[c[0] for c in REFERENCE_CASES])
+    def test_oracle_spectrum(self, name, q, n_max):
+        t = FockTruncation(n_max, q.basis.K)
+        o = oracle_spectrum(q, t)
+        eigenvalues, shells = reference_oracle(q, t)
+        assert o.eigenvalues.tobytes() == eigenvalues.tobytes()
+        if shells is None:
+            assert (o.shell_eigenvalues, o.shell_exact_upto) == (None, 0)
+        else:
+            assert o.shell_exact_upto == n_max
+            assert {s: v.tobytes() for s, v in o.shell_eigenvalues.items()} == {
+                s: v.tobytes() for s, v in shells.items()}
+
+    def test_cases_cover_both_block_kinds(self):
+        # True where the form conserves total quanta
+        shells = {name: reference_oracle(q, FockTruncation(n_max, q.basis.K))[1] is not None
+                  for name, q, n_max in REFERENCE_CASES}
+        assert shells["eps 1e-14-8"] and not shells["eps 1e-6-8"]
+        assert shells["b=2-8"] and shells["b=-2-8"] and not shells["anisotropic-8"]
+        assert 50 < sum(shells.values()) < len(shells) - 50
 
 
 class TestComparison:
