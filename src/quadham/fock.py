@@ -13,17 +13,26 @@ that feed it.  So the cost of assembly grows with the number of offsets,
 not of terms: the terms of all offsets of one kind come from one gather,
 one outer product and one multiply by gamma, and each offset's sum adds
 its terms to zero in (a, b) order, which gives it the bits of a sum of
-dense per-term matrices.  Hermiticity is checked on the band sums, once
-per pair of offsets +-d, before build_fock_matrix writes its one dense
-matrix.  Basis states are occupancy tuples in row-major order with mode 1
-slowest.
+dense per-term matrices.  The sums are compact: a cross offset's sums
+span the occupancies of the two modes it moves, a same-mode offset's those
+of its mode, and offset 0's hold one sum per state.  The entries of d and
+-d read the same compact sums, so Hermiticity is checked on them, once per
+pair.
+
+The retained states are one list, kept per mode count and cutoff: their
+occupancies in basis order (occupancy tuples in row-major order with mode
+1 slowest), the basis index of each state's neighbour o + d for every
+offset, or none, and where the value of <o| . |o + d> sits among the
+compact sums.  One function reads the rows, columns and values of any set
+of offsets off that list: build_fock_matrix writes every offset into its
+one dense matrix, and oracle_spectrum writes its blocks.
 
 Every offset of a quadratic form changes the total occupancy by 0 or +-2,
 so the matrix is exactly block-diagonal over the parity of total quanta.
 When the entries that change the total are also (numerically) zero, the
 form conserves total occupancy and the matrix is block-diagonal over shells
 of equal total quanta.  The eigenvalues are those of the blocks.  The
-oracle writes the blocks from the band sums and never the dense matrix:
+oracle writes the blocks from the band entries and never the dense matrix:
 the two parity blocks one at a time, one eigensolve each, or every shell
 into one buffer, the shells of one size in one stacked eigensolve.  The
 box gives shell s and shell K n_max - s the same size, and a slice of a
@@ -51,10 +60,12 @@ from . import tolerances as tol
 # complex matrix of 4096 states is 256 MiB.  The oracle holds one parity
 # block at a time, plus LAPACK's copy of it during the eigensolve, or the
 # buffer of all shells, whose sizes sum in squares to far less.  At 1681
-# states, where one dense matrix is 45.2 MB, tracemalloc measures 45.4 MB
-# for build_fock_matrix and 12.4 MB for oracle_spectrum: the 841-state
+# states, where one dense matrix is 45.2 MB, tracemalloc measures 45.9 MB
+# for build_fock_matrix and 12.3 MB for oracle_spectrum: the 841-state
 # parity block (LAPACK's copy is allocated outside Python's tracked heap).
-# A conserving form's shells take 1.2 MB there and 3.9 MB at 4096 states
+# A conserving form's shells take 1.2 MB there and 3.9 MB at 4096 states.
+# The retained states and block layout kept between calls take about 55
+# bytes a state at K = 2
 FOCK_STATE_CAP = 4096
 
 
@@ -160,19 +171,14 @@ class _Plan:
     two_cols: np.ndarray        # (2K,) product-table column of each offset
     zero_gamma: np.ndarray      # (4K,)
     zero_rows: np.ndarray       # product-table row of each term
-    zero_shapes: tuple[tuple[int, ...], ...]   # each term laid along its mode
-    changes: np.ndarray         # the offsets that change the total quanta
-    # per entry a 2K + b, the offsets its term feeds, in the order of a loop
-    # that yields the same-mode offsets -2, 0, +2 or the cross sign pairs
-    # (d_a, d_b) in _SIGNS order
-    feeds: tuple[tuple[int, ...], ...]
+    zero_modes: tuple[int, ...]  # the mode of each term
+    changes: np.ndarray         # per offset, whether it changes the total quanta
 
 
 @functools.lru_cache(maxsize=8)
 def _plan(K: int) -> _Plan:
     two_k = 2 * K
     offsets, cross = [], []
-    feeds = [{} for _ in range(two_k * two_k)]
     for i, j in itertools.combinations(range(K), 2):
         # the entries with one factor in each mode, in row-major order
         entries = [(a, b) for a in (i, j, K + i, K + j)
@@ -181,26 +187,18 @@ def _plan(K: int) -> _Plan:
             terms = []
             for a, b in entries:
                 sa, sb = (si, sj) if a % K == i else (sj, si)
-                feeds[a * two_k + b][sa, sb] = len(offsets)
                 terms.append((a * two_k + b, 2 * (a // K) + (sa > 0), 2 * (b // K) + (sb > 0)))
             offsets.append(tuple(si * (ax == i) + sj * (ax == j) for ax in range(K)))
             cross.append([terms[r] for r in _CROSS_ROWS])
     # (3, 8, cross offsets): gamma index, first and second factor rows
     cross = np.array(cross, dtype=np.intp).reshape(-1, 8, 3).T
+    offsets += [tuple(s * (ax == i) for ax in range(K)) for i in range(K) for s in (-2, 2)]
+    offsets.append((0,) * K)
 
     # the same-mode entries of mode i in row-major order: xx, xp, px, pp
     same = [[(ka * K + i) * two_k + kb * K + i for ka in (0, 1) for kb in (0, 1)]
             for i in range(K)]
-    for i in range(K):
-        for s in (-2, 2):
-            for entry in same[i]:
-                feeds[entry][s] = len(offsets)
-            offsets.append(tuple(s * (ax == i) for ax in range(K)))
     zero = [a * two_k + b for a in range(two_k) for b in (a % K, K + a % K)]
-    for entry in zero:
-        feeds[entry][0] = len(offsets)
-    offsets.append((0,) * K)
-
     return _Plan(
         offsets=tuple(offsets),
         cross_gamma=cross[0], cross_first=cross[1], cross_second=cross[2],
@@ -209,43 +207,72 @@ def _plan(K: int) -> _Plan:
         zero_gamma=np.array(zero, dtype=np.intp),
         zero_rows=np.array([2 * (e // two_k // K) + e % two_k // K for e in zero],
                            dtype=np.intp),
-        zero_shapes=tuple(tuple(-1 if ax == e % K else 1 for ax in range(K)) for e in zero),
-        changes=np.array([k for k, d in enumerate(offsets) if sum(d)], dtype=np.intp),
-        feeds=tuple(tuple(f[key] for key in sorted(f)) for f in feeds),
+        zero_modes=tuple(e % K for e in zero),
+        changes=np.array([sum(d) != 0 for d in offsets]),
     )
 
 
-@functools.lru_cache(maxsize=8)
-def _bands(K: int, n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Rows o and columns o + d of the band of each offset d of the plan.
+@dataclass(frozen=True, eq=False)
+class _States:
+    """The retained states of K modes, occupancies 0..n-1 each, in basis order.
 
-    Both are views of one array of basis indices on the occupancy grid, so
-    the rows of the band of -d are the columns of the band of d.
+    occ[r] holds the occupancies of state r.  neighbours[k, r] is the basis
+    index of occ[r] + d for the plan's offset d = offsets[k], or -1 where
+    that occupancy is not retained.  The compact sums of an offset are laid
+    out row-major over the modes it moves, offset 0's over every mode (one
+    sum per state, at its basis index), and concatenated in plan order; the
+    value of the entry <o| . |o + d> sits at start[k] + stride[k] . o, the
+    place of min(o, o + d), so d and -d read the same place.
     """
-    index = np.arange(n ** K).reshape((n,) * K)
-    return tuple((index[tuple(slice(max(0, -x), n - max(0, x)) for x in d)],
-                  index[tuple(slice(max(0, x), n - max(0, -x)) for x in d)])
-                 for d in _plan(K).offsets)
+
+    occ: np.ndarray          # (dim, K)
+    neighbours: np.ndarray   # (offsets, dim), in the smallest type holding -dim
+    start: np.ndarray        # (offsets,)
+    stride: np.ndarray       # (offsets, K)
 
 
-def _band_sums(q: QuadraticForm, t: FockTruncation):
-    """Compact band sums of the form on the retained basis, checked Hermitian.
+@functools.lru_cache(maxsize=8)
+def _states(K: int, n: int) -> _States:
+    occ = np.indices((n,) * K).reshape(K, -1).T
+    radix = n ** np.arange(K - 1, -1, -1)
+    d = np.array(_plan(K).offsets)
 
-    Returns the sums of the cross offsets (offset, o_i, o_j), of the
-    same-mode offsets (offset, o_i) and of offset 0 (the occupancy grid), in
-    plan order and on the rows o of each band, and whether every entry that
-    changes the total quanta is at most machine zero relative to the largest
-    |entry|.  Each sum adds its terms to zero in (a, b) order,
-    as a sum of dense per-term matrices would; a zero gamma entry adds
-    zeros, which leave every sum's bits alone.  Raises HermiticityError when
-    the sums are not those of a Hermitian matrix.
+    def index(o):
+        """Basis index of each occupancy row, -1 where it is not retained."""
+        return np.where(np.all((o >= 0) & (o < n), axis=1), o @ radix, -1)
+
+    neighbours = np.empty((len(d), len(occ)), dtype=np.min_scalar_type(-len(occ)))
+    for k, step in enumerate(d):
+        neighbours[k] = index(occ + step)
+    # an offset's compact sums are row-major over the modes they span, n - max|d|
+    # occupancies each: (n - 1)^2 places for a cross offset, n - 2 for a
+    # same-mode one, n^K for offset 0
+    spans = (d != 0) | ~d.any(axis=1, keepdims=True)
+    extent = np.maximum(n - np.abs(d).max(axis=1, keepdims=True), 0)
+    rank = spans.sum(axis=1, keepdims=True)
+    stride = np.where(spans, extent ** (rank - spans.cumsum(axis=1)), 0)
+    sizes = (extent ** rank)[:, 0]
+    start = np.cumsum(sizes) - sizes + (stride * np.minimum(d, 0)).sum(axis=1)
+    return _States(occ=occ, neighbours=neighbours, start=start, stride=stride)
+
+
+def _band_sums(q: QuadraticForm, t: FockTruncation) -> tuple[np.ndarray, bool]:
+    """Compact band sums of the form on the retained states, checked Hermitian.
+
+    Returns the sums of every offset, concatenated in plan order as
+    _States lays them out, and whether every entry that changes the total
+    quanta is at most machine zero relative to the largest |entry|.  Each
+    sum adds its terms to zero in (a, b) order, as a sum of dense per-term
+    matrices would; a zero gamma entry adds zeros, which leave every sum's
+    bits alone.  Raises HermiticityError when the sums are not those of a
+    Hermitian matrix.
     """
     K = q.basis.K
     if K != t.K:
         raise ValueError("truncation mode count does not match the form")
     n = t.n_max + 1
     single, two_table, zero_table = _mode_tables(_single_mode_ops, n)
-    plan = _plan(K)
+    plan, occ = _plan(K), _states(K, n).occ
     gamma = q.gamma.ravel()
 
     # term stacks: one gather, one outer product, one multiply by gamma
@@ -262,15 +289,15 @@ def _band_sums(q: QuadraticForm, t: FockTruncation):
     for term in terms:
         two += term
     terms = gamma[plan.zero_gamma][:, None] * zero_table[plan.zero_rows]
-    zero = np.zeros((n,) * K, dtype=complex)
-    for term, shape in zip(terms, plan.zero_shapes):
-        zero += term.reshape(shape)
+    zero = np.zeros(len(occ), dtype=complex)
+    for term, mode in zip(terms, plan.zero_modes):
+        zero += term[occ[:, mode]]
     if q.offset:
         zero += q.offset
 
     # each band's largest |entry|, in plan order, gives the scale and the
-    # conservation test; the rows of -d are the columns of d, so max |h - h^H|
-    # is max |sums[d] - conj(sums[-d])|, taken once per pair +-d
+    # conservation test; d and -d keep their sums at the same places, so
+    # max |h - h^H| is max |sums[d] - conj(sums[-d])|, taken once per pair +-d
     peaks = np.concatenate([np.abs(cross).max(axis=(1, 2), initial=0.0),
                             np.abs(two).max(axis=1, initial=0.0),
                             [np.abs(zero).max(initial=0.0)]])
@@ -285,41 +312,30 @@ def _band_sums(q: QuadraticForm, t: FockTruncation):
         raise HermiticityError(
             f"assembled matrix deviates from Hermitian by {dev:.3e}"
         )
-    return cross, two, zero, bool(np.all(peaks[plan.changes] <= mz))
+    sums = np.concatenate([cross, two, zero], axis=None)
+    return sums, bool(np.all(peaks[plan.changes] <= mz))
 
 
-def _checked_band_sums(
-    q: QuadraticForm, t: FockTruncation
-) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Band records of the form on the retained basis.
+def _entries(sums: np.ndarray, t: FockTruncation, offsets):
+    """Rows, columns and values of the band entries of the offsets picked.
 
-    The record of offset d holds the rows o, the columns o + d and the
-    read-only sums of the retained entries <o| . |o + d>, on the grid of
-    rows o, for each offset some nonzero term feeds.  Records come in the
-    order in which a loop over the terms in (a, b) order first meets them.
+    offsets picks plan offsets by index, mask or slice, and sums are those
+    of _band_sums.  An entry (r, c) of offset d joins the retained states
+    o = occ[r] and o + d = occ[c]; each such pair is one entry.  Entries
+    come offset by offset, rows ascending within each.
     """
-    cross, two, zero, _ = _band_sums(q, t)
-    K = q.basis.K
-    plan, bands = _plan(K), _bands(K, t.n_max + 1)
-    first = dict.fromkeys(k for entry in np.flatnonzero(q.gamma) for k in plan.feeds[entry])
-    if q.offset:
-        first.setdefault(len(plan.offsets) - 1)
-    sums = [*cross, *two, zero]
-    records = {}
-    for k in first:
-        d, (rows, cols) = plan.offsets[k], bands[k]
-        # a compact sum spans the modes its offset moves; offset 0's spans all
-        shape = [size if x or not any(d) else 1 for x, size in zip(d, rows.shape)]
-        records[d] = (rows, cols, np.broadcast_to(sums[k].reshape(shape), rows.shape))
-    return records
+    st = _states(t.K, t.n_max + 1)
+    cols = st.neighbours[offsets]
+    which, rows = np.nonzero(cols >= 0)
+    places = st.start[offsets, None] + st.stride[offsets] @ st.occ.T
+    return rows, cols[which, rows], sums[places[which, rows]]
 
 
 def build_fock_matrix(q: QuadraticForm, t: FockTruncation) -> np.ndarray:
     """Matrix of the form on the retained basis; exact entries, then checked."""
-    records = _checked_band_sums(q, t)
+    rows, cols, values = _entries(_band_sums(q, t)[0], t, slice(None))
     h = np.zeros((t.dim, t.dim), dtype=complex)
-    for rows, cols, sums in records.values():
-        h[rows, cols] = sums
+    h[rows, cols] = values
     return h
 
 
@@ -342,17 +358,11 @@ class _Layout:
     basis order.  Entry (r, c) goes to flat position base[r] + local[c]:
     for shells, of one buffer holding the shells of each size stacked
     (groups of (start, stop, size)), shell s at row shells[s] of its group;
-    for parities, of the block parity[r].  The offsets written are those of
-    the cross sums picked by `cross` (and all same-mode ones for parities),
-    then 0, each band listed with the modes its offset moves slowest.
+    for parities, of the block parity[r].
     """
 
     base: np.ndarray
     local: np.ndarray
-    rows: tuple[np.ndarray, ...]
-    cols: tuple[np.ndarray, ...]
-    cross: np.ndarray
-    repeats: tuple[int, int]   # copies of each cross and same-mode sum
     parity: np.ndarray | None   # odd total quanta, per state
     sizes: tuple[int, ...]
     groups: tuple[tuple[int, int, int], ...]
@@ -361,19 +371,14 @@ class _Layout:
 
 @functools.lru_cache(maxsize=8)
 def _layout(K: int, n: int, conserves: bool) -> _Layout:
-    block = np.indices((n,) * K).reshape(K, -1).sum(axis=0)
+    block = _states(K, n).occ.sum(axis=1)
     if not conserves:
         block %= 2
     sizes = np.bincount(block)
-    local = np.empty(n ** K, dtype=np.intp)
+    local = np.empty(len(block), dtype=np.intp)
     local[np.argsort(block, kind="stable")] = (
-        np.arange(n ** K) - np.repeat(np.cumsum(sizes) - sizes, sizes))
-    plan, bands = _plan(K), _bands(K, n)
-    n_cross = len(plan.offsets) - 2 * K - 1
+        np.arange(len(block)) - np.repeat(np.cumsum(sizes) - sizes, sizes))
     if conserves:
-        # the cross offsets (-1, +1) and (+1, -1) of each pair keep the total
-        cross = np.flatnonzero(np.isin(np.arange(n_cross) % 4, (1, 2)))
-        written = [*cross, len(plan.offsets) - 1]
         by_size = {}
         for s, m in enumerate(sizes.tolist()):
             by_size.setdefault(m, []).append(s)
@@ -388,23 +393,11 @@ def _layout(K: int, n: int, conserves: bool) -> _Layout:
         base = starts[block] + local * sizes[block]
         parity = None
     else:
-        cross = np.arange(n_cross)
-        written = range(len(plan.offsets))
         base = local * sizes[block]
         parity, groups, shells = block.astype(bool), (), ()
-
-    def moving_first(k, view):
-        # the offset's moving modes slowest, the order np.repeat spreads its sums in
-        d = plan.offsets[k]
-        return view.transpose(sorted(range(K), key=lambda ax: not d[ax]))
-
-    return _Layout(
-        base=base, local=local,
-        rows=tuple(moving_first(k, bands[k][0]) for k in written),
-        cols=tuple(moving_first(k, bands[k][1]) for k in written),
-        cross=cross, repeats=(n ** max(K - 2, 0), n ** (K - 1)),
-        parity=parity, sizes=tuple(sizes.tolist()), groups=tuple(groups),
-        shells=tuple(shells))
+    # the cap keeps every position below 2^31: a buffer of at most dim^2
+    return _Layout(base=base.astype(np.int32), local=local.astype(np.int32), parity=parity,
+                   sizes=tuple(sizes.tolist()), groups=tuple(groups), shells=tuple(shells))
 
 
 def _filled(size: int, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -421,19 +414,15 @@ def oracle_spectrum(q: QuadraticForm, t: FockTruncation) -> OracleSpectrum:
     is at most machine zero relative to the largest entry.  Conserving forms
     are diagonalised shell by shell, the shells of one size in one stacked
     eigensolve, others per parity of total quanta, one block at a time.
-    Blocks are written from the band sums just before their eigensolve, so
+    Blocks are written from the band entries just before their eigensolve, so
     the dense matrix of build_fock_matrix is never formed.
     """
-    cross, two, zero, conserves = _band_sums(q, t)
+    sums, conserves = _band_sums(q, t)
     lay = _layout(t.K, t.n_max + 1, conserves)
     # a conserving form's shells leave out the entries that change the total,
     # as every block leaves out the entries outside it
-    sums = [np.repeat(cross[lay.cross], lay.repeats[0])]
-    if not conserves:
-        sums.append(np.repeat(two, lay.repeats[1]))
-    values = np.concatenate(sums + [zero], axis=None)
-    rows = np.concatenate(lay.rows, axis=None)
-    positions = lay.base[rows] + lay.local[np.concatenate(lay.cols, axis=None)]
+    rows, cols, values = _entries(sums, t, ~_plan(t.K).changes if conserves else slice(None))
+    positions = lay.base[rows] + lay.local[cols]
     if conserves:
         # only shells with total <= n_max retain every state of that total;
         # higher shells are cut and their eigenvalues are not exact.  A slice

@@ -4,7 +4,9 @@ Run from the repository root of each checkout and compare the lines:
 
     PYTHONPATH=src python3 tests/digests.py
 
-Equal lines mean the outputs are byte-identical.  The families are:
+Equal lines mean the outputs are byte-identical.  The script runs OpenBLAS
+on one thread whatever the environment says, so the lines do not depend on
+the host's thread count.  The families are:
 
 - classify: `eigen_decompose` eigenvalues and cluster members (not the
   cluster means) and `classify_spectrum` reports (or the error raised) on a
@@ -68,15 +70,21 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
 import sys
 import tempfile
 from fractions import Fraction
 
-import numpy as np
+# the oracle line hashes full-precision eigenvalues of blocks large enough for
+# OpenBLAS to thread, whose last bits depend on the thread count; the count is
+# read when numpy loads BLAS, so it is set first
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-import quadham as qh
-from quadham import cli, serialize
+import numpy as np  # noqa: E402
+
+import quadham as qh  # noqa: E402
+from quadham import cli, serialize  # noqa: E402
 
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))

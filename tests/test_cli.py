@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -349,22 +350,25 @@ class TestVerifyCommand:
             "exceeds cap 4096\n")
 
 
+def run_module(args):
+    """python -m quadham.cli in a child process that imports the package
+    these tests import, installed or not."""
+    src = str(pathlib.Path(quadham.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "quadham.cli", *args],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
 class TestSubprocess:
     def test_module_entry_point(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "quadham.cli", "analyze",
-             "--config", OSC_B1],
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = run_module(["analyze", "--config", OSC_B1])
         assert proc.returncode == 0
         env = json.loads(proc.stdout)
         assert env["results"]["classification"] == "BoundedBelowDiscrete"
 
     def test_missing_required_option(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "quadham.cli", "analyze"],
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = run_module(["analyze"])
         assert proc.returncode == 2
         assert "--config" in proc.stderr
 

@@ -314,19 +314,25 @@ class TestBuildMatrix:
             assert np.all(h[parity[:, None] != parity[None, :]] == 0)
 
     def test_band_records_pair_each_offset_with_its_negative(self):
-        # the Hermiticity check compares the sums of d and -d entry by entry,
-        # so the rows of -d must be the columns of d, in the same order
-        for q, n_max in random_forms(14):
+        # the Hermiticity check compares the sums of d and -d place by place,
+        # so the entries of -d must be the transposes of those of d
+        rng = np.random.default_rng(14)
+        forms = list(random_forms(14)) + [(random_form(rng, 4), n) for n in range(4)]
+        for q, n_max in forms:
             t = FockTruncation(n_max, q.basis.K)
             occ = np.array(occupancies(t))
-            records = fock._checked_band_sums(q, t)
-            for d, (rows, cols, sums) in records.items():
-                assert rows.shape == cols.shape == sums.shape
-                assert np.array_equal(records[tuple(-x for x in d)][0], cols)
-                # every entry <o| . |o + d> with o and o + d in the box, once
+            sums, _ = fock._band_sums(q, t)
+            bands = {d: fock._entries(sums, t, [k])[:2]
+                     for k, d in enumerate(fock._plan(t.K).offsets)}
+            for d, (rows, cols) in bands.items():
+                # every entry <o| . |o + d> with o and o + d retained, once,
+                # rows ascending
                 inside = np.all((occ + d >= 0) & (occ + d <= n_max), axis=1)
-                assert np.array_equal(np.sort(rows.ravel()), np.flatnonzero(inside))
-                assert np.all(occ[cols.ravel()] - occ[rows.ravel()] == d)
+                assert np.array_equal(rows, np.flatnonzero(inside))
+                assert np.all(occ[cols] - occ[rows] == d)
+                back = bands[tuple(-x for x in d)]
+                assert sorted(zip(back[0].tolist(), back[1].tolist())) == sorted(
+                    zip(cols.tolist(), rows.tolist()))
 
     def test_basis_size_mismatch_rejected(self):
         q = model_form(1.0)
@@ -518,11 +524,11 @@ class TestBlockStreaming:
     @pytest.mark.parametrize("q", [random_positive_definite_form(2, seed=3), model_form(1.3)],
                              ids=["parities", "shells"])
     def test_caches_hold_no_basis_sized_arrays(self, q):
-        # what one call leaves cached (tables, plan, index grid, block
+        # what one call leaves cached (tables, plan, retained states, block
         # layout) grows with the basis by a few ints a state, not by the
         # band sums or term stacks
         t = FockTruncation(40, 2)
-        for cached in (fock._mode_tables, fock._plan, fock._bands, fock._layout):
+        for cached in (fock._mode_tables, fock._plan, fock._states, fock._layout):
             cached.cache_clear()
         tracemalloc.start()
         try:
@@ -611,16 +617,26 @@ class TestBitsAgainstReference:
     @pytest.mark.parametrize("name, q, n_max", REFERENCE_CASES,
                              ids=[c[0] for c in REFERENCE_CASES])
     def test_band_records(self, name, q, n_max):
+        # the entries of every offset in plan order: the reference's band
+        # where a nonzero term feeds the offset, zeros on its band elsewhere
         t = FockTruncation(n_max, q.basis.K)
-        got = fock._checked_band_sums(q, t)
+        rows, cols, values = fock._entries(fock._band_sums(q, t)[0], t, slice(None))
         want = reference_band_sums(q, t)[0]
-        assert list(got) == list(want)
+        offsets = fock._plan(t.K).offsets
+        assert set(want) <= set(offsets)
+        n = n_max + 1
+        index = np.arange(t.dim).reshape((n,) * t.K)
+        bands = []
+        for d in offsets:
+            band = (index[tuple(slice(max(0, -x), n - max(0, x)) for x in d)],
+                    index[tuple(slice(max(0, x), n - max(0, -x)) for x in d)])
+            bands.append(want.get(d, band + (np.zeros(band[0].shape, dtype=complex),)))
+        assert np.array_equal(rows, np.concatenate([r.ravel() for r, _, _ in bands]))
+        assert np.array_equal(cols, np.concatenate([c.ravel() for _, c, _ in bands]))
+        assert values.tobytes() == np.concatenate([v.ravel() for _, _, v in bands]).tobytes()
         h = np.zeros((t.dim, t.dim), dtype=complex)
-        for d, (rows, cols, sums) in want.items():
-            assert np.array_equal(got[d][0], rows) and np.array_equal(got[d][1], cols)
-            assert got[d][2].shape == sums.shape
-            assert got[d][2].tobytes() == sums.tobytes()
-            h[rows, cols] = sums
+        for r, c, v in want.values():
+            h[r, c] = v
         assert build_fock_matrix(q, t).tobytes() == h.tobytes()
 
     @pytest.mark.parametrize("name, q, n_max", REFERENCE_CASES,
